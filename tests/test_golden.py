@@ -1,0 +1,162 @@
+"""Golden digests: the trace and output of fixed instances, pinned.
+
+Other tests compare digests within one run (scalar against vector, one
+instance against another of the same class).  These pin them across
+commits: a refactor of the engine or of the trace layer must leave every
+value below byte-identical.  Inputs come from closed-form integer
+arithmetic, never from an RNG, so a numpy release cannot move them.
+
+Each join pins (m, peak_entries, HashSink hexdigest, SHA-256 of
+pairs.tobytes()).  The primitives pin their HashSink hexdigest.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from oblivjoin.harness import make_distribute_input
+from oblivjoin.pipeline import oblivious_join
+from oblivjoin.primitives import (ext_oblivious_distribute,
+                                  oblivious_distribute, oblivious_expand)
+from oblivjoin.prp import prp_distribute
+from oblivjoin.trace import HashSink
+
+U64_MAX = (1 << 64) - 1
+
+
+def table(n, key, payload):
+    return np.array([(key(i), payload(i)) for i in range(n)],
+                    np.uint64).reshape(n, 2)
+
+
+def mixed():
+    # key 0: 1x1, key 1: 1x3, key 2: 3x1, key 3: 2x2, keys 4/5 unmatched,
+    # key U64_MAX: 1x1 with extreme payloads
+    t1 = [(0, 10), (1, 11), (2, 12), (2, 13), (2, 14), (3, 15), (3, 16),
+          (4, 17), (U64_MAX, U64_MAX)]
+    t2 = [(3, 20), (1, 21), (5, 22), (1, 23), (0, 24), (3, 25), (2, 26),
+          (1, 27), (U64_MAX, 0)]
+    return np.array(t1, np.uint64), np.array(t2, np.uint64)
+
+
+JOINS = {
+    "empty_both": lambda: (table(0, int, int), table(0, int, int)),
+    "empty_t1": lambda: (table(0, int, int), table(5, lambda i: i, lambda i: 3 * i)),
+    "empty_t2": lambda: (table(7, lambda i: i % 3, lambda i: i), table(0, int, int)),
+    "m_zero": lambda: (table(6, lambda i: 2 * i, lambda i: i + 100),
+                       table(4, lambda i: 2 * i + 1, lambda i: i + 200)),
+    "odd_13_9": lambda: (table(13, lambda i: i % 5, lambda i: 1000 + i),
+                         table(9, lambda i: (2 * i) % 7, lambda i: 2000 + i)),
+    "odd_300_211": lambda: (table(300, lambda i: (7 * i) % 97, lambda i: i * i),
+                            table(211, lambda i: (11 * i + 3) % 89,
+                                  lambda i: U64_MAX - i)),
+    "pow2_128": lambda: (table(128, lambda i: i % 32, lambda i: i),
+                         table(128, lambda i: (5 * i) % 32, lambda i: 7 * i)),
+    "one_to_many": lambda: (table(1, lambda i: 4, lambda i: 9),
+                            table(9, lambda i: 4, lambda i: 50 + i)),
+    "many_to_one": lambda: (table(10, lambda i: 3, lambda i: 60 + i),
+                            table(1, lambda i: 3, lambda i: 8)),
+    "mixed": mixed,
+}
+
+GOLDEN_JOINS = {
+    # name: (m, peak_entries, trace hexdigest, sha256 of pairs.tobytes())
+    "empty_both": (0, 0,
+        "0000000000000000000000000000000000000000000000000000000000000000",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "empty_t1": (0, 10,
+        "feaa05a066a9b63833d595ddad4ee9b986492103f1a2d5d304b2d5b0bb6c00ea",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "empty_t2": (0, 14,
+        "2155e2b26e7de777d11c432c55a92da23bee83ee234b09a81462bc0447cf1fe4",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "m_zero": (0, 20,
+        "505f75621eaf84a95395de2cbd3ed1ea3d0d6368601ce3bcf1bc9bb846b8f69c",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "many_to_one": (10, 31,
+        "4f305319eed74e44d11ea3bb6a0e2cf1be2727118e24a7861a222f734d8a274d",
+        "8af5c801ae9fef2b0fafec74abadfcb533539838bb2d9d216ae7b5e3510fb46a"),
+    "mixed": (12, 42,
+        "d00dbf1c08b854fe0c56dbf0cf7c64b3130c8320985b1f1e15598d42b8ae9739",
+        "8378b4ce3f473aa6c1b263bf32688987ff8ce2deb10d55b354cf68dfc6225166"),
+    "odd_13_9": (19, 60,
+        "782caf2cdda1af3bfd6c1c170aeaf92ac9a4be474dbeacf67219a78f71fa0bb5",
+        "0a57a2efda7583f77bf66ae5b2514659e8f6b196a1f7b291b54fd59b7646e2e3"),
+    "odd_300_211": (655, 1821,
+        "d009d149e1327925f4bba77ec0f1b57f6f04dca01f4af1469db66569ab349864",
+        "346305ebc95afce1f33f59cb78ee5118f4b4f52e480e1d276dadaa1bf4c73359"),
+    "one_to_many": (9, 28,
+        "74f214dfc476da7bcc4fef5979868cf12c408ce5a280098cbda4b2005882f465",
+        "511b3699e3a5cd40c07fbcd871f4048676814e0ad0a185618f510aec24c4a959"),
+    "pow2_128": (512, 1280,
+        "5699142a5d4261a11d77d3055053e807a1c517888bd80c1d4a9655d4c5a4e2a3",
+        "aa58757cb90e923857555b8c0ae6e60290783f2226ea333dad4d3697c9419bc7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JOINS))
+def test_join_golden(name):
+    t1, t2 = JOINS[name]()
+    sink = HashSink()
+    res = oblivious_join(t1, t2, sink)
+    got = (res.m, sink.peak_entries, sink.hexdigest(),
+           hashlib.sha256(res.pairs.tobytes()).hexdigest())
+    assert got == GOLDEN_JOINS[name]
+
+
+def _distribute():
+    sink = HashSink()
+    f = [(5 * i) % 23 + 1 for i in range(17)]
+    oblivious_distribute(make_distribute_input(sink, f), 23)
+    return sink
+
+
+def _ext_distribute():
+    # 11 inputs, 4 of them null (f = 0), into 9 slots: n > m
+    sink = HashSink()
+    f = [0, 9, 2, 0, 7, 1, 0, 5, 3, 0, 8]
+    x = make_distribute_input(sink, f)
+    x.col("is_null")[:] = np.array(f, np.uint64) == 0
+    ext_oblivious_distribute(x, 9)
+    return sink
+
+
+def _expand():
+    sink = HashSink()
+    g = [i % 4 for i in range(19)]
+    x = make_distribute_input(sink, [0] * len(g))
+    x.col("alpha1")[:] = g
+    oblivious_expand(x, "alpha1")
+    return sink
+
+
+def _prp_distribute():
+    sink = HashSink()
+    f = [(3 * i) % 20 + 1 for i in range(13)]
+    prp_distribute(make_distribute_input(sink, f), 20, seed=12345)
+    return sink
+
+
+PRIMITIVES = {
+    "oblivious_distribute": _distribute,
+    "ext_oblivious_distribute": _ext_distribute,
+    "oblivious_expand": _expand,
+    "prp_distribute": _prp_distribute,
+}
+
+GOLDEN_PRIMITIVES = {
+    "ext_oblivious_distribute":
+        "04dd252ca4a328d1568da3b76a0739f4f2905f58c9b7a329092871090dcc2904",
+    "oblivious_distribute":
+        "f4ce2995d53ccc174f8ad61be29d53b3166b5a5a7da80c184b6ac952f5360e29",
+    "oblivious_expand":
+        "65947adf3b3c5cb06e3953165f9735500fc42ebc7fe277d98bdc3fc75c6c73e0",
+    "prp_distribute":
+        "1a6f22449de39f2111b222edd899a47f4c74c2e79d86bde91adaab98493cbd73",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVES))
+def test_primitive_golden(name):
+    assert PRIMITIVES[name]().hexdigest() == GOLDEN_PRIMITIVES[name]
