@@ -27,17 +27,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entries import (AugEntry, KEY_J_II, KEY_J_TID, KEY_TID_J_D,
+from .entries import (AugEntry, KEY_J_II, KEY_J_TID, KEY_TID_J_D, U64_MASK,
                       ct_eq, ct_select)
-from .trace import NullSink, PublicArray, READ, TraceSink, WRITE, alloc
-from .primitives import (_check_engine, _emit_linear_rw, bitonic_sort,
-                         oblivious_expand)
+from .trace import (NullSink, PublicArray, READ, TraceSink, WRITE, alloc,
+                    emit_steps)
+from .primitives import _check_engine, bitonic_sort, oblivious_expand
 
 __all__ = ["JoinResult", "augment_tables", "fill_dimensions",
            "expand_for_join", "align_table", "oblivious_join"]
 
 
 def _as_rows(rows) -> np.ndarray:
+    """A table's rows as an (n, 2) uint64 array of (j, d) pairs.
+
+    Accepts an integer ndarray without negative values, or nested
+    sequences of Python ints in [0, 2^64).  Anything else raises rather
+    than being cast: a cast would join key 1.7, True and -1 as keys 1, 1
+    and 2^64-1.  numpy's inferred dtype is not consulted, because it makes
+    [[2**64-1, 5]] float64.
+    """
+    if isinstance(rows, np.ndarray):
+        if rows.dtype.kind not in "iu":
+            raise TypeError(f"table rows must be integers, got dtype {rows.dtype}")
+        if rows.dtype.kind == "i" and (rows < 0).any():
+            raise ValueError("table rows must be non-negative")
+    else:
+        for v in np.asarray(rows, dtype=object).flat:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise TypeError(
+                    f"table rows must be ints, got {type(v).__name__}")
+            if not 0 <= v <= U64_MASK:
+                raise ValueError(f"table value {v} is outside [0, 2^64)")
     arr = np.asarray(rows, dtype=np.uint64)
     if arr.size == 0:
         return arr.reshape(0, 2)
@@ -80,8 +100,7 @@ def _load(tc: PublicArray, t1: np.ndarray, t2: np.ndarray, engine: str) -> None:
         tc.col("d")[:, n1:] = t2[:, 1]
         tc.col("tid")[:, n1:] = 2
     tc.col("is_null")[:] = 0
-    n = n1 + n2
-    tc.emit_ops(np.full(n, WRITE, np.uint8), np.arange(n, dtype=np.int64))
+    emit_steps((tc, WRITE, np.arange(n1 + n2, dtype=np.int64)))
 
 
 def fill_dimensions(tc: PublicArray, engine: str = "vector") -> int:
@@ -162,8 +181,9 @@ def _fill_dimensions_vector(tc: PublicArray, n: int) -> int:
         np.flip(np.where(is_last, ar, n), 1), 1), 1)
     tc.col("alpha1")[:] = np.take_along_axis(g1, lidx, 1)
     tc.col("alpha2")[:] = np.take_along_axis(g2, lidx, 1)
-    _emit_linear_rw(tc, ar)
-    _emit_linear_rw(tc, ar[::-1])
+    emit_steps((tc, READ, ar), (tc, WRITE, ar))
+    rev = ar[::-1]
+    emit_steps((tc, READ, rev), (tc, WRITE, rev))
     m = int(m_vals[0])
     if not (m_vals == m_vals[0]).all():
         raise ValueError("batched join requires a uniform output size")
@@ -254,7 +274,7 @@ def _align_pass_vector(s2: PublicArray) -> None:
     if not (c > 0).all():
         raise ValueError("align requires alpha1 >= 1 on every entry")
     s2.col("ii")[:] = q // c + (q % c) * b
-    _emit_linear_rw(s2, ar)
+    emit_steps((s2, READ, ar), (s2, WRITE, ar))
 
 
 # --------------------------------------------------------------------------
@@ -271,20 +291,8 @@ def _zip_pass(s1: PublicArray, s2: PublicArray, engine: str) -> None:
             s1.write(i, e1)
         return
     s1.col("ii")[:] = s2.col("d")
-    aids = np.empty(3 * m, np.uint64)
-    aids[0::3] = s1.array_id
-    aids[1::3] = s2.array_id
-    aids[2::3] = s1.array_id
-    ops = np.empty(3 * m, np.uint8)
-    ops[0::3] = READ
-    ops[1::3] = READ
-    ops[2::3] = WRITE
-    idx = np.empty(3 * m, np.uint64)
-    base = np.arange(m, dtype=np.uint64)
-    idx[0::3] = base + np.uint64(s1.offset)
-    idx[1::3] = base + np.uint64(s2.offset)
-    idx[2::3] = base + np.uint64(s1.offset)
-    s1.sink.emit_block(aids, ops, idx)
+    ar = np.arange(m, dtype=np.int64)
+    emit_steps((s1, READ, ar), (s2, READ, ar), (s1, WRITE, ar))
 
 
 def _extract(s1: PublicArray, engine: str) -> np.ndarray:
@@ -298,7 +306,7 @@ def _extract(s1: PublicArray, engine: str) -> np.ndarray:
         return out
     out[:, 0] = s1.col("d")[0]
     out[:, 1] = s1.col("ii")[0]
-    s1.emit_ops(np.full(m, READ, np.uint8), np.arange(m, dtype=np.int64))
+    emit_steps((s1, READ, np.arange(m, dtype=np.int64)))
     return out
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .entries import (U64_FIELDS, KEY_F, KEY_NONNULL_F, ct_eq, ct_select,
                       ct_select_entry, key_column, lex_compare, null_entry)
-from .trace import READ, WRITE, PublicArray, alloc
+from .trace import READ, WRITE, PublicArray, alloc, emit_steps
 from ._schedule import route_hops, sort_levels
 
 __all__ = [
@@ -62,21 +62,6 @@ def compare_exchange(a: PublicArray, i: int, k: int, key,
     return swap
 
 
-def _emit_ce_level(a: PublicArray, lo: np.ndarray, hi: np.ndarray) -> None:
-    p = len(lo)
-    idx = np.empty(4 * p, np.int64)
-    idx[0::4] = lo
-    idx[1::4] = hi
-    idx[2::4] = lo
-    idx[3::4] = hi
-    ops = np.empty(4 * p, np.uint8)
-    ops[0::4] = READ
-    ops[1::4] = READ
-    ops[2::4] = WRITE
-    ops[3::4] = WRITE
-    a.emit_ops(ops, idx)
-
-
 def _ce_level_vector(a: PublicArray, key, lo, hi, asc) -> None:
     # Lexicographic strict greater/less masks for the pairs (lo, hi).
     shape = (a.batch, len(lo))
@@ -103,7 +88,7 @@ def _ce_level_vector(a: PublicArray, key, lo, hi, asc) -> None:
         vh = col[:, hi]
         col[:, lo] = np.where(swap, vh, vl)
         col[:, hi] = np.where(swap, vl, vh)
-    _emit_ce_level(a, lo, hi)
+    emit_steps((a, READ, lo), (a, READ, hi), (a, WRITE, lo), (a, WRITE, hi))
 
 
 def bitonic_sort(a: PublicArray, key, engine: str = "vector") -> None:
@@ -123,20 +108,8 @@ def bitonic_sort(a: PublicArray, key, engine: str = "vector") -> None:
 
 
 # --------------------------------------------------------------------------
-# Linear passes and copies (shared event patterns)
+# Copies
 # --------------------------------------------------------------------------
-
-def _emit_linear_rw(a: PublicArray, idx: np.ndarray) -> None:
-    """Read-then-write event pair at each index of idx, in idx order."""
-    n = len(idx)
-    ii = np.empty(2 * n, np.int64)
-    ii[0::2] = idx
-    ii[1::2] = idx
-    ops = np.empty(2 * n, np.uint8)
-    ops[0::2] = READ
-    ops[1::2] = WRITE
-    a.emit_ops(ops, ii)
-
 
 def _copy_into(x: PublicArray, a: PublicArray, n: int, engine: str) -> None:
     """Copy x[0..n) into a[0..n) (read source, write destination)."""
@@ -146,17 +119,8 @@ def _copy_into(x: PublicArray, a: PublicArray, n: int, engine: str) -> None:
         return
     for name in _ALL_COLS:
         a.col(name)[:, :n] = x.col(name)[:, :n]
-    aids = np.empty(2 * n, np.uint64)
-    aids[0::2] = x.array_id
-    aids[1::2] = a.array_id
-    ops = np.empty(2 * n, np.uint8)
-    ops[0::2] = READ
-    ops[1::2] = WRITE
-    idx = np.empty(2 * n, np.uint64)
-    base = np.arange(n, dtype=np.uint64)
-    idx[0::2] = base + np.uint64(x.offset)
-    idx[1::2] = base + np.uint64(a.offset)
-    x.sink.emit_block(aids, ops, idx)
+    ar = np.arange(n, dtype=np.int64)
+    emit_steps((x, READ, ar), (a, WRITE, ar))
 
 
 # --------------------------------------------------------------------------
@@ -201,18 +165,9 @@ def _route_hop_vector(a: PublicArray, m: int, j: int, swap_check: bool) -> None:
         nullval = 1 if name == "is_null" else 0
         col[:, :cnt] = np.where(mover, nullval, col[:, :cnt])
         col[:, j:m] = np.where(mover, src, col[:, j:m])
-    i_desc = np.arange(cnt - 1, -1, -1, dtype=np.int64)
-    idx = np.empty(4 * cnt, np.int64)
-    idx[0::4] = i_desc
-    idx[1::4] = i_desc + j
-    idx[2::4] = i_desc
-    idx[3::4] = i_desc + j
-    ops = np.empty(4 * cnt, np.uint8)
-    ops[0::4] = READ
-    ops[1::4] = READ
-    ops[2::4] = WRITE
-    ops[3::4] = WRITE
-    a.emit_ops(ops, idx)
+    lo = np.arange(cnt - 1, -1, -1, dtype=np.int64)
+    hi = lo + j
+    emit_steps((a, READ, lo), (a, READ, hi), (a, WRITE, lo), (a, WRITE, hi))
 
 
 def _route_region(a: PublicArray, engine: str, swap_check: bool) -> None:
@@ -295,7 +250,8 @@ def _expand_prefix(x: PublicArray, g_attr: str, engine: str) -> int:
     ncol = x.col("is_null")
     fcol[:] = np.where(z, 0, np.uint64(1) + before)
     ncol[:] = np.where(z, 1, ncol)
-    _emit_linear_rw(x, np.arange(n, dtype=np.int64))
+    ar = np.arange(n, dtype=np.int64)
+    emit_steps((x, READ, ar), (x, WRITE, ar))
     totals = g.sum(axis=1, dtype=np.uint64)
     m = int(totals[0]) if n else 0
     if n and not (totals == totals[0]).all():
@@ -324,7 +280,7 @@ def _forward_fill(a: PublicArray, engine: str) -> None:
         vals = np.take_along_axis(col, gather, axis=1)
         nullval = 1 if name == "is_null" else 0
         col[:] = np.where(valid, vals, nullval)
-    _emit_linear_rw(a, ar)
+    emit_steps((a, READ, ar), (a, WRITE, ar))
 
 
 def oblivious_expand(x: PublicArray, g_attr: str, engine: str = "vector",

@@ -27,8 +27,8 @@ import hashlib
 import numpy as np
 
 from .entries import KEY_F
-from .trace import PublicArray, alloc
-from .primitives import bitonic_sort, _check_engine, _emit_linear_rw
+from .trace import READ, WRITE, PublicArray, alloc, emit_steps
+from .primitives import bitonic_sort, _check_engine
 
 __all__ = ["SmallDomainPrp", "prp_distribute"]
 
@@ -121,6 +121,7 @@ def prp_distribute(x: PublicArray, m: int, seed: int,
     sink = x.sink
     a = alloc(m, sink)
     big = m + 1
+    ar = np.arange(m, dtype=np.int64)
     with sink.phase_scope("prp_place"):
         for i in range(n):
             e = x.read(i)
@@ -138,7 +139,7 @@ def prp_distribute(x: PublicArray, m: int, seed: int,
             inv = np.array([prp.inverse(p) for p in range(m)], np.uint64)
             fcol = a.col("f")
             fcol[:] = inv * np.uint64(big) + fcol
-            _emit_linear_rw(a, np.arange(m, dtype=np.int64))
+            emit_steps((a, READ, ar), (a, WRITE, ar))
     with sink.phase_scope("prp_sort"):
         bitonic_sort(a, KEY_F, engine)
     with sink.phase_scope("prp_decode"):
@@ -150,5 +151,5 @@ def prp_distribute(x: PublicArray, m: int, seed: int,
         else:
             fcol = a.col("f")
             fcol[:] = fcol % np.uint64(big)
-            _emit_linear_rw(a, np.arange(m, dtype=np.int64))
+            emit_steps((a, READ, ar), (a, WRITE, ar))
     return a

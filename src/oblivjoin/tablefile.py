@@ -1,8 +1,8 @@
 """The two-table input file format.
 
-A table file holds T1, a separator line `---`, then T2.  Each table row
-is one line with two unsigned decimal integers `j d` (join key, payload),
-whitespace-separated.  Blank lines are ignored everywhere.  Anything else
+A table file is UTF-8 text holding T1, a separator line `---`, then T2.
+Each table row is one line with two unsigned decimal integers `j d` (join
+key, payload), whitespace-separated.  Blank lines are ignored everywhere.  Anything else
 is a format error reported with its 1-based line number.
 """
 
@@ -72,8 +72,16 @@ def parse_table_text(text: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def parse_table_file(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, "r") as fh:
-        return parse_table_text(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Number lines as parse_table_text does (str.splitlines); the bytes
+        # before exc.start decode cleanly.
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise TableFileError(line, f"not UTF-8 text: {exc.reason}") from None
+    return parse_table_text(text)
 
 
 def format_table_text(t1_rows, t2_rows) -> str:

@@ -9,7 +9,10 @@ Sinks consume the event stream four ways: NullSink discards it (timing
 runs), LogSink keeps it (inspection, file dumps), HashSink folds it into a
 chained SHA-256 digest (trace-equality verification), CountSink tallies
 per-phase totals (cost accounting).  The chain is defined link-by-link by
-hash_step; HashSink computes the same digest in bulk.
+hash_step; chain_digest computes the same digest over a block of events.
+
+Engines emit every bulk access pattern through emit_steps, the one place
+that knows how a block of events is laid out.
 """
 
 from __future__ import annotations
@@ -24,13 +27,12 @@ from typing import Iterator
 import numpy as np
 
 from .entries import AugEntry, U64_FIELDS
-from ._sha256 import HAVE_NUMBA, chain_compress
 
 __all__ = [
     "READ", "WRITE", "TraceEvent", "ZERO_DIGEST", "encode_event",
     "hash_step", "chain_digest", "REC_DTYPE",
     "TraceSink", "NullSink", "LogSink", "HashSink", "CountSink",
-    "PublicArray", "alloc", "OutOfBoundsError",
+    "PublicArray", "alloc", "emit_steps", "OutOfBoundsError",
 ]
 
 READ = 0
@@ -70,34 +72,21 @@ def hash_step(h: bytes, ev: TraceEvent) -> bytes:
     return hashlib.sha256(h + encode_event(ev.array_id, ev.op, ev.index)).digest()
 
 
-def _chain_bytes(h: bytes, recs: np.ndarray, n: int) -> bytes:
-    """Fold n packed records (uint8 buffer, 17 bytes each) into the chain."""
-    if n == 0:
-        return h
-    if HAVE_NUMBA:
-        h_in = np.frombuffer(h, dtype=np.uint8)
-        h_out = np.empty(32, np.uint8)
-        chain_compress(recs, n, h_in, h_out)
-        return h_out.tobytes()
-    buf = recs.tobytes()
-    for i in range(n):
-        h = hashlib.sha256(h + buf[17 * i:17 * i + 17]).digest()
-    return h
-
-
 def chain_digest(h: bytes, aids, ops, idxs) -> bytes:
     """Digest of a whole event sequence, starting from chain state h.
 
     aids may be a scalar (one array) or a per-event vector.  Equals
     folding hash_step over the events one by one.
     """
-    ops = np.asarray(ops, dtype=np.uint8)
     n = len(ops)
     rec = np.empty(n, REC_DTYPE)
     rec["aid"] = aids
     rec["op"] = ops
     rec["idx"] = idxs
-    return _chain_bytes(h, rec.view(np.uint8), n)
+    buf = rec.tobytes()
+    for i in range(0, 17 * n, 17):
+        h = hashlib.sha256(h + buf[i:i + 17]).digest()
+    return h
 
 
 # --------------------------------------------------------------------------
@@ -181,19 +170,18 @@ class LogSink(TraceSink):
     def __len__(self) -> int:
         return sum(len(ops) for _, _, ops, _ in self._blocks)
 
-    def event_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(aids, ops, idxs) of the entire stream, in order."""
-        aids, ops_all, idx_all = [], [], []
-        for _, aid, ops, idxs in self._blocks:
-            if isinstance(aid, np.ndarray):
-                aids.append(aid)
-            else:
+    def event_arrays(self, phase: str | None = None
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(aids, ops, idxs) of the stream in order, or of just the events
+        emitted under one phase."""
+        aids = [np.zeros(0, np.uint64)]
+        ops_all = [np.zeros(0, np.uint8)]
+        idx_all = [np.zeros(0, np.uint64)]
+        for ph, aid, ops, idxs in self._blocks:
+            if phase is None or ph == phase:
                 aids.append(np.full(len(ops), aid, np.uint64))
-            ops_all.append(ops)
-            idx_all.append(idxs)
-        if not self._blocks:
-            z = np.zeros(0, np.uint64)
-            return z, np.zeros(0, np.uint8), z.copy()
+                ops_all.append(ops)
+                idx_all.append(idxs)
         return (np.concatenate(aids), np.concatenate(ops_all),
                 np.concatenate(idx_all))
 
@@ -204,14 +192,7 @@ class LogSink(TraceSink):
 
     def events_tagged(self) -> Iterator[tuple[str, TraceEvent]]:
         """Events paired with the phase label they were emitted under."""
-        for phase, aid, ops, idxs in self._blocks:
-            if isinstance(aid, np.ndarray):
-                for a, o, i in zip(aid.tolist(), ops.tolist(), idxs.tolist()):
-                    yield phase, TraceEvent(a, o, i)
-            else:
-                a = int(aid)
-                for o, i in zip(ops.tolist(), idxs.tolist()):
-                    yield phase, TraceEvent(a, o, i)
+        return zip(self.phase_labels(), self.events())
 
     def phase_labels(self) -> list[str]:
         """Per-event phase labels, aligned with events()."""
@@ -222,21 +203,7 @@ class LogSink(TraceSink):
 
     def phase_arrays(self, phase: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(aids, ops, idxs) of just the events emitted under one phase."""
-        aids, ops_all, idx_all = [], [], []
-        for ph, aid, ops, idxs in self._blocks:
-            if ph != phase:
-                continue
-            if isinstance(aid, np.ndarray):
-                aids.append(aid)
-            else:
-                aids.append(np.full(len(ops), aid, np.uint64))
-            ops_all.append(ops)
-            idx_all.append(idxs)
-        if not aids:
-            z = np.zeros(0, np.uint64)
-            return z, np.zeros(0, np.uint8), z.copy()
-        return (np.concatenate(aids), np.concatenate(ops_all),
-                np.concatenate(idx_all))
+        return self.event_arrays(phase)
 
     def lines(self) -> Iterator[str]:
         """Text form, one event per line: 'R <array_id> <index>'."""
@@ -268,14 +235,7 @@ class HashSink(TraceSink):
         self._h = hashlib.sha256(self._h + _EVENT_STRUCT.pack(aid, op, idx)).digest()
 
     def emit_block(self, aid, ops, idxs):
-        n = len(ops)
-        if n == 0:
-            return
-        rec = np.empty(n, REC_DTYPE)
-        rec["aid"] = aid
-        rec["op"] = ops
-        rec["idx"] = idxs
-        self._h = _chain_bytes(self._h, rec.view(np.uint8), n)
+        self._h = chain_digest(self._h, aid, ops, idxs)
 
     @property
     def digest(self) -> bytes:
@@ -336,7 +296,9 @@ class PublicArray:
         self.offset = offset
         self.length = length
         self.batch = batch
-        self._root = root if root is not None else self
+        # None on a root allocation: a reference to itself would be a
+        # cycle, leaving the columns to the cyclic GC instead of refcounting
+        self._root = root
         self._released = False
 
     # -- traced scalar access ------------------------------------------
@@ -387,14 +349,14 @@ class PublicArray:
                 f"length {self.length}")
         return PublicArray(self.sink, self.array_id, self._cols,
                            self.offset + offset, length, self.batch,
-                           self._root)
+                           self._root if self._root is not None else self)
 
     def release(self) -> None:
         """Return this allocation's slots to the sink's live counter.
 
         Accounting only — releasing a view releases its root allocation.
         """
-        root = self._root
+        root = self._root if self._root is not None else self
         if not root._released:
             root._released = True
             root.sink.unregister_array(root.length)
@@ -411,11 +373,6 @@ class PublicArray:
         accessor does not emit by itself.
         """
         return self._cols[name][:, self.offset:self.offset + self.length]
-
-    def emit_ops(self, ops: np.ndarray, idxs: np.ndarray) -> None:
-        """Emit a block of events at view-local indices."""
-        self.sink.emit_block(self.array_id, ops,
-                             np.asarray(idxs, np.uint64) + np.uint64(self.offset))
 
     # -- diagnostics (untraced, never used by the algorithms) ------------
 
@@ -434,6 +391,33 @@ class PublicArray:
         """Untraced copy of one column (diagnostics only)."""
         block = self._cols[name][:, self.offset:self.offset + self.length]
         return block[row].copy() if row is not None else block.copy()
+
+
+def emit_steps(*accesses) -> None:
+    """Emit the events of a sequence of steps as one block.
+
+    Each access is an (array, op, idx) triple with view-local indices
+    idx.  Step t makes the accesses in argument order, each at idx[t] of
+    its own array; a compare-exchange level over pairs (lo, hi) is
+    emit_steps((a, READ, lo), (a, READ, hi), (a, WRITE, lo), (a, WRITE, hi)).
+    The first array's sink receives one emit_block call, with a scalar
+    array id when every access is on one array and a per-event id vector
+    otherwise.
+    """
+    k = len(accesses)
+    first = accesses[0][0]
+    n = k * len(accesses[0][2])
+    ops = np.empty(n, np.uint8)
+    idxs = np.empty(n, np.uint64)
+    aid = first.array_id
+    if any(a.array_id != aid for a, _, _ in accesses):
+        aid = np.empty(n, np.uint64)
+        for s, (a, _, _) in enumerate(accesses):
+            aid[s::k] = a.array_id
+    for s, (a, op, idx) in enumerate(accesses):
+        ops[s::k] = op
+        idxs[s::k] = idx + a.offset if a.offset else idx
+    first.sink.emit_block(aid, ops, idxs)
 
 
 def alloc(length: int, sink: TraceSink, batch: int = 1) -> PublicArray:

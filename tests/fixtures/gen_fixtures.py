@@ -55,6 +55,7 @@ MALFORMED = [
     ("1 1\n2 2\n", 2),                  # separator missing entirely
     (f"1 1\n---\n{1 << 64} 0\n", 3),    # value too wide for u64
     ("1 1\n---\n+3 4\n", 3),            # explicit plus sign
+    (b"1 2\n---\n\xff\xfe 3\n", 3),       # not UTF-8
 ]
 
 
@@ -68,7 +69,10 @@ def main():
     manifest = []
     for i, (text, line) in enumerate(MALFORMED):
         name = f"malformed_{i:02d}.txt"
-        (HERE / name).write_text(text)
+        if isinstance(text, bytes):
+            (HERE / name).write_bytes(text)
+        else:
+            (HERE / name).write_text(text)
         manifest.append(f"{name} {line}")
     (HERE / "malformed_manifest.txt").write_text("\n".join(manifest) + "\n")
     print(f"wrote {i + 1} malformed and "

@@ -1,5 +1,7 @@
 """The full join pipeline: dimensions, expansion, alignment, zip."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,41 @@ def test_join_empty_tables():
 def test_join_rejects_bad_rows():
     with pytest.raises(ValueError):
         oblivious_join(np.zeros((2, 3), np.uint64), table([1]))
+
+
+@pytest.mark.parametrize("rows, error", [
+    pytest.param([[1.7, 2.9]], TypeError, id="float-list"),
+    pytest.param(np.array([[1.7, 2.9]]), TypeError, id="float64-array"),
+    pytest.param([[True, 2]], TypeError, id="bool-key"),
+    pytest.param(np.array([[True, False]]), TypeError, id="bool-array"),
+    pytest.param([[-1, 5]], ValueError, id="negative-int"),
+    pytest.param(np.array([[-1, 5]], np.int64), ValueError,
+                 id="negative-int64"),
+    pytest.param([[1 << 64, 5]], ValueError, id="2^64"),
+])
+def test_join_rejects_rows_that_are_not_u64(rows, error):
+    # each of these was cast: 1.7 and True joined key 1, -1 joined 2^64-1
+    with pytest.raises(error):
+        oblivious_join(rows, [[1, 7], [(1 << 64) - 1, 8]])
+
+
+def test_join_accepts_u64_extremes_as_python_ints():
+    u64_max = (1 << 64) - 1
+    res = oblivious_join([[u64_max, 5], [0, u64_max]],
+                         np.array([[u64_max, 6], [0, 1]], np.uint64))
+    assert sorted(res.rows()) == [(5, 6), (u64_max, 1)]
+
+
+def test_join_leaves_nothing_for_the_cyclic_gc():
+    # A finished join's public arrays must be freed by reference counting;
+    # a reference cycle would hold every column until a collector pass.
+    gc.collect()
+    gc.disable()
+    try:
+        oblivious_join(table([1, 2, 2, 3]), table([2, 2, 3, 4]), HashSink())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- trace structure ---------------------------------------------------------

@@ -63,6 +63,18 @@ def test_parse_file(tmp_path):
     assert t2.tolist() == [[7, 2]]
 
 
+@pytest.mark.parametrize("data", [b"1 2\n---\n\xff\xfe 3\n",
+                                  b"1 2\r\n---\r\n3 \xff\r\n",
+                                  b"1 2\r---\r\xff 3\r"])
+def test_non_utf8_file_reports_its_line(tmp_path, data):
+    # line endings count as parse_table_text counts them
+    p = tmp_path / "t.txt"
+    p.write_bytes(data)
+    with pytest.raises(TableFileError) as exc:
+        parse_table_file(p)
+    assert exc.value.line == 3
+
+
 rows = st.lists(
     st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
     max_size=30)
