@@ -182,8 +182,7 @@ def _fill_dimensions_vector(tc: PublicArray, n: int) -> int:
     tc.col("alpha1")[:] = np.take_along_axis(g1, lidx, 1)
     tc.col("alpha2")[:] = np.take_along_axis(g2, lidx, 1)
     emit_steps((tc, READ, ar), (tc, WRITE, ar))
-    rev = ar[::-1]
-    emit_steps((tc, READ, rev), (tc, WRITE, rev))
+    emit_steps((tc, READ, ar[::-1]), (tc, WRITE, ar[::-1]))
     m = int(m_vals[0])
     if not (m_vals == m_vals[0]).all():
         raise ValueError("batched join requires a uniform output size")
