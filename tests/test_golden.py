@@ -7,7 +7,9 @@ value below byte-identical.  Inputs come from closed-form integer
 arithmetic, never from an RNG, so a numpy release cannot move them.
 
 Each join pins (m, peak_entries, HashSink hexdigest, SHA-256 of
-pairs.tobytes()).  The primitives pin their HashSink hexdigest.
+pairs.tobytes()).  The primitives pin their HashSink hexdigest.  The sort
+schedule pins one SHA-256 over every level's lo, hi and asc bytes for a
+ladder of lengths with and without ragged tails.
 """
 
 import hashlib
@@ -15,6 +17,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from oblivjoin._schedule import sort_levels
 from oblivjoin.harness import make_distribute_input
 from oblivjoin.pipeline import oblivious_join
 from oblivjoin.primitives import (ext_oblivious_distribute,
@@ -160,3 +163,16 @@ GOLDEN_PRIMITIVES = {
 @pytest.mark.parametrize("name", sorted(PRIMITIVES))
 def test_primitive_golden(name):
     assert PRIMITIVES[name]().hexdigest() == GOLDEN_PRIMITIVES[name]
+
+
+SCHEDULE_LENGTHS = [*range(130), 255, 257, 1000, 5400, 6000, 8000, 100003]
+GOLDEN_SORT_LEVELS = \
+    "1eb714963b73034e98c8ea50204b506eb9ebf668bf965ef7f0c490fe694def9d"
+
+
+def test_sort_levels_digest():
+    h = hashlib.sha256()
+    for n in SCHEDULE_LENGTHS:
+        for lo, hi, asc in sort_levels(n):
+            h.update(lo.tobytes() + hi.tobytes() + asc.tobytes())
+    assert h.hexdigest() == GOLDEN_SORT_LEVELS
