@@ -65,60 +65,77 @@ def _tail_directions(n: int, kmax: int) -> dict[int, bool]:
     return dirs
 
 
+def _file_scope(lo0: int, size: int, up: bool,
+                blocks: list[tuple[int, int, bool]]):
+    """File a tail sub-merge: a power-of-two one joins blocks, a ragged one
+    is returned; ranges shorter than 2 need no merge."""
+    if size < 2:
+        return None
+    if size & (size - 1) == 0:
+        blocks.append((lo0, size, up))
+        return None
+    return (lo0, size, up)
+
+
 def sort_levels(n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield the sorting network for length n as levels (lo, hi, asc).
 
     lo/hi are int64 index arrays (pairwise disjoint within a level,
     ascending in lo); asc is the per-comparator direction: True orders the
     pair ascending, False descending.
+
+    Every part of a level is one closed form shifted to its range: at hop
+    j the t-th pair of a power-of-two merge starting at lo0 has low index
+    lo0 + t + (t & -j) (t with its bits from j up shifted one place left),
+    and the first s - j pairs of a ragged merge of length s are the same
+    formula (it is t for t < j).  So the complete blocks, each
+    power-of-two sub-merge split off the tail and the one ragged scope
+    left of the tail's chain all slice one index vector per hop.
     """
     if n < 2:
         return
     kmax = np2(n)
     tail_dir = _tail_directions(n, kmax)
+    t = np.arange(n >> 1, dtype=np.int64)   # no level has more pairs
     k = 2
     while k <= kmax:
         nfull = (n // k) * k          # slots covered by complete blocks
-        tail = n - nfull              # 0 <= tail < k
-        # Pending tail sub-merges, keyed by the hop they fire at.
-        scopes: dict[int, list[tuple[int, int, bool]]] = {}
-        if tail >= 2:
-            scopes.setdefault(gp2(tail), []).append((nfull, tail, tail_dir[k]))
+        # Tail sub-merges: power-of-two blocks (lo0, p, up) fire at every
+        # hop j < p; the ragged scope fires at gp2 of its size, then splits.
+        blocks: list[tuple[int, int, bool]] = []
+        ragged = _file_scope(nfull, n - nfull, tail_dir.get(k), blocks)
         j = k >> 1
         while j >= 1:
-            parts_lo: list[np.ndarray] = []
-            parts_hi: list[np.ndarray] = []
-            parts_asc: list[np.ndarray] = []
-            if nfull:
-                # All pairs (i, i+j) with bit j of i clear, i < nfull.
-                jb = j.bit_length() - 1
-                t = np.arange(nfull >> 1, dtype=np.int64)
-                lo = ((t >> jb) << (jb + 1)) | (t & (j - 1))
-                parts_lo.append(lo)
-                parts_hi.append(lo | j)
-                parts_asc.append((lo & k) == 0)
-            for lo0, size, up in sorted(scopes.pop(j, ())):
-                cnt = size - j
-                lo = np.arange(lo0, lo0 + cnt, dtype=np.int64)
-                parts_lo.append(lo)
-                parts_hi.append(lo + j)
-                parts_asc.append(np.full(cnt, up))
+            fired = [(lo0, p >> 1, up) for lo0, p, up in blocks if p > j]
+            if ragged is not None and gp2(ragged[1]) == j:
+                lo0, size, up = ragged
+                fired.append((lo0, size - j, up))
                 if up:  # ascending merge recurses on (size-j, j)
                     children = ((lo0, size - j), (lo0 + size - j, j))
                 else:   # descending on (j, size-j)
                     children = ((lo0, j), (lo0 + j, size - j))
+                ragged = None
                 for clo, csz in children:
-                    if csz >= 2:
-                        scopes.setdefault(gp2(csz), []).append((clo, csz, up))
-            if parts_lo:
-                if len(parts_lo) == 1:
-                    yield parts_lo[0], parts_hi[0], parts_asc[0]
-                else:
-                    yield (np.concatenate(parts_lo),
-                           np.concatenate(parts_hi),
-                           np.concatenate(parts_asc))
+                    ragged = _file_scope(clo, csz, up, blocks) or ragged
+            fired.sort()
+            tm = t[:max([nfull >> 1] + [c for _, c, _ in fired])]
+            base = tm + (tm & -j)
+            parts_lo: list[np.ndarray] = []
+            parts_asc: list[np.ndarray] = []
+            if nfull:
+                lo = base[:nfull >> 1]
+                parts_lo.append(lo)
+                parts_asc.append((lo & k) == 0)
+            for lo0, cnt, up in fired:
+                parts_lo.append(base[:cnt] + lo0)
+                parts_asc.append(np.full(cnt, up))
+            if len(parts_lo) == 1:
+                lo, asc = parts_lo[0], parts_asc[0]
+            else:
+                lo, asc = np.concatenate(parts_lo), np.concatenate(parts_asc)
+            yield lo, lo + j, asc
             j >>= 1
-        assert not scopes
+        assert ragged is None
         k <<= 1
 
 

@@ -5,8 +5,8 @@
     oblivjoin bench [--sizes CSV] [--reps R] [--csv PATH]
     oblivjoin cost --n N
 
-Exit codes: 0 success, 1 malformed input file, 2 I/O failure,
-3 trace verification divergence.
+Exit codes: 0 success, 1 malformed input file, 2 usage error or I/O
+failure, 3 trace verification divergence.
 """
 
 from __future__ import annotations
@@ -21,6 +21,30 @@ from .harness import (InfeasibleShapeError, bench, bench_csv, cost_report,
                       gen_test_class, verify_trace_class)
 
 _DEFAULT_SHAPES = "all-1x1,single-1xn,single-nx1,power-law,mixed,disjoint"
+
+
+def _at_least(minimum: int):
+    """argparse type for an integer >= minimum; anything else is a usage
+    error (exit 2), never a traceback from deep inside the harness."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
+_size = _at_least(0)
+_positive = _at_least(1)
+
+
+def _sizes(text: str) -> list[int]:
+    return [_size(s) for s in text.split(",") if s.strip()]
 
 
 def _cmd_join(args) -> int:
@@ -76,8 +100,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    rows = bench(sizes, reps=args.reps, engine=args.engine)
+    rows = bench(args.sizes, reps=args.reps, engine=args.engine)
     text = bench_csv(rows)
     if args.csv:
         try:
@@ -118,26 +141,26 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify",
                        help="check trace equality across generated "
                             "instance classes")
-    p.add_argument("--n1", type=int, default=64)
-    p.add_argument("--n2", type=int, default=64)
+    p.add_argument("--n1", type=_size, default=64)
+    p.add_argument("--n2", type=_size, default=64)
     p.add_argument("--shapes", default=_DEFAULT_SHAPES)
-    p.add_argument("--instances", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--instances", type=_positive, default=20)
+    p.add_argument("--seed", type=_size, default=0)
     p.add_argument("--engine", choices=("vector", "scalar"),
                    default="vector")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("bench",
                        help="time the join against the sort-merge baseline")
-    p.add_argument("--sizes", default="1024,4096,16384")
-    p.add_argument("--reps", type=int, default=3)
+    p.add_argument("--sizes", type=_sizes, default="1024,4096,16384")
+    p.add_argument("--reps", type=_positive, default=3)
     p.add_argument("--csv", help="write CSV here instead of stdout")
     p.add_argument("--engine", choices=("vector", "scalar"),
                    default="vector")
     p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("cost", help="per-phase cost breakdown of one join")
-    p.add_argument("--n", type=int, required=True,
+    p.add_argument("--n", type=_size, required=True,
                    help="per-table size (n1 = n2 = m = n)")
     p.add_argument("--engine", choices=("vector", "scalar"),
                    default="vector")

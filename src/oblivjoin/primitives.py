@@ -62,16 +62,15 @@ def compare_exchange(a: PublicArray, i: int, k: int, key,
     return swap
 
 
-def _ce_level_vector(a: PublicArray, key, lo, hi, asc) -> None:
+def _ce_level_vector(keys, perm: np.ndarray, lo, hi, asc) -> None:
     # Lexicographic strict greater/less masks for the pairs (lo, hi).
-    shape = (a.batch, len(lo))
+    shape = (perm.shape[0], len(lo))
     gt = np.zeros(shape, bool)
     lt = np.zeros(shape, bool)
     eq = np.ones(shape, bool)
-    for attr, ascending in key:
-        col = a.col(key_column(attr))
-        av = col[:, lo]
-        bv = col[:, hi]
+    for col, ascending in keys:
+        av = np.take(col, lo, 1)
+        bv = np.take(col, hi, 1)
         if ascending:
             g = av > bv
             l = av < bv
@@ -81,30 +80,45 @@ def _ce_level_vector(a: PublicArray, key, lo, hi, asc) -> None:
         gt |= eq & g
         lt |= eq & l
         eq &= ~(g | l)
-    swap = np.where(asc, gt, lt)
-    for name in _ALL_COLS:
-        col = a.col(name)
-        vl = col[:, lo]
-        vh = col[:, hi]
-        col[:, lo] = np.where(swap, vh, vl)
-        col[:, hi] = np.where(swap, vl, vh)
-    emit_steps((a, READ, lo), (a, READ, hi), (a, WRITE, lo), (a, WRITE, hi))
+    swap = (gt & asc) | (lt & ~asc)
+    # Select by mask arithmetic, like ct_select: each side of a pair XORs
+    # in the pair's difference masked by the swap bit.
+    mask = -swap.astype(np.int64)
+    for col in [perm] + [col for col, _ in keys]:
+        vl = np.take(col, lo, 1)
+        vh = np.take(col, hi, 1)
+        diff = vl ^ vh
+        diff &= mask.view(col.dtype)
+        vl ^= diff
+        vh ^= diff
+        col[:, lo] = vl
+        col[:, hi] = vh
 
 
 def bitonic_sort(a: PublicArray, key, engine: str = "vector") -> None:
     """In-place oblivious sort of a under a KeySpec.
 
     The comparator sequence (and hence the trace) is a pure function of
-    len(a); works for any length, in place.
+    len(a); works for any length, in place.  The vector engine runs every
+    comparator on copies of the key columns and a slot permutation only
+    (a swap depends on nothing else), then gathers every column of a
+    through the permutation once.
     """
     _check_engine(engine)
     if engine == "scalar":
         for lo, hi, asc in sort_levels(a.length):
             for t in range(len(lo)):
                 compare_exchange(a, int(lo[t]), int(hi[t]), key, bool(asc[t]))
-    else:
-        for lo, hi, asc in sort_levels(a.length):
-            _ce_level_vector(a, key, lo, hi, asc)
+        return
+    keys = [(a.col(key_column(attr)).astype(np.uint64), ascending)
+            for attr, ascending in key]
+    perm = np.tile(np.arange(a.length, dtype=np.int64), (a.batch, 1))
+    for lo, hi, asc in sort_levels(a.length):
+        _ce_level_vector(keys, perm, lo, hi, asc)
+        emit_steps((a, READ, lo), (a, READ, hi), (a, WRITE, lo), (a, WRITE, hi))
+    for name in _ALL_COLS:
+        col = a.col(name)
+        col[:] = np.take_along_axis(col, perm, 1)
 
 
 # --------------------------------------------------------------------------

@@ -159,6 +159,35 @@ def test_cost_command(capsys):
     assert out.startswith("n1=16")
 
 
+@pytest.mark.parametrize("args", [
+    ["cost", "--n", "-1"],
+    ["cost", "--n", "x"],
+    ["verify", "--n1", "-5"],
+    ["verify", "--n2", "-1"],
+    ["verify", "--instances", "0"],
+    ["verify", "--seed", "-1"],
+    ["bench", "--reps", "0"],
+    ["bench", "--sizes", "32,-4"],
+], ids=" ".join)
+def test_bad_counts_are_usage_errors(args, capsys):
+    # argparse rejects them before any work starts: exit 2 and a usage
+    # message naming the option, never a traceback or a nan row
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"argument {args[1]}:" in err
+
+
+def test_zero_sizes_are_accepted(capsys):
+    assert run(["cost", "--n", "0"]) == 0
+    assert run(["bench", "--sizes", "0", "--reps", "1"]) == 0
+    assert run(["verify", "--n1", "0", "--n2", "0", "--instances", "1",
+                "--shapes", "all-1x1"]) == 0
+    assert "all-1x1: OK" in capsys.readouterr().out
+
+
 def test_entry_point_matches_main():
     # the console script declared in pyproject.toml resolves to cli.main
     with open(PYPROJECT, "rb") as f:

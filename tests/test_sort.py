@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from oblivjoin._schedule import comparator_count, gp2, np2, route_hops, sort_levels
-from oblivjoin.entries import ASC, DESC, KEY_J_TID, KEY_NONNULL_F
+from oblivjoin.entries import (ASC, DESC, KEY_J_TID, KEY_NONNULL_F,
+                               U64_FIELDS)
 from oblivjoin.primitives import bitonic_sort
 from oblivjoin.trace import HashSink, LogSink, NullSink, alloc
 
@@ -142,6 +143,73 @@ def test_scalar_and_vector_engines_agree(n, rng):
         digs.append(s.digest)
     assert outs[0] == outs[1]
     assert digs[0] == digs[1]
+
+
+ALL_COLS = U64_FIELDS + ("is_null",)
+
+
+def _fill_distinct(a, row, j_vals):
+    # j from a small range (heavy ties), every other column distinct per
+    # slot, so the order of tied entries shows in all of them
+    n = len(j_vals)
+    a.col("j")[row] = np.asarray(j_vals, np.uint64)
+    for c, name in enumerate(("d", "alpha1", "alpha2", "f", "ii"), 1):
+        a.col(name)[row] = np.arange(n, dtype=np.uint64) * np.uint64(c) + \
+            np.uint64(1000 * c)
+    a.col("is_null")[row] = 0
+
+
+def _sorted_by_engine(n, engine, rows, fill, key):
+    s = HashSink()
+    a = alloc(n, s, batch=len(rows))
+    for r, vals in enumerate(rows):
+        fill(a, r, vals)
+    bitonic_sort(a, key, engine)
+    return {name: a.debug_col(name) for name in ALL_COLS}, s.digest
+
+
+@pytest.mark.parametrize("n", [100, 257, 1000])
+def test_engines_agree_on_ragged_lengths_with_ties(n, rng):
+    # ragged lengths split power-of-two sub-merges off multi-level tails;
+    # ties on j make every non-key column show the exact swap sequence.
+    # Row r of one batch=3 vector run must equal the scalar run of row r.
+    rows = [rng.integers(0, 6, n) for _ in range(3)]
+    vec, vdig = _sorted_by_engine(n, "vector", rows, _fill_distinct,
+                                  KEY_J_TID)
+    for r, j in enumerate(rows):
+        sca, sdig = _sorted_by_engine(n, "scalar", [j], _fill_distinct,
+                                      KEY_J_TID)
+        assert sdig == vdig
+        for name in ALL_COLS:
+            assert np.array_equal(sca[name][0], vec[name][r]), (r, name)
+    assert (np.diff(vec["j"].astype(np.int64), axis=1) >= 0).all()
+
+
+def _fill_nulls(a, row, null_vals):
+    # null slots keep distinct contents: the nonnull key ties all of them
+    n = len(null_vals)
+    null = np.asarray(null_vals, np.uint8)
+    _fill_distinct(a, row, np.zeros(n, int))
+    a.col("f")[row] = np.where(null, 0, np.arange(n) % 4 + 1)
+    a.col("is_null")[row] = null
+
+
+@pytest.mark.parametrize("n", [100, 257])
+def test_engines_agree_on_nonnull_key_with_distinct_nulls(n, rng):
+    nulls = rng.integers(0, 2, n)
+    sca, sdig = _sorted_by_engine(n, "scalar", [nulls], _fill_nulls,
+                                  KEY_NONNULL_F)
+    vec, vdig = _sorted_by_engine(n, "vector", [nulls], _fill_nulls,
+                                  KEY_NONNULL_F)
+    assert sdig == vdig
+    for name in ALL_COLS:
+        assert np.array_equal(sca[name], vec[name]), name
+    real = int((nulls == 0).sum())
+    assert (vec["is_null"][0, :real] == 0).all()
+    assert (vec["is_null"][0, real:] == 1).all()
+    # the null block holds the null slots' distinct d values, permuted
+    assert sorted(vec["d"][0, real:]) == sorted(
+        1000 + np.flatnonzero(nulls == 1))
 
 
 def test_compare_exchange_event_pattern():
