@@ -110,6 +110,7 @@ def bitonic_sort(a: PublicArray, key, engine: str = "vector") -> None:
             for t in range(len(lo)):
                 compare_exchange(a, int(lo[t]), int(hi[t]), key, bool(asc[t]))
         return
+    # uint64 copies, so that the 8-byte XOR mask fits the uint8 null flag too
     keys = [(a.col(key_column(attr)).astype(np.uint64), ascending)
             for attr, ascending in key]
     perm = np.tile(np.arange(a.length, dtype=np.int64), (a.batch, 1))
