@@ -11,9 +11,9 @@ from .entries import (AugEntry, null_entry, ct_select, ct_eq,
                       KEY_J_TID, KEY_TID_J_D, KEY_F, KEY_NONNULL_F,
                       KEY_J_II)
 from .trace import (READ, WRITE, TraceEvent, ZERO_DIGEST, encode_event,
-                    hash_step, chain_digest, TraceSink, NullSink, LogSink,
-                    HashSink, CountSink, PublicArray, alloc,
-                    OutOfBoundsError)
+                    hash_step, chain_digest, chain_kernel, TraceSink,
+                    NullSink, LogSink, HashSink, CountSink, PublicArray,
+                    alloc, OutOfBoundsError)
 from .primitives import (compare_exchange, bitonic_sort,
                          oblivious_distribute, ext_oblivious_distribute,
                          oblivious_expand, DistributeCollisionError)

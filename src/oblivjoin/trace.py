@@ -9,7 +9,9 @@ Sinks consume the event stream four ways: NullSink discards it (timing
 runs), LogSink keeps it (inspection, file dumps), HashSink folds it into a
 chained SHA-256 digest (trace-equality verification), CountSink tallies
 per-phase totals (cost accounting).  The chain is defined link-by-link by
-hash_step; chain_digest computes the same digest over a block of events.
+hash_step; chain_digest computes the same digest over a block of events,
+in a C kernel over OpenSSL's SHA-256 block function where one can be built
+(_chain) and in a hashlib loop otherwise.
 
 Engines emit every bulk access pattern through emit_steps, the one place
 that knows how a block of events is laid out.
@@ -26,11 +28,12 @@ from typing import Iterator
 
 import numpy as np
 
+from . import _chain
 from .entries import AugEntry, U64_FIELDS
 
 __all__ = [
     "READ", "WRITE", "TraceEvent", "ZERO_DIGEST", "encode_event",
-    "hash_step", "chain_digest", "REC_DTYPE",
+    "hash_step", "chain_digest", "chain_kernel", "REC_DTYPE",
     "TraceSink", "NullSink", "LogSink", "HashSink", "CountSink",
     "PublicArray", "alloc", "emit_steps", "OutOfBoundsError",
 ]
@@ -76,17 +79,29 @@ def chain_digest(h: bytes, aids, ops, idxs) -> bytes:
     """Digest of a whole event sequence, starting from chain state h.
 
     aids may be a scalar (one array) or a per-event vector.  Equals
-    folding hash_step over the events one by one.
+    folding hash_step over the events one by one.  Runs the C kernel of
+    _chain when it is available (see chain_kernel), else a hashlib loop.
     """
+    if len(h) != 32:
+        raise ValueError("chain state must be 32 bytes")
     n = len(ops)
     rec = np.empty(n, REC_DTYPE)
     rec["aid"] = aids
     rec["op"] = ops
     rec["idx"] = idxs
+    kernel = _chain.kernel()
+    if kernel is not None:
+        return kernel(h, rec.ctypes.data, n)
     buf = rec.tobytes()
     for i in range(0, 17 * n, 17):
         h = hashlib.sha256(h + buf[i:i + 17]).digest()
     return h
+
+
+def chain_kernel() -> str:
+    """Which path chain_digest runs in this process: "openssl" (the C
+    kernel) or "hashlib" (the fallback).  Builds the kernel if needed."""
+    return "hashlib" if _chain.kernel() is None else "openssl"
 
 
 # --------------------------------------------------------------------------
@@ -402,10 +417,13 @@ def emit_steps(*accesses) -> None:
     emit_steps((a, READ, lo), (a, READ, hi), (a, WRITE, lo), (a, WRITE, hi)).
     The first array's sink receives one emit_block call, with a scalar
     array id when every access is on one array and a per-event id vector
-    otherwise.
+    otherwise.  A plain NullSink, which would discard the block, gets no
+    call and no block is built; a subclass of it gets every block.
     """
-    k = len(accesses)
     first = accesses[0][0]
+    if type(first.sink) is NullSink:
+        return
+    k = len(accesses)
     n = k * len(accesses[0][2])
     ops = np.empty(n, np.uint8)
     idxs = np.empty(n, np.uint64)

@@ -266,6 +266,27 @@ def test_peak_space_bound_is_met_exactly(rng):
     assert s.live_entries == 0
 
 
+def test_null_sink_subclass_still_receives_every_event():
+    # emit_steps skips building blocks for a plain NullSink only; a
+    # subclass that overrides emit_block must still see each event
+    class CountingNull(NullSink):
+        def __init__(self):
+            super().__init__()
+            self.total = 0
+
+        def emit(self, aid, op, idx):
+            self.total += 1
+
+        def emit_block(self, aid, ops, idxs):
+            self.total += len(ops)
+
+    t1, t2 = table([1, 2, 2, 3, 5]), table([2, 2, 3, 4])
+    counted, counting = CountSink(), CountingNull()
+    oblivious_join(t1, t2, counted)
+    oblivious_join(t1, t2, counting)
+    assert counting.total == counted.total > 0
+
+
 def test_output_phase_is_m_reads():
     s = LogSink()
     res = oblivious_join(table([1, 1]), table([1, 1, 1]), s)

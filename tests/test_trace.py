@@ -1,10 +1,17 @@
 """Trace events, hash chaining, sinks, and public-array accounting."""
 
 import hashlib
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oblivjoin
+from oblivjoin import _chain
 from oblivjoin.entries import AugEntry
 from oblivjoin.trace import (
     READ,
@@ -18,11 +25,13 @@ from oblivjoin.trace import (
     TraceEvent,
     alloc,
     chain_digest,
+    chain_kernel,
     encode_event,
     hash_step,
 )
 
 ZERO32 = b"\x00" * 32
+U64_MAX = 2**64 - 1
 
 
 def test_event_encoding_layout():
@@ -46,15 +55,138 @@ def test_hash_step_is_chained_sha256():
     assert hash_step(hash_step(ZERO32, ev), ev2) == want2
 
 
-def test_chain_digest_matches_stepwise(rng):
+# -- the chain over a block: C kernel and hashlib fallback ------------------
+
+def _fold(h, aids, ops, idxs):
+    """Reference: hash_step folded over the events one by one."""
+    aids = np.broadcast_to(np.asarray(aids, np.uint64), len(ops))
+    for a, o, i in zip(aids.tolist(), ops.tolist(), idxs.tolist()):
+        h = hash_step(h, TraceEvent(a, o, i))
+    return h
+
+
+def _case(name, rng):
+    """(h, aids, ops, idxs) of one named chain test case."""
     n = 257  # not a multiple of anything convenient
-    aids = rng.integers(0, 5, n, dtype=np.uint64)
     ops = rng.integers(0, 2, n, dtype=np.uint8)
     idxs = rng.integers(0, 1000, n, dtype=np.uint64)
-    h = ZERO32
-    for a, o, i in zip(aids, ops, idxs):
-        h = hash_step(h, TraceEvent(int(a), int(o), int(i)))
-    assert chain_digest(ZERO32, aids, ops, idxs) == h
+    if name == "aid_vector":
+        return ZERO32, rng.integers(0, 5, n, dtype=np.uint64), ops, idxs
+    if name == "empty":
+        return ZERO32, 3, ops[:0], idxs[:0]
+    if name == "scalar_aid":
+        return ZERO32, 7, ops, idxs
+    if name == "nonzero_start":
+        return hashlib.sha256(b"start").digest(), 2, ops, idxs
+    if name == "u64_max":
+        aids = np.where(ops == 1, U64_MAX, 0).astype(np.uint64)
+        idxs[::3] = U64_MAX
+        return ZERO32, aids, ops, idxs
+    raise ValueError(name)
+
+
+@pytest.fixture(scope="module")
+def chain_paths(tmp_path_factory):
+    """Each chain path's kernel: load() into a fresh cache for the C path,
+    load() with a compiler that does not exist for the hashlib path."""
+    cache = tmp_path_factory.mktemp("chain-cache")
+    return {"openssl": _chain.load(cache_dir=cache),
+            "hashlib": _chain.load(cc=str(cache / "no-such-cc"),
+                                   cache_dir=cache)}
+
+
+@pytest.fixture(params=["openssl", "hashlib"])
+def chain_path(request, chain_paths, monkeypatch):
+    """Runs chain_digest on one path for the test's duration."""
+    kernel = chain_paths[request.param]
+    if request.param == "openssl" and kernel is None:
+        pytest.skip("the C chain kernel cannot be built here")
+    monkeypatch.setattr(_chain, "kernel", lambda: kernel)
+    assert chain_kernel() == request.param
+    return request.param
+
+
+@pytest.mark.parametrize("case", ["aid_vector", "empty", "scalar_aid",
+                                  "nonzero_start", "u64_max"])
+def test_chain_digest_matches_stepwise(chain_path, case, rng):
+    h, aids, ops, idxs = _case(case, rng)
+    assert chain_digest(h, aids, ops, idxs) == _fold(h, aids, ops, idxs)
+
+
+@pytest.fixture(scope="module")
+def long_block():
+    rng = np.random.default_rng(0x5EED)
+    n = 100_003
+    block = (rng.integers(0, 1 << 40, n, dtype=np.uint64),
+             rng.integers(0, 2, n, dtype=np.uint8),
+             rng.integers(0, 1 << 63, n, dtype=np.uint64))
+    return block, _fold(ZERO32, *block)
+
+
+def test_chain_digest_matches_stepwise_on_a_long_block(chain_path, long_block):
+    block, want = long_block
+    assert chain_digest(ZERO32, *block) == want
+
+
+def test_chain_digest_rejects_a_short_state(chain_path):
+    with pytest.raises(ValueError):
+        chain_digest(ZERO32[:31], 0, np.zeros(1, np.uint8),
+                     np.zeros(1, np.uint64))
+
+
+def test_unwritable_cache_falls_back_to_hashlib(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("a file where the cache directory would go")
+    assert _chain.load(cache_dir=blocker / "oblivjoin") is None
+
+
+def _can_build_kernel() -> bool:
+    cc = shutil.which("cc")
+    if cc is None:
+        return False
+    probe = subprocess.run([cc, "-E", "-x", "c", "-", "-o", os.devnull],
+                           input=b"#include <openssl/sha.h>\n",
+                           capture_output=True)
+    return probe.returncode == 0
+
+
+@pytest.mark.skipif(not _can_build_kernel(),
+                    reason="no cc or no openssl/sha.h")
+def test_chain_kernel_is_openssl_where_it_can_be_built():
+    # a broken build must not quietly hand every hash to the slow path
+    assert chain_kernel() == "openssl"
+
+
+def test_warm_cache_load_runs_no_compiler(tmp_path, monkeypatch):
+    if _chain.load(cache_dir=tmp_path) is None:
+        pytest.skip("the C chain kernel cannot be built here")
+
+    def no_compiler(*args, **kwargs):
+        raise AssertionError("compiler invoked on a warm cache")
+    monkeypatch.setattr(_chain.subprocess, "run", no_compiler)
+    kernel = _chain.load(cache_dir=tmp_path)
+    assert kernel is not None
+    assert kernel(ZERO32, 0, 0) == ZERO32
+
+
+def test_kernel_is_built_on_first_chain_not_at_import(tmp_path):
+    # a fresh interpreter with its own cache: importing the package
+    # leaves the cache untouched; the first digest builds the kernel
+    script = "\n".join([
+        "import os, sys",
+        "import numpy as np",
+        "import oblivjoin",
+        "assert not os.path.exists(os.path.join(sys.argv[1], 'oblivjoin'))",
+        "oblivjoin.chain_digest(bytes(32), 0, np.zeros(1, np.uint8),",
+        "                       np.zeros(1, np.uint64))",
+        "print(oblivjoin.chain_kernel())",
+    ])
+    src = Path(oblivjoin.__file__).parents[1]
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    built = list((tmp_path / "oblivjoin").glob("chain-*.so"))
+    assert (out.stdout.strip() == "openssl") == (len(built) == 1)
 
 
 def test_hash_sink_equals_log_sink_digest(rng):
