@@ -32,7 +32,7 @@ for x, dest in enumerate(f):
 # the access pattern is a pure function of (n, m): log the slot pairs
 sink = LogSink()
 oblivious_distribute(make_distribute_input(sink, f), m=8)
-routed = sink.phase_arrays("distribute_route")[2]
+routed = sink.event_arrays("distribute_route")[2]
 print(f"route phase touches {len(routed)} fixed positions "
       f"(same for every f with n=4, m=8)")
 

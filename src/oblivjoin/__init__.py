@@ -19,7 +19,7 @@ from .primitives import (compare_exchange, bitonic_sort,
                          oblivious_expand, DistributeCollisionError)
 from .prp import SmallDomainPrp, prp_distribute
 from .pipeline import (JoinResult, augment_tables, fill_dimensions,
-                       expand_for_join, align_table, oblivious_join)
+                       align_table, oblivious_join)
 from .baseline import nested_loop_join, sort_merge_join, sorted_pairs
 from .harness import (SHAPES, InfeasibleShapeError, TestClass,
                       gen_test_class, ClassVerdict, verify_trace_class,

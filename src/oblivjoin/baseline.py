@@ -14,16 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .tablefile import as_rows
+
 __all__ = ["nested_loop_join", "sort_merge_join", "sorted_pairs"]
-
-
-def _as_rows(rows) -> np.ndarray:
-    arr = np.asarray(rows, dtype=np.uint64)
-    if arr.size == 0:
-        return arr.reshape(0, 2)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("table rows must be (j, d) pairs")
-    return arr
 
 
 def nested_loop_join(t1_rows, t2_rows) -> np.ndarray:
@@ -32,8 +25,8 @@ def nested_loop_join(t1_rows, t2_rows) -> np.ndarray:
     Row-major pair order: T1 index ascending, then T2 index.  O(n1*n2)
     space and time — this is the oracle, not a contender.
     """
-    t1 = _as_rows(t1_rows)
-    t2 = _as_rows(t2_rows)
+    t1 = as_rows(t1_rows)
+    t2 = as_rows(t2_rows)
     if len(t1) == 0 or len(t2) == 0:
         return np.empty((0, 2), np.uint64)
     hits = np.argwhere(t1[:, 0][:, None] == t2[:, 0][None, :])
@@ -50,8 +43,8 @@ def sort_merge_join(t1_rows, t2_rows) -> np.ndarray:
     group's alpha1 x alpha2 product with index arithmetic
     (O((n1+n2) log(n1+n2) + m)).
     """
-    t1 = _as_rows(t1_rows)
-    t2 = _as_rows(t2_rows)
+    t1 = as_rows(t1_rows)
+    t2 = as_rows(t2_rows)
     if len(t1) == 0 or len(t2) == 0:
         return np.empty((0, 2), np.uint64)
     d1 = t1[np.lexsort((t1[:, 1], t1[:, 0]))]

@@ -5,6 +5,10 @@
     oblivjoin bench [--sizes CSV] [--reps R] [--csv PATH]
     oblivjoin cost --n N
 
+Every command runs the vector engine; the scalar reference engine is a
+library setting for tests, not a command-line choice.  `join` writes its
+m rows `d1 d2` in fixed-size chunks, never as one string of all of them.
+
 Exit codes: 0 success, 1 malformed input file, 2 usage error or I/O
 failure, 3 trace verification divergence.
 """
@@ -12,6 +16,7 @@ failure, 3 trace verification divergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .trace import HashSink, LogSink, NullSink
@@ -21,6 +26,7 @@ from .harness import (InfeasibleShapeError, bench, bench_csv, cost_report,
                       gen_test_class, verify_trace_class)
 
 _DEFAULT_SHAPES = "all-1x1,single-1xn,single-nx1,power-law,mixed,disjoint"
+_OUT_CHUNK = 1 << 16
 
 
 def _at_least(minimum: int):
@@ -57,14 +63,13 @@ def _cmd_join(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sink = {"none": NullSink, "log": LogSink, "hash": HashSink}[args.trace]()
-    res = oblivious_join(t1, t2, sink, engine=args.engine)
-    payload = "".join(f"{d1} {d2}\n" for d1, d2 in res.rows())
+    res = oblivious_join(t1, t2, sink)
     try:
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(payload)
-        else:
-            sys.stdout.write(payload)
+        with (open(args.out, "w") if args.out
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            for lo in range(0, res.m, _OUT_CHUNK):
+                chunk = res.pairs[lo:lo + _OUT_CHUNK].tolist()
+                fh.write("".join(f"{d1} {d2}\n" for d1, d2 in chunk))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -86,7 +91,7 @@ def _cmd_verify(args) -> int:
         except InfeasibleShapeError as exc:
             print(f"{shape}: infeasible ({exc})")
             continue
-        verdict = verify_trace_class(tc, engine=args.engine)
+        verdict = verify_trace_class(tc)
         if verdict.passed:
             print(f"{shape}: OK n1={tc.n1} n2={tc.n2} m={tc.m} "
                   f"instances={len(tc.instances)} "
@@ -100,7 +105,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    rows = bench(args.sizes, reps=args.reps, engine=args.engine)
+    rows = bench(args.sizes, reps=args.reps)
     text = bench_csv(rows)
     if args.csv:
         try:
@@ -115,7 +120,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_cost(args) -> int:
-    report = cost_report(args.n, engine=args.engine)
+    report = cost_report(args.n)
     for line in report.summary_lines():
         print(line)
     return 0
@@ -134,8 +139,6 @@ def main(argv=None) -> int:
                    default="none",
                    help="emit the access trace (log) or its digest (hash) "
                         "on stderr")
-    p.add_argument("--engine", choices=("vector", "scalar"),
-                   default="vector")
     p.set_defaults(fn=_cmd_join)
 
     p = sub.add_parser("verify",
@@ -146,8 +149,6 @@ def main(argv=None) -> int:
     p.add_argument("--shapes", default=_DEFAULT_SHAPES)
     p.add_argument("--instances", type=_positive, default=20)
     p.add_argument("--seed", type=_size, default=0)
-    p.add_argument("--engine", choices=("vector", "scalar"),
-                   default="vector")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("bench",
@@ -155,15 +156,11 @@ def main(argv=None) -> int:
     p.add_argument("--sizes", type=_sizes, default="1024,4096,16384")
     p.add_argument("--reps", type=_positive, default=3)
     p.add_argument("--csv", help="write CSV here instead of stdout")
-    p.add_argument("--engine", choices=("vector", "scalar"),
-                   default="vector")
     p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("cost", help="per-phase cost breakdown of one join")
     p.add_argument("--n", type=_size, required=True,
                    help="per-table size (n1 = n2 = m = n)")
-    p.add_argument("--engine", choices=("vector", "scalar"),
-                   default="vector")
     p.set_defaults(fn=_cmd_cost)
 
     args = parser.parse_args(argv)

@@ -243,7 +243,7 @@ class ClassVerdict:
     first_divergence: tuple | None  # (i, k) instance indices, or None
 
 
-def verify_trace_class(tclass: TestClass, engine: str = "vector") -> ClassVerdict:
+def verify_trace_class(tclass: TestClass) -> ClassVerdict:
     """Join every instance of the class and compare trace digests.
 
     Passes iff all digests agree (a single-instance class passes
@@ -252,7 +252,7 @@ def verify_trace_class(tclass: TestClass, engine: str = "vector") -> ClassVerdic
     digests = []
     for t1, t2 in tclass.instances:
         sink = HashSink()
-        oblivious_join(t1, t2, sink, engine=engine)
+        oblivious_join(t1, t2, sink)
         digests.append(sink.hexdigest())
     for i, dg in enumerate(digests):
         if dg != digests[0]:
@@ -268,9 +268,15 @@ NETWORK_PHASES = ("initial_sorts", "distribute_sort", "distribute_route",
                   "align_sort")
 
 
-def _ilog2(n: int) -> int | None:
-    k = n.bit_length() - 1
-    return k if n > 0 and (1 << k) == n else None
+def _closed_form(t: int, coef: Fraction, power: int):
+    """coef * t * log2(t)^power (0 for t <= 1), exact when t is a power
+    of two."""
+    if t <= 1:
+        return Fraction(0)
+    k = t.bit_length() - 1
+    if 1 << k == t:
+        return coef * t * k ** power
+    return float(coef) * t * math.log2(t) ** power
 
 
 @dataclass
@@ -301,54 +307,25 @@ class CostBreakdown:
         assert ev % 4 == 0, f"phase {phase} is not all 4-event operations"
         return ev // 4
 
-    def predicted(self, phase: str) -> float:
-        n = self.n1 + self.n2
-        m = self.m
+    def predicted(self, phase: str):
+        """The phase's closed form: an exact Fraction when every size it
+        reads is a power of two, else a float."""
+        n1, n2, m = self.n1, self.n2, self.m
         if phase == "initial_sorts":
-            return n * math.log2(n) ** 2 / 2 if n > 1 else 0.0
+            return _closed_form(n1 + n2, Fraction(1, 2), 2)
         if phase == "distribute_sort":
-            return sum(t * math.log2(t) ** 2 / 4
-                       for t in (self.n1, self.n2) if t > 1)
+            return (_closed_form(n1, Fraction(1, 4), 2)
+                    + _closed_form(n2, Fraction(1, 4), 2))
         if phase == "distribute_route":
-            return 2 * m * math.log2(m) if m > 1 else 0.0
+            return _closed_form(m, Fraction(2), 1)
         if phase == "align_sort":
-            return m * math.log2(m) ** 2 / 4 if m > 1 else 0.0
-        raise ValueError(f"no model prediction for phase {phase!r}")
-
-    def predicted_exact(self, phase: str):
-        """The same closed forms as exact Fractions, or None when a size
-        is not a power of two (boundary-exact tolerance checks)."""
-        n = self.n1 + self.n2
-        m = self.m
-        if phase == "initial_sorts":
-            k = _ilog2(n)
-            return None if k is None else Fraction(n * k * k, 2)
-        if phase == "distribute_sort":
-            total = Fraction(0)
-            for t in (self.n1, self.n2):
-                if t > 1:
-                    k = _ilog2(t)
-                    if k is None:
-                        return None
-                    total += Fraction(t * k * k, 4)
-            return total
-        if phase == "distribute_route":
-            k = _ilog2(m)
-            return None if k is None else Fraction(2 * m * k)
-        if phase == "align_sort":
-            k = _ilog2(m)
-            return None if k is None else Fraction(m * k * k, 4)
+            return _closed_form(m, Fraction(1, 4), 2)
         raise ValueError(f"no model prediction for phase {phase!r}")
 
     def deviation(self, phase: str):
-        """|measured/model - 1| as a Fraction (exact) when the model value
-        is exact, else a float."""
-        ops = self.ops(phase)
-        exact = self.predicted_exact(phase)
-        if exact is not None and exact != 0:
-            return abs(Fraction(ops) / exact - 1)
+        """|measured/model - 1|, exact when the model value is."""
         pred = self.predicted(phase)
-        return abs(ops / pred - 1) if pred else float("inf")
+        return abs(self.ops(phase) / pred - 1) if pred else float("inf")
 
     def shares(self) -> dict:
         tot = self.total_events
@@ -363,7 +340,7 @@ class CostBreakdown:
                  f"total events={self.total_events}"]
         for ph in NETWORK_PHASES:
             ops = self.ops(ph)
-            pred = self.predicted(ph)
+            pred = float(self.predicted(ph))
             dev = float(self.deviation(ph)) if pred else float("nan")
             lines.append(f"  {ph:17s} ops={ops:<12d} model={pred:<14.1f} "
                          f"deviation={dev:.4f}")
@@ -389,15 +366,15 @@ def _cost_instance(n1: int, n2: int, m: int):
     return t1, t2
 
 
-def cost_report(n1: int, n2: int | None = None, m: int | None = None,
-                engine: str = "vector") -> CostBreakdown:
+def cost_report(n1: int, n2: int | None = None,
+                m: int | None = None) -> CostBreakdown:
     """Run one join on a deterministic instance and break its trace down
     by phase.  Defaults: n2 = n1, m = min(n1, n2)."""
     n2 = n1 if n2 is None else n2
     m = min(n1, n2) if m is None else m
     t1, t2 = _cost_instance(n1, n2, m)
     sink = CountSink()
-    res = oblivious_join(t1, t2, sink, engine=engine)
+    res = oblivious_join(t1, t2, sink)
     assert res.m == m
     return CostBreakdown(n1, n2, m, dict(sink.counts))
 
@@ -415,8 +392,7 @@ class BenchRow:
     events: int
 
 
-def bench(sizes, reps: int = 3, engine: str = "vector",
-          seed: int = 0) -> list:
+def bench(sizes, reps: int = 3, seed: int = 0) -> list:
     """Time the oblivious join against the sort-merge baseline.
 
     For each total size n: n1 = n2 = n/2 with m = n/2 matches.  Times are
@@ -435,7 +411,7 @@ def bench(sizes, reps: int = 3, engine: str = "vector",
         obl = []
         for _ in range(reps):
             tic = time.perf_counter()
-            oblivious_join(t1, t2, NullSink(), engine=engine)
+            oblivious_join(t1, t2, NullSink())
             obl.append(time.perf_counter() - tic)
         sm = []
         for _ in range(reps):
@@ -443,7 +419,7 @@ def bench(sizes, reps: int = 3, engine: str = "vector",
             sort_merge_join(t1, t2)
             sm.append(time.perf_counter() - tic)
         count = CountSink()
-        oblivious_join(t1, t2, count, engine=engine)
+        oblivious_join(t1, t2, count)
         rows.append(BenchRow(n=n, m=m,
                              oblivious_s=float(np.median(obl)),
                              sortmerge_s=float(np.median(sm)),
@@ -496,7 +472,7 @@ def placement_uniformity(n: int, m: int, n_seeds: int,
         sink = LogSink()
         x = make_distribute_input(sink, f_values)
         out = prp_distribute(x, m, seed=seed0 + s)
-        aids, ops, idxs = sink.phase_arrays("prp_place")
+        aids, ops, idxs = sink.event_arrays("prp_place")
         hits = idxs[(ops == WRITE) & (aids == out.array_id)]
         counts += np.bincount(hits.astype(np.int64), minlength=m)
     return counts, float(stats.chisquare(counts).pvalue)

@@ -27,43 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entries import (AugEntry, KEY_J_II, KEY_J_TID, KEY_TID_J_D, U64_MASK,
-                      ct_eq, ct_select)
+from .entries import (AugEntry, KEY_J_II, KEY_J_TID, KEY_TID_J_D, ct_eq,
+                      ct_select)
 from .trace import (NullSink, PublicArray, READ, TraceSink, WRITE, alloc,
                     emit_steps)
 from .primitives import _check_engine, bitonic_sort, oblivious_expand
+from .tablefile import as_rows
 
-__all__ = ["JoinResult", "augment_tables", "fill_dimensions",
-           "expand_for_join", "align_table", "oblivious_join"]
-
-
-def _as_rows(rows) -> np.ndarray:
-    """A table's rows as an (n, 2) uint64 array of (j, d) pairs.
-
-    Accepts an integer ndarray without negative values, or nested
-    sequences of Python ints in [0, 2^64).  Anything else raises rather
-    than being cast: a cast would join key 1.7, True and -1 as keys 1, 1
-    and 2^64-1.  numpy's inferred dtype is not consulted, because it makes
-    [[2**64-1, 5]] float64.
-    """
-    if isinstance(rows, np.ndarray):
-        if rows.dtype.kind not in "iu":
-            raise TypeError(f"table rows must be integers, got dtype {rows.dtype}")
-        if rows.dtype.kind == "i" and (rows < 0).any():
-            raise ValueError("table rows must be non-negative")
-    else:
-        for v in np.asarray(rows, dtype=object).flat:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise TypeError(
-                    f"table rows must be ints, got {type(v).__name__}")
-            if not 0 <= v <= U64_MASK:
-                raise ValueError(f"table value {v} is outside [0, 2^64)")
-    arr = np.asarray(rows, dtype=np.uint64)
-    if arr.size == 0:
-        return arr.reshape(0, 2)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("table rows must be (j, d) pairs")
-    return arr
+__all__ = ["JoinResult", "augment_tables", "fill_dimensions", "align_table",
+           "oblivious_join"]
 
 
 @dataclass(frozen=True)
@@ -198,8 +170,8 @@ def augment_tables(t1_rows, t2_rows, sink: TraceSink,
     join output size.
     """
     _check_engine(engine)
-    t1 = _as_rows(t1_rows)
-    t2 = _as_rows(t2_rows)
+    t1 = as_rows(t1_rows)
+    t2 = as_rows(t2_rows)
     n1, n2 = len(t1), len(t2)
     tc = alloc(n1 + n2, sink)
     with sink.phase_scope("load"):
@@ -215,17 +187,6 @@ def augment_tables(t1_rows, t2_rows, sink: TraceSink,
 # --------------------------------------------------------------------------
 # Stage 2: expansion and alignment
 # --------------------------------------------------------------------------
-
-def expand_for_join(table_region: PublicArray, table_id: int,
-                    engine: str = "vector", swap_check: bool = False) -> PublicArray:
-    """Expand one table region to its share of the output.
-
-    T1 rows appear alpha2 times each, T2 rows alpha1 times, so both
-    expansions have length m.
-    """
-    attr = {1: "alpha2", 2: "alpha1"}[table_id]
-    return oblivious_expand(table_region, attr, engine, swap_check)
-
 
 def align_table(s2: PublicArray, engine: str = "vector") -> None:
     """Reorder S2 in place so its row i partners S1's row i.
@@ -314,8 +275,7 @@ def _extract(s1: PublicArray, engine: str) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def oblivious_join(t1_rows, t2_rows, sink: TraceSink | None = None,
-                   engine: str = "vector",
-                   swap_check: bool = False) -> JoinResult:
+                   engine: str = "vector") -> JoinResult:
     """Equi-join two (j, d) tables obliviously.
 
     Returns the m matching payload pairs (d1, d2).  Every public-memory
@@ -323,14 +283,16 @@ def oblivious_join(t1_rows, t2_rows, sink: TraceSink | None = None,
     sequence is identical across all inputs, which is the engine's
     security contract (and what the verification harness checks).
 
-    swap_check enables the routing collision instrumentation (used by
-    tests; a correct run never trips it).
+    T1 rows are expanded to alpha2 copies each and T2 rows to alpha1
+    copies, so both expansions have length m.  Their distributions check
+    the routing as every distribution does.  engine="scalar" runs the
+    one-entry-at-a-time reference the tests hold the vector engine to.
     """
     if sink is None:
         sink = NullSink()
     tc, t1v, t2v, m = augment_tables(t1_rows, t2_rows, sink, engine)
-    s1 = expand_for_join(t1v, 1, engine, swap_check)
-    s2 = expand_for_join(t2v, 2, engine, swap_check)
+    s1 = oblivious_expand(t1v, "alpha2", engine)
+    s2 = oblivious_expand(t2v, "alpha1", engine)
     tc.release()
     if not (s1.length == s2.length == m):
         raise AssertionError("expansion lengths disagree with m")

@@ -29,10 +29,11 @@ _ALL_COLS = U64_FIELDS + ("is_null",)
 
 
 class DistributeCollisionError(RuntimeError):
-    """A routing swap hit a non-null partner.
+    """The destinations f of a distribution are not injective into 1..m.
 
-    With a valid destination map (injective f into 1..m) this never
-    happens; the check exists to instrument that guarantee in tests.
+    Every distribution checks this: a routing swap that hits a non-null
+    partner, or an entry that does not end at slot f-1, raises instead of
+    returning a wrong placement.  A valid map never trips it.
     """
 
 
@@ -142,38 +143,31 @@ def _copy_into(x: PublicArray, a: PublicArray, n: int, engine: str) -> None:
 # Oblivious distribution (routing network)
 # --------------------------------------------------------------------------
 
-def _route_hop_scalar(a: PublicArray, m: int, j: int, swap_check: bool) -> None:
+def _route_hop_scalar(a: PublicArray, m: int, j: int) -> None:
     for i in range(m - j - 1, -1, -1):
         y = a.read(i)
         y2 = a.read(i + j)
         # y's 0-based destination is f-1; it still needs to advance past
         # this hop iff f-1 >= i+j.  Null entries have f = 0.
         cond = int(y.f > i + j)
-        if swap_check and cond and not y2.is_null:
+        if cond and not y2.is_null:
             raise DistributeCollisionError(
                 f"swap at ({i}, {i + j}) hit a non-null partner")
         a.write(i, ct_select_entry(cond, y2, y))
         a.write(i + j, ct_select_entry(cond, y, y2))
 
 
-def _route_hop_vector(a: PublicArray, m: int, j: int, swap_check: bool) -> None:
+def _route_hop_vector(a: PublicArray, m: int, j: int) -> None:
     cnt = m - j
     fcol = a.col("f")
     ncol = a.col("is_null")
     # Entries at p < m-j whose destination lies at or beyond p+j all move
     # forward by j; their slots become null.  Sequential execution of the
-    # descending loop does exactly this, because every swap partner is
-    # null (the collision check guards that reasoning).
+    # descending loop does exactly this when every swap partner is null;
+    # a non-null partner is overwritten and lost, which _route_region's
+    # count detects.
     thresh = np.arange(cnt, dtype=np.uint64) + np.uint64(j)
     mover = (ncol[:, :cnt] == 0) & (fcol[:, :cnt] > thresh)
-    if swap_check:
-        mover_at = np.zeros((a.batch, m), bool)
-        mover_at[:, :cnt] = mover
-        bad = mover & (ncol[:, j:m] == 0) & ~mover_at[:, j:m]
-        if bad.any():
-            b, p = np.argwhere(bad)[0]
-            raise DistributeCollisionError(
-                f"swap at ({p}, {p + j}) hit a non-null partner")
     for name in _ALL_COLS:
         col = a.col(name)
         src = col[:, :cnt].copy()
@@ -185,21 +179,37 @@ def _route_hop_vector(a: PublicArray, m: int, j: int, swap_check: bool) -> None:
     emit_steps((a, READ, lo), (a, READ, hi), (a, WRITE, lo), (a, WRITE, hi))
 
 
-def _route_region(a: PublicArray, engine: str, swap_check: bool) -> None:
+def _route_region(a: PublicArray, x: PublicArray, engine: str) -> None:
+    """Route the non-null entries of a, copied from x, to slots f-1.
+
+    Afterwards, in each batch row, as many entries must sit at their slot
+    f-1 as x holds non-null entries.  That holds iff f is injective into
+    1..m; an entry lost to a collision or left short of its slot raises
+    DistributeCollisionError.  The count reads the columns untraced.
+    """
     m = a.length
     for j in route_hops(m):
         if engine == "scalar":
-            _route_hop_scalar(a, m, j, swap_check)
+            _route_hop_scalar(a, m, j)
         else:
-            _route_hop_vector(a, m, j, swap_check)
+            _route_hop_vector(a, m, j)
+    live = (x.col("is_null") == 0).sum(axis=1)
+    slot = np.arange(1, m + 1, dtype=np.uint64)
+    placed = ((a.col("is_null") == 0) & (a.col("f") == slot)).sum(axis=1)
+    if (placed != live).any():
+        b = int(np.argmax(placed != live))
+        raise DistributeCollisionError(
+            f"destinations are not injective into 1..{m}: "
+            f"{placed[b]} of {live[b]} entries reached slot f-1")
 
 
-def oblivious_distribute(x: PublicArray, m: int, engine: str = "vector",
-                         swap_check: bool = False) -> PublicArray:
+def oblivious_distribute(x: PublicArray, m: int,
+                         engine: str = "vector") -> PublicArray:
     """Scatter the n entries of x to slots f-1 of a fresh length-m array.
 
-    Requires n <= m, every entry non-null, and f injective into 1..m.
-    Unfilled slots are null.  The access sequence depends only on (n, m).
+    Requires n <= m, every entry non-null, and f injective into 1..m;
+    raises DistributeCollisionError when f is not.  Unfilled slots are
+    null.  The access sequence depends only on (n, m).
     """
     _check_engine(engine)
     n = x.length
@@ -212,12 +222,12 @@ def oblivious_distribute(x: PublicArray, m: int, engine: str = "vector",
     with sink.phase_scope("distribute_sort"):
         bitonic_sort(a.view(0, n), KEY_F, engine)
     with sink.phase_scope("distribute_route"):
-        _route_region(a, engine, swap_check)
+        _route_region(a, x, engine)
     return a
 
 
-def ext_oblivious_distribute(x: PublicArray, m: int, engine: str = "vector",
-                             swap_check: bool = False) -> PublicArray:
+def ext_oblivious_distribute(x: PublicArray, m: int,
+                             engine: str = "vector") -> PublicArray:
     """Distribute allowing null inputs (f = 0 on null entries).
 
     Non-null entries land at slots f-1 exactly as in
@@ -235,7 +245,7 @@ def ext_oblivious_distribute(x: PublicArray, m: int, engine: str = "vector",
     with sink.phase_scope("distribute_sort"):
         bitonic_sort(a.view(0, n), KEY_NONNULL_F, engine)
     with sink.phase_scope("distribute_route"):
-        _route_region(a.view(0, m), engine, swap_check)
+        _route_region(a.view(0, m), x, engine)
     return a if a.length == m else a.view(0, m)
 
 
@@ -298,8 +308,8 @@ def _forward_fill(a: PublicArray, engine: str) -> None:
     emit_steps((a, READ, ar), (a, WRITE, ar))
 
 
-def oblivious_expand(x: PublicArray, g_attr: str, engine: str = "vector",
-                     swap_check: bool = False) -> PublicArray:
+def oblivious_expand(x: PublicArray, g_attr: str,
+                     engine: str = "vector") -> PublicArray:
     """Replace each entry of x by g copies of itself (g = its g_attr
     value), preserving order; entries with g = 0 vanish.
 
@@ -311,7 +321,7 @@ def oblivious_expand(x: PublicArray, g_attr: str, engine: str = "vector",
     sink = x.sink
     with sink.phase_scope("expand_prefix"):
         m = _expand_prefix(x, g_attr, engine)
-    a = ext_oblivious_distribute(x, m, engine, swap_check)
+    a = ext_oblivious_distribute(x, m, engine)
     with sink.phase_scope("expand_fill"):
         _forward_fill(a, engine)
     return a

@@ -1,4 +1,8 @@
-"""The two-table input file format.
+"""Table rows in memory, and the two-table input file format.
+
+In memory a table is an (n, 2) uint64 array of (j, d) rows; as_rows
+checks and converts what callers pass, for the engine and the baselines
+alike.
 
 A table file is UTF-8 text holding T1, a separator line `---`, then T2.
 Each table row is one line with two unsigned decimal integers `j d` (join
@@ -10,10 +14,39 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["TableFileError", "parse_table_text", "parse_table_file",
-           "format_table_text"]
+__all__ = ["as_rows", "TableFileError", "parse_table_text",
+           "parse_table_file", "format_table_text"]
 
 _U64_MAX = (1 << 64) - 1
+
+
+def as_rows(rows) -> np.ndarray:
+    """A table's rows as an (n, 2) uint64 array of (j, d) pairs.
+
+    Accepts an integer ndarray without negative values, or nested
+    sequences of Python ints in [0, 2^64).  Anything else raises rather
+    than being cast: a cast would join key 1.7, True and -1 as keys 1, 1
+    and 2^64-1.  numpy's inferred dtype is not consulted, because it makes
+    [[2**64-1, 5]] float64.
+    """
+    if isinstance(rows, np.ndarray):
+        if rows.dtype.kind not in "iu":
+            raise TypeError(f"table rows must be integers, got dtype {rows.dtype}")
+        if rows.dtype.kind == "i" and (rows < 0).any():
+            raise ValueError("table rows must be non-negative")
+    else:
+        for v in np.asarray(rows, dtype=object).flat:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise TypeError(
+                    f"table rows must be ints, got {type(v).__name__}")
+            if not 0 <= v <= _U64_MAX:
+                raise ValueError(f"table value {v} is outside [0, 2^64)")
+    arr = np.asarray(rows, dtype=np.uint64)
+    if arr.size == 0:
+        return arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError("table rows must be (j, d) pairs")
+    return arr
 
 
 class TableFileError(ValueError):
@@ -86,7 +119,7 @@ def parse_table_file(path) -> tuple[np.ndarray, np.ndarray]:
 
 def format_table_text(t1_rows, t2_rows) -> str:
     """Inverse of parse_table_text (up to whitespace)."""
-    lines = [f"{int(j)} {int(d)}" for j, d in np.asarray(t1_rows).reshape(-1, 2)]
+    lines = [f"{j} {d}" for j, d in as_rows(t1_rows).tolist()]
     lines.append("---")
-    lines += [f"{int(j)} {int(d)}" for j, d in np.asarray(t2_rows).reshape(-1, 2)]
+    lines += [f"{j} {d}" for j, d in as_rows(t2_rows).tolist()]
     return "\n".join(lines) + "\n"

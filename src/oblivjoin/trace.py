@@ -216,10 +216,6 @@ class LogSink(TraceSink):
             out.extend([phase] * len(ops))
         return out
 
-    def phase_arrays(self, phase: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(aids, ops, idxs) of just the events emitted under one phase."""
-        return self.event_arrays(phase)
-
     def lines(self) -> Iterator[str]:
         """Text form, one event per line: 'R <array_id> <index>'."""
         for ev in self.events():
@@ -229,10 +225,6 @@ class LogSink(TraceSink):
         with open(path, "w") as fh:
             for line in self.lines():
                 fh.write(line + "\n")
-
-    def digest(self) -> bytes:
-        aids, ops, idxs = self.event_arrays()
-        return chain_digest(ZERO_DIGEST, aids, ops, idxs)
 
 
 class HashSink(TraceSink):

@@ -70,7 +70,7 @@ def test_criterion_1_oracle_equivalence():
             n2 = int(rng.integers(3, 201))
             tc = gen_test_class(n1, n2, shape, seed=1000 + c, instances=5)
             for t1, t2 in tc.instances:
-                res = oblivious_join(t1, t2, swap_check=True)
+                res = oblivious_join(t1, t2)
                 got = sorted_pairs(res.pairs)
                 want = sorted_pairs(nested_loop_join(t1, t2))
                 total += 1
@@ -93,8 +93,9 @@ def test_criterion_2_distribute_placement():
         for n in range(1, m + 1):
             f = np.argsort(rng.random((B, m)), axis=1)[:, :n] + 1
             x = make_distribute_input(NullSink(), f.astype(np.uint64), batch=B)
-            # swap_check raises if any executed swap displaces a non-null
-            out = oblivious_distribute(x, m, swap_check=True)
+            # the routing check raises if a swap displaces a non-null entry
+            # or an entry misses its slot
+            out = oblivious_distribute(x, m)
             dest = (f - 1).astype(np.int64)
             exp_f = np.zeros((B, m), np.uint64)
             exp_d = np.zeros((B, m), np.uint64)
@@ -158,7 +159,7 @@ def test_criterion_3_trace_class_invariance():
 
 def _ce_pattern_ok(sink: LogSink) -> bool:
     for phase in NETWORK_PHASES:
-        _, ops, idxs = sink.phase_arrays(phase)
+        _, ops, idxs = sink.event_arrays(phase)
         if len(ops) % 4:
             return False
         o = ops.reshape(-1, 4)

@@ -14,6 +14,8 @@ import pytest
 
 import oblivjoin.cli as cli
 from oblivjoin.harness import ClassVerdict
+from oblivjoin.pipeline import oblivious_join
+from oblivjoin.tablefile import format_table_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
@@ -98,13 +100,37 @@ def test_join_trace_log(tmp_path, capsys):
     assert all(len(ln.split()) == 3 for ln in ev)
 
 
-def test_join_scalar_engine_agrees(capsys):
-    rc = run(["join", str(VALID[0]), "--engine", "scalar"])
-    out1 = capsys.readouterr().out
-    rc2 = run(["join", str(VALID[0]), "--engine", "vector"])
-    out2 = capsys.readouterr().out
-    assert rc == rc2 == 0
-    assert out1 == out2
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_join_streams_rows_in_chunks(monkeypatch, tmp_path, capsys, to_file):
+    # m = 8 rows over chunks of 3: the bytes equal one string of all rows
+    u64_max = (1 << 64) - 1
+    t1 = [[7, u64_max], [7, 3], [u64_max, 0]]
+    t2 = [[7, 1], [7, u64_max], [7, 2], [u64_max, 5], [u64_max, u64_max]]
+    res = oblivious_join(t1, t2)
+    assert res.m == 8
+    want = "".join(f"{d1} {d2}\n" for d1, d2 in res.rows())
+    assert str(u64_max) in want
+    src = tmp_path / "t.txt"
+    src.write_text(format_table_text(t1, t2))
+    monkeypatch.setattr(cli, "_OUT_CHUNK", 3)
+    out = tmp_path / "result.txt"
+    rc = run(["join", str(src)] + (["--out", str(out)] if to_file else []))
+    got = capsys.readouterr().out
+    assert rc == 0
+    assert (out.read_text() if to_file else got) == want
+
+
+@pytest.mark.parametrize("args", [
+    ["join", str(VALID[0])], ["verify"], ["bench"], ["cost", "--n", "4"],
+], ids=lambda a: a[0])
+def test_engine_is_not_a_cli_option(args, capsys):
+    # the scalar engine is the library's test reference, not a user setting
+    with pytest.raises(SystemExit) as exc:
+        run(args + ["--engine", "scalar"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "unrecognized arguments: --engine scalar" in err
 
 
 def test_verify_ok(capsys):
@@ -125,7 +151,7 @@ def test_verify_reports_infeasible(capsys):
 
 
 def test_verify_divergence_exits_3(monkeypatch, capsys):
-    def fake_verify(tc, engine="vector"):
+    def fake_verify(tc):
         return ClassVerdict(False, ["a", "b"], (0, 1))
     monkeypatch.setattr(cli, "verify_trace_class", fake_verify)
     rc = run(["verify", "--n1", "4", "--n2", "4", "--instances", "2",

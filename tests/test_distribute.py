@@ -21,7 +21,7 @@ def placed(out):
 @pytest.mark.parametrize("engine", ["scalar", "vector"])
 def test_three_entries_into_eight_slots(engine):
     x = make_distribute_input(NullSink(), [2, 5, 6])
-    out = oblivious_distribute(x, 8, engine, swap_check=True)
+    out = oblivious_distribute(x, 8, engine)
     want = [None, (2, 0), None, None, (5, 1), (6, 2), None, None]
     assert placed(out) == want
 
@@ -29,11 +29,11 @@ def test_three_entries_into_eight_slots(engine):
 @pytest.mark.parametrize("engine", ["scalar", "vector"])
 def test_identity_and_reverse_layouts(engine):
     x = make_distribute_input(NullSink(), [1, 2, 3, 4])
-    assert placed(oblivious_distribute(x, 4, engine, swap_check=True)) == [
+    assert placed(oblivious_distribute(x, 4, engine)) == [
         (1, 0), (2, 1), (3, 2), (4, 3)]
     x = make_distribute_input(NullSink(), [4, 3, 2, 1])
     # slot i receives the entry with destination i+1
-    assert placed(oblivious_distribute(x, 4, engine, swap_check=True)) == [
+    assert placed(oblivious_distribute(x, 4, engine)) == [
         (1, 3), (2, 2), (3, 1), (4, 0)]
 
 
@@ -47,7 +47,7 @@ def test_random_injective_destinations(engine, rng):
         n = int(rng.integers(1, m + 1))
         f = rng.permutation(m)[:n] + 1
         x = make_distribute_input(NullSink(), f)
-        out = oblivious_distribute(x, m, engine, swap_check=True)
+        out = oblivious_distribute(x, m, engine)
         got = placed(out)
         for i, slot in enumerate(got):
             fi = i + 1
@@ -57,10 +57,34 @@ def test_random_injective_destinations(engine, rng):
                 assert slot is None
 
 
+DISTRIBUTES = [oblivious_distribute, ext_oblivious_distribute]
+
+
 def test_collision_tripwire_fires():
-    x = make_distribute_input(NullSink(), [2, 2])
+    # always armed: a non-injective f raises on both engines, whether a
+    # swap collides ([2, 2, 3] lost entry 1 on the vector engine and
+    # misplaced it on the scalar one) or an entry cannot reach slot f-1
+    cases = [([2, 2], 2), ([2, 2, 3], 4), ([1, 1], 2), ([5], 4), ([0, 1], 2)]
+    for engine in ("scalar", "vector"):
+        for distribute in DISTRIBUTES:
+            for f, m in cases:
+                x = make_distribute_input(NullSink(), f)
+                with pytest.raises(DistributeCollisionError):
+                    distribute(x, m, engine)
+        # more live entries than slots
+        x = make_distribute_input(NullSink(), [1, 2, 3])
+        with pytest.raises(DistributeCollisionError):
+            ext_oblivious_distribute(x, 2, engine)
+
+
+@pytest.mark.parametrize("distribute", DISTRIBUTES,
+                         ids=lambda fn: fn.__name__)
+def test_collision_in_one_batch_row_fires(distribute):
+    # rows 0 and 2 are injective; only row 1 collides
+    f = np.array([[1, 2, 3], [2, 2, 3], [4, 1, 2]], np.uint64)
+    x = make_distribute_input(NullSink(), f, batch=3)
     with pytest.raises(DistributeCollisionError):
-        oblivious_distribute(x, 2, swap_check=True)
+        distribute(x, 4)
 
 
 def test_n_greater_than_m_rejected():
@@ -72,7 +96,7 @@ def test_n_greater_than_m_rejected():
 @pytest.mark.parametrize("engine", ["scalar", "vector"])
 def test_single_slot(engine):
     x = make_distribute_input(NullSink(), [1])
-    out = oblivious_distribute(x, 1, engine, swap_check=True)
+    out = oblivious_distribute(x, 1, engine)
     assert placed(out) == [(1, 0)]
 
 
@@ -82,7 +106,7 @@ def test_route_event_count_matches_hop_sum():
         s = LogSink()
         x = make_distribute_input(s, np.arange(1, n + 1))
         oblivious_distribute(x, m)
-        _, ops, _ = s.phase_arrays("distribute_route")
+        _, ops, _ = s.event_arrays("distribute_route")
         want = 4 * sum(m - j for j in route_hops(m))
         assert len(ops) == want
 
@@ -117,7 +141,7 @@ def test_ext_skips_null_entries(engine):
     s = NullSink()
     x = make_distribute_input(s, [1, 0, 3])
     x.col("is_null")[:, 1] = 1
-    out = ext_oblivious_distribute(x, 3, engine, swap_check=True)
+    out = ext_oblivious_distribute(x, 3, engine)
     got = placed(out)
     assert got[0] == (1, 0)
     assert got[2] == (3, 2)
@@ -130,7 +154,7 @@ def test_ext_with_n_exceeding_m(engine):
     s = NullSink()
     x = make_distribute_input(s, [2, 0, 0, 1, 0])
     x.col("is_null")[:, [1, 2, 4]] = 1
-    out = ext_oblivious_distribute(x, 3, engine, swap_check=True)
+    out = ext_oblivious_distribute(x, 3, engine)
     assert out.length == 3
     got = placed(out)
     assert got[0] == (1, 3)
@@ -157,7 +181,7 @@ def test_batched_distribute_matches_instancewise(rng):
     m, n, b = 9, 4, 6
     fs = np.stack([rng.permutation(m)[:n] + 1 for _ in range(b)])
     xb = make_distribute_input(NullSink(), fs, batch=b)
-    outb = ext_oblivious_distribute(xb, m, swap_check=True)
+    outb = ext_oblivious_distribute(xb, m)
     fb = outb.debug_col("f")
     nb = outb.debug_col("is_null")
     for r in range(b):

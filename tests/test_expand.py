@@ -22,7 +22,7 @@ def expanded_payloads(out):
 @pytest.mark.parametrize("engine", ["scalar", "vector"])
 def test_three_then_one(engine):
     x = expand_input(NullSink(), [3, 1])
-    out = oblivious_expand(x, "alpha1", engine, swap_check=True)
+    out = oblivious_expand(x, "alpha1", engine)
     assert out.length == 4
     assert expanded_payloads(out) == [0, 0, 0, 1]
 
@@ -30,7 +30,7 @@ def test_three_then_one(engine):
 @pytest.mark.parametrize("engine", ["scalar", "vector"])
 def test_zero_count_entry_vanishes(engine):
     x = expand_input(NullSink(), [2, 0, 1])
-    out = oblivious_expand(x, "alpha1", engine, swap_check=True)
+    out = oblivious_expand(x, "alpha1", engine)
     assert expanded_payloads(out) == [0, 0, 2]
 
 
@@ -43,7 +43,7 @@ def test_matches_numpy_repeat_oracle(engine, rng):
         if g.sum() == 0:
             g[rng.integers(0, n)] = 1
         x = expand_input(NullSink(), g)
-        out = oblivious_expand(x, "alpha1", engine, swap_check=True)
+        out = oblivious_expand(x, "alpha1", engine)
         want = np.repeat(np.arange(n), g)
         assert expanded_payloads(out) == want.tolist()
         assert all(e.is_null == 0 for e in out.debug_entries())
@@ -66,8 +66,8 @@ def test_prefix_and_fill_event_counts():
     s = LogSink()
     x = expand_input(s, g)
     oblivious_expand(x, "alpha1")
-    _, p_ops, _ = s.phase_arrays("expand_prefix")
-    _, f_ops, _ = s.phase_arrays("expand_fill")
+    _, p_ops, _ = s.event_arrays("expand_prefix")
+    _, f_ops, _ = s.event_arrays("expand_fill")
     assert len(p_ops) == 2 * n
     assert len(f_ops) == 2 * m
 
@@ -103,7 +103,7 @@ def test_batched_expand(rng):
     b = 5
     gs = np.stack([base[rng.permutation(4)] for _ in range(b)])
     x = expand_input(NullSink(), gs, batch=b)
-    out = oblivious_expand(x, "alpha1", swap_check=True)
+    out = oblivious_expand(x, "alpha1")
     want = np.stack([np.repeat(np.arange(4), gs[r].astype(int)) for r in range(b)])
     assert np.array_equal(out.debug_col("d"), want)
 

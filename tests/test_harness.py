@@ -1,5 +1,6 @@
 """Verification harness: class generation, trace verdicts, cost model."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -108,6 +109,19 @@ def test_cost_deviation_is_exact_fraction_at_pow2():
     assert isinstance(dev, Fraction)
     # measured 32*5*6/4 vs model 32*25/4: |6/5 - 1| = 1/5
     assert dev == Fraction(1, 5)
+
+
+def test_cost_model_is_float_off_powers_of_two():
+    cb = cost_report(16, 12, 8)
+    # n = 28 and n2 = 12 are not powers of two; m = 8 is
+    assert cb.predicted("initial_sorts") == pytest.approx(
+        28 * math.log2(28) ** 2 / 2)
+    assert isinstance(cb.predicted("distribute_sort"), float)
+    assert cb.predicted("distribute_sort") == pytest.approx(
+        16 * 4 ** 2 / 4 + 12 * math.log2(12) ** 2 / 4)
+    assert cb.predicted("align_sort") == Fraction(8 * 9, 4)
+    assert isinstance(cb.deviation("initial_sorts"), float)
+    assert isinstance(cb.deviation("align_sort"), Fraction)
 
 
 def test_cost_report_defaults():

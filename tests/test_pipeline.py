@@ -5,7 +5,7 @@ import gc
 import numpy as np
 import pytest
 
-from oblivjoin.baseline import nested_loop_join, sorted_pairs
+from oblivjoin.baseline import nested_loop_join, sort_merge_join, sorted_pairs
 from oblivjoin.entries import KEY_J_TID
 from oblivjoin.pipeline import (
     align_table,
@@ -111,7 +111,7 @@ def test_align_two_by_three_order():
 def test_join_tiny_frozen(engine):
     t1 = table([1, 2, 2], [10, 11, 12])
     t2 = table([2, 3], [20, 21])
-    res = oblivious_join(t1, t2, engine=engine, swap_check=True)
+    res = oblivious_join(t1, t2, engine=engine)
     assert (res.n1, res.n2, res.m) == (3, 2, 2)
     assert sorted(res.rows()) == [(11, 20), (12, 20)]
 
@@ -120,7 +120,7 @@ def test_join_matches_oracle_randomized(rng):
     for trial in range(120):
         t1, t2 = random_tables(rng)
         engine = "scalar" if trial % 10 == 0 else "vector"
-        res = oblivious_join(t1, t2, engine=engine, swap_check=True)
+        res = oblivious_join(t1, t2, engine=engine)
         got = sorted_pairs(res.pairs)
         want = sorted_pairs(nested_loop_join(t1, t2))
         assert np.array_equal(got, want), (t1.tolist(), t2.tolist())
@@ -170,9 +170,12 @@ def test_join_rejects_bad_rows():
     pytest.param([[1 << 64, 5]], ValueError, id="2^64"),
 ])
 def test_join_rejects_rows_that_are_not_u64(rows, error):
-    # each of these was cast: 1.7 and True joined key 1, -1 joined 2^64-1
-    with pytest.raises(error):
-        oblivious_join(rows, [[1, 7], [(1 << 64) - 1, 8]])
+    # each of these was cast: 1.7 and True joined key 1, -1 joined 2^64-1;
+    # the baselines share the engine's check, so the oracles cannot join
+    # an input that the engine rejects
+    for join in (oblivious_join, nested_loop_join, sort_merge_join):
+        with pytest.raises(error):
+            join(rows, [[1, 7], [(1 << 64) - 1, 8]])
 
 
 def test_join_accepts_u64_extremes_as_python_ints():
@@ -290,7 +293,7 @@ def test_null_sink_subclass_still_receives_every_event():
 def test_output_phase_is_m_reads():
     s = LogSink()
     res = oblivious_join(table([1, 1]), table([1, 1, 1]), s)
-    _, ops, _ = s.phase_arrays("output")
+    _, ops, _ = s.event_arrays("output")
     assert res.m == 6
     assert len(ops) == 6
     assert (ops == 0).all()

@@ -69,7 +69,7 @@ def test_seed_varies_placement_but_not_result(rng):
         s = LogSink()
         x = make_distribute_input(s, f)
         out = prp_distribute(x, 12, seed=seed)
-        _, ops, idxs = s.phase_arrays("prp_place")
+        _, ops, idxs = s.event_arrays("prp_place")
         placements.add(tuple(idxs[ops == 1].tolist()))
         results.add(tuple(out_state(out)))
     assert len(results) == 1

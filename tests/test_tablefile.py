@@ -87,3 +87,13 @@ def test_format_parse_round_trip(r1, r2):
     t1, t2 = parse_table_text(text)
     assert t1.tolist() == [list(r) for r in r1]
     assert t2.tolist() == [list(r) for r in r2]
+
+
+def test_format_round_trips_u64_max_from_python_ints():
+    # a list holding 2^64-1 became float64 and was written as 2^64
+    u64_max = (1 << 64) - 1
+    text = format_table_text([[u64_max, 5]], [[1, u64_max]])
+    assert text == f"{u64_max} 5\n---\n1 {u64_max}\n"
+    t1, t2 = parse_table_text(text)
+    assert t1.tolist() == [[u64_max, 5]]
+    assert t2.tolist() == [[1, u64_max]]
