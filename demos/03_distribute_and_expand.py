@@ -1,8 +1,9 @@
 """The two data movers under the join: distribution and expansion.
 
-Distribution scatters n entries into an array of m >= n slots so entry x
-lands exactly at slot f(x)-1, touching a fixed sequence of slot pairs that
-depends only on (n, m).  Expansion replaces each entry with alpha copies
+Distribution scatters the non-null entries of an n-entry array into m
+slots so entry x lands exactly at slot f(x)-1, touching a fixed sequence
+of slot pairs that depends only on (n, m).  Null entries are skipped, so
+n may exceed m.  Expansion replaces each entry with alpha copies
 (alpha public per run only in total: sum(alpha) = m), again with a fixed
 access pattern.  A seeded variant routes through a random permutation
 first; the output is identical, only the internal placement moves.
@@ -35,6 +36,17 @@ oblivious_distribute(make_distribute_input(sink, f), m=8)
 routed = sink.event_arrays("distribute_route")[2]
 print(f"route phase touches {len(routed)} fixed positions "
       f"(same for every f with n=4, m=8)")
+
+# -- null entries are skipped, so n may exceed m: of five inputs only
+#    the two non-null ones (destinations 3 and 1) count against m = 3
+f_nulls = np.array([3, 0, 0, 1, 0], np.uint64)
+x = make_distribute_input(NullSink(), f_nulls)
+x.col("is_null")[:] = f_nulls == 0
+out = oblivious_distribute(x, m=3)
+got = [None if e.is_null else (e.f, e.d) for e in out.debug_entries()]
+print("n=5 inputs, 3 of them null, into m=3 slots:", got)
+assert out.length == 3
+assert got == [(1, 3), None, (3, 0)], "nulls skipped, live entries at f-1"
 
 # -- seeded distribution: same result through a random permutation
 det = oblivious_distribute(make_distribute_input(NullSink(), f), m=8)

@@ -15,8 +15,8 @@ from .trace import (READ, WRITE, TraceEvent, ZERO_DIGEST, encode_event,
                     NullSink, LogSink, HashSink, CountSink, PublicArray,
                     alloc, OutOfBoundsError)
 from .primitives import (compare_exchange, bitonic_sort,
-                         oblivious_distribute, ext_oblivious_distribute,
-                         oblivious_expand, DistributeCollisionError)
+                         oblivious_distribute, oblivious_expand,
+                         DistributeCollisionError)
 from .prp import SmallDomainPrp, prp_distribute
 from .pipeline import (JoinResult, augment_tables, fill_dimensions,
                        align_table, oblivious_join)

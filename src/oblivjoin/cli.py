@@ -22,10 +22,10 @@ import sys
 from .trace import HashSink, LogSink, NullSink
 from .pipeline import oblivious_join
 from .tablefile import TableFileError, parse_table_file
-from .harness import (InfeasibleShapeError, bench, bench_csv, cost_report,
-                      gen_test_class, verify_trace_class)
+from .harness import (SHAPES, InfeasibleShapeError, bench, bench_csv,
+                      cost_report, gen_test_class, verify_trace_class)
 
-_DEFAULT_SHAPES = "all-1x1,single-1xn,single-nx1,power-law,mixed,disjoint"
+_DEFAULT_SHAPES = ",".join(SHAPES)
 _OUT_CHUNK = 1 << 16
 
 
@@ -49,8 +49,25 @@ _size = _at_least(0)
 _positive = _at_least(1)
 
 
+def _entries(text: str) -> list[str]:
+    """The non-blank entries of a comma-separated list; at least one."""
+    entries = [s.strip() for s in text.split(",") if s.strip()]
+    if not entries:
+        raise argparse.ArgumentTypeError(f"no entries in {text!r}")
+    return entries
+
+
 def _sizes(text: str) -> list[int]:
-    return [_size(s) for s in text.split(",") if s.strip()]
+    return [_size(s) for s in _entries(text)]
+
+
+def _shapes(text: str) -> list[str]:
+    shapes = _entries(text)
+    for shape in shapes:
+        if shape not in SHAPES:
+            raise argparse.ArgumentTypeError(
+                f"unknown shape {shape!r}; known: {', '.join(SHAPES)}")
+    return shapes
 
 
 def _cmd_join(args) -> int:
@@ -84,7 +101,7 @@ def _cmd_join(args) -> int:
 
 def _cmd_verify(args) -> int:
     rc = 0
-    for shape in (s.strip() for s in args.shapes.split(",") if s.strip()):
+    for shape in args.shapes:
         try:
             tc = gen_test_class(args.n1, args.n2, shape, seed=args.seed,
                                 instances=args.instances)
@@ -146,7 +163,7 @@ def main(argv=None) -> int:
                             "instance classes")
     p.add_argument("--n1", type=_size, default=64)
     p.add_argument("--n2", type=_size, default=64)
-    p.add_argument("--shapes", default=_DEFAULT_SHAPES)
+    p.add_argument("--shapes", type=_shapes, default=_DEFAULT_SHAPES)
     p.add_argument("--instances", type=_positive, default=20)
     p.add_argument("--seed", type=_size, default=0)
     p.set_defaults(fn=_cmd_verify)

@@ -49,6 +49,10 @@ __all__ = [
 SHAPES = ("all-1x1", "single-1xn", "single-nx1", "power-law", "mixed",
           "disjoint")
 
+_ZIPF_THETA = 1.5        # power-law group dimensions
+_BENCH_SEED = 0          # row shuffles of bench inputs
+_UNIFORMITY_SEED0 = 0    # first PRP seed of placement_uniformity
+
 
 class InfeasibleShapeError(ValueError):
     """The requested shape cannot be realized at the given sizes."""
@@ -70,7 +74,7 @@ class TestClass:
 # Class generation
 # --------------------------------------------------------------------------
 
-def _canonical_structure(n1, n2, shape, rng, theta):
+def _canonical_structure(n1, n2, shape, rng):
     """Group dimension list [(a, b), ...] plus unmatched row counts."""
     if shape == "all-1x1":
         k = min(n1, n2)
@@ -94,27 +98,26 @@ def _canonical_structure(n1, n2, shape, rng, theta):
         groups = []
         r1, r2 = n1, n2
         while r1 > 0 and r2 > 0:
-            a = min(int(rng.zipf(theta)), r1, 64)
-            b = min(int(rng.zipf(theta)), r2, 64)
+            a = min(int(rng.zipf(_ZIPF_THETA)), r1, 64)
+            b = min(int(rng.zipf(_ZIPF_THETA)), r2, 64)
             groups.append((a, b))
             r1 -= a
             r2 -= b
             if rng.random() < 0.05:
                 break  # leave a tail of unmatched rows now and then
         return groups, r1, r2
-    if shape == "mixed":
-        if n1 < 3 or n2 < 3:
-            raise InfeasibleShapeError(
-                f"mixed needs n1, n2 >= 3, got n1={n1} n2={n2}")
-        k1 = max(1, n2 // 3)   # one wide group 1 x k1
-        k2 = max(1, n1 // 3)   # one tall group k2 x 1
-        groups = [(1, k1), (k2, 1)]
-        r1 = n1 - 1 - k2
-        r2 = n2 - k1 - 1
-        ones = min(r1, r2)
-        groups += [(1, 1)] * ones
-        return groups, r1 - ones, r2 - ones
-    raise ValueError(f"unknown shape {shape!r}; known: {SHAPES}")
+    # mixed
+    if n1 < 3 or n2 < 3:
+        raise InfeasibleShapeError(
+            f"mixed needs n1, n2 >= 3, got n1={n1} n2={n2}")
+    k1 = max(1, n2 // 3)   # one wide group 1 x k1
+    k2 = max(1, n1 // 3)   # one tall group k2 x 1
+    groups = [(1, k1), (k2, 1)]
+    r1 = n1 - 1 - k2
+    r2 = n2 - k1 - 1
+    ones = min(r1, r2)
+    groups += [(1, 1)] * ones
+    return groups, r1 - ones, r2 - ones
 
 
 def _try_rewrite(groups, u1, u2, rng):
@@ -207,17 +210,18 @@ def _oracle_m(t1, t2) -> int:
     return sum(v * c2[k] for k, v in c1.items() if k in c2)
 
 
-def gen_test_class(n1, n2, shape, seed=0, instances=20,
-                   theta=1.5) -> TestClass:
+def gen_test_class(n1, n2, shape, seed=0, instances=20) -> TestClass:
     """Generate a test class: `instances` structurally diverse inputs all
     agreeing on (n1, n2, m).
 
     Deterministic in (n1, n2, shape, seed).  Raises InfeasibleShapeError
     when the shape cannot be realized at these sizes.
     """
+    if shape not in SHAPES:
+        raise ValueError(f"unknown shape {shape!r}; known: {SHAPES}")
     rng = np.random.default_rng(
         np.random.SeedSequence([seed, n1, n2, SHAPES.index(shape)]))
-    groups0, u1_0, u2_0 = _canonical_structure(n1, n2, shape, rng, theta)
+    groups0, u1_0, u2_0 = _canonical_structure(n1, n2, shape, rng)
     m = sum(a * b for a, b in groups0)
     tc = TestClass(n1=n1, n2=n2, m=m, shape=shape, seed=seed)
     for t in range(instances):
@@ -392,14 +396,14 @@ class BenchRow:
     events: int
 
 
-def bench(sizes, reps: int = 3, seed: int = 0) -> list:
+def bench(sizes, reps: int = 3) -> list:
     """Time the oblivious join against the sort-merge baseline.
 
     For each total size n: n1 = n2 = n/2 with m = n/2 matches.  Times are
     medians of `reps` runs against a null sink; `events` is the total
     trace length.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_BENCH_SEED)
     rows = []
     for n in sizes:
         n1 = n // 2
@@ -458,8 +462,7 @@ def make_distribute_input(sink, f_values, batch: int = 1):
     return x
 
 
-def placement_uniformity(n: int, m: int, n_seeds: int,
-                         seed0: int = 0) -> tuple:
+def placement_uniformity(n: int, m: int, n_seeds: int) -> tuple:
     """Chi-square uniformity test of the randomized placement positions.
 
     Runs prp_distribute on one fixed input under n_seeds different seeds,
@@ -471,7 +474,7 @@ def placement_uniformity(n: int, m: int, n_seeds: int,
     for s in range(n_seeds):
         sink = LogSink()
         x = make_distribute_input(sink, f_values)
-        out = prp_distribute(x, m, seed=seed0 + s)
+        out = prp_distribute(x, m, seed=_UNIFORMITY_SEED0 + s)
         aids, ops, idxs = sink.event_arrays("prp_place")
         hits = idxs[(ops == WRITE) & (aids == out.array_id)]
         counts += np.bincount(hits.astype(np.int64), minlength=m)

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .entries import (U64_FIELDS, KEY_F, KEY_NONNULL_F, ct_eq, ct_select,
+from .entries import (U64_FIELDS, KEY_NONNULL_F, ct_eq, ct_select,
                       ct_select_entry, key_column, lex_compare, null_entry)
 from .trace import READ, WRITE, PublicArray, alloc, emit_steps
 from ._schedule import route_hops, sort_levels
 
 __all__ = [
     "compare_exchange", "bitonic_sort",
-    "oblivious_distribute", "ext_oblivious_distribute", "oblivious_expand",
+    "oblivious_distribute", "oblivious_expand",
     "DistributeCollisionError",
 ]
 
@@ -164,8 +164,8 @@ def _route_hop_vector(a: PublicArray, m: int, j: int) -> None:
     # Entries at p < m-j whose destination lies at or beyond p+j all move
     # forward by j; their slots become null.  Sequential execution of the
     # descending loop does exactly this when every swap partner is null;
-    # a non-null partner is overwritten and lost, which _route_region's
-    # count detects.
+    # a non-null partner is overwritten and lost, which _check_placement
+    # detects.
     thresh = np.arange(cnt, dtype=np.uint64) + np.uint64(j)
     mover = (ncol[:, :cnt] == 0) & (fcol[:, :cnt] > thresh)
     for name in _ALL_COLS:
@@ -179,20 +179,15 @@ def _route_hop_vector(a: PublicArray, m: int, j: int) -> None:
     emit_steps((a, READ, lo), (a, READ, hi), (a, WRITE, lo), (a, WRITE, hi))
 
 
-def _route_region(a: PublicArray, x: PublicArray, engine: str) -> None:
-    """Route the non-null entries of a, copied from x, to slots f-1.
+def _check_placement(a: PublicArray, x: PublicArray) -> None:
+    """Raise DistributeCollisionError unless, in each batch row, as many
+    entries of a sit at their slot f-1 as x holds non-null entries.
 
-    Afterwards, in each batch row, as many entries must sit at their slot
-    f-1 as x holds non-null entries.  That holds iff f is injective into
-    1..m; an entry lost to a collision or left short of its slot raises
-    DistributeCollisionError.  The count reads the columns untraced.
+    That holds iff f is injective into 1..len(a); an entry lost to a
+    collision or left short of its slot fails it.  The count reads the
+    columns untraced.
     """
     m = a.length
-    for j in route_hops(m):
-        if engine == "scalar":
-            _route_hop_scalar(a, m, j)
-        else:
-            _route_hop_vector(a, m, j)
     live = (x.col("is_null") == 0).sum(axis=1)
     slot = np.arange(1, m + 1, dtype=np.uint64)
     placed = ((a.col("is_null") == 0) & (a.col("f") == slot)).sum(axis=1)
@@ -203,38 +198,28 @@ def _route_region(a: PublicArray, x: PublicArray, engine: str) -> None:
             f"{placed[b]} of {live[b]} entries reached slot f-1")
 
 
+def _route_region(a: PublicArray, x: PublicArray, engine: str) -> None:
+    """Route the non-null entries of a, copied from x, to slots f-1."""
+    m = a.length
+    for j in route_hops(m):
+        if engine == "scalar":
+            _route_hop_scalar(a, m, j)
+        else:
+            _route_hop_vector(a, m, j)
+    _check_placement(a, x)
+
+
 def oblivious_distribute(x: PublicArray, m: int,
                          engine: str = "vector") -> PublicArray:
-    """Scatter the n entries of x to slots f-1 of a fresh length-m array.
+    """Scatter the non-null entries of x to slots f-1 of a length-m array.
 
-    Requires n <= m, every entry non-null, and f injective into 1..m;
-    raises DistributeCollisionError when f is not.  Unfilled slots are
-    null.  The access sequence depends only on (n, m).
-    """
-    _check_engine(engine)
-    n = x.length
-    if n > m:
-        raise ValueError(f"distribute requires n <= m, got n={n} m={m}")
-    sink = x.sink
-    a = alloc(m, sink, x.batch)
-    with sink.phase_scope("distribute_copy"):
-        _copy_into(x, a, n, engine)
-    with sink.phase_scope("distribute_sort"):
-        bitonic_sort(a.view(0, n), KEY_F, engine)
-    with sink.phase_scope("distribute_route"):
-        _route_region(a, x, engine)
-    return a
-
-
-def ext_oblivious_distribute(x: PublicArray, m: int,
-                             engine: str = "vector") -> PublicArray:
-    """Distribute allowing null inputs (f = 0 on null entries).
-
-    Non-null entries land at slots f-1 exactly as in
-    oblivious_distribute; n may exceed m as long as at most m entries are
-    non-null.  Returns an array of length m (a view when n > m: the sort
-    parks nulls behind the first m slots and routing never consults
-    them).
+    Null entries (f = 0) are skipped, and n may exceed m as long as at
+    most m entries are non-null.  f must be injective into 1..m on the
+    non-null entries; DistributeCollisionError is raised when it is not.
+    Unfilled slots are null.  Returns a fresh array of length m, or a
+    view of its first m slots when n > m: the sort parks nulls behind
+    them and routing never consults the rest.  The access sequence
+    depends only on (n, m).
     """
     _check_engine(engine)
     n = x.length
@@ -321,7 +306,7 @@ def oblivious_expand(x: PublicArray, g_attr: str,
     sink = x.sink
     with sink.phase_scope("expand_prefix"):
         m = _expand_prefix(x, g_attr, engine)
-    a = ext_oblivious_distribute(x, m, engine)
+    a = oblivious_distribute(x, m, engine)
     with sink.phase_scope("expand_fill"):
         _forward_fill(a, engine)
     return a

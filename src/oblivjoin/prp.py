@@ -17,7 +17,8 @@ order with one oblivious sort: slot p first has its f re-keyed to
 pi^-1(p)*(m+1) + f, which makes the sort keys distinct with exactly one
 per final slot, and a decode pass (f mod (m+1)) afterwards recovers f.
 The output array is identical, entry for entry, to what
-oblivious_distribute produces.
+oblivious_distribute produces, and the same placement check follows:
+a non-injective f raises DistributeCollisionError.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .entries import KEY_F
 from .trace import READ, WRITE, PublicArray, alloc, emit_steps
-from .primitives import bitonic_sort, _check_engine
+from .primitives import bitonic_sort, _check_placement
 
 __all__ = ["SmallDomainPrp", "prp_distribute"]
 
@@ -102,16 +103,17 @@ class SmallDomainPrp:
         return w
 
 
-def prp_distribute(x: PublicArray, m: int, seed: int,
-                   engine: str = "vector") -> PublicArray:
+def prp_distribute(x: PublicArray, m: int, seed: int) -> PublicArray:
     """Randomized oblivious distribution.
 
-    Same contract and same output as oblivious_distribute(x, m) — n <= m,
-    non-null entries, f injective into 1..m — but the trace's
-    data-dependent part is the placement writes at pi(f-1), uniform in
-    the seed.  Everything after placement is a fixed pattern of m.
+    Accepts only n <= m with every entry non-null (no skipped nulls,
+    unlike oblivious_distribute) and f injective into 1..m.  On that
+    case it gives the same output as oblivious_distribute(x, m) and,
+    like it, raises DistributeCollisionError when f is not injective.
+    The trace's data-dependent part is the placement writes at pi(f-1),
+    uniform in the seed; everything after placement is a fixed pattern
+    of m.
     """
-    _check_engine(engine)
     n = x.length
     if n > m:
         raise ValueError(f"distribute requires n <= m, got n={n} m={m}")
@@ -120,7 +122,7 @@ def prp_distribute(x: PublicArray, m: int, seed: int,
     prp = SmallDomainPrp(m, seed)
     sink = x.sink
     a = alloc(m, sink)
-    big = m + 1
+    big = np.uint64(m + 1)
     ar = np.arange(m, dtype=np.int64)
     with sink.phase_scope("prp_place"):
         for i in range(n):
@@ -130,26 +132,15 @@ def prp_distribute(x: PublicArray, m: int, seed: int,
         # Slot p gets sort key pi^-1(p)*(m+1) + f: keys are distinct and
         # put exactly one entry per final slot, so the sorted array equals
         # the deterministic network's output once f is decoded again.
-        if engine == "scalar":
-            for p in range(m):
-                e = a.read(p)
-                e.f = prp.inverse(p) * big + e.f
-                a.write(p, e)
-        else:
-            inv = np.array([prp.inverse(p) for p in range(m)], np.uint64)
-            fcol = a.col("f")
-            fcol[:] = inv * np.uint64(big) + fcol
-            emit_steps((a, READ, ar), (a, WRITE, ar))
+        inv = np.array([prp.inverse(p) for p in range(m)], np.uint64)
+        fcol = a.col("f")
+        fcol[:] = inv * big + fcol
+        emit_steps((a, READ, ar), (a, WRITE, ar))
     with sink.phase_scope("prp_sort"):
-        bitonic_sort(a, KEY_F, engine)
+        bitonic_sort(a, KEY_F)
     with sink.phase_scope("prp_decode"):
-        if engine == "scalar":
-            for p in range(m):
-                e = a.read(p)
-                e.f = e.f % big
-                a.write(p, e)
-        else:
-            fcol = a.col("f")
-            fcol[:] = fcol % np.uint64(big)
-            emit_steps((a, READ, ar), (a, WRITE, ar))
+        fcol = a.col("f")
+        fcol[:] = fcol % big
+        emit_steps((a, READ, ar), (a, WRITE, ar))
+    _check_placement(a, x)
     return a

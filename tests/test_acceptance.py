@@ -284,7 +284,7 @@ def test_criterion_7_prp_distribute():
         det = oblivious_distribute(
             make_distribute_input(NullSink(), f), m, engine)
         ran = prp_distribute(
-            make_distribute_input(NullSink(), f), m, seed=trial, engine=engine)
+            make_distribute_input(NullSink(), f), m, seed=trial)
         a = [(e.f, e.d, e.is_null) for e in det.debug_entries()]
         b = [(e.f, e.d, e.is_null) for e in ran.debug_entries()]
         assert a == b, (n, m, trial)

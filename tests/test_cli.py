@@ -194,6 +194,9 @@ def test_cost_command(capsys):
     ["verify", "--seed", "-1"],
     ["bench", "--reps", "0"],
     ["bench", "--sizes", "32,-4"],
+    ["bench", "--sizes", ","],
+    ["verify", "--shapes", "bogus"],
+    ["verify", "--shapes", ","],
 ], ids=" ".join)
 def test_bad_counts_are_usage_errors(args, capsys):
     # argparse rejects them before any work starts: exit 2 and a usage

@@ -7,9 +7,9 @@ from oblivjoin._schedule import route_hops
 from oblivjoin.harness import make_distribute_input
 from oblivjoin.primitives import (
     DistributeCollisionError,
-    ext_oblivious_distribute,
     oblivious_distribute,
 )
+from oblivjoin.prp import prp_distribute
 from oblivjoin.trace import HashSink, LogSink, NullSink, alloc
 
 
@@ -57,40 +57,39 @@ def test_random_injective_destinations(engine, rng):
                 assert slot is None
 
 
-DISTRIBUTES = [oblivious_distribute, ext_oblivious_distribute]
-
-
 def test_collision_tripwire_fires():
     # always armed: a non-injective f raises on both engines, whether a
     # swap collides ([2, 2, 3] lost entry 1 on the vector engine and
     # misplaced it on the scalar one) or an entry cannot reach slot f-1
     cases = [([2, 2], 2), ([2, 2, 3], 4), ([1, 1], 2), ([5], 4), ([0, 1], 2)]
     for engine in ("scalar", "vector"):
-        for distribute in DISTRIBUTES:
-            for f, m in cases:
-                x = make_distribute_input(NullSink(), f)
-                with pytest.raises(DistributeCollisionError):
-                    distribute(x, m, engine)
-        # more live entries than slots
-        x = make_distribute_input(NullSink(), [1, 2, 3])
+        for f, m in cases:
+            x = make_distribute_input(NullSink(), f)
+            with pytest.raises(DistributeCollisionError):
+                oblivious_distribute(x, m, engine)
+    # the randomized distribution runs the same placement check; f = 5
+    # into 4 slots and f = 0 lie outside its permutation's domain
+    for f, m in [([2, 2], 2), ([2, 2, 3], 4), ([1, 1], 2)]:
+        x = make_distribute_input(NullSink(), f)
         with pytest.raises(DistributeCollisionError):
-            ext_oblivious_distribute(x, 2, engine)
+            prp_distribute(x, m, seed=1)
 
 
-@pytest.mark.parametrize("distribute", DISTRIBUTES,
-                         ids=lambda fn: fn.__name__)
-def test_collision_in_one_batch_row_fires(distribute):
+def test_collision_in_one_batch_row_fires():
     # rows 0 and 2 are injective; only row 1 collides
     f = np.array([[1, 2, 3], [2, 2, 3], [4, 1, 2]], np.uint64)
     x = make_distribute_input(NullSink(), f, batch=3)
     with pytest.raises(DistributeCollisionError):
-        distribute(x, 4)
+        oblivious_distribute(x, 4)
 
 
 def test_n_greater_than_m_rejected():
-    x = make_distribute_input(NullSink(), [1, 2, 3])
-    with pytest.raises(ValueError):
-        oblivious_distribute(x, 2)
+    # n may exceed m only by null entries: three live entries cannot all
+    # reach one of two slots
+    for engine in ("scalar", "vector"):
+        x = make_distribute_input(NullSink(), [1, 2, 3])
+        with pytest.raises(DistributeCollisionError):
+            oblivious_distribute(x, 2, engine)
 
 
 @pytest.mark.parametrize("engine", ["scalar", "vector"])
@@ -134,14 +133,14 @@ def test_engines_agree_on_trace_and_output(engine, rng):
     assert s.digest == ref_sink.digest
 
 
-# -- extended form (null inputs allowed, n may exceed m) -------------------
+# -- null inputs skipped, n may exceed m --------------------------------
 
 @pytest.mark.parametrize("engine", ["scalar", "vector"])
 def test_ext_skips_null_entries(engine):
     s = NullSink()
     x = make_distribute_input(s, [1, 0, 3])
     x.col("is_null")[:, 1] = 1
-    out = ext_oblivious_distribute(x, 3, engine)
+    out = oblivious_distribute(x, 3, engine)
     got = placed(out)
     assert got[0] == (1, 0)
     assert got[2] == (3, 2)
@@ -154,7 +153,7 @@ def test_ext_with_n_exceeding_m(engine):
     s = NullSink()
     x = make_distribute_input(s, [2, 0, 0, 1, 0])
     x.col("is_null")[:, [1, 2, 4]] = 1
-    out = ext_oblivious_distribute(x, 3, engine)
+    out = oblivious_distribute(x, 3, engine)
     assert out.length == 3
     got = placed(out)
     assert got[0] == (1, 3)
@@ -171,7 +170,7 @@ def test_ext_trace_depends_only_on_sizes(rng):
         s = HashSink()
         x = make_distribute_input(s, f)
         x.col("is_null")[:] = (f == 0)
-        ext_oblivious_distribute(x, 4)
+        oblivious_distribute(x, 4)
         digests.add(s.digest)
     assert len(digests) == 1
 
@@ -181,11 +180,11 @@ def test_batched_distribute_matches_instancewise(rng):
     m, n, b = 9, 4, 6
     fs = np.stack([rng.permutation(m)[:n] + 1 for _ in range(b)])
     xb = make_distribute_input(NullSink(), fs, batch=b)
-    outb = ext_oblivious_distribute(xb, m)
+    outb = oblivious_distribute(xb, m)
     fb = outb.debug_col("f")
     nb = outb.debug_col("is_null")
     for r in range(b):
         x = make_distribute_input(NullSink(), fs[r])
-        out = ext_oblivious_distribute(x, m)
+        out = oblivious_distribute(x, m)
         assert np.array_equal(fb[r], out.debug_col("f")[0])
         assert np.array_equal(nb[r], out.debug_col("is_null")[0])

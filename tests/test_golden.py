@@ -20,8 +20,7 @@ import pytest
 from oblivjoin._schedule import sort_levels
 from oblivjoin.harness import make_distribute_input
 from oblivjoin.pipeline import oblivious_join
-from oblivjoin.primitives import (ext_oblivious_distribute,
-                                  oblivious_distribute, oblivious_expand)
+from oblivjoin.primitives import oblivious_distribute, oblivious_expand
 from oblivjoin.prp import prp_distribute
 from oblivjoin.trace import HashSink
 
@@ -121,7 +120,7 @@ def _ext_distribute():
     f = [0, 9, 2, 0, 7, 1, 0, 5, 3, 0, 8]
     x = make_distribute_input(sink, f)
     x.col("is_null")[:] = np.array(f, np.uint64) == 0
-    ext_oblivious_distribute(x, 9)
+    oblivious_distribute(x, 9)
     return sink
 
 

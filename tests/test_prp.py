@@ -58,7 +58,7 @@ def test_randomized_equals_deterministic_output(engine, rng):
         det = oblivious_distribute(make_distribute_input(NullSink(), f), m,
                                    engine)
         ran = prp_distribute(make_distribute_input(NullSink(), f), m,
-                             seed=trial, engine=engine)
+                             seed=trial)
         assert out_state(ran) == out_state(det)
 
 
