@@ -75,10 +75,22 @@ def test_collision_tripwire_fires():
             prp_distribute(x, m, seed=1)
 
 
-def test_collision_in_one_batch_row_fires():
-    # rows 0 and 2 are injective; only row 1 collides
-    f = np.array([[1, 2, 3], [2, 2, 3], [4, 1, 2]], np.uint64)
+# one batched input per contract that oblivious_distribute covers: every
+# entry live with n <= m, and the null-skipping n > m contract that
+# ext_oblivious_distribute had before the two were merged
+BATCH_COLLISIONS = {
+    "oblivious_distribute": [[1, 2, 3], [2, 2, 3], [4, 1, 2]],
+    "ext_oblivious_distribute": [[1, 0, 2, 0, 3], [2, 0, 2, 0, 3],
+                                 [0, 4, 1, 0, 2]],
+}
+
+
+@pytest.mark.parametrize("contract", list(BATCH_COLLISIONS))
+def test_collision_in_one_batch_row_fires(contract):
+    # rows 0 and 2 are injective; only row 1 collides (f = 0 is null)
+    f = np.array(BATCH_COLLISIONS[contract], np.uint64)
     x = make_distribute_input(NullSink(), f, batch=3)
+    x.col("is_null")[:] = (f == 0)
     with pytest.raises(DistributeCollisionError):
         oblivious_distribute(x, 4)
 
