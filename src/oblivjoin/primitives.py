@@ -6,14 +6,22 @@ function of its public sizes — never of entry contents.  Two engines share
 each schedule: "scalar" is the literal one-entry-at-a-time reference
 (every write goes through ct_select, every comparator performs its two
 reads and two writes unconditionally), "vector" applies whole schedule
-levels with numpy across the batch axis.  Both emit identical traces; the
-tests hold them to that.
+levels across the batch axis.  Both emit identical traces; the tests hold
+them to that.
+
+The vector sort runs each compare-exchange level as one call of the C
+level kernel of the native module (_native) where it can be built, and
+as numpy gathers and scatters (_ce_level_vector) otherwise; the two give
+the same permutation.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
+from . import _native
 from .entries import (U64_FIELDS, KEY_NONNULL_F, ct_eq, ct_select,
                       ct_select_entry, key_column, lex_compare, null_entry)
 from .trace import READ, WRITE, PublicArray, alloc, emit_steps
@@ -103,7 +111,8 @@ def bitonic_sort(a: PublicArray, key, engine: str = "vector") -> None:
     len(a); works for any length, in place.  The vector engine runs every
     comparator on copies of the key columns and a slot permutation only
     (a swap depends on nothing else), then gathers every column of a
-    through the permutation once.
+    through the permutation once.  Each level is one call of the native
+    level kernel, or of _ce_level_vector when the kernel is unavailable.
     """
     _check_engine(engine)
     if engine == "scalar":
@@ -112,11 +121,14 @@ def bitonic_sort(a: PublicArray, key, engine: str = "vector") -> None:
                 compare_exchange(a, int(lo[t]), int(hi[t]), key, bool(asc[t]))
         return
     # uint64 copies, so that the 8-byte XOR mask fits the uint8 null flag too
-    keys = [(a.col(key_column(attr)).astype(np.uint64), ascending)
+    keys = [(a.col(key_column(attr)).astype(np.uint64, order="C"), ascending)
             for attr, ascending in key]
     perm = np.tile(np.arange(a.length, dtype=np.int64), (a.batch, 1))
+    native = _native.kernel()
+    level = (functools.partial(_ce_level_vector, keys, perm) if native is None
+             else native.levels(keys, perm))
     for lo, hi, asc in sort_levels(a.length):
-        _ce_level_vector(keys, perm, lo, hi, asc)
+        level(lo, hi, asc)
         emit_steps((a, READ, lo), (a, READ, hi), (a, WRITE, lo), (a, WRITE, hi))
     for name in _ALL_COLS:
         col = a.col(name)

@@ -29,7 +29,8 @@ import numpy as np
 
 from .entries import KEY_F
 from .trace import READ, WRITE, PublicArray, alloc, emit_steps
-from .primitives import bitonic_sort, _check_placement
+from .primitives import (DistributeCollisionError, bitonic_sort,
+                         _check_placement)
 
 __all__ = ["SmallDomainPrp", "prp_distribute"]
 
@@ -109,7 +110,8 @@ def prp_distribute(x: PublicArray, m: int, seed: int) -> PublicArray:
     Accepts only n <= m with every entry non-null (no skipped nulls,
     unlike oblivious_distribute) and f injective into 1..m.  On that
     case it gives the same output as oblivious_distribute(x, m) and,
-    like it, raises DistributeCollisionError when f is not injective.
+    like it, raises DistributeCollisionError when f is not injective
+    into 1..m; an f outside 1..m raises it before that entry is placed.
     The trace's data-dependent part is the placement writes at pi(f-1),
     uniform in the seed; everything after placement is a fixed pattern
     of m.
@@ -127,6 +129,9 @@ def prp_distribute(x: PublicArray, m: int, seed: int) -> PublicArray:
     with sink.phase_scope("prp_place"):
         for i in range(n):
             e = x.read(i)
+            if not 1 <= e.f <= m:
+                raise DistributeCollisionError(
+                    f"destination f = {e.f} outside 1..{m}")
             a.write(prp.forward(e.f - 1), e)
     with sink.phase_scope("prp_key"):
         # Slot p gets sort key pi^-1(p)*(m+1) + f: keys are distinct and

@@ -10,8 +10,8 @@ runs), LogSink keeps it (inspection, file dumps), HashSink folds it into a
 chained SHA-256 digest (trace-equality verification), CountSink tallies
 per-phase totals (cost accounting).  The chain is defined link-by-link by
 hash_step; chain_digest computes the same digest over a block of events,
-in a C kernel over OpenSSL's SHA-256 block function where one can be built
-(_chain) and in a hashlib loop otherwise.
+in a C kernel over OpenSSL's SHA-256 block function where the native
+module (_native) can be built and in a hashlib loop otherwise.
 
 Engines emit every bulk access pattern through emit_steps, the one place
 that knows how a block of events is laid out.
@@ -28,7 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
-from . import _chain
+from . import _native
 from .entries import AugEntry, U64_FIELDS
 
 __all__ = [
@@ -80,7 +80,7 @@ def chain_digest(h: bytes, aids, ops, idxs) -> bytes:
 
     aids may be a scalar (one array) or a per-event vector.  Equals
     folding hash_step over the events one by one.  Runs the C kernel of
-    _chain when it is available (see chain_kernel), else a hashlib loop.
+    _native when it is available (see chain_kernel), else a hashlib loop.
     """
     if len(h) != 32:
         raise ValueError("chain state must be 32 bytes")
@@ -89,9 +89,9 @@ def chain_digest(h: bytes, aids, ops, idxs) -> bytes:
     rec["aid"] = aids
     rec["op"] = ops
     rec["idx"] = idxs
-    kernel = _chain.kernel()
+    kernel = _native.kernel()
     if kernel is not None:
-        return kernel(h, rec.ctypes.data, n)
+        return kernel.chain(h, rec.ctypes.data, n)
     buf = rec.tobytes()
     for i in range(0, 17 * n, 17):
         h = hashlib.sha256(h + buf[i:i + 17]).digest()
@@ -99,9 +99,12 @@ def chain_digest(h: bytes, aids, ops, idxs) -> bytes:
 
 
 def chain_kernel() -> str:
-    """Which path chain_digest runs in this process: "openssl" (the C
-    kernel) or "hashlib" (the fallback).  Builds the kernel if needed."""
-    return "hashlib" if _chain.kernel() is None else "openssl"
+    """Which path the native module's callers run in this process:
+    "openssl" when it is loaded, so chain_digest and the compare-exchange
+    levels of bitonic_sort both run in C, or "hashlib" when they both run
+    their fallbacks (a hashlib loop, the numpy level).  Builds the module
+    if needed."""
+    return "hashlib" if _native.kernel() is None else "openssl"
 
 
 # --------------------------------------------------------------------------

@@ -8,6 +8,8 @@ pass/fail status of every criterion is visible in one place.
 import numpy as np
 import pytest
 
+from oblivjoin import _native
+
 acceptance_report: list[str] = []
 
 
@@ -18,6 +20,17 @@ def record(line: str) -> None:
 @pytest.fixture
 def rng():
     return np.random.default_rng(0xC0FFEE)
+
+
+@pytest.fixture(scope="session")
+def native_loads(tmp_path_factory):
+    """The native module loaded both ways through load()'s parameters:
+    "native" built into a fresh cache (None where it cannot be built),
+    "fallback" with a compiler that does not exist (always None)."""
+    cache = tmp_path_factory.mktemp("native-cache")
+    return {"native": _native.load(cache_dir=cache),
+            "fallback": _native.load(cc=str(cache / "no-such-cc"),
+                                     cache_dir=cache)}
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -67,9 +67,9 @@ def test_collision_tripwire_fires():
             x = make_distribute_input(NullSink(), f)
             with pytest.raises(DistributeCollisionError):
                 oblivious_distribute(x, m, engine)
-    # the randomized distribution runs the same placement check; f = 5
-    # into 4 slots and f = 0 lie outside its permutation's domain
-    for f, m in [([2, 2], 2), ([2, 2, 3], 4), ([1, 1], 2)]:
+    # the randomized distribution runs the same placement check, and
+    # raises the same error on f = 5 into 4 slots and on a live f = 0
+    for f, m in cases:
         x = make_distribute_input(NullSink(), f)
         with pytest.raises(DistributeCollisionError):
             prp_distribute(x, m, seed=1)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oblivjoin import _native, primitives
 from oblivjoin._schedule import comparator_count, gp2, np2, route_hops, sort_levels
 from oblivjoin.entries import (ASC, DESC, KEY_J_TID, KEY_NONNULL_F,
                                U64_FIELDS)
@@ -244,3 +245,98 @@ def test_sort_batched_rows_sort_independently(rng):
     bitonic_sort(a, KEY_J_TID)
     out = a.debug_col("j")
     assert np.array_equal(out, np.sort(j, axis=1))
+
+
+# -- the native level kernel against the numpy level -------------------------
+
+U64_MAX = 2**64 - 1
+
+
+@pytest.fixture
+def native(native_loads):
+    kernel = native_loads["native"]
+    if kernel is None:
+        pytest.skip("the native module cannot be built here")
+    return kernel
+
+
+def _level_keys(rng, batch, n):
+    """Key copies in bitonic_sort's layout: heavy ties on the first key,
+    a descending second key whose top values only an unsigned compare
+    orders, and a third key to break what ties remain; rows differ."""
+    top = np.array([0, 1, 2**63, U64_MAX], np.uint64)
+    return [(rng.integers(0, 3, (batch, n), dtype=np.uint64), ASC),
+            (top[rng.integers(0, 4, (batch, n))], DESC),
+            (rng.integers(0, 2, (batch, n), dtype=np.uint64), ASC)]
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("n", [2, 3, 7, 64, 100, 257, 1024])
+def test_level_kernel_matches_numpy_level(n, batch, native, rng):
+    # level by level, the kernel leaves the same keys and permutation
+    keys = _level_keys(rng, batch, n)
+    runs = []
+    for _ in range(2):
+        copies = [(col.copy(), up) for col, up in keys]
+        perm = np.tile(np.arange(n, dtype=np.int64), (batch, 1))
+        runs.append((copies, perm))
+    (ck, cperm), (nk, nperm) = runs
+    level = native.levels(ck, cperm)
+    for lo, hi, asc in sort_levels(n):
+        level(lo, hi, asc)
+        primitives._ce_level_vector(nk, nperm, lo, hi, asc)
+        assert np.array_equal(cperm, nperm)
+        for (c, _), (v, _) in zip(ck, nk):
+            assert np.array_equal(c, v)
+    # and the permutation sorts each row by (key 0, key 1 desc, key 2)
+    (k0, _), (k1, _), (k2, _) = keys
+    for r in range(batch):
+        rows = [(int(k0[r, p]), -int(k1[r, p]), int(k2[r, p]))
+                for p in cperm[r]]
+        assert rows == sorted(rows)
+
+
+def test_level_kernel_rejects_bad_level_arrays(native):
+    # every bad level is refused before the kernel writes anything
+    keys = [(np.array([[4, 3, 2, 1]], np.uint64), ASC)]
+    perm = np.array([[0, 1, 2, 3]], np.int64)
+    level = native.levels(keys, perm)
+    lo, hi, asc = np.array([0, 1]), np.array([2, 3]), np.array([True, False])
+    level(lo, hi, asc)
+    assert perm.tolist() == [[2, 1, 0, 3]]
+    for args in ((lo.astype(np.int32), hi, asc),          # not int64
+                 (lo, np.array([2, 0, 3, 0])[::2], asc),  # not contiguous
+                 (lo, hi, asc.astype(np.uint8)),          # not bool
+                 (lo, hi, asc[:1]),                       # short
+                 (lo, hi + 1, asc),                       # past the end
+                 (lo - 1, hi, asc)):                      # negative
+        with pytest.raises(ValueError):
+            level(*args)
+    assert perm.tolist() == [[2, 1, 0, 3]]
+    assert keys[0][0].tolist() == [[2, 3, 4, 1]]
+    with pytest.raises(ValueError):
+        native.levels([(np.zeros((1, 4), np.int64), ASC)], perm)
+
+
+def _sorted_on(kernel, monkeypatch, n, rows, fill, key):
+    monkeypatch.setattr(_native, "kernel", lambda: kernel)
+    return _sorted_by_engine(n, "vector", rows, fill, key)
+
+
+@pytest.mark.parametrize("n", [100, 128, 257])
+def test_bitonic_sort_paths_agree(n, native, native_loads, monkeypatch, rng):
+    # the whole vector sort on each path, batch rows that differ: ties on
+    # j, the uint8 null flag under KEY_NONNULL_F, a descending key
+    cases = [([rng.integers(0, 6, n) for _ in range(3)], _fill_distinct,
+              KEY_J_TID),
+             ([rng.integers(0, 2, n) for _ in range(3)], _fill_nulls,
+              KEY_NONNULL_F),
+             ([rng.integers(0, 6, n) for _ in range(2)], _fill_distinct,
+              (("j", DESC), ("d", ASC)))]
+    for rows, fill, key in cases:
+        c_cols, c_dig = _sorted_on(native, monkeypatch, n, rows, fill, key)
+        n_cols, n_dig = _sorted_on(native_loads["fallback"], monkeypatch, n,
+                                   rows, fill, key)
+        assert c_dig == n_dig
+        for name in ALL_COLS:
+            assert np.array_equal(c_cols[name], n_cols[name]), (key, name)

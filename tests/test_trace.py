@@ -1,5 +1,6 @@
 """Trace events, hash chaining, sinks, and public-array accounting."""
 
+import functools
 import hashlib
 import os
 import shutil
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 
 import oblivjoin
-from oblivjoin import _chain
-from oblivjoin.entries import AugEntry
+from oblivjoin import _native, primitives
+from oblivjoin.entries import KEY_J_TID, AugEntry
 from oblivjoin.trace import (
     READ,
     WRITE,
@@ -85,23 +86,14 @@ def _case(name, rng):
     raise ValueError(name)
 
 
-@pytest.fixture(scope="module")
-def chain_paths(tmp_path_factory):
-    """Each chain path's kernel: load() into a fresh cache for the C path,
-    load() with a compiler that does not exist for the hashlib path."""
-    cache = tmp_path_factory.mktemp("chain-cache")
-    return {"openssl": _chain.load(cache_dir=cache),
-            "hashlib": _chain.load(cc=str(cache / "no-such-cc"),
-                                   cache_dir=cache)}
-
-
 @pytest.fixture(params=["openssl", "hashlib"])
-def chain_path(request, chain_paths, monkeypatch):
+def chain_path(request, native_loads, monkeypatch):
     """Runs chain_digest on one path for the test's duration."""
-    kernel = chain_paths[request.param]
+    kernel = native_loads["native" if request.param == "openssl"
+                          else "fallback"]
     if request.param == "openssl" and kernel is None:
-        pytest.skip("the C chain kernel cannot be built here")
-    monkeypatch.setattr(_chain, "kernel", lambda: kernel)
+        pytest.skip("the native module cannot be built here")
+    monkeypatch.setattr(_native, "kernel", lambda: kernel)
     assert chain_kernel() == request.param
     return request.param
 
@@ -137,7 +129,7 @@ def test_chain_digest_rejects_a_short_state(chain_path):
 def test_unwritable_cache_falls_back_to_hashlib(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("a file where the cache directory would go")
-    assert _chain.load(cache_dir=blocker / "oblivjoin") is None
+    assert _native.load(cache_dir=blocker / "oblivjoin") is None
 
 
 def _can_build_kernel() -> bool:
@@ -152,41 +144,93 @@ def _can_build_kernel() -> bool:
 
 @pytest.mark.skipif(not _can_build_kernel(),
                     reason="no cc or no openssl/sha.h")
-def test_chain_kernel_is_openssl_where_it_can_be_built():
-    # a broken build must not quietly hand every hash to the slow path
+def test_chain_kernel_is_openssl_where_it_can_be_built(monkeypatch):
+    # a broken build must not quietly hand every hash, and every
+    # compare-exchange level, to the slow path
     assert chain_kernel() == "openssl"
+
+    def numpy_level(*args):
+        raise AssertionError("the numpy level ran beside a live kernel")
+    monkeypatch.setattr(primitives, "_ce_level_vector", numpy_level)
+    a = alloc(6, NullSink())
+    a.col("j")[:] = [5, 0, 3, 2, 4, 1]
+    a.col("is_null")[:] = 0
+    primitives.bitonic_sort(a, KEY_J_TID)
+    assert a.debug_col("j").tolist() == [[0, 1, 2, 3, 4, 5]]
+
+
+@pytest.mark.parametrize("symbol", ["oblivjoin_chain", "oblivjoin_ce_level"])
+def test_cached_object_without_a_kernel_falls_back(symbol, tmp_path,
+                                                   monkeypatch, rng):
+    # an object at the cache path that exports only one of the two
+    # kernels loads as a failure, and the failure is kept like any other
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no cc to build the stand-in object")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    stub = tmp_path / "stub.c"
+    stub.write_text(f"void {symbol}(void) {{}}\n")
+    subprocess.run([cc, "-shared", "-fPIC", "-o",
+                    str(_native._library_path("cc", cache)), str(stub)],
+                   check=True, capture_output=True)
+    assert _native.load(cache_dir=cache) is None
+    monkeypatch.setattr(_native, "kernel", functools.cache(
+        lambda: _native.load(cache_dir=cache)))
+    h, aids, ops, idxs = _case("aid_vector", rng)
+    for _ in range(2):
+        assert chain_digest(h, aids, ops, idxs) == _fold(h, aids, ops, idxs)
+    assert chain_kernel() == "hashlib"
 
 
 def test_warm_cache_load_runs_no_compiler(tmp_path, monkeypatch):
-    if _chain.load(cache_dir=tmp_path) is None:
-        pytest.skip("the C chain kernel cannot be built here")
+    if _native.load(cache_dir=tmp_path) is None:
+        pytest.skip("the native module cannot be built here")
 
     def no_compiler(*args, **kwargs):
         raise AssertionError("compiler invoked on a warm cache")
-    monkeypatch.setattr(_chain.subprocess, "run", no_compiler)
-    kernel = _chain.load(cache_dir=tmp_path)
+    monkeypatch.setattr(_native.subprocess, "run", no_compiler)
+    kernel = _native.load(cache_dir=tmp_path)
     assert kernel is not None
-    assert kernel(ZERO32, 0, 0) == ZERO32
+    assert kernel.chain(ZERO32, 0, 0) == ZERO32
+    keys = [(np.array([[2, 1]], np.uint64), True)]
+    perm = np.array([[0, 1]], np.int64)
+    kernel.levels(keys, perm)(np.array([0]), np.array([1]),
+                              np.array([True]))
+    assert perm.tolist() == [[1, 0]]
+
+
+# each first use in a fresh interpreter: one hashed block, one sort
+FIRST_USES = [
+    ["oblivjoin.chain_digest(bytes(32), 0, np.zeros(1, np.uint8),",
+     "                       np.zeros(1, np.uint64))"],
+    ["from oblivjoin.entries import KEY_J_TID",
+     "a = oblivjoin.trace.alloc(3, oblivjoin.NullSink())",
+     "oblivjoin.bitonic_sort(a, KEY_J_TID)"],
+]
 
 
 def test_kernel_is_built_on_first_chain_not_at_import(tmp_path):
     # a fresh interpreter with its own cache: importing the package
-    # leaves the cache untouched; the first digest builds the kernel
-    script = "\n".join([
-        "import os, sys",
-        "import numpy as np",
-        "import oblivjoin",
-        "assert not os.path.exists(os.path.join(sys.argv[1], 'oblivjoin'))",
-        "oblivjoin.chain_digest(bytes(32), 0, np.zeros(1, np.uint8),",
-        "                       np.zeros(1, np.uint64))",
-        "print(oblivjoin.chain_kernel())",
-    ])
+    # leaves the cache untouched; the first digest, or the first sort,
+    # builds the native module
     src = Path(oblivjoin.__file__).parents[1]
-    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
-                         env=env, capture_output=True, text=True, check=True)
-    built = list((tmp_path / "oblivjoin").glob("chain-*.so"))
-    assert (out.stdout.strip() == "openssl") == (len(built) == 1)
+    for k, first_use in enumerate(FIRST_USES):
+        cache = tmp_path / str(k)
+        script = "\n".join([
+            "import os, sys",
+            "import numpy as np",
+            "import oblivjoin",
+            "assert not os.path.exists(os.path.join(sys.argv[1], 'oblivjoin'))",
+            *first_use,
+            "print(oblivjoin.chain_kernel())",
+        ])
+        env = dict(os.environ, XDG_CACHE_HOME=str(cache), PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-c", script, str(cache)],
+                             env=env, capture_output=True, text=True,
+                             check=True)
+        built = list((cache / "oblivjoin").glob("native-*.so"))
+        assert (out.stdout.strip() == "openssl") == (len(built) == 1)
 
 
 def test_hash_sink_equals_log_sink_digest(rng):
