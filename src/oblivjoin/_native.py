@@ -1,5 +1,5 @@
-"""The native module: the trace hash chain and the compare-exchange level
-in one C source, compiled into one shared object.
+"""The native module: the trace hash chain, the compare-exchange level and
+the routing network in one C source, compiled into one shared object.
 
 oblivjoin_chain extends the trace hash chain.  One chain link hashes the
 32-byte digest followed by a 17-byte record.  Those 49 bytes plus SHA-256
@@ -12,11 +12,18 @@ bitonic_sort: a lexicographic compare over the keys, each ascending or
 descending, then an XOR-masked swap of the keys and the permutation, like
 ct_select, for every pair of the level in every batch row.
 
+oblivjoin_route runs the whole routing network of oblivious_distribute
+(route_hops, largest first) in every batch row, on uint64 copies of f and
+the null flag and an int64 slot permutation: at hop j, for i from m-j-1
+down to 0, a live entry at i with f > i+j moves to i+j and slot i becomes
+null, its permutation entry -1.  The moves are masked selects, like
+ct_select.
+
 The object is compiled on first use into the user's cache directory and
 loaded with ctypes; nothing is built at import.  load() returns None when
-it cannot build or load the object, and then both callers keep their
-fallbacks: trace.chain_digest a hashlib loop, primitives.bitonic_sort the
-numpy level.
+it cannot build or load the object, and then every caller keeps its
+fallback: trace.chain_digest a hashlib loop, primitives.bitonic_sort the
+numpy level, primitives.oblivious_distribute the numpy hop.
 """
 
 from __future__ import annotations
@@ -107,6 +114,40 @@ int oblivjoin_ce_level(uint64_t *const *keys, const unsigned char *desc,
     }
     return 0;
 }
+
+/* f, nul: uint64 copies of the destinations and null flags, batch rows by
+   len slots; perm: the slot permutation, same shape.  Runs the hops
+   hops[0..nhops) in order in every row: at hop j, for i from len-j-1 down
+   to 0, a live entry at i with f > i+j moves to i+j and slot i becomes
+   null, its perm -1 (all ones).  Returns -1, having written nothing, if a
+   hop lies outside [1, len). */
+int oblivjoin_route(uint64_t *f, uint64_t *nul, int64_t *perm, size_t batch,
+                    size_t len, const int64_t *hops, size_t nhops)
+{
+    for (size_t h = 0; h < nhops; h++)
+        if (hops[h] < 1 || (uint64_t)hops[h] >= len)
+            return -1;
+    for (size_t b = 0; b < batch; b++) {
+        uint64_t *fr = f + b * len, *nr = nul + b * len;
+        uint64_t *pr = (uint64_t *)perm + b * len;
+        for (size_t h = 0; h < nhops; h++) {
+            size_t j = (size_t)hops[h];
+            for (size_t i = len - j; i-- > 0;) {
+                size_t k = i + j;
+                uint64_t fi = fr[i], ni = nr[i], pi = pr[i];
+                uint64_t fk = fr[k], nk = nr[k], pk = pr[k];
+                uint64_t mask = -(uint64_t)((ni == 0) & (fi > k));
+                fr[k] = fk ^ ((fk ^ fi) & mask);
+                nr[k] = nk ^ ((nk ^ ni) & mask);
+                pr[k] = pk ^ ((pk ^ pi) & mask);
+                fr[i] = fi & ~mask;
+                nr[i] = ni | (mask & 1);
+                pr[i] = pi | mask;
+            }
+        }
+    }
+    return 0;
+}
 """
 
 _FLAGS = ("-O2", "-shared", "-fPIC")
@@ -125,7 +166,7 @@ def _default_cache() -> Path:
 def _addr(arr: np.ndarray, dtype) -> int:
     """Address of arr's data, once it is known to be C-contiguous dtype."""
     if arr.dtype != dtype or not arr.flags.c_contiguous:
-        raise ValueError(f"the level kernel needs a C-contiguous {dtype} "
+        raise ValueError(f"the native kernels need a C-contiguous {dtype} "
                          f"array, got {arr.dtype}")
     return arr.ctypes.data
 
@@ -161,16 +202,19 @@ class _Levels:
 
 
 class Kernels:
-    """The two kernels of one loaded shared object."""
+    """The three kernels of one loaded shared object."""
 
     def __init__(self, lib: ctypes.CDLL) -> None:
-        # both lookups raise AttributeError on an object that lacks them
+        # each lookup raises AttributeError on an object that lacks it
         self._chain = lib.oblivjoin_chain
         self._level = lib.oblivjoin_ce_level
+        self._route = lib.oblivjoin_route
         self._chain.argtypes = (ctypes.POINTER(_State), _P, _N)
         self._chain.restype = None
         self._level.argtypes = (_P, _P, _N, _P, _N, _N, _P, _P, _P, _N)
         self._level.restype = ctypes.c_int
+        self._route.argtypes = (_P, _P, _P, _N, _N, _P, _N)
+        self._route.restype = ctypes.c_int
 
     def chain(self, h: bytes, rec_addr: int, n: int) -> bytes:
         """Extend the 32-byte state h by the n 17-byte records stored
@@ -184,6 +228,20 @@ class Kernels:
         C-contiguous (batch, len) uint64 key copies keys, a list of
         (column, ascending), and the int64 permutation perm."""
         return _Levels(self._level, keys, perm)
+
+    def route(self, f: np.ndarray, nul: np.ndarray, perm: np.ndarray,
+              hops: np.ndarray) -> None:
+        """Run the routing hops, an int64 array, in order and in place on
+        the C-contiguous (batch, len) uint64 copies f and nul and the int64
+        permutation perm; a slot an entry moves out of gets perm -1."""
+        if perm.ndim != 2 or not f.shape == nul.shape == perm.shape:
+            raise ValueError("f, null flag and permutation shapes differ")
+        if hops.ndim != 1:
+            raise ValueError("hops must be one-dimensional")
+        if self._route(_addr(f, np.uint64), _addr(nul, np.uint64),
+                       _addr(perm, np.int64), *perm.shape,
+                       _addr(hops, np.int64), len(hops)):
+            raise ValueError("a hop lies outside the routed rows")
 
 
 def _library_path(cc: str, cache: Path) -> Path:

@@ -80,10 +80,11 @@ def _cmd_join(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sink = {"none": NullSink, "log": LogSink, "hash": HashSink}[args.trace]()
-    res = oblivious_join(t1, t2, sink)
     try:
+        # opened before the join, so an unopenable path costs no join
         with (open(args.out, "w") if args.out
               else contextlib.nullcontext(sys.stdout)) as fh:
+            res = oblivious_join(t1, t2, sink)
             for lo in range(0, res.m, _OUT_CHUNK):
                 chunk = res.pairs[lo:lo + _OUT_CHUNK].tolist()
                 fh.write("".join(f"{d1} {d2}\n" for d1, d2 in chunk))

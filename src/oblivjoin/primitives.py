@@ -12,7 +12,10 @@ them to that.
 The vector sort runs each compare-exchange level as one call of the C
 level kernel of the native module (_native) where it can be built, and
 as numpy gathers and scatters (_ce_level_vector) otherwise; the two give
-the same permutation.
+the same permutation.  The vector distribution likewise runs its whole
+routing network in one call of the C route kernel, or one numpy hop at a
+time (_route_hop_vector), on copies of f and the null flag plus a slot
+permutation; the two give the same arrays.
 """
 
 from __future__ import annotations
@@ -169,26 +172,66 @@ def _route_hop_scalar(a: PublicArray, m: int, j: int) -> None:
         a.write(i + j, ct_select_entry(cond, y, y2))
 
 
-def _route_hop_vector(a: PublicArray, m: int, j: int) -> None:
-    cnt = m - j
-    fcol = a.col("f")
-    ncol = a.col("is_null")
-    # Entries at p < m-j whose destination lies at or beyond p+j all move
+# the permutation entry of a slot whose entry moved out; the gather after
+# routing writes a null entry there
+_VACATED = -1
+
+
+def _route_hop_vector(f: np.ndarray, nul: np.ndarray, perm: np.ndarray,
+                      j: int) -> None:
+    cnt = f.shape[1] - j
+    # Live entries at p < m-j whose destination lies at or beyond p+j move
     # forward by j; their slots become null.  Sequential execution of the
     # descending loop does exactly this when every swap partner is null;
     # a non-null partner is overwritten and lost, which _check_placement
     # detects.
-    thresh = np.arange(cnt, dtype=np.uint64) + np.uint64(j)
-    mover = (ncol[:, :cnt] == 0) & (fcol[:, :cnt] > thresh)
-    for name in _ALL_COLS:
-        col = a.col(name)
+    thresh = np.arange(j, j + cnt, dtype=np.uint64)
+    mover = (nul[:, :cnt] == 0) & (f[:, :cnt] > thresh)
+    for col, vacated in ((f, 0), (nul, 1), (perm, _VACATED)):
         src = col[:, :cnt].copy()
-        nullval = 1 if name == "is_null" else 0
-        col[:, :cnt] = np.where(mover, nullval, col[:, :cnt])
-        col[:, j:m] = np.where(mover, src, col[:, j:m])
-    lo = np.arange(cnt - 1, -1, -1, dtype=np.int64)
-    hi = lo + j
-    emit_steps((a, READ, lo), (a, READ, hi), (a, WRITE, lo), (a, WRITE, hi))
+        col[:, :cnt] = np.where(mover, vacated, src)
+        col[:, j:] = np.where(mover, src, col[:, j:])
+
+
+def _route_vector(a: PublicArray, hops: list[int]) -> None:
+    """Route on uint64 copies of f and the null flag plus a slot
+    permutation (one call of the native route kernel, or _route_hop_vector
+    per hop when it is unavailable), emit each hop's steps, then gather
+    every column of a once: a vacated slot becomes a null entry."""
+    m = a.length
+    f = a.col("f").astype(np.uint64, order="C")
+    nul = a.col("is_null").astype(np.uint64, order="C")
+    perm = np.tile(np.arange(m, dtype=np.int64), (a.batch, 1))
+    native = _native.kernel()
+    if native is None:
+        for j in hops:
+            _route_hop_vector(f, nul, perm, j)
+    else:
+        native.route(f, nul, perm, np.array(hops, np.int64))
+    # hop j steps (i, i+j) for i from m-j-1 down to 0: both index vectors
+    # are slices of one descending range
+    down = np.arange(m - 1, -1, -1, dtype=np.int64)
+    for j in hops:
+        lo, hi = down[j:], down[:m - j]
+        emit_steps((a, READ, lo), (a, READ, hi), (a, WRITE, lo), (a, WRITE, hi))
+    # The routed copies already hold f and the null flag of every slot;
+    # they are freed before the gather, which would otherwise raise the
+    # join's peak memory.
+    a.col("f")[:] = f
+    a.col("is_null")[:] = nul
+    del f, nul
+    # Gather each other column once by flat index (row offset + perm, in
+    # place); a vacated slot gathers its row's slot 0 and is then masked to
+    # zero, like ct_select.
+    keep = -(perm != _VACATED).astype(np.uint64)
+    perm &= keep.view(np.int64)
+    perm += m * np.arange(a.batch, dtype=np.int64)[:, None]
+    for name in U64_FIELDS:
+        if name != "f":
+            col = a.col(name)
+            vals = np.take(col, perm)
+            vals &= keep
+            col[:] = vals
 
 
 def _check_placement(a: PublicArray, x: PublicArray) -> None:
@@ -213,11 +256,12 @@ def _check_placement(a: PublicArray, x: PublicArray) -> None:
 def _route_region(a: PublicArray, x: PublicArray, engine: str) -> None:
     """Route the non-null entries of a, copied from x, to slots f-1."""
     m = a.length
-    for j in route_hops(m):
-        if engine == "scalar":
+    hops = route_hops(m)
+    if engine == "scalar":
+        for j in hops:
             _route_hop_scalar(a, m, j)
-        else:
-            _route_hop_vector(a, m, j)
+    else:
+        _route_vector(a, hops)
     _check_placement(a, x)
 
 

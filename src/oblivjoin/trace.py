@@ -100,10 +100,11 @@ def chain_digest(h: bytes, aids, ops, idxs) -> bytes:
 
 def chain_kernel() -> str:
     """Which path the native module's callers run in this process:
-    "openssl" when it is loaded, so chain_digest and the compare-exchange
-    levels of bitonic_sort both run in C, or "hashlib" when they both run
-    their fallbacks (a hashlib loop, the numpy level).  Builds the module
-    if needed."""
+    "openssl" when it is loaded, so chain_digest, the compare-exchange
+    levels of bitonic_sort and the routing network of oblivious_distribute
+    all run in C, or "hashlib" when all three run their fallbacks (a
+    hashlib loop, the numpy level, the numpy hop).  Builds the module if
+    needed."""
     return "hashlib" if _native.kernel() is None else "openssl"
 
 

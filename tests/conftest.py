@@ -33,6 +33,15 @@ def native_loads(tmp_path_factory):
                                      cache_dir=cache)}
 
 
+@pytest.fixture
+def native(native_loads):
+    """The built native module; skips the test where it cannot be built."""
+    kernel = native_loads["native"]
+    if kernel is None:
+        pytest.skip("the native module cannot be built here")
+    return kernel
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not acceptance_report:
         return

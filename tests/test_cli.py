@@ -80,6 +80,19 @@ def test_join_unwritable_out_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+def test_join_unopenable_out_runs_no_join(tmp_path, monkeypatch, capsys):
+    # the output path is opened before the join, so a bad one costs none
+    calls = []
+    monkeypatch.setattr(cli, "oblivious_join",
+                        lambda *args: calls.append(args))
+    out = tmp_path / "missing" / "out.txt"
+    rc = run(["join", str(VALID[0]), "--out", str(out)])
+    assert rc == 2
+    assert "error" in capsys.readouterr().err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_join_trace_hash(capsys):
     rc = run(["join", str(VALID[0]), "--trace", "hash"])
     err = capsys.readouterr().err

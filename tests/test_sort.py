@@ -252,14 +252,6 @@ def test_sort_batched_rows_sort_independently(rng):
 U64_MAX = 2**64 - 1
 
 
-@pytest.fixture
-def native(native_loads):
-    kernel = native_loads["native"]
-    if kernel is None:
-        pytest.skip("the native module cannot be built here")
-    return kernel
-
-
 def _level_keys(rng, batch, n):
     """Key copies in bitonic_sort's layout: heavy ties on the first key,
     a descending second key whose top values only an unsigned compare

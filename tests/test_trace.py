@@ -14,6 +14,7 @@ import pytest
 import oblivjoin
 from oblivjoin import _native, primitives
 from oblivjoin.entries import KEY_J_TID, AugEntry
+from oblivjoin.harness import make_distribute_input
 from oblivjoin.trace import (
     READ,
     WRITE,
@@ -145,24 +146,29 @@ def _can_build_kernel() -> bool:
 @pytest.mark.skipif(not _can_build_kernel(),
                     reason="no cc or no openssl/sha.h")
 def test_chain_kernel_is_openssl_where_it_can_be_built(monkeypatch):
-    # a broken build must not quietly hand every hash, and every
-    # compare-exchange level, to the slow path
+    # a broken build must not quietly hand every hash, every
+    # compare-exchange level and every routing network to the slow path
     assert chain_kernel() == "openssl"
 
-    def numpy_level(*args):
-        raise AssertionError("the numpy level ran beside a live kernel")
-    monkeypatch.setattr(primitives, "_ce_level_vector", numpy_level)
+    def numpy_fallback(*args):
+        raise AssertionError("a numpy fallback ran beside a live kernel")
+    monkeypatch.setattr(primitives, "_ce_level_vector", numpy_fallback)
+    monkeypatch.setattr(primitives, "_route_hop_vector", numpy_fallback)
     a = alloc(6, NullSink())
     a.col("j")[:] = [5, 0, 3, 2, 4, 1]
     a.col("is_null")[:] = 0
     primitives.bitonic_sort(a, KEY_J_TID)
     assert a.debug_col("j").tolist() == [[0, 1, 2, 3, 4, 5]]
+    x = make_distribute_input(NullSink(), [3, 1])
+    out = primitives.oblivious_distribute(x, 4)
+    assert out.debug_col("f").tolist() == [[1, 0, 3, 0]]
 
 
-@pytest.mark.parametrize("symbol", ["oblivjoin_chain", "oblivjoin_ce_level"])
+@pytest.mark.parametrize("symbol", ["oblivjoin_chain", "oblivjoin_ce_level",
+                                    "oblivjoin_route"])
 def test_cached_object_without_a_kernel_falls_back(symbol, tmp_path,
                                                    monkeypatch, rng):
-    # an object at the cache path that exports only one of the two
+    # an object at the cache path that exports only one of the three
     # kernels loads as a failure, and the failure is kept like any other
     cc = shutil.which("cc")
     if cc is None:
@@ -198,21 +204,28 @@ def test_warm_cache_load_runs_no_compiler(tmp_path, monkeypatch):
     kernel.levels(keys, perm)(np.array([0]), np.array([1]),
                               np.array([True]))
     assert perm.tolist() == [[1, 0]]
+    f, nul = np.array([[2, 0]], np.uint64), np.array([[0, 1]], np.uint64)
+    kernel.route(f, nul, perm, np.array([1]))
+    assert (f.tolist(), perm.tolist()) == ([[0, 2]], [[-1, 1]])
 
 
-# each first use in a fresh interpreter: one hashed block, one sort
+# each first use in a fresh interpreter: one hashed block, one sort, one
+# distribution
 FIRST_USES = [
     ["oblivjoin.chain_digest(bytes(32), 0, np.zeros(1, np.uint8),",
      "                       np.zeros(1, np.uint64))"],
     ["from oblivjoin.entries import KEY_J_TID",
      "a = oblivjoin.trace.alloc(3, oblivjoin.NullSink())",
      "oblivjoin.bitonic_sort(a, KEY_J_TID)"],
+    ["from oblivjoin.harness import make_distribute_input",
+     "x = make_distribute_input(oblivjoin.NullSink(), [3, 1])",
+     "assert oblivjoin.oblivious_distribute(x, 4).debug_col('f')[0, 2] == 3"],
 ]
 
 
 def test_kernel_is_built_on_first_chain_not_at_import(tmp_path):
     # a fresh interpreter with its own cache: importing the package
-    # leaves the cache untouched; the first digest, or the first sort,
+    # leaves the cache untouched; the first digest, sort or distribution
     # builds the native module
     src = Path(oblivjoin.__file__).parents[1]
     for k, first_use in enumerate(FIRST_USES):
