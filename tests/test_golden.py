@@ -7,7 +7,9 @@ value below byte-identical.  Inputs come from closed-form integer
 arithmetic, never from an RNG, so a numpy release cannot move them.
 
 Each join pins (m, peak_entries, HashSink hexdigest, SHA-256 of
-pairs.tobytes()).  The primitives pin their HashSink hexdigest.  The sort
+pairs.tobytes()).  The primitives pin their HashSink hexdigest and, on
+the native path and on the numpy fallback, one SHA-256 over every column
+of every output slot.  The sort
 schedule pins one SHA-256 over every level's lo, hi and asc bytes for a
 ladder of lengths with and without ragged tails.
 """
@@ -17,12 +19,15 @@ import hashlib
 import numpy as np
 import pytest
 
+from oblivjoin import _native
 from oblivjoin._schedule import sort_levels
+from oblivjoin.entries import KEY_J_TID, U64_FIELDS
 from oblivjoin.harness import make_distribute_input
 from oblivjoin.pipeline import oblivious_join
-from oblivjoin.primitives import oblivious_distribute, oblivious_expand
+from oblivjoin.primitives import (bitonic_sort, oblivious_distribute,
+                                  oblivious_expand)
 from oblivjoin.prp import prp_distribute
-from oblivjoin.trace import HashSink
+from oblivjoin.trace import HashSink, alloc
 
 U64_MAX = (1 << 64) - 1
 
@@ -110,8 +115,7 @@ def test_join_golden(name):
 def _distribute():
     sink = HashSink()
     f = [(5 * i) % 23 + 1 for i in range(17)]
-    oblivious_distribute(make_distribute_input(sink, f), 23)
-    return sink
+    return sink, oblivious_distribute(make_distribute_input(sink, f), 23)
 
 
 def _ext_distribute():
@@ -120,8 +124,20 @@ def _ext_distribute():
     f = [0, 9, 2, 0, 7, 1, 0, 5, 3, 0, 8]
     x = make_distribute_input(sink, f)
     x.col("is_null")[:] = np.array(f, np.uint64) == 0
-    oblivious_distribute(x, 9)
-    return sink
+    return sink, oblivious_distribute(x, 9)
+
+
+def _batch_distribute():
+    # 3 rows of 13 inputs into 16 slots, each row its own injective map;
+    # row 1 has 3 nulls, and every column holds values
+    sink = HashSink()
+    f = [[((5 + 2 * b) * i + b) % 16 + 1 for i in range(13)]
+         for b in range(3)]
+    x = make_distribute_input(sink, f, batch=3)
+    x.col("is_null")[1] = [i % 4 == 1 for i in range(13)]
+    for k, name in enumerate(("tid", "alpha1", "alpha2", "ii")):
+        x.col(name)[:] = np.arange(39, dtype=np.uint64).reshape(3, 13) * (k + 3)
+    return sink, oblivious_distribute(x, 16)
 
 
 def _expand():
@@ -129,25 +145,44 @@ def _expand():
     g = [i % 4 for i in range(19)]
     x = make_distribute_input(sink, [0] * len(g))
     x.col("alpha1")[:] = g
-    oblivious_expand(x, "alpha1")
-    return sink
+    return sink, oblivious_expand(x, "alpha1")
 
 
 def _prp_distribute():
     sink = HashSink()
     f = [(3 * i) % 20 + 1 for i in range(13)]
-    prp_distribute(make_distribute_input(sink, f), 20, seed=12345)
-    return sink
+    return sink, prp_distribute(make_distribute_input(sink, f), 20, seed=12345)
+
+
+def _sort_ragged():
+    # 23 slots (a ragged tail), 5 values of j and 2 of tid, so (j, tid)
+    # ties; every other column, nulls included, carries the slot's index
+    sink = HashSink()
+    a = alloc(23, sink)
+    ar = np.arange(23, dtype=np.uint64)
+    a.col("j")[:] = (7 * ar) % 5
+    a.col("tid")[:] = ar % 2 + 1
+    for k, name in enumerate(("d", "alpha1", "alpha2", "f", "ii")):
+        a.col(name)[:] = ar * (k + 2) + U64_MAX - 100
+    a.col("is_null")[:] = ar % 3 == 0
+    bitonic_sort(a, KEY_J_TID)
+    return sink, a
 
 
 PRIMITIVES = {
     "oblivious_distribute": _distribute,
     "ext_oblivious_distribute": _ext_distribute,
+    "batch_oblivious_distribute": _batch_distribute,
     "oblivious_expand": _expand,
     "prp_distribute": _prp_distribute,
+    "bitonic_sort_ragged": _sort_ragged,
 }
 
 GOLDEN_PRIMITIVES = {
+    "batch_oblivious_distribute":
+        "64afef8dd4583c43476c9378b31eea848ba5bc276bcc99f97b08f2e6c3a97fee",
+    "bitonic_sort_ragged":
+        "2d1889d300155cdd6ecba1ee57e641b4e8606b87df226ccadac5915c6fe1968e",
     "ext_oblivious_distribute":
         "04dd252ca4a328d1568da3b76a0739f4f2905f58c9b7a329092871090dcc2904",
     "oblivious_distribute":
@@ -158,10 +193,47 @@ GOLDEN_PRIMITIVES = {
         "1a6f22449de39f2111b222edd899a47f4c74c2e79d86bde91adaab98493cbd73",
 }
 
+# SHA-256 over every column of every output slot, every batch row; the
+# null slots count too, whatever they hold
+GOLDEN_OUTPUTS = {
+    "batch_oblivious_distribute":
+        "bbc316d9008a7db3ca591ebfbd682438205afd5724a6c3bb3aa960d25884f1c6",
+    "bitonic_sort_ragged":
+        "6ed05ac91fce572c29cdcc34d6741c9b6c553abf2d0e94aa78e4f7fb055fa333",
+    "ext_oblivious_distribute":
+        "f26257cde6f259a58bbc495657e39d70be6e692af3e8a09349287e5754599574",
+    "oblivious_distribute":
+        "0fb0873d1f460b2c0acc16207f0fd17b4987a8b1bc8b4872bfe735ad690fc8dc",
+    "oblivious_expand":
+        "8dac4a4951207fb26dcfcf4101db48cb5ab6738073a32c78d21c3b6e50e72b1d",
+    "prp_distribute":
+        "0a818602c40770f28804a5b6b9488fe2de26ea082e816cb6b31da3807e04bd35",
+}
+
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVES))
 def test_primitive_golden(name):
-    assert PRIMITIVES[name]().hexdigest() == GOLDEN_PRIMITIVES[name]
+    sink, _ = PRIMITIVES[name]()
+    assert sink.hexdigest() == GOLDEN_PRIMITIVES[name]
+
+
+def _columns_digest(a):
+    h = hashlib.sha256()
+    for name in U64_FIELDS + ("is_null",):
+        h.update(a.debug_col(name).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("path", ["native", "numpy"])
+@pytest.mark.parametrize("name", sorted(PRIMITIVES))
+def test_primitive_output_golden(name, path, native_loads, monkeypatch):
+    # the native kernels and their numpy fallbacks, each against the pin
+    kernel = native_loads["native" if path == "native" else "fallback"]
+    if path == "native" and kernel is None:
+        pytest.skip("the native module cannot be built here")
+    monkeypatch.setattr(_native, "kernel", lambda: kernel)
+    _, out = PRIMITIVES[name]()
+    assert _columns_digest(out) == GOLDEN_OUTPUTS[name]
 
 
 SCHEDULE_LENGTHS = [*range(130), 255, 257, 1000, 5400, 6000, 8000, 100003]

@@ -1,5 +1,6 @@
 """Verification harness: class generation, trace verdicts, cost model."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -159,3 +160,27 @@ def test_placement_uniformity_returns_counts_and_pvalue():
     counts, p = placement_uniformity(4, 16, n_seeds=40)
     assert counts.sum() == 4 * 40
     assert 0.0 <= p <= 1.0
+
+
+# SHA-256 over (m, T1, T2) of every instance of every shape at these sizes
+# and seeds; infeasible classes are skipped.  A rewrite of the instance
+# generator must leave it unchanged.  It depends on numpy's Generator
+# streams, which a numpy feature release may change.
+INSTANCE_SIZES = [(1, 1), (3, 3), (5, 8), (12, 15), (20, 20), (33, 17)]
+GOLDEN_INSTANCES = \
+    "e1ef968babc48414bc083c9689b0c6fd24659039adfcd1cd1194390900d76c2d"
+
+
+def test_gen_class_instances_digest():
+    h = hashlib.sha256()
+    for shape in SHAPES:
+        for n1, n2 in INSTANCE_SIZES:
+            for seed in range(5):
+                try:
+                    tc = gen_test_class(n1, n2, shape, seed, instances=12)
+                except InfeasibleShapeError:
+                    continue
+                h.update(tc.m.to_bytes(8, "little"))
+                for t1, t2 in tc.instances:
+                    h.update(t1.tobytes() + t2.tobytes())
+    assert h.hexdigest() == GOLDEN_INSTANCES
