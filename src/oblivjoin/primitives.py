@@ -16,6 +16,11 @@ the same permutation.  The vector distribution likewise runs its whole
 routing network in one call of the C route kernel, or one numpy hop at a
 time (_route_hop_vector), on copies of f and the null flag plus a slot
 permutation; the two give the same arrays.
+
+The sort, the routing network and the expansion's fill pass each end in
+one slot permutation, and _gather moves every column of the array
+through it.  A permutation entry of -1 (_VACATED) marks a slot that
+becomes a null entry.
 """
 
 from __future__ import annotations
@@ -114,8 +119,9 @@ def bitonic_sort(a: PublicArray, key, engine: str = "vector") -> None:
     len(a); works for any length, in place.  The vector engine runs every
     comparator on copies of the key columns and a slot permutation only
     (a swap depends on nothing else), then gathers every column of a
-    through the permutation once.  Each level is one call of the native
-    level kernel, or of _ce_level_vector when the kernel is unavailable.
+    through the permutation once with _gather (the permutation has no -1
+    entries).  Each level is one call of the native level kernel, or of
+    _ce_level_vector when the kernel is unavailable.
     """
     _check_engine(engine)
     if engine == "scalar":
@@ -133,9 +139,33 @@ def bitonic_sort(a: PublicArray, key, engine: str = "vector") -> None:
     for lo, hi, asc in sort_levels(a.length):
         level(lo, hi, asc)
         emit_steps((a, READ, lo), (a, READ, hi), (a, WRITE, lo), (a, WRITE, hi))
+    del keys, level  # freed first, or the gather raises the join's peak memory
+    _gather(a, perm)
+
+
+# the permutation entry of a slot that becomes a null entry: one an entry
+# moved out of in routing, or one before the first live entry in the fill
+_VACATED = -1
+
+
+def _gather(a: PublicArray, perm: np.ndarray) -> None:
+    """Move every column of a through perm, a C-contiguous (batch,
+    len(a)) int64 slot permutation, which is consumed: slot i of a row
+    takes the entry at slot perm[i] of that row, and a slot whose perm is
+    _VACATED becomes a null entry (u64 fields 0, null flag 1)."""
+    # Flat index (row offset + perm, in place); a vacated slot gathers its
+    # row's slot 0 and is then masked, like ct_select.
+    keep = -(perm != _VACATED).astype(np.uint64)
+    perm &= keep.view(np.int64)
+    perm += a.length * np.arange(a.batch, dtype=np.int64)[:, None]
     for name in _ALL_COLS:
         col = a.col(name)
-        col[:] = np.take_along_axis(col, perm, 1)
+        vals = np.take(col, perm)
+        if name == "is_null":
+            vals |= keep == 0
+        else:
+            vals &= keep
+        col[:] = vals
 
 
 # --------------------------------------------------------------------------
@@ -172,11 +202,6 @@ def _route_hop_scalar(a: PublicArray, m: int, j: int) -> None:
         a.write(i + j, ct_select_entry(cond, y, y2))
 
 
-# the permutation entry of a slot whose entry moved out; the gather after
-# routing writes a null entry there
-_VACATED = -1
-
-
 def _route_hop_vector(f: np.ndarray, nul: np.ndarray, perm: np.ndarray,
                       j: int) -> None:
     cnt = f.shape[1] - j
@@ -196,8 +221,10 @@ def _route_hop_vector(f: np.ndarray, nul: np.ndarray, perm: np.ndarray,
 def _route_vector(a: PublicArray, hops: list[int]) -> None:
     """Route on uint64 copies of f and the null flag plus a slot
     permutation (one call of the native route kernel, or _route_hop_vector
-    per hop when it is unavailable), emit each hop's steps, then gather
-    every column of a once: a vacated slot becomes a null entry."""
+    per hop when it is unavailable), emit each hop's steps, then move every
+    column of a, f and the null flag included, through the permutation
+    with _gather: a slot an entry moved out of holds -1 and becomes a null
+    entry."""
     m = a.length
     f = a.col("f").astype(np.uint64, order="C")
     nul = a.col("is_null").astype(np.uint64, order="C")
@@ -214,24 +241,10 @@ def _route_vector(a: PublicArray, hops: list[int]) -> None:
     for j in hops:
         lo, hi = down[j:], down[:m - j]
         emit_steps((a, READ, lo), (a, READ, hi), (a, WRITE, lo), (a, WRITE, hi))
-    # The routed copies already hold f and the null flag of every slot;
-    # they are freed before the gather, which would otherwise raise the
-    # join's peak memory.
-    a.col("f")[:] = f
-    a.col("is_null")[:] = nul
+    # the routed copies are freed before the gather, which would otherwise
+    # raise the join's peak memory
     del f, nul
-    # Gather each other column once by flat index (row offset + perm, in
-    # place); a vacated slot gathers its row's slot 0 and is then masked to
-    # zero, like ct_select.
-    keep = -(perm != _VACATED).astype(np.uint64)
-    perm &= keep.view(np.int64)
-    perm += m * np.arange(a.batch, dtype=np.int64)[:, None]
-    for name in U64_FIELDS:
-        if name != "f":
-            col = a.col(name)
-            vals = np.take(col, perm)
-            vals &= keep
-            col[:] = vals
+    _gather(a, perm)
 
 
 def _check_placement(a: PublicArray, x: PublicArray) -> None:
@@ -336,16 +349,12 @@ def _forward_fill(a: PublicArray, engine: str) -> None:
             px = e
             a.write(i, e)
         return
-    nul = a.col("is_null")
     ar = np.arange(m, dtype=np.int64)
-    src = np.maximum.accumulate(np.where(nul == 0, ar, -1), axis=1)
-    valid = src >= 0
-    gather = np.where(valid, src, 0)
-    for name in _ALL_COLS:
-        col = a.col(name)
-        vals = np.take_along_axis(col, gather, axis=1)
-        nullval = 1 if name == "is_null" else 0
-        col[:] = np.where(valid, vals, nullval)
+    # each slot's source is the last live slot at or before it; slots
+    # before the first live one are _VACATED and stay null
+    src = np.maximum.accumulate(
+        np.where(a.col("is_null") == 0, ar, _VACATED), axis=1)
+    _gather(a, src)
     emit_steps((a, READ, ar), (a, WRITE, ar))
 
 
