@@ -122,9 +122,12 @@ def _canonical_structure(n1, n2, shape, rng):
 
 def _try_rewrite(groups, u1, u2, rng):
     """One random m-preserving structure rewrite; no-op when the chosen
-    rewrite has no candidates."""
+    rewrite has no candidates.  Rewrites 2 and 3 are rewrites 0 and 1 with
+    the two tables' roles swapped."""
     op = int(rng.integers(0, 4))
-    if op == 0 and len(groups) >= 2:
+    if op >= 2:
+        groups, u1, u2 = [(b, a) for a, b in groups], u2, u1
+    if op % 2 == 0 and len(groups) >= 2:
         # merge two groups sharing a: {(a,b1),(a,b2)} -> (a, b1+b2), frees
         # a T1 rows into the unmatched pool
         by_a = {}
@@ -140,7 +143,7 @@ def _try_rewrite(groups, u1, u2, rng):
             groups = [g for t, g in enumerate(groups) if t not in (i, k)]
             groups.append((a, b1 + b2))
             u1 += a
-    elif op == 1:
+    elif op % 2 == 1:
         # split on b: (a, b) -> (a, b'), (a, b-b'), consumes a unmatched
         # T1 rows
         cands = [t for t, (a, b) in enumerate(groups) if b >= 2 and a <= u1]
@@ -150,29 +153,8 @@ def _try_rewrite(groups, u1, u2, rng):
             cut = int(rng.integers(1, b))
             groups = groups[:t] + groups[t + 1:] + [(a, cut), (a, b - cut)]
             u1 -= a
-    elif op == 2 and len(groups) >= 2:
-        # merge two groups sharing b
-        by_b = {}
-        for idx, (_, b) in enumerate(groups):
-            by_b.setdefault(b, []).append(idx)
-        pools = [v for v in by_b.values() if len(v) >= 2]
-        if pools:
-            pool = pools[int(rng.integers(0, len(pools)))]
-            pick = rng.choice(len(pool), 2, replace=False)
-            i, k = pool[int(pick[0])], pool[int(pick[1])]
-            a1, b = groups[i]
-            a2, _ = groups[k]
-            groups = [g for t, g in enumerate(groups) if t not in (i, k)]
-            groups.append((a1 + a2, b))
-            u2 += b
-    elif op == 3:
-        cands = [t for t, (a, b) in enumerate(groups) if a >= 2 and b <= u2]
-        if cands:
-            t = cands[int(rng.integers(0, len(cands)))]
-            a, b = groups[t]
-            cut = int(rng.integers(1, a))
-            groups = groups[:t] + groups[t + 1:] + [(cut, b), (a - cut, b)]
-            u2 -= b
+    if op >= 2:
+        groups, u1, u2 = [(b, a) for a, b in groups], u2, u1
     return groups, u1, u2
 
 
