@@ -10,7 +10,6 @@ code path on the way to a public write.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 __all__ = [
@@ -40,8 +39,6 @@ U64_FIELDS = ("j", "d", "tid", "alpha1", "alpha2", "f", "ii")
 
 ENTRY_BYTES = 8 * len(U64_FIELDS) + 1  # 57
 
-_PACK = struct.Struct(">QQQQQQQB")
-
 
 @dataclass(slots=True)
 class AugEntry:
@@ -63,17 +60,6 @@ class AugEntry:
     f: int = 0
     ii: int = 0
     is_null: int = 0
-
-    def copy(self) -> "AugEntry":
-        return AugEntry(self.j, self.d, self.tid, self.alpha1,
-                        self.alpha2, self.f, self.ii, self.is_null)
-
-    def pack(self) -> bytes:
-        """Serialize to the fixed 57-byte layout: seven u64 big-endian
-        words followed by the null flag byte.  Width never depends on the
-        values stored."""
-        return _PACK.pack(self.j, self.d, self.tid, self.alpha1,
-                          self.alpha2, self.f, self.ii, self.is_null & 1)
 
 
 def null_entry() -> AugEntry:

@@ -225,11 +225,6 @@ class LogSink(TraceSink):
         for ev in self.events():
             yield str(ev)
 
-    def write(self, path) -> None:
-        with open(path, "w") as fh:
-            for line in self.lines():
-                fh.write(line + "\n")
-
 
 class HashSink(TraceSink):
     """Folds the event stream into the running SHA-256 chain.

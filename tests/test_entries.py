@@ -1,4 +1,4 @@
-"""Constant-time selection/equality and entry packing."""
+"""Constant-time selection/equality and entry width."""
 
 import numpy as np
 import pytest
@@ -55,14 +55,6 @@ def test_null_entry_flag():
 def test_entry_pack_width():
     # 7 u64 attributes + null flag
     assert ENTRY_BYTES == 57
-    assert len(null_entry().pack()) == ENTRY_BYTES
-
-
-def test_entry_copy_is_independent():
-    e = AugEntry(j=1)
-    c = e.copy()
-    c.j = 2
-    assert e.j == 1
 
 
 def test_lex_compare_orders_by_first_attribute_first():
@@ -76,7 +68,7 @@ def test_lex_compare_ties_fall_through():
     a = AugEntry(j=5, tid=1)
     b = AugEntry(j=5, tid=2)
     assert lex_compare(a, b, KEY_J_TID) < 0
-    assert lex_compare(a, a.copy(), KEY_J_TID) == 0
+    assert lex_compare(a, AugEntry(j=5, tid=1), KEY_J_TID) == 0
 
 
 def test_lex_compare_respects_direction():

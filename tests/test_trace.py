@@ -273,15 +273,12 @@ def test_log_sink_records_phases():
     assert list(idxs) == [0, 1]
 
 
-def test_log_sink_lines_and_write(tmp_path):
+def test_log_sink_lines():
     s = LogSink()
     a = alloc(2, s)
     a.write(1, AugEntry())
     a.read(0)
     assert list(s.lines()) == [f"W {a.array_id} 1", f"R {a.array_id} 0"]
-    p = tmp_path / "trace.log"
-    s.write(p)
-    assert p.read_text() == f"W {a.array_id} 1\nR {a.array_id} 0\n"
 
 
 def test_count_sink_totals():
