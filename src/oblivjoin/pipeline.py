@@ -126,16 +126,21 @@ def _fill_dimensions_scalar(tc: PublicArray, n: int) -> int:
     return m_acc
 
 
+def _key_groups(j: np.ndarray):
+    """(new, start, arange(n)) for a (batch, n) key column, n > 0: new
+    marks the first slot of each run of equal keys, start is the first
+    slot of each slot's run."""
+    new = np.ones(j.shape, bool)
+    new[:, 1:] = j[:, 1:] != j[:, :-1]
+    ar = np.arange(j.shape[1], dtype=np.int64)
+    return new, np.maximum.accumulate(np.where(new, ar, 0), axis=1), ar
+
+
 def _fill_dimensions_vector(tc: PublicArray, n: int) -> int:
     if n == 0:
         return 0
-    j = tc.col("j")
     tid = tc.col("tid")
-    batch = tc.batch
-    new = np.ones((batch, n), bool)
-    new[:, 1:] = j[:, 1:] != j[:, :-1]
-    ar = np.arange(n, dtype=np.int64)
-    start = np.maximum.accumulate(np.where(new, ar, 0), axis=1)
+    new, start, ar = _key_groups(tc.col("j"))
     is1 = (tid == 1).astype(np.uint64)
     is2 = (tid == 2).astype(np.uint64)
     c1 = np.cumsum(is1, axis=1, dtype=np.uint64)
@@ -223,11 +228,7 @@ def _align_pass_vector(s2: PublicArray) -> None:
     m = s2.length
     if m == 0:
         return
-    j = s2.col("j")
-    new = np.ones((s2.batch, m), bool)
-    new[:, 1:] = j[:, 1:] != j[:, :-1]
-    ar = np.arange(m, dtype=np.int64)
-    start = np.maximum.accumulate(np.where(new, ar, 0), axis=1)
+    _, start, ar = _key_groups(s2.col("j"))
     q = (ar - start).astype(np.uint64)
     c = s2.col("alpha1")
     b = s2.col("alpha2")
