@@ -149,10 +149,10 @@ _VACATED = -1
 
 
 def _gather(a: PublicArray, perm: np.ndarray) -> None:
-    """Move every column of a through perm, a C-contiguous (batch,
-    len(a)) int64 slot permutation, which is consumed: slot i of a row
-    takes the entry at slot perm[i] of that row, and a slot whose perm is
-    _VACATED becomes a null entry (u64 fields 0, null flag 1)."""
+    """Move every column of a through perm, a (batch, len(a)) int64 slot
+    permutation, which is consumed: slot i of a row takes the entry at
+    slot perm[i] of that row, and a slot whose perm is _VACATED becomes a
+    null entry (u64 fields 0, null flag 1)."""
     # Flat index (row offset + perm, in place); a vacated slot gathers its
     # row's slot 0 and is then masked, like ct_select.
     keep = -(perm != _VACATED).astype(np.uint64)

@@ -9,9 +9,9 @@ arithmetic, never from an RNG, so a numpy release cannot move them.
 Each join pins (m, peak_entries, HashSink hexdigest, SHA-256 of
 pairs.tobytes()).  The primitives pin their HashSink hexdigest and, on
 the native path and on the numpy fallback, one SHA-256 over every column
-of every output slot.  The sort
-schedule pins one SHA-256 over every level's lo, hi and asc bytes for a
-ladder of lengths with and without ragged tails.
+of every output slot.  The sort schedule pins one SHA-256 over every
+level's lo, hi and asc bytes for a ladder of lengths with and without
+ragged tails.
 """
 
 import hashlib
