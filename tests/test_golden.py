@@ -7,7 +7,7 @@ value below byte-identical.  Inputs come from closed-form integer
 arithmetic, never from an RNG, so a numpy release cannot move them.
 
 Each join pins (m, peak_entries, HashSink hexdigest, SHA-256 of
-pairs.tobytes()).  The primitives pin their HashSink hexdigest and, on
+pairs.tobytes()) and its per-phase event counts on both engines.  The primitives pin their HashSink hexdigest and, on
 the native path and on the numpy fallback, one SHA-256 over every column
 of every output slot.  The sort schedule pins one SHA-256 over every
 level's lo, hi and asc bytes for a ladder of lengths with and without
@@ -15,6 +15,7 @@ ragged tails.
 """
 
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from oblivjoin.pipeline import oblivious_join
 from oblivjoin.primitives import (bitonic_sort, oblivious_distribute,
                                   oblivious_expand)
 from oblivjoin.prp import prp_distribute
-from oblivjoin.trace import HashSink, alloc
+from oblivjoin.trace import HashSink, LogSink, alloc
 
 U64_MAX = (1 << 64) - 1
 
@@ -110,6 +111,66 @@ def test_join_golden(name):
     got = (res.m, sink.peak_entries, sink.hexdigest(),
            hashlib.sha256(res.pairs.tobytes()).hexdigest())
     assert got == GOLDEN_JOINS[name]
+
+
+# name: events emitted under each phase label.  The digest pins above
+# cannot catch a miscount: counting does not change the event stream.
+GOLDEN_COUNTS = {
+    "empty_both": {},
+    "empty_t1": {"load": 5, "initial_sorts": 88, "fill_dimensions": 20,
+                 "expand_prefix": 10, "distribute_copy": 10,
+                 "distribute_sort": 44},
+    "empty_t2": {"load": 7, "initial_sorts": 144, "fill_dimensions": 28,
+                 "expand_prefix": 14, "distribute_copy": 14,
+                 "distribute_sort": 72},
+    "m_zero": {"load": 10, "initial_sorts": 336, "fill_dimensions": 40,
+               "expand_prefix": 20, "distribute_copy": 20,
+               "distribute_sort": 84},
+    "many_to_one": {"load": 11, "initial_sorts": 368, "fill_dimensions": 44,
+                    "expand_prefix": 22, "distribute_copy": 22,
+                    "distribute_sort": 168, "distribute_route": 200,
+                    "expand_fill": 40, "align_pass": 20, "align_sort": 168,
+                    "zip": 30, "output": 10},
+    "mixed": {"load": 18, "initial_sorts": 952, "fill_dimensions": 72,
+              "expand_prefix": 36, "distribute_copy": 36,
+              "distribute_sort": 296, "distribute_route": 264,
+              "expand_fill": 48, "align_pass": 24, "align_sort": 216,
+              "zip": 36, "output": 12},
+    "odd_13_9": {"load": 22, "initial_sorts": 1176, "fill_dimensions": 88,
+                 "expand_prefix": 44, "distribute_copy": 44,
+                 "distribute_sort": 376, "distribute_route": 512,
+                 "expand_fill": 76, "align_pass": 38, "align_sort": 496,
+                 "zip": 57, "output": 19},
+    "odd_300_211": {"load": 511, "initial_sorts": 91800,
+                    "fill_dimensions": 2044, "expand_prefix": 1022,
+                    "distribute_copy": 1022, "distribute_sort": 40360,
+                    "distribute_route": 44216, "expand_fill": 2620,
+                    "align_pass": 1310, "align_sort": 69544, "zip": 1965,
+                    "output": 655},
+    "one_to_many": {"load": 10, "initial_sorts": 336, "fill_dimensions": 40,
+                    "expand_prefix": 20, "distribute_copy": 20,
+                    "distribute_sort": 148, "distribute_route": 168,
+                    "expand_fill": 36, "align_pass": 18, "align_sort": 148,
+                    "zip": 27, "output": 9},
+    "pow2_128": {"load": 256, "initial_sorts": 36864, "fill_dimensions": 1024,
+                 "expand_prefix": 512, "distribute_copy": 512,
+                 "distribute_sort": 14336, "distribute_route": 32776,
+                 "expand_fill": 2048, "align_pass": 1024,
+                 "align_sort": 46080, "zip": 1536, "output": 512},
+}
+
+# the scalar engine only on the cases under 300 rows, to bound its time
+COUNT_CASES = [(name, "vector") for name in sorted(JOINS)] + [
+    (name, "scalar") for name in sorted(JOINS)
+    if sum(map(len, JOINS[name]())) < 300]
+
+
+@pytest.mark.parametrize("name,engine", COUNT_CASES)
+def test_join_counts_golden(name, engine):
+    t1, t2 = JOINS[name]()
+    sink = LogSink()
+    oblivious_join(t1, t2, sink, engine=engine)
+    assert Counter(sink.phase_labels()) == GOLDEN_COUNTS[name]
 
 
 def _distribute():
