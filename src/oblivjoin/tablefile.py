@@ -65,13 +65,11 @@ def _parse_row(line_no: int, text: str) -> tuple[int, int]:
             line_no, f"expected two fields 'j d', got {len(parts)}")
     vals = []
     for part in parts:
-        try:
-            v = int(part, 10)
-        except ValueError:
+        # int() alone would also take signs, "1_0" and non-ASCII digits
+        if not (part.isascii() and part.isdigit()):
             raise TableFileError(
-                line_no, f"not an unsigned decimal integer: {part!r}") from None
-        if part.startswith(("-", "+")) or v < 0:
-            raise TableFileError(line_no, f"negative or signed value: {part!r}")
+                line_no, f"not an unsigned decimal integer: {part!r}")
+        v = int(part)
         if v > _U64_MAX:
             raise TableFileError(line_no, f"value does not fit in 64 bits: {part!r}")
         vals.append(v)

@@ -43,6 +43,10 @@ def test_u64_range_accepted():
     ("x 2\n---\n", 1),              # not a number
     ("1 2\n-3 4\n---\n", 2),        # negative
     ("+1 2\n---\n", 1),             # explicit sign
+    ("1_0 5\n---\n", 1),            # digit-group underscore
+    ("1 2\n\u0661 7\n---\n", 2),     # ARABIC-INDIC DIGIT ONE
+    ("1 2\n---\n3 \uff11\n", 3),     # FULLWIDTH DIGIT ONE
+    ("1 2\n3 4\n5 6\n\u00b2 7\n---\n", 4),  # SUPERSCRIPT TWO
     (f"{1 << 64} 0\n---\n", 1),     # too wide
     ("1 2\n---\n3 4\n---\n", 4),    # second separator
     ("1 2\n3 4\n", 2),              # no separator: reported at end of file
