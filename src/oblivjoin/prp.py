@@ -121,8 +121,10 @@ def prp_distribute(x: PublicArray, m: int, seed: int) -> PublicArray:
         raise ValueError(f"distribute requires n <= m, got n={n} m={m}")
     if x.batch != 1:
         raise ValueError("prp_distribute operates on batch size 1")
-    prp = SmallDomainPrp(m, seed)
     sink = x.sink
+    if m == 0:
+        return alloc(0, sink)  # no domain to permute, and nothing to place
+    prp = SmallDomainPrp(m, seed)
     a = alloc(m, sink)
     big = np.uint64(m + 1)
     ar = np.arange(m, dtype=np.int64)

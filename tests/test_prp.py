@@ -51,10 +51,14 @@ def out_state(a):
 
 @pytest.mark.parametrize("engine", ["scalar", "vector"])
 def test_randomized_equals_deterministic_output(engine, rng):
-    for trial in range(25):
+    cases = []
+    for _ in range(25):
         m = int(rng.integers(1, 30))
         n = int(rng.integers(1, m + 1))
-        f = rng.permutation(m)[:n] + 1
+        cases.append((rng.permutation(m)[:n] + 1, m))
+    # n = 0, which the draws never give, at m = 0 and at m > 0
+    cases += [(np.zeros(0, np.uint64), m) for m in (0, 1, 7)]
+    for trial, (f, m) in enumerate(cases):
         det = oblivious_distribute(make_distribute_input(NullSink(), f), m,
                                    engine)
         ran = prp_distribute(make_distribute_input(NullSink(), f), m,
