@@ -11,7 +11,9 @@ pairs.tobytes()) and its per-phase event counts on both engines.  The primitives
 the native path and on the numpy fallback, one SHA-256 over every column
 of every output slot.  The sort schedule pins one SHA-256 over every
 level's lo, hi and asc bytes for a ladder of lengths with and without
-ragged tails.
+ragged tails.  Two instances at the sizes the native kernels run, a join
+of about 2 * 10^5 rows and a batch-3 sort of 100,003 slots, are also
+checked against an oracle: sort_merge_join, and batch-1 sorts.
 """
 
 import hashlib
@@ -22,13 +24,14 @@ import pytest
 
 from oblivjoin import _native
 from oblivjoin._schedule import sort_levels
+from oblivjoin.baseline import sort_merge_join, sorted_pairs
 from oblivjoin.entries import KEY_J_TID, U64_FIELDS
 from oblivjoin.harness import make_distribute_input
 from oblivjoin.pipeline import oblivious_join
 from oblivjoin.primitives import (bitonic_sort, oblivious_distribute,
                                   oblivious_expand)
 from oblivjoin.prp import prp_distribute
-from oblivjoin.trace import HashSink, LogSink, alloc
+from oblivjoin.trace import HashSink, LogSink, NullSink, alloc
 
 U64_MAX = (1 << 64) - 1
 
@@ -308,3 +311,65 @@ def test_sort_levels_digest():
         for lo, hi, asc in sort_levels(n):
             h.update(lo.tobytes() + hi.tobytes() + asc.tobytes())
     assert h.hexdigest() == GOLDEN_SORT_LEVELS
+
+
+def _kernel_join():
+    # ragged lengths; keys repeat (about two rows per key per side), and
+    # key U64_MAX joins about 100 x 100 rows whose payloads include U64_MAX
+    i1 = np.arange(100_003, dtype=np.uint64)
+    i2 = np.arange(99_991, dtype=np.uint64)
+    t1 = np.stack([(7 * i1) % 50_021, U64_MAX - i1 % 4], axis=1)
+    t2 = np.stack([(11 * i2 + 3) % 50_021,
+                   np.where(i2 % 2 == 1, np.uint64(U64_MAX), i2)], axis=1)
+    t1[i1 % 997 == 0, 0] = U64_MAX
+    t2[i2 % 1009 == 0, 0] = U64_MAX
+    return t1, t2
+
+
+# (m, peak_entries, sha256 of pairs.tobytes())
+GOLDEN_KERNEL_JOIN = (209605, 619204,
+    "cfbf3ef7c8783443fda3bc61c20ebf187a96b54486b46b553483011566135329")
+
+
+def test_kernel_size_join_matches_oracle():
+    t1, t2 = _kernel_join()
+    sink = NullSink()
+    res = oblivious_join(t1, t2, sink)
+    assert np.array_equal(sorted_pairs(res.pairs),
+                          sorted_pairs(sort_merge_join(t1, t2)))
+    got = (res.m, sink.peak_entries,
+           hashlib.sha256(res.pairs.tobytes()).hexdigest())
+    assert got == GOLDEN_KERNEL_JOIN
+
+
+def _kernel_sort(rows):
+    # one batch row per pattern r: j ties (100, 1000 or 1900 values plus
+    # U64_MAX), two tids, nulls, and every other column distinct
+    ar = np.arange(100_003, dtype=np.uint64)
+    a = alloc(len(ar), NullSink(), batch=len(rows))
+    for b, r in enumerate(rows):
+        j = (ar * (2 * r + 3)) % (100 + 900 * r)
+        j[ar % 1001 == 0] = U64_MAX
+        a.col("j")[b] = j
+        a.col("tid")[b] = ar % 2 + 1
+        for k, name in enumerate(("d", "alpha1", "alpha2", "f", "ii")):
+            a.col(name)[b] = ar * (k + 2) + (U64_MAX - 100 - r)
+        a.col("is_null")[b] = ar % (3 + r) == 0
+    bitonic_sort(a, KEY_J_TID)
+    return a
+
+
+GOLDEN_KERNEL_SORT = \
+    "286392d991df01864c2ba6ca19745455a79e85e0f5ebde1ab50d8393ac3260c7"
+
+
+def test_kernel_size_batch_sort_matches_rows():
+    batched = _kernel_sort([0, 1, 2])
+    for r in range(3):
+        single = _kernel_sort([r])
+        for name in U64_FIELDS + ("is_null",):
+            assert np.array_equal(batched.debug_col(name, r),
+                                  single.debug_col(name, 0)), (r, name)
+    j = batched.debug_col("j")
+    assert (j[:, 1:] >= j[:, :-1]).all()
+    assert _columns_digest(batched) == GOLDEN_KERNEL_SORT
