@@ -12,8 +12,8 @@ from .entries import (AugEntry, null_entry, ct_select, ct_eq,
                       KEY_J_II)
 from .trace import (READ, WRITE, TraceEvent, ZERO_DIGEST, encode_event,
                     hash_step, chain_digest, chain_kernel, TraceSink,
-                    NullSink, LogSink, HashSink, CountSink, PublicArray,
-                    alloc, OutOfBoundsError)
+                    NullSink, LogSink, HashSink, PublicArray, alloc,
+                    OutOfBoundsError)
 from .primitives import (compare_exchange, bitonic_sort,
                          oblivious_distribute, oblivious_expand,
                          DistributeCollisionError)

@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import stats
 
-from .trace import CountSink, HashSink, LogSink, NullSink, WRITE, alloc
+from .trace import HashSink, LogSink, NullSink, WRITE, alloc
 from .pipeline import oblivious_join
 from .baseline import sort_merge_join
 from .prp import prp_distribute
@@ -359,7 +359,7 @@ def cost_report(n1: int, n2: int | None = None,
     n2 = n1 if n2 is None else n2
     m = min(n1, n2) if m is None else m
     t1, t2 = _cost_instance(n1, n2, m)
-    sink = CountSink()
+    sink = NullSink()
     res = oblivious_join(t1, t2, sink)
     assert res.m == m
     return CostBreakdown(n1, n2, m, dict(sink.counts))
@@ -383,8 +383,10 @@ def bench(sizes, reps: int = 3) -> list:
 
     For each total size n: n1 = n2 = n/2 with m = n/2 matches.  Times are
     medians of `reps` runs against a null sink; `events` is the total
-    trace length.
+    trace length, counted by the last of those sinks.
     """
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     rng = np.random.default_rng(_BENCH_SEED)
     rows = []
     for n in sizes:
@@ -396,20 +398,19 @@ def bench(sizes, reps: int = 3) -> list:
         t2 = t2[rng.permutation(n2)]
         obl = []
         for _ in range(reps):
+            sink = NullSink()
             tic = time.perf_counter()
-            oblivious_join(t1, t2, NullSink())
+            oblivious_join(t1, t2, sink)
             obl.append(time.perf_counter() - tic)
         sm = []
         for _ in range(reps):
             tic = time.perf_counter()
             sort_merge_join(t1, t2)
             sm.append(time.perf_counter() - tic)
-        count = CountSink()
-        oblivious_join(t1, t2, count)
         rows.append(BenchRow(n=n, m=m,
                              oblivious_s=float(np.median(obl)),
                              sortmerge_s=float(np.median(sm)),
-                             events=count.total))
+                             events=sum(sink.counts.values())))
     return rows
 
 

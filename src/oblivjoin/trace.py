@@ -5,13 +5,14 @@ read or write of an entry emits a TraceEvent (array id, read/write, index)
 to the run's sink.  Allocation assigns ids in order and emits nothing, so
 two runs agree on ids whenever they allocate in the same order.
 
-Sinks consume the event stream four ways: NullSink discards it (timing
+Sinks consume the event stream three ways: NullSink discards it (timing
 runs), LogSink keeps it (inspection, file dumps), HashSink folds it into a
-chained SHA-256 digest (trace-equality verification), CountSink tallies
-per-phase totals (cost accounting).  The chain is defined link-by-link by
-hash_step; chain_digest computes the same digest over a block of events,
-in a C kernel over OpenSSL's SHA-256 block function where the native
-module (_native) can be built and in a hashlib loop otherwise.
+chained SHA-256 digest (trace-equality verification).  Every sink also
+tallies its events per phase label (cost accounting).  The chain is
+defined link-by-link by hash_step; chain_digest computes the same digest
+over a block of events, in a C kernel over OpenSSL's SHA-256 block
+function where the native module (_native) can be built and in a hashlib
+loop otherwise.
 
 Engines emit every bulk access pattern through emit_steps, the one place
 that knows how a block of events is laid out.
@@ -34,7 +35,7 @@ from .entries import AugEntry, U64_FIELDS
 __all__ = [
     "READ", "WRITE", "TraceEvent", "ZERO_DIGEST", "encode_event",
     "hash_step", "chain_digest", "chain_kernel", "REC_DTYPE",
-    "TraceSink", "NullSink", "LogSink", "HashSink", "CountSink",
+    "TraceSink", "NullSink", "LogSink", "HashSink",
     "PublicArray", "alloc", "emit_steps", "OutOfBoundsError",
 ]
 
@@ -117,12 +118,15 @@ class TraceSink:
 
     The sink also owns array-id assignment and live-entry accounting, so
     ids and peak-space measurements are well defined per run.  `phase` is
-    a label attached to subsequent events (CountSink and LogSink use it;
-    the digest does not include it).
+    a label attached to subsequent events (LogSink tags events with it;
+    the digest does not include it), and `counts` holds the number of
+    events emitted under each label.  PublicArray's scalar accesses and
+    emit_steps keep `counts`, so an emit method need not.
     """
 
     def __init__(self) -> None:
         self.phase = "setup"
+        self.counts: Counter[str] = Counter()
         self._next_id = 0
         self.live_entries = 0
         self.peak_entries = 0
@@ -251,24 +255,6 @@ class HashSink(TraceSink):
         return self._h.hex()
 
 
-class CountSink(TraceSink):
-    """Tallies events per phase label."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.counts: Counter[str] = Counter()
-
-    def emit(self, aid, op, idx):
-        self.counts[self.phase] += 1
-
-    def emit_block(self, aid, ops, idxs):
-        self.counts[self.phase] += len(ops)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
 # --------------------------------------------------------------------------
 # Public memory
 # --------------------------------------------------------------------------
@@ -309,19 +295,23 @@ class PublicArray:
 
     # -- traced scalar access ------------------------------------------
 
-    def _check(self, i: int) -> None:
+    def _emit(self, op: int, i: int) -> int:
+        """Check, count and emit one scalar access; returns its slot."""
         if not 0 <= i < self.length:
             raise OutOfBoundsError(
                 f"index {i} out of bounds for array {self.array_id} "
                 f"of length {self.length}")
+        if self.batch != 1:
+            raise ValueError("scalar access requires batch size 1")
+        p = self.offset + i
+        sink = self.sink
+        sink.counts[sink.phase] += 1
+        sink.emit(self.array_id, op, p)
+        return p
 
     def read(self, i: int) -> AugEntry:
         """Read one entry (emits a read event)."""
-        self._check(i)
-        if self.batch != 1:
-            raise ValueError("scalar read requires batch size 1")
-        self.sink.emit(self.array_id, READ, self.offset + i)
-        p = self.offset + i
+        p = self._emit(READ, i)
         c = self._cols
         return AugEntry(int(c["j"][0, p]), int(c["d"][0, p]),
                         int(c["tid"][0, p]), int(c["alpha1"][0, p]),
@@ -330,11 +320,7 @@ class PublicArray:
 
     def write(self, i: int, e: AugEntry) -> None:
         """Write one entry (emits a write event)."""
-        self._check(i)
-        if self.batch != 1:
-            raise ValueError("scalar write requires batch size 1")
-        self.sink.emit(self.array_id, WRITE, self.offset + i)
-        p = self.offset + i
+        p = self._emit(WRITE, i)
         c = self._cols
         c["j"][0, p] = e.j
         c["d"][0, p] = e.d
@@ -406,16 +392,19 @@ def emit_steps(*accesses) -> None:
     idx.  Step t makes the accesses in argument order, each at idx[t] of
     its own array; a compare-exchange level over pairs (lo, hi) is
     emit_steps((a, READ, lo), (a, READ, hi), (a, WRITE, lo), (a, WRITE, hi)).
-    The first array's sink receives one emit_block call, with a scalar
-    array id when every access is on one array and a per-event id vector
-    otherwise.  A plain NullSink, which would discard the block, gets no
-    call and no block is built; a subclass of it gets every block.
+    The first array's sink counts the events under its phase and
+    receives one emit_block call, with a scalar array id when every
+    access is on one array and a per-event id vector otherwise.  A plain
+    NullSink, which would discard the block, gets no call and no block is
+    built; a subclass of it gets every block.
     """
     first = accesses[0][0]
-    if type(first.sink) is NullSink:
-        return
+    sink = first.sink
     k = len(accesses)
     n = k * len(accesses[0][2])
+    sink.counts[sink.phase] += n
+    if type(sink) is NullSink:
+        return
     ops = np.empty(n, np.uint8)
     idxs = np.empty(n, np.uint64)
     aid = first.array_id
@@ -426,7 +415,7 @@ def emit_steps(*accesses) -> None:
     for s, (a, op, idx) in enumerate(accesses):
         ops[s::k] = op
         idxs[s::k] = idx + a.offset if a.offset else idx
-    first.sink.emit_block(aid, ops, idxs)
+    sink.emit_block(aid, ops, idxs)
 
 
 def alloc(length: int, sink: TraceSink, batch: int = 1) -> PublicArray:

@@ -174,6 +174,11 @@ def test_join_counts_golden(name, engine):
     sink = LogSink()
     oblivious_join(t1, t2, sink, engine=engine)
     assert Counter(sink.phase_labels()) == GOLDEN_COUNTS[name]
+    # every sink counts the events it is given
+    assert sink.counts == Counter(GOLDEN_COUNTS[name])
+    for other in (NullSink(), HashSink()):
+        oblivious_join(t1, t2, other, engine=engine)
+        assert other.counts == sink.counts
 
 
 def _distribute():

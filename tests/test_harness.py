@@ -147,11 +147,19 @@ def test_bench_rows_and_csv():
     rows = bench([64, 128], reps=1)
     assert [r.n for r in rows] == [64, 128]
     assert all(r.oblivious_s > 0 and r.sortmerge_s > 0 for r in rows)
-    assert rows[0].events > 0
+    # the event total is a function of (n1, n2, m) alone
+    assert [r.events for r in rows] == [
+        cost_report(n // 2, n - n // 2, n // 2).total_events
+        for n in (64, 128)]
     csv = bench_csv(rows)
     lines = csv.strip().split("\n")
     assert lines[0] == "n,m,oblivious_s,sortmerge_s,events"
     assert len(lines) == 3
+
+
+def test_bench_needs_a_rep():
+    with pytest.raises(ValueError, match="reps"):
+        bench([64], reps=0)
 
 
 # -- randomized placement -----------------------------------------------------

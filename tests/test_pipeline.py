@@ -1,6 +1,8 @@
 """The full join pipeline: dimensions, expansion, alignment, zip."""
 
 import gc
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from oblivjoin.pipeline import (
     oblivious_join,
 )
 from oblivjoin.primitives import bitonic_sort
-from oblivjoin.trace import CountSink, HashSink, LogSink, NullSink, alloc
+from oblivjoin.trace import HashSink, LogSink, NullSink, alloc
 
 ALL_PHASES = {
     "load", "initial_sorts", "fill_dimensions", "expand_prefix",
@@ -260,7 +262,7 @@ def test_engines_emit_identical_traces(shape, rng):
 def test_peak_space_bound_is_met_exactly(rng):
     for _ in range(25):
         t1, t2 = random_tables(rng, hi=20)
-        s = CountSink()
+        s = NullSink()
         res = oblivious_join(t1, t2, s)
         n1, n2, m = res.n1, res.n2, res.m
         want = (n1 + n2) + max(n1, m) + max(n2, m)
@@ -284,10 +286,32 @@ def test_null_sink_subclass_still_receives_every_event():
             self.total += len(ops)
 
     t1, t2 = table([1, 2, 2, 3, 5]), table([2, 2, 3, 4])
-    counted, counting = CountSink(), CountingNull()
+    counted, counting = NullSink(), CountingNull()
     oblivious_join(t1, t2, counted)
     oblivious_join(t1, t2, counting)
-    assert counting.total == counted.total > 0
+    assert counting.total == sum(counted.counts.values()) > 0
+    assert counting.counts == counted.counts
+
+
+def test_perfbench_span_sink_keeps_the_sink_contract():
+    # perfbench's SpanSink subclasses TraceSink and overrides emit,
+    # emit_block and phase_scope; run_path writes no bytecode there
+    spans = runpy.run_path(
+        str(Path(__file__).parent.parent / "perfbench" / "spans.py"))
+    t1, t2 = table([1, 2, 2, 3, 5]), table([2, 2, 3, 4])
+    plain, hashed = NullSink(), HashSink()
+    oblivious_join(t1, t2, plain)
+    oblivious_join(t1, t2, hashed)
+    for inner in (HashSink(), NullSink()):
+        log = spans["SpanLog"]()
+        span = spans["SpanSink"](inner, log)
+        with log.span("join") as root:
+            oblivious_join(t1, t2, span)
+        if isinstance(inner, HashSink):
+            assert inner.digest == hashed.digest
+        assert span.events == span.counts == plain.counts
+        assert span.peak_entries == plain.peak_entries
+        assert set(spans["summarize"](log, root)["phase_s"]) == ALL_PHASES
 
 
 def test_output_phase_is_m_reads():

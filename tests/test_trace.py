@@ -18,7 +18,6 @@ from oblivjoin.harness import make_distribute_input
 from oblivjoin.trace import (
     READ,
     WRITE,
-    CountSink,
     HashSink,
     LogSink,
     NullSink,
@@ -28,6 +27,7 @@ from oblivjoin.trace import (
     alloc,
     chain_digest,
     chain_kernel,
+    emit_steps,
     encode_event,
     hash_step,
 )
@@ -281,16 +281,18 @@ def test_log_sink_lines():
     assert list(s.lines()) == [f"W {a.array_id} 1", f"R {a.array_id} 0"]
 
 
-def test_count_sink_totals():
-    s = CountSink()
-    a = alloc(4, s)
+@pytest.mark.parametrize("sink_cls", [NullSink, LogSink, HashSink])
+def test_sink_counts_per_phase(sink_cls):
+    # scalar accesses and emit_steps blocks, on a view and on two arrays
+    s = sink_cls()
+    a, b = alloc(4, s), alloc(4, s)
     with s.phase_scope("p"):
         a.read(0)
-        a.read(1)
+        a.view(1, 3).read(1)
     with s.phase_scope("q"):
         a.write(0, AugEntry())
-    assert s.counts == {"p": 2, "q": 1}
-    assert s.total == 3
+        emit_steps((a, READ, np.arange(3)), (b, WRITE, np.arange(3)))
+    assert s.counts == {"p": 2, "q": 7}
 
 
 def test_array_ids_are_sequential_per_sink():
