@@ -7,13 +7,14 @@ value below byte-identical.  Inputs come from closed-form integer
 arithmetic, never from an RNG, so a numpy release cannot move them.
 
 Each join pins (m, peak_entries, HashSink hexdigest, SHA-256 of
-pairs.tobytes()) and its per-phase event counts on both engines.  The primitives pin their HashSink hexdigest and, on
-the native path and on the numpy fallback, one SHA-256 over every column
-of every output slot.  The sort schedule pins one SHA-256 over every
-level's lo, hi and asc bytes for a ladder of lengths with and without
-ragged tails.  Two instances at the sizes the native kernels run, a join
-of about 2 * 10^5 rows and a batch-3 sort of 100,003 slots, are also
-checked against an oracle: sort_merge_join, and batch-1 sorts.
+pairs.tobytes()) and its per-phase event counts on both engines.  The
+primitives pin their HashSink hexdigest and, on the native path and on
+the numpy fallback, one SHA-256 over every column of every output slot.
+The sort schedule pins one SHA-256 over every level's lo, hi and asc
+bytes for a ladder of lengths with and without ragged tails.  Two
+instances at the sizes the native kernels run, a join of about 2 * 10^5
+rows and a batch-3 sort of 100,003 slots, are also checked against an
+oracle: sort_merge_join, and batch-1 sorts.
 """
 
 import hashlib
@@ -348,7 +349,7 @@ def test_kernel_size_join_matches_oracle():
 
 
 def _kernel_sort(rows):
-    # one batch row per pattern r: j ties (100, 1000 or 1900 values plus
+    # one batch row per pattern r: j ties (100, 200 or 1900 values, plus
     # U64_MAX), two tids, nulls, and every other column distinct
     ar = np.arange(100_003, dtype=np.uint64)
     a = alloc(len(ar), NullSink(), batch=len(rows))
