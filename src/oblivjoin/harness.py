@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy import stats
 
 from .trace import HashSink, LogSink, NullSink, WRITE, alloc
 from .pipeline import oblivious_join
@@ -452,6 +451,9 @@ def placement_uniformity(n: int, m: int, n_seeds: int) -> tuple:
     tallies where the placement writes land, and tests the histogram
     against uniform.  Returns (counts, p_value).
     """
+    if m < 2 or n < 1 or n_seeds < 1:
+        raise ValueError(f"placement_uniformity needs m >= 2, n >= 1 and "
+                         f"n_seeds >= 1, got m={m} n={n} n_seeds={n_seeds}")
     f_values = np.arange(1, n + 1, dtype=np.uint64)
     counts = np.zeros(m, np.int64)
     for s in range(n_seeds):
@@ -461,4 +463,28 @@ def placement_uniformity(n: int, m: int, n_seeds: int) -> tuple:
         aids, ops, idxs = sink.event_arrays("prp_place")
         hits = idxs[(ops == WRITE) & (aids == out.array_id)]
         counts += np.bincount(hits.astype(np.int64), minlength=m)
-    return counts, float(stats.chisquare(counts).pvalue)
+    expected = n * n_seeds / m
+    stat = float(((counts - expected) ** 2).sum() / expected)
+    return counts, _chi2_sf(stat, m - 1)
+
+
+def _chi2_sf(x: float, dof: int) -> float:
+    """P(X >= x) for X chi-square with dof degrees of freedom.
+
+    This is Q(dof/2, x/2), the regularized upper incomplete gamma
+    function, in closed form: with h = x/2 it is the sum of
+    h^i e^-h / Gamma(i+1) over i = 0, 1, ..., dof/2 - 1 for an even dof,
+    and erfc(sqrt(h)) plus the same sum over i = 1/2, 3/2, ..., dof/2 - 1
+    for an odd one.  Each term is taken as one exp of its logarithm, so
+    neither h^i nor e^-h overflows or underflows on its own.
+    """
+    h = x / 2
+    if h <= 0:
+        return 1.0
+    i0 = dof % 2 / 2
+    log_h = math.log(h)
+    terms = [math.exp((i0 + k) * log_h - h - math.lgamma(i0 + k + 1))
+             for k in range(dof // 2)]
+    if dof % 2:
+        terms.append(math.erfc(math.sqrt(h)))
+    return min(1.0, math.fsum(terms))  # rounded terms can sum past 1

@@ -51,6 +51,8 @@ class SmallDomainPrp:
     def __init__(self, m: int, seed: int) -> None:
         if m < 1:
             raise ValueError("domain size must be >= 1")
+        if not 0 <= seed <= _M64:
+            raise ValueError(f"seed {seed} is outside [0, 2^64)")
         self.m = m
         bits = max((m - 1).bit_length(), 2)
         bits += bits & 1  # even width for balanced halves

@@ -27,7 +27,7 @@ def as_rows(rows) -> np.ndarray:
     sequences of Python ints in [0, 2^64).  Anything else raises rather
     than being cast: a cast would join key 1.7, True and -1 as keys 1, 1
     and 2^64-1.  numpy's inferred dtype is not consulted, because it makes
-    [[2**64-1, 5]] float64.
+    [[2**64-1, 5]] float64.  An empty table has shape (0,) or (0, 2).
     """
     if isinstance(rows, np.ndarray):
         if rows.dtype.kind not in "iu":
@@ -42,7 +42,7 @@ def as_rows(rows) -> np.ndarray:
             if not 0 <= v <= _U64_MAX:
                 raise ValueError(f"table value {v} is outside [0, 2^64)")
     arr = np.asarray(rows, dtype=np.uint64)
-    if arr.size == 0:
+    if arr.shape == (0,):
         return arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("table rows must be (j, d) pairs")

@@ -426,6 +426,8 @@ def alloc(length: int, sink: TraceSink, batch: int = 1) -> PublicArray:
     """
     if length < 0:
         raise ValueError("negative length")
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
     aid = sink.register_array(length)
     cols: dict[str, np.ndarray] = {
         name: np.zeros((batch, length), np.uint64) for name in U64_FIELDS}

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from oblivjoin import _native
+from oblivjoin.harness import placement_uniformity
 
 acceptance_report: list[str] = []
 
@@ -20,6 +21,13 @@ def record(line: str) -> None:
 @pytest.fixture
 def rng():
     return np.random.default_rng(0xC0FFEE)
+
+
+@pytest.fixture(scope="session")
+def criterion_7_placement():
+    """(counts, p) of placement_uniformity on acceptance criterion 7's
+    case (n=16, m=64, 10^4 seeds), computed once: it takes about 15 s."""
+    return placement_uniformity(16, 64, n_seeds=10_000)
 
 
 @pytest.fixture(scope="session")

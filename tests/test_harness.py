@@ -2,14 +2,20 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oblivjoin
 from oblivjoin.baseline import nested_loop_join
 from oblivjoin.harness import (
     SHAPES,
+    _chi2_sf,
     CostBreakdown,
     InfeasibleShapeError,
     bench,
@@ -168,6 +174,43 @@ def test_placement_uniformity_returns_counts_and_pvalue():
     counts, p = placement_uniformity(4, 16, n_seeds=40)
     assert counts.sum() == 4 * 40
     assert 0.0 <= p <= 1.0
+
+
+@pytest.mark.parametrize("n, m, n_seeds", [(1, 1, 10), (0, 16, 10),
+                                           (4, 16, 0)])
+def test_placement_uniformity_rejects_inputs_with_no_test(n, m, n_seeds):
+    # one bin, or no placement at all, leaves nothing to test
+    with pytest.raises(ValueError):
+        placement_uniformity(n, m, n_seeds)
+
+
+def test_import_leaves_scipy_out():
+    src = Path(oblivjoin.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", "import oblivjoin, sys; "
+                    "assert 'scipy' not in sys.modules"],
+                   env=env, check=True)
+
+
+CHI2_DOFS = [1, 2, 3, 4, 5, 15, 16, 63, 64, 255, 1000, 1023, 3000, 4095]
+
+
+def test_chi2_sf_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    for dof in CHI2_DOFS:
+        xs = np.linspace(0, 5 * dof + 200, 201)
+        want = stats.chi2.sf(xs, dof)
+        got = [_chi2_sf(float(x), dof) for x in xs]
+        # below the smallest normal float scipy returns 0 where the sum
+        # still holds a subnormal
+        assert got == pytest.approx(want, rel=1e-9,
+                                    abs=sys.float_info.min), dof
+
+
+def test_placement_pvalue_matches_scipy(criterion_7_placement):
+    stats = pytest.importorskip("scipy.stats")
+    counts, p = criterion_7_placement
+    assert p == pytest.approx(stats.chisquare(counts).pvalue, rel=1e-9)
 
 
 # SHA-256 over (m, T1, T2) of every instance of every shape at these sizes

@@ -170,6 +170,12 @@ def test_join_rejects_bad_rows():
     pytest.param(np.array([[-1, 5]], np.int64), ValueError,
                  id="negative-int64"),
     pytest.param([[1 << 64, 5]], ValueError, id="2^64"),
+    # empty, but not an empty list of (j, d) pairs
+    pytest.param([[], []], ValueError, id="empty-2x0-list"),
+    pytest.param(np.zeros((2, 0), np.uint64), ValueError, id="empty-2x0"),
+    pytest.param(np.zeros((0, 3), np.uint64), ValueError, id="empty-0x3"),
+    pytest.param(np.zeros((2, 0, 5), np.uint64), ValueError,
+                 id="empty-2x0x5"),
 ])
 def test_join_rejects_rows_that_are_not_u64(rows, error):
     # each of these was cast: 1.7 and True joined key 1, -1 joined 2^64-1;

@@ -45,6 +45,15 @@ def test_domain_checks():
         SmallDomainPrp(0, 0)
 
 
+def test_seed_checks():
+    # the seed is hashed as 8 bytes, so it must fit in [0, 2^64)
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+            SmallDomainPrp(4, seed)
+    prp = SmallDomainPrp(4, (1 << 64) - 1)
+    assert sorted(prp.forward(v) for v in range(4)) == [0, 1, 2, 3]
+
+
 def out_state(a):
     return [(e.f, e.d, e.is_null) for e in a.debug_entries()]
 

@@ -370,3 +370,11 @@ def test_fresh_allocation_is_null():
     s = NullSink()
     a = alloc(3, s)
     assert all(a.read(i).is_null == 1 for i in range(3))
+
+
+def test_allocation_needs_a_batch():
+    # rejected at allocation, not later as an IndexError in
+    # oblivious_expand
+    for batch in (0, -1):
+        with pytest.raises(ValueError, match="batch"):
+            alloc(3, NullSink(), batch=batch)
