@@ -8,9 +8,9 @@ from the IV, with the padding written once.
 
 oblivjoin_ce_level applies one level of the sorting network (sort_levels)
 to the uint64 key copies and the int64 slot permutation of the vector
-bitonic_sort: a lexicographic compare over the keys, each ascending or
-descending, then an XOR-masked swap of the keys and the permutation, like
-ct_select, for every pair of the level in every batch row.
+bitonic_sort: a lexicographic compare over the keys, each ascending, then
+an XOR-masked swap of the keys and the permutation, like ct_select, for
+every pair of the level in every batch row.
 
 oblivjoin_route runs the whole routing network of oblivious_distribute
 (route_hops, largest first) in every batch row, on uint64 copies of f and
@@ -72,14 +72,14 @@ void oblivjoin_chain(unsigned char *h, const unsigned char *rec, size_t n)
     memcpy(h, block, 32);
 }
 
-/* keys: nkeys arrays of batch rows by len slots, compared in order, key c
-   descending where desc[c]; perm: the slot permutation, same shape.  Pair
-   t orders slots (lo[t], hi[t]) of every row, ascending where asc[t].
-   Returns -1, having written nothing, if an index lies outside [0, len). */
-int oblivjoin_ce_level(uint64_t *const *keys, const unsigned char *desc,
-                       size_t nkeys, uint64_t *perm, size_t batch,
-                       size_t len, const int64_t *lo, const int64_t *hi,
-                       const unsigned char *asc, size_t npairs)
+/* keys: nkeys arrays of batch rows by len slots, compared in order, each
+   ascending; perm: the slot permutation, same shape.  Pair t orders slots
+   (lo[t], hi[t]) of every row, ascending where asc[t].  Returns -1, having
+   written nothing, if an index lies outside [0, len). */
+int oblivjoin_ce_level(uint64_t *const *keys, size_t nkeys, uint64_t *perm,
+                       size_t batch, size_t len, const int64_t *lo,
+                       const int64_t *hi, const unsigned char *asc,
+                       size_t npairs)
 {
     for (size_t t = 0; t < npairs; t++)
         if ((uint64_t)lo[t] >= len || (uint64_t)hi[t] >= len)
@@ -92,11 +92,6 @@ int oblivjoin_ce_level(uint64_t *const *keys, const unsigned char *desc,
             for (size_t c = 0; c < nkeys; c++) {
                 uint64_t x = keys[c][i], y = keys[c][k];
                 uint64_t g = x > y, l = x < y;
-                if (desc[c]) {
-                    uint64_t s = g;
-                    g = l;
-                    l = s;
-                }
                 gt |= eq & g;
                 lt |= eq & l;
                 eq &= ~(g | l);
@@ -174,22 +169,21 @@ def _addr(arr: np.ndarray, dtype) -> int:
 class _Levels:
     """level(lo, hi, asc) over one sort's key copies and permutation.
 
-    The key pointers and directions are laid out once per sort; each call
-    runs one level of sort_levels in one kernel call, which checks every
-    index against len before it writes.
+    The key pointers are laid out once per sort; each call runs one level
+    of sort_levels in one kernel call, which checks every index against
+    len before it writes.
     """
 
     def __init__(self, fn, keys, perm: np.ndarray) -> None:
-        for col, _ in keys:
+        for col in keys:
             if col.shape != perm.shape:
                 raise ValueError("key and permutation shapes differ")
         self._fn = fn
         self._arrays = (keys, perm)  # the addresses below point into these
-        self._ptrs = np.array([_addr(col, np.uint64) for col, _ in keys],
+        self._ptrs = np.array([_addr(col, np.uint64) for col in keys],
                               np.uintp)
-        self._desc = np.array([not up for _, up in keys], np.uint8)
-        self._args = (self._ptrs.ctypes.data, self._desc.ctypes.data,
-                      len(keys), _addr(perm, np.int64), *perm.shape)
+        self._args = (self._ptrs.ctypes.data, len(keys),
+                      _addr(perm, np.int64), *perm.shape)
 
     def __call__(self, lo: np.ndarray, hi: np.ndarray,
                  asc: np.ndarray) -> None:
@@ -211,7 +205,7 @@ class Kernels:
         self._route = lib.oblivjoin_route
         self._chain.argtypes = (ctypes.POINTER(_State), _P, _N)
         self._chain.restype = None
-        self._level.argtypes = (_P, _P, _N, _P, _N, _N, _P, _P, _P, _N)
+        self._level.argtypes = (_P, _N, _P, _N, _N, _P, _P, _P, _N)
         self._level.restype = ctypes.c_int
         self._route.argtypes = (_P, _P, _P, _N, _N, _P, _N)
         self._route.restype = ctypes.c_int
@@ -225,8 +219,8 @@ class Kernels:
 
     def levels(self, keys, perm: np.ndarray) -> _Levels:
         """level(lo, hi, asc) that compare-exchanges in place the
-        C-contiguous (batch, len) uint64 key copies keys, a list of
-        (column, ascending), and the int64 permutation perm."""
+        C-contiguous (batch, len) uint64 key copies keys, a list compared
+        in order, each ascending, and the int64 permutation perm."""
         return _Levels(self._level, keys, perm)
 
     def route(self, f: np.ndarray, nul: np.ndarray, perm: np.ndarray,

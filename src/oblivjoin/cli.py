@@ -123,17 +123,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    rows = bench(args.sizes, reps=args.reps)
-    text = bench_csv(rows)
-    if args.csv:
-        try:
-            with open(args.csv, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
+    try:
+        # opened before the bench, so an unopenable path costs no timing
+        with (open(args.csv, "w") if args.csv
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            fh.write(bench_csv(bench(args.sizes, reps=args.reps)))
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

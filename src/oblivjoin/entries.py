@@ -17,8 +17,6 @@ __all__ = [
     "null_entry",
     "U64_FIELDS",
     "ENTRY_BYTES",
-    "ASC",
-    "DESC",
     "KeySpec",
     "ct_select",
     "ct_eq",
@@ -111,33 +109,16 @@ def ct_select_entry(cond: int, a: AugEntry, b: AugEntry) -> AugEntry:
 # Sort keys
 # --------------------------------------------------------------------------
 
-ASC = True
-DESC = False
+# A KeySpec is a tuple of entry column names, compared in order, each
+# ascending.  is_null is 0 on a live entry, so a key that leads with it
+# sorts live entries before null ones.
+KeySpec = tuple  # tuple[str, ...]
 
-# A KeySpec is an ordered tuple of (attribute, direction) pairs.  The
-# pseudo-attribute "nonnull" orders by the null flag: ascending direction
-# puts non-null entries first.
-KeySpec = tuple  # tuple[tuple[str, bool], ...]
-
-KEY_J_TID = (("j", ASC), ("tid", ASC))
-KEY_TID_J_D = (("tid", ASC), ("j", ASC), ("d", ASC))
-KEY_F = (("f", ASC),)
-KEY_NONNULL_F = (("nonnull", ASC), ("f", ASC))
-KEY_J_II = (("j", ASC), ("ii", ASC))
-
-# Attribute name used for key extraction; "nonnull" maps onto the null flag
-# so that ascending order sorts non-null entries before null ones.
-_KEY_ATTR = {name: name for name in U64_FIELDS}
-_KEY_ATTR["nonnull"] = "is_null"
-_KEY_ATTR["is_null"] = "is_null"
-
-
-def key_column(attr: str) -> str:
-    """Storage column backing a KeySpec attribute name."""
-    try:
-        return _KEY_ATTR[attr]
-    except KeyError:
-        raise ValueError(f"unknown key attribute {attr!r}") from None
+KEY_J_TID = ("j", "tid")
+KEY_TID_J_D = ("tid", "j", "d")
+KEY_F = ("f",)
+KEY_NONNULL_F = ("is_null", "f")
+KEY_J_II = ("j", "ii")
 
 
 def lex_compare(a: AugEntry, b: AugEntry, key: KeySpec) -> int:
@@ -148,11 +129,9 @@ def lex_compare(a: AugEntry, b: AugEntry, key: KeySpec) -> int:
     ct_select_entry, so the comparison outcome never selects a public
     access pattern.
     """
-    for attr, ascending in key:
-        col = key_column(attr)
+    for col in key:
         va = getattr(a, col)
         vb = getattr(b, col)
         if va != vb:
-            c = 1 if va > vb else -1
-            return c if ascending else -c
+            return 1 if va > vb else -1
     return 0

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _native
 from .entries import (U64_FIELDS, KEY_NONNULL_F, ct_eq, ct_select,
-                      ct_select_entry, key_column, lex_compare, null_entry)
+                      ct_select_entry, lex_compare, null_entry)
 from .trace import READ, WRITE, PublicArray, alloc, emit_steps
 from ._schedule import route_hops, sort_levels
 
@@ -63,12 +63,12 @@ def _check_engine(engine: str) -> None:
 # --------------------------------------------------------------------------
 
 def compare_exchange(a: PublicArray, i: int, k: int, key,
-                     ascending: bool = True) -> int:
+                     ascending: bool = True) -> None:
     """Order slots i and k of a by key, ascending or descending.
 
     Unconditionally two reads then two writes — an already-ordered or
     equal pair gets dummy writes — so the event pattern never reveals the
-    outcome.  Returns the swap bit for instrumentation.
+    outcome.
     """
     e1 = a.read(i)
     e2 = a.read(k)
@@ -76,7 +76,6 @@ def compare_exchange(a: PublicArray, i: int, k: int, key,
     swap = int(c > 0) if ascending else int(c < 0)
     a.write(i, ct_select_entry(swap, e2, e1))
     a.write(k, ct_select_entry(swap, e1, e2))
-    return swap
 
 
 def _ce_level_vector(keys, perm: np.ndarray, lo, hi, asc) -> None:
@@ -85,15 +84,11 @@ def _ce_level_vector(keys, perm: np.ndarray, lo, hi, asc) -> None:
     gt = np.zeros(shape, bool)
     lt = np.zeros(shape, bool)
     eq = np.ones(shape, bool)
-    for col, ascending in keys:
+    for col in keys:
         av = np.take(col, lo, 1)
         bv = np.take(col, hi, 1)
-        if ascending:
-            g = av > bv
-            l = av < bv
-        else:
-            g = av < bv
-            l = av > bv
+        g = av > bv
+        l = av < bv
         gt |= eq & g
         lt |= eq & l
         eq &= ~(g | l)
@@ -101,7 +96,7 @@ def _ce_level_vector(keys, perm: np.ndarray, lo, hi, asc) -> None:
     # Select by mask arithmetic, like ct_select: each side of a pair XORs
     # in the pair's difference masked by the swap bit.
     mask = -swap.astype(np.int64)
-    for col in [perm] + [col for col, _ in keys]:
+    for col in [perm, *keys]:
         vl = np.take(col, lo, 1)
         vh = np.take(col, hi, 1)
         diff = vl ^ vh
@@ -113,7 +108,8 @@ def _ce_level_vector(keys, perm: np.ndarray, lo, hi, asc) -> None:
 
 
 def bitonic_sort(a: PublicArray, key, engine: str = "vector") -> None:
-    """In-place oblivious sort of a under a KeySpec.
+    """In-place oblivious sort of a under a KeySpec, a tuple of entry
+    column names compared ascending; ValueError if one names no column.
 
     The comparator sequence (and hence the trace) is a pure function of
     len(a); works for any length, in place.  The vector engine runs every
@@ -124,14 +120,16 @@ def bitonic_sort(a: PublicArray, key, engine: str = "vector") -> None:
     _ce_level_vector when the kernel is unavailable.
     """
     _check_engine(engine)
+    if not set(key) <= set(_ALL_COLS):
+        raise ValueError(f"sort key {key!r} is not a tuple of entry column "
+                         f"names {_ALL_COLS}")
     if engine == "scalar":
         for lo, hi, asc in sort_levels(a.length):
             for t in range(len(lo)):
                 compare_exchange(a, int(lo[t]), int(hi[t]), key, bool(asc[t]))
         return
     # uint64 copies, so that the 8-byte XOR mask fits the uint8 null flag too
-    keys = [(a.col(key_column(attr)).astype(np.uint64, order="C"), ascending)
-            for attr, ascending in key]
+    keys = [a.col(name).astype(np.uint64, order="C") for name in key]
     perm = np.tile(np.arange(a.length, dtype=np.int64), (a.batch, 1))
     native = _native.kernel()
     level = (functools.partial(_ce_level_vector, keys, perm) if native is None

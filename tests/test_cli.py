@@ -1,5 +1,8 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import os
+import subprocess
+import sys
 from importlib.metadata import (EntryPoint, PackageNotFoundError,
                                 distribution)
 from pathlib import Path
@@ -190,6 +193,18 @@ def test_bench_csv_file(tmp_path):
     assert p.read_text().startswith("n,m,")
 
 
+def test_bench_unopenable_csv_runs_no_bench(tmp_path, monkeypatch, capsys):
+    # the CSV path is opened before the bench, so a bad one costs no timing
+    calls = []
+    monkeypatch.setattr(cli, "bench", lambda *args, **kw: calls.append(args))
+    out = tmp_path / "missing" / "bench.csv"
+    rc = run(["bench", "--sizes", "32", "--reps", "1", "--csv", str(out)])
+    assert rc == 2
+    assert "error" in capsys.readouterr().err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cost_command(capsys):
     rc = run(["cost", "--n", "16"])
     out = capsys.readouterr().out
@@ -238,6 +253,20 @@ def test_entry_point_matches_main():
     ep = EntryPoint(name="oblivjoin", value=scripts["oblivjoin"],
                     group="console_scripts")
     assert ep.load() is cli.main
+
+
+def test_python_m_oblivjoin_runs_the_cli():
+    # `python -m oblivjoin` is the same CLI as the console script
+    path = VALID[0]
+    src = Path(cli.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "oblivjoin", "join",
+                           str(path)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    expected = path.with_suffix(".expected").read_text()
+    assert sorted_lines(proc.stdout) == sorted_lines(expected)
+    assert "m=" in proc.stderr
 
 
 def _installed():

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oblivjoin.entries import (
-    DESC,
     ENTRY_BYTES,
     KEY_J_TID,
     KEY_NONNULL_F,
@@ -13,7 +12,6 @@ from oblivjoin.entries import (
     ct_eq,
     ct_select,
     ct_select_entry,
-    key_column,
     lex_compare,
     null_entry,
 )
@@ -71,20 +69,11 @@ def test_lex_compare_ties_fall_through():
     assert lex_compare(a, AugEntry(j=5, tid=1), KEY_J_TID) == 0
 
 
-def test_lex_compare_respects_direction():
-    key = (("j", DESC),)
-    a = AugEntry(j=1)
-    b = AugEntry(j=2)
-    assert lex_compare(a, b, key) > 0  # descending: bigger j sorts first
-
-
 def test_nonnull_pseudo_attribute():
-    # ascending "nonnull" puts real entries before nulls
+    # ascending is_null puts real entries before nulls
     real = AugEntry(j=0, f=7)
     nul = null_entry()
     assert lex_compare(real, nul, KEY_NONNULL_F) < 0
-    assert key_column("nonnull") == "is_null"
-    assert key_column("f") == "f"
 
 
 @pytest.mark.parametrize("key", [KEY_J_TID, KEY_NONNULL_F])

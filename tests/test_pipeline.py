@@ -80,6 +80,16 @@ def test_fill_dimensions_multiple_groups(engine):
     assert by_key == {1: (1, 1), 2: (2, 0), 3: (0, 2)}
 
 
+def test_fill_dimensions_rejects_batch_rows_whose_m_differs():
+    # row 0 matches one pair, row 1 none: a batched join has one m
+    tc = alloc(2, NullSink(), batch=2)
+    tc.col("j")[:] = [[1, 1], [1, 2]]
+    tc.col("tid")[:] = [[1, 2], [1, 2]]
+    tc.col("is_null")[:] = 0
+    with pytest.raises(ValueError, match="uniform output size"):
+        fill_dimensions(tc)
+
+
 def test_fill_dimensions_matches_oracle_counts(rng):
     for _ in range(30):
         t1, t2 = random_tables(rng)
@@ -154,6 +164,18 @@ def test_join_empty_tables():
     assert (res.n1, res.n2, res.m) == (0, 1, 0)
     res = oblivious_join(empty, empty)
     assert (res.n1, res.n2, res.m) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("empty", [[], np.empty(0, np.uint64)],
+                         ids=["list", "ndarray"])
+def test_join_takes_a_flat_empty_table(empty):
+    # shape (0,) is a table of no rows, for the engine and both baselines
+    t2 = table([1, 2])
+    res = oblivious_join(empty, t2)
+    assert (res.n1, res.n2, res.m) == (0, 2, 0)
+    assert res.pairs.shape == (0, 2)
+    for oracle in (nested_loop_join, sort_merge_join):
+        assert oracle(empty, t2).shape == (0, 2)
 
 
 def test_join_rejects_bad_rows():

@@ -102,6 +102,12 @@ def test_post_placement_trace_is_fixed(rng):
     assert len(tails) == 1
 
 
+def test_rejects_more_entries_than_slots():
+    x = make_distribute_input(NullSink(), [1, 2, 3])
+    with pytest.raises(ValueError, match="n <= m"):
+        prp_distribute(x, 2, seed=0)
+
+
 def test_rejects_batched_input():
     x = make_distribute_input(NullSink(), np.ones((2, 1), np.uint64), batch=2)
     with pytest.raises(ValueError):

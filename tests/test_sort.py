@@ -1,12 +1,13 @@
 """Sorting network schedule and the oblivious sort built on it."""
 
+import re
+
 import numpy as np
 import pytest
 
 from oblivjoin import _native, primitives
 from oblivjoin._schedule import comparator_count, gp2, np2, route_hops, sort_levels
-from oblivjoin.entries import (ASC, DESC, KEY_J_TID, KEY_NONNULL_F,
-                               U64_FIELDS)
+from oblivjoin.entries import KEY_J_TID, KEY_NONNULL_F, U64_FIELDS
 from oblivjoin.primitives import bitonic_sort
 from oblivjoin.trace import HashSink, LogSink, NullSink, alloc
 
@@ -109,13 +110,18 @@ def test_sort_nonnull_key_front_loads_real_entries(engine):
     assert [e.f for e in ents[:3]] == [1, 2, 3]
 
 
-def test_sort_descending_direction(rng):
-    key = (("j", DESC), ("d", ASC))
-    a = alloc(9, NullSink())
-    _fill(a, rng.integers(0, 5, 9))
-    bitonic_sort(a, key)
-    js = [e.j for e in a.debug_entries()]
-    assert js == sorted(js, reverse=True)
+@pytest.mark.parametrize("engine", ["scalar", "vector"])
+@pytest.mark.parametrize("key", [("j", "nonnull"), (("j", True),)],
+                         ids=["unknown-name", "name-direction-pair"])
+def test_sort_rejects_a_key_that_names_no_column(engine, key):
+    # refused before the first access, on either engine
+    s = LogSink()
+    a = alloc(3, s)
+    _fill(a, [2, 1, 0])
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        bitonic_sort(a, key, engine)
+    assert list(s.events()) == []
+    assert a.debug_col("j").tolist() == [[2, 1, 0]]
 
 
 def test_trace_depends_only_on_length(rng):
@@ -187,7 +193,7 @@ def test_engines_agree_on_ragged_lengths_with_ties(n, rng):
 
 
 def _fill_nulls(a, row, null_vals):
-    # null slots keep distinct contents: the nonnull key ties all of them
+    # null slots keep distinct contents: KEY_NONNULL_F ties all of them
     n = len(null_vals)
     null = np.asarray(null_vals, np.uint8)
     _fill_distinct(a, row, np.zeros(n, int))
@@ -254,12 +260,12 @@ U64_MAX = 2**64 - 1
 
 def _level_keys(rng, batch, n):
     """Key copies in bitonic_sort's layout: heavy ties on the first key,
-    a descending second key whose top values only an unsigned compare
-    orders, and a third key to break what ties remain; rows differ."""
+    a second key whose top values only an unsigned compare orders, and a
+    third key to break what ties remain; rows differ."""
     top = np.array([0, 1, 2**63, U64_MAX], np.uint64)
-    return [(rng.integers(0, 3, (batch, n), dtype=np.uint64), ASC),
-            (top[rng.integers(0, 4, (batch, n))], DESC),
-            (rng.integers(0, 2, (batch, n), dtype=np.uint64), ASC)]
+    return [rng.integers(0, 3, (batch, n), dtype=np.uint64),
+            top[rng.integers(0, 4, (batch, n))],
+            rng.integers(0, 2, (batch, n), dtype=np.uint64)]
 
 
 @pytest.mark.parametrize("batch", [1, 3])
@@ -269,7 +275,7 @@ def test_level_kernel_matches_numpy_level(n, batch, native, rng):
     keys = _level_keys(rng, batch, n)
     runs = []
     for _ in range(2):
-        copies = [(col.copy(), up) for col, up in keys]
+        copies = [col.copy() for col in keys]
         perm = np.tile(np.arange(n, dtype=np.int64), (batch, 1))
         runs.append((copies, perm))
     (ck, cperm), (nk, nperm) = runs
@@ -278,19 +284,19 @@ def test_level_kernel_matches_numpy_level(n, batch, native, rng):
         level(lo, hi, asc)
         primitives._ce_level_vector(nk, nperm, lo, hi, asc)
         assert np.array_equal(cperm, nperm)
-        for (c, _), (v, _) in zip(ck, nk):
+        for c, v in zip(ck, nk):
             assert np.array_equal(c, v)
-    # and the permutation sorts each row by (key 0, key 1 desc, key 2)
-    (k0, _), (k1, _), (k2, _) = keys
+    # and the permutation sorts each row by (key 0, key 1, key 2)
+    k0, k1, k2 = keys
     for r in range(batch):
-        rows = [(int(k0[r, p]), -int(k1[r, p]), int(k2[r, p]))
+        rows = [(int(k0[r, p]), int(k1[r, p]), int(k2[r, p]))
                 for p in cperm[r]]
         assert rows == sorted(rows)
 
 
 def test_level_kernel_rejects_bad_level_arrays(native):
     # every bad level is refused before the kernel writes anything
-    keys = [(np.array([[4, 3, 2, 1]], np.uint64), ASC)]
+    keys = [np.array([[4, 3, 2, 1]], np.uint64)]
     perm = np.array([[0, 1, 2, 3]], np.int64)
     level = native.levels(keys, perm)
     lo, hi, asc = np.array([0, 1]), np.array([2, 3]), np.array([True, False])
@@ -305,9 +311,11 @@ def test_level_kernel_rejects_bad_level_arrays(native):
         with pytest.raises(ValueError):
             level(*args)
     assert perm.tolist() == [[2, 1, 0, 3]]
-    assert keys[0][0].tolist() == [[2, 3, 4, 1]]
+    assert keys[0].tolist() == [[2, 3, 4, 1]]
     with pytest.raises(ValueError):
-        native.levels([(np.zeros((1, 4), np.int64), ASC)], perm)
+        native.levels([np.zeros((1, 4), np.int64)], perm)
+    with pytest.raises(ValueError, match="shapes differ"):
+        native.levels([np.zeros((1, 3), np.uint64)], perm)
 
 
 def _sorted_on(kernel, monkeypatch, n, rows, fill, key):
@@ -318,13 +326,13 @@ def _sorted_on(kernel, monkeypatch, n, rows, fill, key):
 @pytest.mark.parametrize("n", [100, 128, 257])
 def test_bitonic_sort_paths_agree(n, native, native_loads, monkeypatch, rng):
     # the whole vector sort on each path, batch rows that differ: ties on
-    # j, the uint8 null flag under KEY_NONNULL_F, a descending key
+    # j, the uint8 null flag under KEY_NONNULL_F, a second key on d
     cases = [([rng.integers(0, 6, n) for _ in range(3)], _fill_distinct,
               KEY_J_TID),
              ([rng.integers(0, 2, n) for _ in range(3)], _fill_nulls,
               KEY_NONNULL_F),
              ([rng.integers(0, 6, n) for _ in range(2)], _fill_distinct,
-              (("j", DESC), ("d", ASC)))]
+              ("j", "d"))]
     for rows, fill, key in cases:
         c_cols, c_dig = _sorted_on(native, monkeypatch, n, rows, fill, key)
         n_cols, n_dig = _sorted_on(native_loads["fallback"], monkeypatch, n,

@@ -164,6 +164,19 @@ def test_chain_kernel_is_openssl_where_it_can_be_built(monkeypatch):
     assert out.debug_col("f").tolist() == [[1, 0, 3, 0]]
 
 
+@pytest.mark.skipif(not _can_build_kernel(),
+                    reason="no cc or no openssl/sha.h")
+def test_native_source_compiles_without_warnings(tmp_path):
+    # the kernels' C source stays clean under -Wall -Wextra -Werror
+    src = tmp_path / "native.c"
+    src.write_text(_native.SOURCE)
+    proc = subprocess.run([shutil.which("cc"), "-Wall", "-Wextra", "-Werror",
+                           *_native._FLAGS, "-o", str(tmp_path / "native.so"),
+                           str(src), *_native._LIBS],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("symbol", ["oblivjoin_chain", "oblivjoin_ce_level",
                                     "oblivjoin_route"])
 def test_cached_object_without_a_kernel_falls_back(symbol, tmp_path,
@@ -199,7 +212,7 @@ def test_warm_cache_load_runs_no_compiler(tmp_path, monkeypatch):
     kernel = _native.load(cache_dir=tmp_path)
     assert kernel is not None
     assert kernel.chain(ZERO32, 0, 0) == ZERO32
-    keys = [(np.array([[2, 1]], np.uint64), True)]
+    keys = [np.array([[2, 1]], np.uint64)]
     perm = np.array([[0, 1]], np.int64)
     kernel.levels(keys, perm)(np.array([0]), np.array([1]),
                               np.array([True]))
@@ -314,6 +327,22 @@ def test_out_of_bounds_read_and_write():
         v.read(2)
 
 
+def test_view_past_the_end_is_out_of_bounds():
+    a = alloc(4, NullSink())
+    for offset, length in ((3, 2), (5, 0), (-1, 1), (0, -1)):
+        with pytest.raises(OutOfBoundsError):
+            a.view(offset, length)
+    assert a.view(4, 0).length == 0
+
+
+def test_scalar_access_needs_batch_one():
+    a = alloc(3, NullSink(), batch=2)
+    with pytest.raises(ValueError, match="batch size 1"):
+        a.read(0)
+    with pytest.raises(ValueError, match="batch size 1"):
+        a.write(0, AugEntry())
+
+
 def test_view_shares_storage_and_translates_indices():
     s = LogSink()
     a = alloc(6, s)
@@ -378,3 +407,10 @@ def test_allocation_needs_a_batch():
     for batch in (0, -1):
         with pytest.raises(ValueError, match="batch"):
             alloc(3, NullSink(), batch=batch)
+
+
+def test_allocation_needs_a_length():
+    s = NullSink()
+    with pytest.raises(ValueError, match="negative length"):
+        alloc(-1, s)
+    assert (s.live_entries, s.peak_entries) == (0, 0)
