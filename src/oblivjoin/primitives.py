@@ -58,6 +58,12 @@ def _check_engine(engine: str) -> None:
         raise ValueError(f"unknown engine {engine!r}")
 
 
+def _check_key(key) -> None:
+    if not set(key).issubset(_ALL_COLS):
+        raise ValueError(f"sort key {key!r} is not a tuple of entry column "
+                         f"names {_ALL_COLS}")
+
+
 # --------------------------------------------------------------------------
 # Compare-exchange and sorting
 # --------------------------------------------------------------------------
@@ -68,8 +74,9 @@ def compare_exchange(a: PublicArray, i: int, k: int, key,
 
     Unconditionally two reads then two writes — an already-ordered or
     equal pair gets dummy writes — so the event pattern never reveals the
-    outcome.
+    outcome.  ValueError, before any access, if key names no column.
     """
+    _check_key(key)
     e1 = a.read(i)
     e2 = a.read(k)
     c = lex_compare(e1, e2, key)
@@ -120,9 +127,7 @@ def bitonic_sort(a: PublicArray, key, engine: str = "vector") -> None:
     _ce_level_vector when the kernel is unavailable.
     """
     _check_engine(engine)
-    if not set(key) <= set(_ALL_COLS):
-        raise ValueError(f"sort key {key!r} is not a tuple of entry column "
-                         f"names {_ALL_COLS}")
+    _check_key(key)
     if engine == "scalar":
         for lo, hi, asc in sort_levels(a.length):
             for t in range(len(lo)):

@@ -14,14 +14,14 @@ over a block of events, in a C kernel over OpenSSL's SHA-256 block
 function where the native module (_native) can be built and in a hashlib
 loop otherwise.
 
-Engines emit every bulk access pattern through emit_steps, the one place
-that knows how a block of events is laid out.
+Every access, a scalar read or write or an engine's bulk access pattern,
+reaches the sink through emit_steps, the one place that counts events and
+knows how a block of them is laid out.
 """
 
 from __future__ import annotations
 
 import hashlib
-import struct
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -44,8 +44,6 @@ WRITE = 1
 
 ZERO_DIGEST = b"\x00" * 32
 
-_EVENT_STRUCT = struct.Struct(">QBQ")
-
 # Wire layout of one event record: u64 array id, u8 op, u64 index, all
 # big-endian, 17 bytes total.
 REC_DTYPE = np.dtype([("aid", ">u8"), ("op", "u1"), ("idx", ">u8")])
@@ -64,7 +62,7 @@ class TraceEvent:
 
 def encode_event(array_id: int, op: int, index: int) -> bytes:
     """17-byte record: u64 array id, u8 op, u64 index (big-endian)."""
-    return _EVENT_STRUCT.pack(array_id, op, index)
+    return np.array((array_id, op, index), REC_DTYPE).tobytes()
 
 
 def hash_step(h: bytes, ev: TraceEvent) -> bytes:
@@ -120,8 +118,10 @@ class TraceSink:
     ids and peak-space measurements are well defined per run.  `phase` is
     a label attached to subsequent events (LogSink tags events with it;
     the digest does not include it), and `counts` holds the number of
-    events emitted under each label.  PublicArray's scalar accesses and
-    emit_steps keep `counts`, so an emit method need not.
+    events emitted under each label.  emit_steps keeps `counts` and is
+    the only caller of emit_block, the one method a sink implements; it
+    passes fresh ops/idxs arrays (and a fresh aid vector, or an int aid)
+    on every call, so a sink may keep them without copying.
     """
 
     def __init__(self) -> None:
@@ -151,20 +151,13 @@ class TraceSink:
         finally:
             self.phase = prev
 
-    # scalar event
-    def emit(self, aid: int, op: int, idx: int) -> None:
-        raise NotImplementedError
-
-    # bulk events; aid may be an int or a per-event array
+    # events in order; aid may be an int or a per-event uint64 array
     def emit_block(self, aid, ops: np.ndarray, idxs: np.ndarray) -> None:
         raise NotImplementedError
 
 
 class NullSink(TraceSink):
     """Discards events (for timing runs)."""
-
-    def emit(self, aid, op, idx):
-        pass
 
     def emit_block(self, aid, ops, idxs):
         pass
@@ -177,18 +170,8 @@ class LogSink(TraceSink):
         super().__init__()
         self._blocks: list[tuple[str, object, np.ndarray, np.ndarray]] = []
 
-    def emit(self, aid, op, idx):
-        self._blocks.append((self.phase, aid,
-                             np.array([op], np.uint8),
-                             np.array([idx], np.uint64)))
-
     def emit_block(self, aid, ops, idxs):
-        if isinstance(aid, np.ndarray):
-            aid = np.array(aid, np.uint64)
-        self._blocks.append((self.phase,
-                             aid,
-                             np.array(ops, np.uint8),
-                             np.array(idxs, np.uint64)))
+        self._blocks.append((self.phase, aid, ops, idxs))
 
     def __len__(self) -> int:
         return sum(len(ops) for _, _, ops, _ in self._blocks)
@@ -240,9 +223,6 @@ class HashSink(TraceSink):
     def __init__(self) -> None:
         super().__init__()
         self._h = ZERO_DIGEST
-
-    def emit(self, aid, op, idx):
-        self._h = hashlib.sha256(self._h + _EVENT_STRUCT.pack(aid, op, idx)).digest()
 
     def emit_block(self, aid, ops, idxs):
         self._h = chain_digest(self._h, aid, ops, idxs)
@@ -296,18 +276,15 @@ class PublicArray:
     # -- traced scalar access ------------------------------------------
 
     def _emit(self, op: int, i: int) -> int:
-        """Check, count and emit one scalar access; returns its slot."""
+        """Check and emit one scalar access; returns its slot."""
         if not 0 <= i < self.length:
             raise OutOfBoundsError(
                 f"index {i} out of bounds for array {self.array_id} "
                 f"of length {self.length}")
         if self.batch != 1:
             raise ValueError("scalar access requires batch size 1")
-        p = self.offset + i
-        sink = self.sink
-        sink.counts[sink.phase] += 1
-        sink.emit(self.array_id, op, p)
-        return p
+        emit_steps((self, op, np.array([i], np.int64)))
+        return self.offset + i
 
     def read(self, i: int) -> AugEntry:
         """Read one entry (emits a read event)."""
@@ -396,7 +373,8 @@ def emit_steps(*accesses) -> None:
     receives one emit_block call, with a scalar array id when every
     access is on one array and a per-event id vector otherwise.  A plain
     NullSink, which would discard the block, gets no call and no block is
-    built; a subclass of it gets every block.
+    built; a subclass of it gets every block.  A scalar read or write of a
+    PublicArray is a one-step emit_steps call.
     """
     first = accesses[0][0]
     sink = first.sink

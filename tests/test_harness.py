@@ -63,6 +63,15 @@ def test_infeasible_shape_raises():
         gen_test_class(0, 5, "single-1xn", seed=0, instances=2)
     with pytest.raises(InfeasibleShapeError):
         gen_test_class(2, 2, "mixed", seed=0, instances=2)
+    with pytest.raises(InfeasibleShapeError, match="single-nx1"):
+        gen_test_class(0, 5, "single-nx1", seed=0, instances=2)
+    with pytest.raises(InfeasibleShapeError, match="power-law"):
+        gen_test_class(0, 5, "power-law", seed=0, instances=2)
+
+
+def test_unknown_shape_raises():
+    with pytest.raises(ValueError, match="unknown shape 'square'"):
+        gen_test_class(4, 4, "square", seed=0, instances=2)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -129,6 +138,16 @@ def test_cost_model_is_float_off_powers_of_two():
     assert cb.predicted("align_sort") == Fraction(8 * 9, 4)
     assert isinstance(cb.deviation("initial_sorts"), float)
     assert isinstance(cb.deviation("align_sort"), Fraction)
+
+
+def test_cost_report_needs_m_within_the_smaller_table():
+    with pytest.raises(InfeasibleShapeError, match="m <= min"):
+        cost_report(4, 4, 5)
+
+
+def test_cost_model_has_no_prediction_for_a_linear_phase():
+    with pytest.raises(ValueError, match="'zip'"):
+        cost_report(8).predicted("zip")
 
 
 def test_cost_report_defaults():

@@ -16,7 +16,7 @@ from oblivjoin.pipeline import (
     oblivious_join,
 )
 from oblivjoin.primitives import bitonic_sort
-from oblivjoin.trace import HashSink, LogSink, NullSink, alloc
+from oblivjoin.trace import HashSink, LogSink, NullSink, TraceSink, alloc
 
 ALL_PHASES = {
     "load", "initial_sorts", "fill_dimensions", "expand_prefix",
@@ -307,9 +307,6 @@ def test_null_sink_subclass_still_receives_every_event():
             super().__init__()
             self.total = 0
 
-        def emit(self, aid, op, idx):
-            self.total += 1
-
         def emit_block(self, aid, ops, idxs):
             self.total += len(ops)
 
@@ -319,6 +316,37 @@ def test_null_sink_subclass_still_receives_every_event():
     oblivious_join(t1, t2, counting)
     assert counting.total == sum(counted.counts.values()) > 0
     assert counting.counts == counted.counts
+
+
+@pytest.mark.parametrize("engine", ["scalar", "vector"])
+def test_a_sink_needs_only_emit_block(engine):
+    # emit_block is the whole sink protocol: scalar reads and writes reach
+    # it through emit_steps as bulk accesses do, in order
+    class Blocks(TraceSink):
+        def __init__(self):
+            super().__init__()
+            self.blocks = []
+
+        def emit_block(self, aid, ops, idxs):
+            self.blocks.append((np.broadcast_to(aid, len(ops)), ops, idxs))
+
+    t1, t2 = table([1, 2, 2, 3, 5]), table([2, 2, 3, 4])
+    blocks, log, counted = Blocks(), LogSink(), NullSink()
+    for s in (blocks, log, counted):
+        oblivious_join(t1, t2, s, engine=engine)
+    got = [np.concatenate(col) for col in zip(*blocks.blocks)]
+    want = log.event_arrays()
+    assert len(got[1]) == sum(counted.counts.values()) > 0
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert blocks.counts == counted.counts
+
+
+def test_join_rejects_an_unknown_engine():
+    s = LogSink()
+    with pytest.raises(ValueError, match="unknown engine 'numpy'"):
+        oblivious_join(table([1, 2]), table([2]), s, engine="numpy")
+    assert len(s) == 0
 
 
 def test_perfbench_span_sink_keeps_the_sink_contract():

@@ -8,7 +8,7 @@ import pytest
 from oblivjoin import _native, primitives
 from oblivjoin._schedule import comparator_count, gp2, np2, route_hops, sort_levels
 from oblivjoin.entries import KEY_J_TID, KEY_NONNULL_F, U64_FIELDS
-from oblivjoin.primitives import bitonic_sort
+from oblivjoin.primitives import bitonic_sort, compare_exchange
 from oblivjoin.trace import HashSink, LogSink, NullSink, alloc
 
 
@@ -122,6 +122,23 @@ def test_sort_rejects_a_key_that_names_no_column(engine, key):
         bitonic_sort(a, key, engine)
     assert list(s.events()) == []
     assert a.debug_col("j").tolist() == [[2, 1, 0]]
+
+
+def test_compare_exchange_rejects_a_key_that_names_no_column():
+    # refused before either read, as bitonic_sort refuses it
+    s = LogSink()
+    with pytest.raises(ValueError, match=re.escape(repr(("x",)))):
+        compare_exchange(alloc(2, s), 0, 1, ("x",))
+    assert len(s) == 0
+    assert s.counts == {}
+
+
+def test_sort_rejects_an_unknown_engine():
+    s = LogSink()
+    a = alloc(3, s)
+    with pytest.raises(ValueError, match="unknown engine 'numpy'"):
+        bitonic_sort(a, KEY_J_TID, "numpy")
+    assert len(s) == 0
 
 
 def test_trace_depends_only_on_length(rng):
