@@ -1,4 +1,4 @@
-"""The native module: the trace hash chain, the compare-exchange level and
+"""The native module: the trace hash chain, the whole sorting network and
 the routing network in one C source, compiled into one shared object.
 
 oblivjoin_chain extends the trace hash chain.  One chain link hashes the
@@ -6,11 +6,15 @@ oblivjoin_chain extends the trace hash chain.  One chain link hashes the
 padding fill exactly one 64-byte block, so a link is one SHA256_Transform
 from the IV, with the padding written once.
 
-oblivjoin_ce_level applies one level of the sorting network (sort_levels)
-to the uint64 key copies and the int64 slot permutation of the vector
-bitonic_sort: a lexicographic compare over the keys, each ascending, then
-an XOR-masked swap of the keys and the permutation, like ct_select, for
-every pair of the level in every batch row.
+oblivjoin_sort runs every level of one sort's network in every batch row,
+on the uint64 key copies and the int64 slot permutation of the vector
+bitonic_sort.  It reads the network as a sort program
+(_schedule.sort_program), a few int64 entries per level, and expands
+each level's pairs itself, the same pairs sort_levels yields.  Each pair
+is a lexicographic compare over the keys, each ascending, then an
+XOR-masked swap of the keys and the permutation, like ct_select; the
+comparator body is compiled once per key count, one to three.  The whole
+program is validated before the first write.
 
 oblivjoin_route runs the whole routing network of oblivious_distribute
 (route_hops, largest first) in every batch row, on uint64 copies of f and
@@ -23,7 +27,8 @@ The object is compiled on first use into the user's cache directory and
 loaded with ctypes; nothing is built at import.  load() returns None when
 it cannot build or load the object, and then every caller keeps its
 fallback: trace.chain_digest a hashlib loop, primitives.bitonic_sort the
-numpy level, primitives.oblivious_distribute the numpy hop.
+numpy level per level of sort_levels, primitives.oblivious_distribute the
+numpy hop.
 """
 
 from __future__ import annotations
@@ -72,40 +77,118 @@ void oblivjoin_chain(unsigned char *h, const unsigned char *rec, size_t n)
     memcpy(h, block, 32);
 }
 
-/* keys: nkeys arrays of batch rows by len slots, compared in order, each
-   ascending; perm: the slot permutation, same shape.  Pair t orders slots
-   (lo[t], hi[t]) of every row, ascending where asc[t].  Returns -1, having
-   written nothing, if an index lies outside [0, len). */
-int oblivjoin_ce_level(uint64_t *const *keys, size_t nkeys, uint64_t *perm,
-                       size_t batch, size_t len, const int64_t *lo,
-                       const int64_t *hi, const unsigned char *asc,
-                       size_t npairs)
+/* Orders slots i and k of one row: a lexicographic compare over the
+   nkeys key rows, each ascending, then an XOR-masked swap of the keys and
+   the permutation, ascending where up (1) and descending where not (0).
+   Inlined with a constant nkeys, so each key count gets its own body. */
+static inline __attribute__((always_inline)) void
+ce(uint64_t *const *key, int nkeys, uint64_t *perm, size_t i, size_t k,
+   uint64_t up)
 {
-    for (size_t t = 0; t < npairs; t++)
-        if ((uint64_t)lo[t] >= len || (uint64_t)hi[t] >= len)
-            return -1;
+    uint64_t gt = 0, lt = 0, eq = 1;
+    for (int c = 0; c < nkeys; c++) {
+        uint64_t x = key[c][i], y = key[c][k];
+        uint64_t g = x > y, l = x < y;
+        gt |= eq & g;
+        lt |= eq & l;
+        eq &= ~(g | l);
+    }
+    uint64_t mask = -((up & gt) | ((up ^ 1) & lt));
+    for (int c = 0; c < nkeys; c++) {
+        uint64_t d = (key[c][i] ^ key[c][k]) & mask;
+        key[c][i] ^= d;
+        key[c][k] ^= d;
+    }
+    uint64_t d = (perm[i] ^ perm[k]) & mask;
+    perm[i] ^= d;
+    perm[k] ^= d;
+}
+
+/* Runs every level of the validated program prog in every row. */
+static inline __attribute__((always_inline)) void
+run_sort(uint64_t *const *keys, int nkeys, uint64_t *perm, size_t batch,
+         size_t len, const int64_t *prog)
+{
     for (size_t b = 0; b < batch; b++) {
-        size_t row = b * len;
-        for (size_t t = 0; t < npairs; t++) {
-            size_t i = row + (size_t)lo[t], k = row + (size_t)hi[t];
-            uint64_t gt = 0, lt = 0, eq = 1;
-            for (size_t c = 0; c < nkeys; c++) {
-                uint64_t x = keys[c][i], y = keys[c][k];
-                uint64_t g = x > y, l = x < y;
-                gt |= eq & g;
-                lt |= eq & l;
-                eq &= ~(g | l);
+        uint64_t *key[3], *pr = perm + b * len;
+        for (int c = 0; c < nkeys; c++)
+            key[c] = keys[c] + b * len;
+        const int64_t *p = prog + 1;
+        for (int64_t level = 0; level < prog[0]; level++) {
+            size_t j = (size_t)p[0], k = (size_t)p[1];
+            size_t half = (size_t)p[2] >> 1, nparts = (size_t)p[3];
+            p += 4;
+            for (size_t t = 0; t < half; t++) {
+                size_t lo = t + (t & -j);
+                ce(key, nkeys, pr, lo, lo + j, (lo & k) == 0);
             }
-            uint64_t mask = -(asc[t] ? gt : lt);
-            for (size_t c = 0; c < nkeys; c++) {
-                uint64_t d = (keys[c][i] ^ keys[c][k]) & mask;
-                keys[c][i] ^= d;
-                keys[c][k] ^= d;
+            for (size_t q = 0; q < nparts; q++, p += 3) {
+                size_t lo0 = (size_t)p[0], cnt = (size_t)p[1];
+                uint64_t up = p[2] != 0;
+                for (size_t t = 0; t < cnt; t++) {
+                    size_t lo = lo0 + t + (t & -j);
+                    ce(key, nkeys, pr, lo, lo + j, up);
+                }
             }
-            uint64_t d = (perm[i] ^ perm[k]) & mask;
-            perm[i] ^= d;
-            perm[k] ^= d;
         }
+    }
+}
+
+/* Whether pairs lo0 + t + (t & -j), hi = lo + j, for t < cnt all lie in
+   [0, len); j is a power of two, so the last pair is the highest. */
+static int pairs_fit(int64_t lo0, int64_t cnt, size_t j, size_t len)
+{
+    if (lo0 < 0 || cnt < 0)
+        return 0;
+    if (cnt == 0)
+        return 1;
+    if ((uint64_t)lo0 >= len || (uint64_t)cnt > len || j >= len)
+        return 0;
+    size_t t = (size_t)cnt - 1;
+    return (size_t)lo0 + t + (t & -j) + j < len;
+}
+
+/* keys: nkeys (1 to 3) arrays of batch rows by len slots, compared in
+   order, each ascending; perm: the slot permutation, same shape.  prog,
+   plen int64 entries, is a sort program (_schedule.sort_program): the
+   level count, then per level j, k, nfull, nparts and nparts triples
+   (lo0, cnt, up).  Each level orders the pairs of the complete blocks,
+   lo = t + (t & -j) for t < nfull / 2, ascending iff (lo & k) == 0, and
+   of each part, lo = lo0 + t + (t & -j) for t < cnt, ascending iff up;
+   each pair's high slot is lo + j.  Returns -1, having written nothing,
+   unless nkeys is 1 to 3 and the whole program lies in plen entries, has
+   each j a power of two, and keeps every pair inside [0, len). */
+int oblivjoin_sort(uint64_t *const *keys, size_t nkeys, uint64_t *perm,
+                   size_t batch, size_t len, const int64_t *prog,
+                   size_t plen)
+{
+    if (nkeys < 1 || nkeys > 3 || plen < 1 || prog[0] < 0)
+        return -1;
+    size_t at = 1;
+    for (int64_t level = 0; level < prog[0]; level++) {
+        if (plen - at < 4)
+            return -1;
+        const int64_t *p = prog + at;
+        if (p[0] < 1 || (p[0] & (p[0] - 1)) || p[2] < 0 || p[3] < 0 ||
+            (uint64_t)p[2] > len || (uint64_t)p[3] > (plen - at - 4) / 3)
+            return -1;
+        size_t j = (size_t)p[0];
+        if (!pairs_fit(0, p[2] >> 1, j, len))
+            return -1;
+        at += 4;
+        for (int64_t q = 0; q < p[3]; q++, at += 3)
+            if (!pairs_fit(prog[at], prog[at + 1], j, len))
+                return -1;
+    }
+    switch (nkeys) {
+    case 1:
+        run_sort(keys, 1, perm, batch, len, prog);
+        break;
+    case 2:
+        run_sort(keys, 2, perm, batch, len, prog);
+        break;
+    default:
+        run_sort(keys, 3, perm, batch, len, prog);
     }
     return 0;
 }
@@ -166,47 +249,18 @@ def _addr(arr: np.ndarray, dtype) -> int:
     return arr.ctypes.data
 
 
-class _Levels:
-    """level(lo, hi, asc) over one sort's key copies and permutation.
-
-    The key pointers are laid out once per sort; each call runs one level
-    of sort_levels in one kernel call, which checks every index against
-    len before it writes.
-    """
-
-    def __init__(self, fn, keys, perm: np.ndarray) -> None:
-        for col in keys:
-            if col.shape != perm.shape:
-                raise ValueError("key and permutation shapes differ")
-        self._fn = fn
-        self._arrays = (keys, perm)  # the addresses below point into these
-        self._ptrs = np.array([_addr(col, np.uint64) for col in keys],
-                              np.uintp)
-        self._args = (self._ptrs.ctypes.data, len(keys),
-                      _addr(perm, np.int64), *perm.shape)
-
-    def __call__(self, lo: np.ndarray, hi: np.ndarray,
-                 asc: np.ndarray) -> None:
-        n = len(lo)
-        if len(hi) != n or len(asc) != n:
-            raise ValueError("lo, hi and asc differ in length")
-        if self._fn(*self._args, _addr(lo, np.int64), _addr(hi, np.int64),
-                    _addr(asc, np.bool_), n):
-            raise ValueError("a level index lies outside the sorted rows")
-
-
 class Kernels:
     """The three kernels of one loaded shared object."""
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         # each lookup raises AttributeError on an object that lacks it
         self._chain = lib.oblivjoin_chain
-        self._level = lib.oblivjoin_ce_level
+        self._sort = lib.oblivjoin_sort
         self._route = lib.oblivjoin_route
         self._chain.argtypes = (ctypes.POINTER(_State), _P, _N)
         self._chain.restype = None
-        self._level.argtypes = (_P, _N, _P, _N, _N, _P, _P, _P, _N)
-        self._level.restype = ctypes.c_int
+        self._sort.argtypes = (_P, _N, _P, _N, _N, _P, _N)
+        self._sort.restype = ctypes.c_int
         self._route.argtypes = (_P, _P, _P, _N, _N, _P, _N)
         self._route.restype = ctypes.c_int
 
@@ -217,11 +271,21 @@ class Kernels:
         self._chain(state, rec_addr, n)
         return bytes(state)
 
-    def levels(self, keys, perm: np.ndarray) -> _Levels:
-        """level(lo, hi, asc) that compare-exchanges in place the
-        C-contiguous (batch, len) uint64 key copies keys, a list compared
-        in order, each ascending, and the int64 permutation perm."""
-        return _Levels(self._level, keys, perm)
+    def sort(self, keys, perm: np.ndarray, prog: np.ndarray) -> None:
+        """Run the sort program prog (_schedule.sort_program, an int64
+        array) in place on the C-contiguous (batch, len) uint64 key copies
+        keys, a list of one to three compared in order, each ascending,
+        and the int64 permutation perm.  ValueError, before any write, if
+        the arrays or the program do not fit."""
+        if perm.ndim != 2 or any(col.shape != perm.shape for col in keys):
+            raise ValueError("key and permutation shapes differ")
+        if prog.ndim != 1:
+            raise ValueError("the sort program must be one-dimensional")
+        ptrs = np.array([_addr(col, np.uint64) for col in keys], np.uintp)
+        if self._sort(ptrs.ctypes.data, len(keys), _addr(perm, np.int64),
+                      *perm.shape, _addr(prog, np.int64), len(prog)):
+            raise ValueError("the sort program or its key count does not "
+                             "fit the sorted rows")
 
     def route(self, f: np.ndarray, nul: np.ndarray, perm: np.ndarray,
               hops: np.ndarray) -> None:

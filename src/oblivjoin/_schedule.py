@@ -31,7 +31,8 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = ["np2", "gp2", "sort_levels", "comparator_count", "route_hops"]
+__all__ = ["np2", "gp2", "sort_levels", "sort_program", "comparator_count",
+           "route_hops"]
 
 
 def np2(n: int) -> int:
@@ -65,8 +66,10 @@ def _tail_directions(n: int, kmax: int) -> dict[int, bool]:
     return dirs
 
 
-def _file_scope(lo0: int, size: int, up: bool,
-                blocks: list[tuple[int, int, bool]]):
+_Part = tuple[int, int, bool]   # a tail merge or part: (lo0, size, up)
+
+
+def _file_scope(lo0: int, size: int, up: bool, blocks: list[_Part]):
     """File a tail sub-merge: a power-of-two one joins blocks, a ragged one
     is returned; ranges shorter than 2 need no merge."""
     if size < 2:
@@ -75,6 +78,46 @@ def _file_scope(lo0: int, size: int, up: bool,
         blocks.append((lo0, size, up))
         return None
     return (lo0, size, up)
+
+
+def _plan(n: int) -> Iterator[tuple[int, int, int, list[_Part]]]:
+    """Yield the length-n network level by level as (j, k, nfull, fired).
+
+    At stage k and hop j the complete blocks cover slots [0, nfull) and
+    give pairs lo = t + (t & -j) for t < nfull / 2, ascending iff
+    (lo & k) == 0.  fired lists the tail parts (lo0, cnt, up), sorted:
+    pairs lo = lo0 + t + (t & -j) for t < cnt, ascending iff up.
+    Every pair's high index is lo + j.
+    """
+    if n < 2:
+        return
+    kmax = np2(n)
+    tail_dir = _tail_directions(n, kmax)
+    k = 2
+    while k <= kmax:
+        nfull = (n // k) * k          # slots covered by complete blocks
+        # Tail sub-merges: power-of-two blocks (lo0, p, up) fire at every
+        # hop j < p; the ragged scope fires at gp2 of its size, then splits.
+        blocks: list[_Part] = []
+        ragged = _file_scope(nfull, n - nfull, tail_dir.get(k), blocks)
+        j = k >> 1
+        while j >= 1:
+            fired = [(lo0, p >> 1, up) for lo0, p, up in blocks if p > j]
+            if ragged is not None and gp2(ragged[1]) == j:
+                lo0, size, up = ragged
+                fired.append((lo0, size - j, up))
+                if up:  # ascending merge recurses on (size-j, j)
+                    children = ((lo0, size - j), (lo0 + size - j, j))
+                else:   # descending on (j, size-j)
+                    children = ((lo0, j), (lo0 + j, size - j))
+                ragged = None
+                for clo, csz in children:
+                    ragged = _file_scope(clo, csz, up, blocks) or ragged
+            fired.sort()
+            yield j, k, nfull, fired
+            j >>= 1
+        assert ragged is None
+        k <<= 1
 
 
 def sort_levels(n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -92,56 +135,49 @@ def sort_levels(n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     power-of-two sub-merge split off the tail and the one ragged scope
     left of the tail's chain all slice one index vector per hop.
     """
-    if n < 2:
-        return
-    kmax = np2(n)
-    tail_dir = _tail_directions(n, kmax)
     t = np.arange(n >> 1, dtype=np.int64)   # no level has more pairs
-    k = 2
-    while k <= kmax:
-        nfull = (n // k) * k          # slots covered by complete blocks
-        # Tail sub-merges: power-of-two blocks (lo0, p, up) fire at every
-        # hop j < p; the ragged scope fires at gp2 of its size, then splits.
-        blocks: list[tuple[int, int, bool]] = []
-        ragged = _file_scope(nfull, n - nfull, tail_dir.get(k), blocks)
-        j = k >> 1
-        while j >= 1:
-            fired = [(lo0, p >> 1, up) for lo0, p, up in blocks if p > j]
-            if ragged is not None and gp2(ragged[1]) == j:
-                lo0, size, up = ragged
-                fired.append((lo0, size - j, up))
-                if up:  # ascending merge recurses on (size-j, j)
-                    children = ((lo0, size - j), (lo0 + size - j, j))
-                else:   # descending on (j, size-j)
-                    children = ((lo0, j), (lo0 + j, size - j))
-                ragged = None
-                for clo, csz in children:
-                    ragged = _file_scope(clo, csz, up, blocks) or ragged
-            fired.sort()
-            tm = t[:max([nfull >> 1] + [c for _, c, _ in fired])]
-            base = tm + (tm & -j)
-            parts_lo: list[np.ndarray] = []
-            parts_asc: list[np.ndarray] = []
-            if nfull:
-                lo = base[:nfull >> 1]
-                parts_lo.append(lo)
-                parts_asc.append((lo & k) == 0)
-            for lo0, cnt, up in fired:
-                parts_lo.append(base[:cnt] + lo0)
-                parts_asc.append(np.full(cnt, up))
-            if len(parts_lo) == 1:
-                lo, asc = parts_lo[0], parts_asc[0]
-            else:
-                lo, asc = np.concatenate(parts_lo), np.concatenate(parts_asc)
-            yield lo, lo + j, asc
-            j >>= 1
-        assert ragged is None
-        k <<= 1
+    for j, k, nfull, fired in _plan(n):
+        tm = t[:max([nfull >> 1] + [c for _, c, _ in fired])]
+        base = tm + (tm & -j)
+        parts_lo: list[np.ndarray] = []
+        parts_asc: list[np.ndarray] = []
+        if nfull:
+            lo = base[:nfull >> 1]
+            parts_lo.append(lo)
+            parts_asc.append((lo & k) == 0)
+        for lo0, cnt, up in fired:
+            parts_lo.append(base[:cnt] + lo0)
+            parts_asc.append(np.full(cnt, up))
+        if len(parts_lo) == 1:
+            lo, asc = parts_lo[0], parts_asc[0]
+        else:
+            lo, asc = np.concatenate(parts_lo), np.concatenate(parts_asc)
+        yield lo, lo + j, asc
+
+
+def _pairs(nfull: int, fired: list[_Part]) -> int:
+    """Comparators of one level of _plan."""
+    return (nfull >> 1) + sum(cnt for _, cnt, _ in fired)
+
+
+def sort_program(n: int) -> tuple[np.ndarray, int]:
+    """The length-n network as one flat int64 program, and its comparator
+    count.  The program is the level count, then per level of _plan j, k,
+    nfull, the number of fired parts and each part's lo0, cnt, up; the
+    native sort kernel expands it to the pairs sort_levels(n) yields."""
+    prog, ncomp = [0], 0
+    for j, k, nfull, fired in _plan(n):
+        prog += (j, k, nfull, len(fired))
+        for part in fired:
+            prog += part
+        prog[0] += 1
+        ncomp += _pairs(nfull, fired)
+    return np.array(prog, np.int64), ncomp
 
 
 def comparator_count(n: int) -> int:
     """Total compare-exchanges the length-n sort performs."""
-    return sum(len(lo) for lo, _, _ in sort_levels(n))
+    return sum(_pairs(nfull, fired) for _, _, nfull, fired in _plan(n))
 
 
 def route_hops(m: int) -> list[int]:

@@ -9,13 +9,14 @@ reads and two writes unconditionally), "vector" applies whole schedule
 levels across the batch axis.  Both emit identical traces; the tests hold
 them to that.
 
-The vector sort runs each compare-exchange level as one call of the C
-level kernel of the native module (_native) where it can be built, and
-as numpy gathers and scatters (_ce_level_vector) otherwise; the two give
-the same permutation.  The vector distribution likewise runs its whole
-routing network in one call of the C route kernel, or one numpy hop at a
-time (_route_hop_vector), on copies of f and the null flag plus a slot
-permutation; the two give the same arrays.
+The vector sort runs its whole sorting network in one call of the C sort
+kernel of the native module (_native) where it can be built, and one
+level of sort_levels at a time as numpy gathers and scatters
+(_ce_level_vector) otherwise; the two give the same permutation.  The
+vector distribution likewise runs its whole routing network in one call
+of the C route kernel, or one numpy hop at a time (_route_hop_vector),
+on copies of f and the null flag plus a slot permutation; the two give
+the same arrays.
 
 The sort, the routing network and the expansion's fill pass each end in
 one slot permutation, and _gather moves every column of the array
@@ -25,15 +26,14 @@ becomes a null entry.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from . import _native
 from .entries import (U64_FIELDS, KEY_NONNULL_F, ct_eq, ct_select,
                       ct_select_entry, lex_compare, null_entry)
-from .trace import READ, WRITE, PublicArray, alloc, emit_steps
-from ._schedule import route_hops, sort_levels
+from .trace import (READ, WRITE, PublicArray, alloc, consumes_events,
+                    emit_steps)
+from ._schedule import route_hops, sort_levels, sort_program
 
 __all__ = [
     "compare_exchange", "bitonic_sort",
@@ -58,10 +58,18 @@ def _check_engine(engine: str) -> None:
         raise ValueError(f"unknown engine {engine!r}")
 
 
+# the most columns a sort key may have: the C sort kernel has one body per
+# key count, and every KeySpec in use has one to three
+_MAX_KEY_COLS = 3
+
+
 def _check_key(key) -> None:
     if not set(key).issubset(_ALL_COLS):
         raise ValueError(f"sort key {key!r} is not a tuple of entry column "
                          f"names {_ALL_COLS}")
+    if not 1 <= len(key) <= _MAX_KEY_COLS:
+        raise ValueError(f"sort key {key!r} has {len(key)} columns; a key "
+                         f"has 1 to {_MAX_KEY_COLS}")
 
 
 # --------------------------------------------------------------------------
@@ -114,17 +122,28 @@ def _ce_level_vector(keys, perm: np.ndarray, lo, hi, asc) -> None:
         col[:, hi] = vh
 
 
+def _emit_pairs(a: PublicArray, lo, hi) -> None:
+    """Emit the steps of one level of pairs (lo, hi): read both slots,
+    then write both."""
+    emit_steps((a, READ, lo), (a, READ, hi), (a, WRITE, lo), (a, WRITE, hi))
+
+
 def bitonic_sort(a: PublicArray, key, engine: str = "vector") -> None:
-    """In-place oblivious sort of a under a KeySpec, a tuple of entry
-    column names compared ascending; ValueError if one names no column.
+    """In-place oblivious sort of a under a KeySpec, a tuple of one to
+    three entry column names compared ascending; ValueError, before any
+    access, if the key is empty, longer or names no column.
 
     The comparator sequence (and hence the trace) is a pure function of
     len(a); works for any length, in place.  The vector engine runs every
     comparator on copies of the key columns and a slot permutation only
     (a swap depends on nothing else), then gathers every column of a
     through the permutation once with _gather (the permutation has no -1
-    entries).  Each level is one call of the native level kernel, or of
-    _ce_level_vector when the kernel is unavailable.
+    entries).  The whole network is one call of the native sort kernel on
+    sort_program(len(a)), or one _ce_level_vector call per level of
+    sort_levels when the kernel is unavailable.  A sink that consumes
+    events gets each level of sort_levels as one block; a plain NullSink
+    only counts 4 events per comparator, and on the native path no level
+    array is built for it.
     """
     _check_engine(engine)
     _check_key(key)
@@ -137,12 +156,19 @@ def bitonic_sort(a: PublicArray, key, engine: str = "vector") -> None:
     keys = [a.col(name).astype(np.uint64, order="C") for name in key]
     perm = np.tile(np.arange(a.length, dtype=np.int64), (a.batch, 1))
     native = _native.kernel()
-    level = (functools.partial(_ce_level_vector, keys, perm) if native is None
-             else native.levels(keys, perm))
-    for lo, hi, asc in sort_levels(a.length):
-        level(lo, hi, asc)
-        emit_steps((a, READ, lo), (a, READ, hi), (a, WRITE, lo), (a, WRITE, hi))
-    del keys, level  # freed first, or the gather raises the join's peak memory
+    if native is None:
+        for lo, hi, asc in sort_levels(a.length):
+            _ce_level_vector(keys, perm, lo, hi, asc)
+            _emit_pairs(a, lo, hi)
+    else:
+        prog, ncomp = sort_program(a.length)
+        native.sort(keys, perm, prog)
+        if consumes_events(a.sink):
+            for lo, hi, _ in sort_levels(a.length):
+                _emit_pairs(a, lo, hi)
+        else:  # emit_steps reads only the length of the index
+            _emit_pairs(a, range(ncomp), range(ncomp))
+    del keys  # freed first, or the gather raises the join's peak memory
     _gather(a, perm)
 
 
@@ -242,8 +268,7 @@ def _route_vector(a: PublicArray, hops: list[int]) -> None:
     # are slices of one descending range
     down = np.arange(m - 1, -1, -1, dtype=np.int64)
     for j in hops:
-        lo, hi = down[j:], down[:m - j]
-        emit_steps((a, READ, lo), (a, READ, hi), (a, WRITE, lo), (a, WRITE, hi))
+        _emit_pairs(a, down[j:], down[:m - j])
     # the routed copies are freed before the gather, which would otherwise
     # raise the join's peak memory
     del f, nul

@@ -99,11 +99,11 @@ def chain_digest(h: bytes, aids, ops, idxs) -> bytes:
 
 def chain_kernel() -> str:
     """Which path the native module's callers run in this process:
-    "openssl" when it is loaded, so chain_digest, the compare-exchange
-    levels of bitonic_sort and the routing network of oblivious_distribute
-    all run in C, or "hashlib" when all three run their fallbacks (a
-    hashlib loop, the numpy level, the numpy hop).  Builds the module if
-    needed."""
+    "openssl" when it is loaded, so chain_digest, the sorting network of
+    bitonic_sort and the routing network of oblivious_distribute all run
+    in C, or "hashlib" when all three run their fallbacks (a hashlib loop,
+    the numpy level per level of sort_levels, the numpy hop).  Builds the
+    module if needed."""
     return "hashlib" if _native.kernel() is None else "openssl"
 
 
@@ -161,6 +161,13 @@ class NullSink(TraceSink):
 
     def emit_block(self, aid, ops, idxs):
         pass
+
+
+def consumes_events(sink: TraceSink) -> bool:
+    """Whether sink is given event blocks: every sink but a plain
+    NullSink, which keeps only its counts (a subclass of it is given
+    every block)."""
+    return type(sink) is not NullSink
 
 
 class LogSink(TraceSink):
@@ -371,17 +378,19 @@ def emit_steps(*accesses) -> None:
     emit_steps((a, READ, lo), (a, READ, hi), (a, WRITE, lo), (a, WRITE, hi)).
     The first array's sink counts the events under its phase and
     receives one emit_block call, with a scalar array id when every
-    access is on one array and a per-event id vector otherwise.  A plain
-    NullSink, which would discard the block, gets no call and no block is
-    built; a subclass of it gets every block.  A scalar read or write of a
-    PublicArray is a one-step emit_steps call.
+    access is on one array and a per-event id vector otherwise.  A sink
+    that does not consume events (a plain NullSink) gets no call and no
+    block is built; only len() of the first idx is read before that
+    return, so a caller that knows the sink discards events may pass a
+    range of the step count instead of index arrays.  A scalar read or
+    write of a PublicArray is a one-step emit_steps call.
     """
     first = accesses[0][0]
     sink = first.sink
     k = len(accesses)
     n = k * len(accesses[0][2])
     sink.counts[sink.phase] += n
-    if type(sink) is NullSink:
+    if not consumes_events(sink):
         return
     ops = np.empty(n, np.uint8)
     idxs = np.empty(n, np.uint64)

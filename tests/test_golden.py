@@ -23,7 +23,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oblivjoin import _native
+from oblivjoin import _native, primitives
 from oblivjoin._schedule import sort_levels
 from oblivjoin.baseline import sort_merge_join, sorted_pairs
 from oblivjoin.entries import KEY_J_TID, U64_FIELDS
@@ -180,6 +180,22 @@ def test_join_counts_golden(name, engine):
     for other in (NullSink(), HashSink()):
         oblivious_join(t1, t2, other, engine=engine)
         assert other.counts == sink.counts
+
+
+@pytest.mark.parametrize("name", sorted(JOINS))
+def test_null_sink_join_builds_no_schedule(name, native, monkeypatch):
+    # on the native path a plain NullSink's sorts never walk sort_levels,
+    # yet count every event, and the join is the pinned one
+    def no_walk(n):
+        raise AssertionError("sort_levels walked for a plain NullSink")
+    monkeypatch.setattr(_native, "kernel", lambda: native)
+    monkeypatch.setattr(primitives, "sort_levels", no_walk)
+    t1, t2 = JOINS[name]()
+    sink = NullSink()
+    res = oblivious_join(t1, t2, sink)
+    assert sink.counts == Counter(GOLDEN_COUNTS[name])
+    assert (res.m, hashlib.sha256(res.pairs.tobytes()).hexdigest()) == \
+        (GOLDEN_JOINS[name][0], GOLDEN_JOINS[name][3])
 
 
 def _distribute():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from oblivjoin import _native, primitives
-from oblivjoin._schedule import comparator_count, gp2, np2, route_hops, sort_levels
+from oblivjoin._schedule import (comparator_count, gp2, np2, route_hops,
+                                 sort_levels, sort_program)
 from oblivjoin.entries import KEY_J_TID, KEY_NONNULL_F, U64_FIELDS
 from oblivjoin.primitives import bitonic_sort, compare_exchange
 from oblivjoin.trace import HashSink, LogSink, NullSink, alloc
@@ -51,6 +52,15 @@ def test_power_of_two_comparator_count_formula():
     for k in range(1, 9):
         n = 1 << k
         assert comparator_count(n) == (k * (k + 1) * n) // 4
+
+
+@pytest.mark.parametrize("lengths", [range(601), (2**14, 2**17, 10**6 - 1)],
+                         ids=["0-600", "large"])
+def test_comparator_count_reads_the_plan_of_sort_levels(lengths):
+    for n in lengths:
+        want = sum(len(lo) for lo, _, _ in sort_levels(n))
+        assert comparator_count(n) == want, n
+        assert sort_program(n)[1] == want, n
 
 
 def test_levels_are_disjoint_and_canonical():
@@ -119,6 +129,21 @@ def test_sort_rejects_a_key_that_names_no_column(engine, key):
     a = alloc(3, s)
     _fill(a, [2, 1, 0])
     with pytest.raises(ValueError, match=re.escape(repr(key))):
+        bitonic_sort(a, key, engine)
+    assert list(s.events()) == []
+    assert a.debug_col("j").tolist() == [[2, 1, 0]]
+
+
+@pytest.mark.parametrize("engine", ["scalar", "vector"])
+@pytest.mark.parametrize("key", [(), ("j", "tid", "d", "f")],
+                         ids=["empty", "four-columns"])
+def test_sort_rejects_a_key_of_no_or_more_than_three_columns(engine, key):
+    # the sort kernel has bodies for 1 to 3 keys; refused before the first
+    # access, on either engine
+    s = LogSink()
+    a = alloc(3, s)
+    _fill(a, [2, 1, 0])
+    with pytest.raises(ValueError, match="1 to 3"):
         bitonic_sort(a, key, engine)
     assert list(s.events()) == []
     assert a.debug_col("j").tolist() == [[2, 1, 0]]
@@ -270,69 +295,96 @@ def test_sort_batched_rows_sort_independently(rng):
     assert np.array_equal(out, np.sort(j, axis=1))
 
 
-# -- the native level kernel against the numpy level -------------------------
+# -- the native sort kernel against the numpy level -------------------------
 
 U64_MAX = 2**64 - 1
 
 
-def _level_keys(rng, batch, n):
+def _kernel_keys(rng, batch, n, nkeys):
     """Key copies in bitonic_sort's layout: heavy ties on the first key,
     a second key whose top values only an unsigned compare orders, and a
     third key to break what ties remain; rows differ."""
     top = np.array([0, 1, 2**63, U64_MAX], np.uint64)
     return [rng.integers(0, 3, (batch, n), dtype=np.uint64),
             top[rng.integers(0, 4, (batch, n))],
-            rng.integers(0, 2, (batch, n), dtype=np.uint64)]
+            rng.integers(0, 2, (batch, n), dtype=np.uint64)][:nkeys]
 
 
+@pytest.mark.parametrize("nkeys", [1, 2, 3])
 @pytest.mark.parametrize("batch", [1, 3])
-@pytest.mark.parametrize("n", [2, 3, 7, 64, 100, 257, 1024])
-def test_level_kernel_matches_numpy_level(n, batch, native, rng):
-    # level by level, the kernel leaves the same keys and permutation
-    keys = _level_keys(rng, batch, n)
-    runs = []
-    for _ in range(2):
-        copies = [col.copy() for col in keys]
-        perm = np.tile(np.arange(n, dtype=np.int64), (batch, 1))
-        runs.append((copies, perm))
-    (ck, cperm), (nk, nperm) = runs
-    level = native.levels(ck, cperm)
+@pytest.mark.parametrize("n", [2, 3, 7, 64, 100, 257, 1024, 5400, 8000])
+def test_sort_kernel_matches_numpy_levels(n, batch, nkeys, native, rng):
+    # one kernel call leaves the keys and permutation that the numpy level
+    # leaves after every level of sort_levels
+    keys = _kernel_keys(rng, batch, n, nkeys)
+    ck, nk = [col.copy() for col in keys], [col.copy() for col in keys]
+    cperm = np.tile(np.arange(n, dtype=np.int64), (batch, 1))
+    nperm = cperm.copy()
+    prog, ncomp = sort_program(n)
+    native.sort(ck, cperm, prog)
     for lo, hi, asc in sort_levels(n):
-        level(lo, hi, asc)
         primitives._ce_level_vector(nk, nperm, lo, hi, asc)
-        assert np.array_equal(cperm, nperm)
-        for c, v in zip(ck, nk):
-            assert np.array_equal(c, v)
-    # and the permutation sorts each row by (key 0, key 1, key 2)
-    k0, k1, k2 = keys
+    assert ncomp == comparator_count(n)
+    assert np.array_equal(cperm, nperm)
+    for c, v in zip(ck, nk):
+        assert np.array_equal(c, v)
+    # and the permutation sorts each row by the keys
     for r in range(batch):
-        rows = [(int(k0[r, p]), int(k1[r, p]), int(k2[r, p]))
-                for p in cperm[r]]
+        rows = list(zip(*(col[r, cperm[r]].tolist() for col in keys)))
         assert rows == sorted(rows)
 
 
-def test_level_kernel_rejects_bad_level_arrays(native):
-    # every bad level is refused before the kernel writes anything
-    keys = [np.array([[4, 3, 2, 1]], np.uint64)]
-    perm = np.array([[0, 1, 2, 3]], np.int64)
-    level = native.levels(keys, perm)
-    lo, hi, asc = np.array([0, 1]), np.array([2, 3]), np.array([True, False])
-    level(lo, hi, asc)
-    assert perm.tolist() == [[2, 1, 0, 3]]
-    for args in ((lo.astype(np.int32), hi, asc),          # not int64
-                 (lo, np.array([2, 0, 3, 0])[::2], asc),  # not contiguous
-                 (lo, hi, asc.astype(np.uint8)),          # not bool
-                 (lo, hi, asc[:1]),                       # short
-                 (lo, hi + 1, asc),                       # past the end
-                 (lo - 1, hi, asc)):                      # negative
+def test_sort_kernel_rejects_bad_programs(native):
+    # every bad call is refused before the kernel writes anything
+    def arrays():
+        return [np.array([[4, 3, 2, 1]], np.uint64)], \
+            np.array([[0, 1, 2, 3]], np.int64)
+
+    keys, perm = arrays()
+    prog = np.array([1, 2, 4, 4, 0], np.int64)  # j = 2 over 4 slots
+    native.sort(keys, perm, prog)
+    assert perm.tolist() == [[2, 3, 0, 1]]
+
+    def level(j, nfull, *parts):
+        return np.array([1, j, 2 * j, nfull, len(parts),
+                         *(v for p in parts for v in p)], np.int64)
+
+    keys, perm = arrays()
+    native.sort(keys, perm, level(1, 0, (1, 1, 1)))  # one pair, (1, 2)
+    assert perm.tolist() == [[0, 2, 1, 3]]
+    bad = {
+        "no keys": ([], perm, prog),
+        "four keys": (keys * 4, perm, prog),
+        "part past the end": (keys, perm, level(1, 0, (2, 2, 1))),
+        # nfull fits the 6 slots, but not as blocks of 2j = 8
+        "blocks past the end": ([np.arange(6, 0, -1, dtype=np.uint64)[None]],
+                                np.arange(6, dtype=np.int64)[None],
+                                level(4, 6)),
+        "blocks longer than a row": (keys, perm, level(1, 8)),
+        "j = 0": (keys, perm, level(0, 0, (0, 1, 1))),
+        "j not a power of two": (keys, perm, level(3, 0, (0, 1, 1))),
+        "negative lo0": (keys, perm, level(1, 0, (-1, 1, 1))),
+        "negative count": (keys, perm, level(1, 0, (0, -1, 1))),
+        "levels past the program": (keys, perm, prog[:4]),
+        "parts past the program": (keys, perm, level(1, 0, (0, 1, 1))[:-1]),
+        "empty program": (keys, perm, prog[:0]),
+        "int32 program": (keys, perm, prog.astype(np.int32)),
+        "2-d program": (keys, perm, prog[None]),
+        "int64 key": ([keys[0].astype(np.int64)], perm, prog),
+        "int32 permutation": (keys, perm.astype(np.int32), prog),
+        "key shape": ([np.zeros((1, 3), np.uint64)], perm, prog),
+        "1-d permutation": ([keys[0][0]], perm[0], prog),
+        "non-contiguous key": ([np.zeros((1, 8), np.uint64)[:, ::2]], perm,
+                               prog),
+    }
+    for name, (k, p, program) in bad.items():
+        before = [col.copy() for col in (*k, p)]
         with pytest.raises(ValueError):
-            level(*args)
-    assert perm.tolist() == [[2, 1, 0, 3]]
-    assert keys[0].tolist() == [[2, 3, 4, 1]]
-    with pytest.raises(ValueError):
-        native.levels([np.zeros((1, 4), np.int64)], perm)
-    with pytest.raises(ValueError, match="shapes differ"):
-        native.levels([np.zeros((1, 3), np.uint64)], perm)
+            native.sort(k, p, program)
+        for col, old in zip((*k, p), before):
+            assert np.array_equal(col, old), name
+    assert perm.tolist() == [[0, 2, 1, 3]]
+    assert keys[0].tolist() == [[4, 2, 3, 1]]
 
 
 def _sorted_on(kernel, monkeypatch, n, rows, fill, key):

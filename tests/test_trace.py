@@ -13,6 +13,7 @@ import pytest
 
 import oblivjoin
 from oblivjoin import _native, primitives
+from oblivjoin._schedule import sort_program
 from oblivjoin.entries import KEY_J_TID, AugEntry
 from oblivjoin.harness import make_distribute_input
 from oblivjoin.trace import (
@@ -146,8 +147,8 @@ def _can_build_kernel() -> bool:
 @pytest.mark.skipif(not _can_build_kernel(),
                     reason="no cc or no openssl/sha.h")
 def test_chain_kernel_is_openssl_where_it_can_be_built(monkeypatch):
-    # a broken build must not quietly hand every hash, every
-    # compare-exchange level and every routing network to the slow path
+    # a broken build must not quietly hand every hash, every sort and
+    # every routing network to the slow path
     assert chain_kernel() == "openssl"
 
     def numpy_fallback(*args):
@@ -177,7 +178,72 @@ def test_native_source_compiles_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("symbol", ["oblivjoin_chain", "oblivjoin_ce_level",
+# Run in a subprocess on an object built with -fsanitize=undefined: the
+# sort on ragged lengths with each key count (and one refused program),
+# one route and one chain call; any undefined behaviour aborts it.
+UBSAN_RUN = """
+import ctypes, hashlib, sys
+import numpy as np
+from oblivjoin import _native
+from oblivjoin._schedule import route_hops, sort_program
+from oblivjoin.trace import REC_DTYPE
+kernel = _native.Kernels(ctypes.CDLL(sys.argv[1]))
+rng = np.random.default_rng(5)
+top = np.array([0, 1, 2**63, 2**64 - 1], np.uint64)
+for n in (2, 3, 7, 100, 257, 1000, 5400):
+    for nkeys in (1, 2, 3):
+        keys = [top[rng.integers(0, 4, (2, n))] for _ in range(nkeys)]
+        perm = np.tile(np.arange(n, dtype=np.int64), (2, 1))
+        kernel.sort([col.copy() for col in keys], perm, sort_program(n)[0])
+        for r in range(2):
+            rows = list(zip(*(col[r, perm[r]].tolist() for col in keys)))
+            assert rows == sorted(rows), (n, nkeys)
+try:  # j = 3 is no power of two, and lo0 = -1
+    kernel.sort(keys, perm, np.array([1, 3, 6, 0, 1, -1, 1, 1], np.int64))
+    raise AssertionError("a bad program ran")
+except ValueError:
+    pass
+f = np.array([[1, 3, 0, 0]], np.uint64)
+nul = np.array([[0, 0, 1, 1]], np.uint64)
+perm = np.arange(4, dtype=np.int64)[None]
+kernel.route(f, nul, perm, np.array(route_hops(4), np.int64))
+assert (f.tolist(), perm.tolist()) == ([[1, 0, 3, 0]], [[0, -1, 1, 3]])
+rec = np.zeros(3, REC_DTYPE)
+rec["aid"], rec["op"], rec["idx"] = 7, [0, 1, 0], [5, 2**64 - 1, 0]
+h = bytes(32)
+for i in range(0, 51, 17):
+    h = hashlib.sha256(h + rec.tobytes()[i:i + 17]).digest()
+assert kernel.chain(bytes(32), rec.ctypes.data, 3) == h
+"""
+UBSAN_FLAGS = ("-O1", "-g", "-fsanitize=undefined",
+               "-fno-sanitize-recover=all", "-shared", "-fPIC")
+
+
+def _can_build_ubsan(tmp_path) -> bool:
+    probe = tmp_path / "probe.c"
+    probe.write_text("int probe(int x) { return x << 1; }\n")
+    return _can_build_kernel() and subprocess.run(
+        [shutil.which("cc"), *UBSAN_FLAGS, "-o", str(tmp_path / "probe.so"),
+         str(probe)], capture_output=True).returncode == 0
+
+
+def test_native_source_runs_clean_under_ubsan(tmp_path):
+    # the kernels on an -fsanitize=undefined build, loaded by ctypes
+    if not _can_build_ubsan(tmp_path):
+        pytest.skip("no cc, openssl/sha.h or libubsan")
+    src, lib = tmp_path / "native.c", tmp_path / "native.so"
+    src.write_text(_native.SOURCE)
+    subprocess.run([shutil.which("cc"), *UBSAN_FLAGS, "-o", str(lib),
+                    str(src), *_native._LIBS], check=True, timeout=300)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(oblivjoin.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", UBSAN_RUN, str(lib)],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("symbol", ["oblivjoin_chain", "oblivjoin_sort",
                                     "oblivjoin_route"])
 def test_cached_object_without_a_kernel_falls_back(symbol, tmp_path,
                                                    monkeypatch, rng):
@@ -214,8 +280,7 @@ def test_warm_cache_load_runs_no_compiler(tmp_path, monkeypatch):
     assert kernel.chain(ZERO32, 0, 0) == ZERO32
     keys = [np.array([[2, 1]], np.uint64)]
     perm = np.array([[0, 1]], np.int64)
-    kernel.levels(keys, perm)(np.array([0]), np.array([1]),
-                              np.array([True]))
+    kernel.sort(keys, perm, sort_program(2)[0])
     assert perm.tolist() == [[1, 0]]
     f, nul = np.array([[2, 0]], np.uint64), np.array([[0, 1]], np.uint64)
     kernel.route(f, nul, perm, np.array([1]))
