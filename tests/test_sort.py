@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from oblivjoin import _native, primitives
-from oblivjoin._schedule import (comparator_count, gp2, np2, route_hops,
-                                 sort_levels, sort_program)
+from oblivjoin._schedule import (_plan, comparator_count, gp2, np2,
+                                 route_hops, sort_levels, sort_program)
 from oblivjoin.entries import KEY_J_TID, KEY_NONNULL_F, U64_FIELDS
 from oblivjoin.primitives import bitonic_sort, compare_exchange
 from oblivjoin.trace import HashSink, LogSink, NullSink, alloc
@@ -329,6 +329,30 @@ def test_sort_kernel_matches_numpy_levels(n, batch, nkeys, native, rng):
     for c, v in zip(ck, nk):
         assert np.array_equal(c, v)
     # and the permutation sorts each row by the keys
+    for r in range(batch):
+        rows = list(zip(*(col[r, cperm[r]].tolist() for col in keys)))
+        assert rows == sorted(rows)
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("n", [2, 3, 7, 64, 100, 257, 1024])
+def test_level_kernel_matches_numpy_level(n, batch, native, rng):
+    # level by level, a one-level program of _plan leaves the same keys and
+    # permutation as the numpy level over that level of sort_levels
+    keys = _kernel_keys(rng, batch, n, 3)
+    ck, nk = [col.copy() for col in keys], [col.copy() for col in keys]
+    cperm = np.tile(np.arange(n, dtype=np.int64), (batch, 1))
+    nperm = cperm.copy()
+    for (j, k, nfull, fired), (lo, hi, asc) in zip(_plan(n), sort_levels(n),
+                                                     strict=True):
+        prog = np.array([1, j, k, nfull, len(fired),
+                         *(v for part in fired for v in part)], np.int64)
+        native.sort(ck, cperm, prog)
+        primitives._ce_level_vector(nk, nperm, lo, hi, asc)
+        assert np.array_equal(cperm, nperm)
+        for c, v in zip(ck, nk):
+            assert np.array_equal(c, v)
+    # and the permutation sorts each row by (key 0, key 1, key 2)
     for r in range(batch):
         rows = list(zip(*(col[r, cperm[r]].tolist() for col in keys)))
         assert rows == sorted(rows)
