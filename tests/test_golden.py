@@ -10,6 +10,8 @@ Each join pins (m, peak_entries, HashSink hexdigest, SHA-256 of
 pairs.tobytes()) and its per-phase event counts on both engines.  The
 primitives pin their HashSink hexdigest and, on the native path and on
 the numpy fallback, one SHA-256 over every column of every output slot.
+Joins and primitives also pin the stream digest of their trace: SHA-256
+over the concatenation of its 17-byte REC_DTYPE records.
 The sort schedule pins one SHA-256 over every level's lo, hi and asc
 bytes for a ladder of lengths with and without ragged tails.  Two
 instances at the sizes the native kernels run, a join of about 2 * 10^5
@@ -32,7 +34,7 @@ from oblivjoin.pipeline import oblivious_join
 from oblivjoin.primitives import (bitonic_sort, oblivious_distribute,
                                   oblivious_expand)
 from oblivjoin.prp import prp_distribute
-from oblivjoin.trace import HashSink, LogSink, NullSink, alloc
+from oblivjoin.trace import REC_DTYPE, HashSink, LogSink, NullSink, alloc
 
 U64_MAX = (1 << 64) - 1
 
@@ -107,6 +109,40 @@ GOLDEN_JOINS = {
 }
 
 
+# name: SHA-256 over the concatenated 17-byte REC_DTYPE records of the
+# join's trace
+GOLDEN_JOIN_STREAMS = {
+    "empty_both":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "empty_t1":
+        "6f9e3bc9a54820a3d5c07af74389fc7c49afba32fa72541602f20600399f1229",
+    "empty_t2":
+        "2e6e6e893c0f39f5e7dbf319e401d3c06f58cdbb0cbeee7c74654ddf28280037",
+    "m_zero":
+        "44cd4511d347e3edcced033867b7e0a9fddc6651fb3b658e3e6eb0033d6e64d2",
+    "many_to_one":
+        "e64cda8e7e3ab5e8a75b3275e271ba7cd20ec194de30bd290e4a02056deccb28",
+    "mixed":
+        "c54b660d0fab7cdf1eb1f18d43da12088f31c87848f7ee1d2de88df392a4d37e",
+    "odd_13_9":
+        "508fa7d00a154ebfabfc2bd700cfdc5acc9e3fe4d2694c50bc30c56c1c6fb8c6",
+    "odd_300_211":
+        "e78ab14ccfc5052c7024c6b29b56e59b9dd0942f5b064ac10b6ad13c1a0dd9c2",
+    "one_to_many":
+        "9704008ce6669db8fe71dec21a81219f1b5743f69350ed112d5f48bb039c72f6",
+    "pow2_128":
+        "48d6c107e21af0f64aa9f82bbcf23be709b36bdfd39868275a82db2e48b1871d",
+}
+
+
+def _records(log):
+    """The REC_DTYPE records of a LogSink's events, concatenated."""
+    aids, ops, idxs = log.event_arrays()
+    rec = np.empty(len(ops), REC_DTYPE)
+    rec["aid"], rec["op"], rec["idx"] = aids, ops, idxs
+    return rec.tobytes()
+
+
 @pytest.mark.parametrize("name", sorted(JOINS))
 def test_join_golden(name):
     t1, t2 = JOINS[name]()
@@ -115,6 +151,15 @@ def test_join_golden(name):
     got = (res.m, sink.peak_entries, sink.hexdigest(),
            hashlib.sha256(res.pairs.tobytes()).hexdigest())
     assert got == GOLDEN_JOINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(JOINS))
+def test_join_stream_golden(name):
+    t1, t2 = JOINS[name]()
+    sink = LogSink()
+    oblivious_join(t1, t2, sink)
+    assert hashlib.sha256(_records(sink)).hexdigest() == \
+        GOLDEN_JOIN_STREAMS[name]
 
 
 # name: events emitted under each phase label.  The digest pins above
@@ -198,52 +243,46 @@ def test_null_sink_join_builds_no_schedule(name, native, monkeypatch):
         (GOLDEN_JOINS[name][0], GOLDEN_JOINS[name][3])
 
 
-def _distribute():
-    sink = HashSink()
+def _distribute(sink):
     f = [(5 * i) % 23 + 1 for i in range(17)]
-    return sink, oblivious_distribute(make_distribute_input(sink, f), 23)
+    return oblivious_distribute(make_distribute_input(sink, f), 23)
 
 
-def _ext_distribute():
+def _ext_distribute(sink):
     # 11 inputs, 4 of them null (f = 0), into 9 slots: n > m
-    sink = HashSink()
     f = [0, 9, 2, 0, 7, 1, 0, 5, 3, 0, 8]
     x = make_distribute_input(sink, f)
     x.col("is_null")[:] = np.array(f, np.uint64) == 0
-    return sink, oblivious_distribute(x, 9)
+    return oblivious_distribute(x, 9)
 
 
-def _batch_distribute():
+def _batch_distribute(sink):
     # 3 rows of 13 inputs into 16 slots, each row its own injective map;
     # row 1 has 3 nulls, and every column holds values
-    sink = HashSink()
     f = [[((5 + 2 * b) * i + b) % 16 + 1 for i in range(13)]
          for b in range(3)]
     x = make_distribute_input(sink, f, batch=3)
     x.col("is_null")[1] = [i % 4 == 1 for i in range(13)]
     for k, name in enumerate(("tid", "alpha1", "alpha2", "ii")):
         x.col(name)[:] = np.arange(39, dtype=np.uint64).reshape(3, 13) * (k + 3)
-    return sink, oblivious_distribute(x, 16)
+    return oblivious_distribute(x, 16)
 
 
-def _expand():
-    sink = HashSink()
+def _expand(sink):
     g = [i % 4 for i in range(19)]
     x = make_distribute_input(sink, [0] * len(g))
     x.col("alpha1")[:] = g
-    return sink, oblivious_expand(x, "alpha1")
+    return oblivious_expand(x, "alpha1")
 
 
-def _prp_distribute():
-    sink = HashSink()
+def _prp_distribute(sink):
     f = [(3 * i) % 20 + 1 for i in range(13)]
-    return sink, prp_distribute(make_distribute_input(sink, f), 20, seed=12345)
+    return prp_distribute(make_distribute_input(sink, f), 20, seed=12345)
 
 
-def _sort_ragged():
+def _sort_ragged(sink):
     # 23 slots (a ragged tail), 5 values of j and 2 of tid, so (j, tid)
     # ties; every other column, nulls included, carries the slot's index
-    sink = HashSink()
     a = alloc(23, sink)
     ar = np.arange(23, dtype=np.uint64)
     a.col("j")[:] = (7 * ar) % 5
@@ -252,7 +291,7 @@ def _sort_ragged():
         a.col(name)[:] = ar * (k + 2) + U64_MAX - 100
     a.col("is_null")[:] = ar % 3 == 0
     bitonic_sort(a, KEY_J_TID)
-    return sink, a
+    return a
 
 
 PRIMITIVES = {
@@ -279,6 +318,22 @@ GOLDEN_PRIMITIVES = {
         "1a6f22449de39f2111b222edd899a47f4c74c2e79d86bde91adaab98493cbd73",
 }
 
+# name: SHA-256 over the concatenated REC_DTYPE records of the trace
+GOLDEN_PRIMITIVE_STREAMS = {
+    "batch_oblivious_distribute":
+        "e6ac59d2650789ea5057145b6aa297d9ab8667a30c6066c21c90ee5f35a6a685",
+    "bitonic_sort_ragged":
+        "e9d87d5d2058a03a144b53aa30fdcb43794e110b8123441e28c46f658e632053",
+    "ext_oblivious_distribute":
+        "737c24b66c06bee3877cf1ccb69485fd3965b85e1a67e1c9a4dbbfe899b71b83",
+    "oblivious_distribute":
+        "5e0d8ada12df0c05391c132ec8ce9ed9afef5dba533c89d30ee46b35cf1c2c9a",
+    "oblivious_expand":
+        "7d2ccd6e931faf32e4bd7dde014109ee932bdb5ec65683e8952124f7ea3ffc9e",
+    "prp_distribute":
+        "3f652e56e3f74438b94bc15aa00b9444c926b28790ff9c5909481bfb1a6aaee0",
+}
+
 # SHA-256 over every column of every output slot, every batch row; the
 # null slots count too, whatever they hold
 GOLDEN_OUTPUTS = {
@@ -299,8 +354,17 @@ GOLDEN_OUTPUTS = {
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVES))
 def test_primitive_golden(name):
-    sink, _ = PRIMITIVES[name]()
+    sink = HashSink()
+    PRIMITIVES[name](sink)
     assert sink.hexdigest() == GOLDEN_PRIMITIVES[name]
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVES))
+def test_primitive_stream_golden(name):
+    sink = LogSink()
+    PRIMITIVES[name](sink)
+    assert hashlib.sha256(_records(sink)).hexdigest() == \
+        GOLDEN_PRIMITIVE_STREAMS[name]
 
 
 def _columns_digest(a):
@@ -318,7 +382,7 @@ def test_primitive_output_golden(name, path, native_loads, monkeypatch):
     if path == "native" and kernel is None:
         pytest.skip("the native module cannot be built here")
     monkeypatch.setattr(_native, "kernel", lambda: kernel)
-    _, out = PRIMITIVES[name]()
+    out = PRIMITIVES[name](HashSink())
     assert _columns_digest(out) == GOLDEN_OUTPUTS[name]
 
 
