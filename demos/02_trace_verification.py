@@ -1,10 +1,12 @@
 """Show that the access trace depends only on the public sizes.
 
-Every public-memory read and write the engine performs can be streamed
-into a hashing sink.  Two inputs with the same (n1, n2, m) must produce
-byte-identical access sequences — same digest — no matter how different
-their keys, payloads, or match structure are.  Inputs with a different
-size triple produce a different digest.
+Every public-memory read and write the engine performs can be hashed by
+HashSink: SHA-256 over the concatenation of the events' 17-byte records
+(big-endian u64 array id, u8 op, big-endian u64 index).  Two inputs
+with the same (n1, n2, m) must produce byte-identical access sequences —
+same digest — no matter how different their keys, payloads, or match
+structure are.  Inputs with a different size triple produce a different
+digest.
 """
 
 import numpy as np

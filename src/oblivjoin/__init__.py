@@ -9,10 +9,8 @@ cost accounting, baselines, and a CLI (`oblivjoin`).
 from .entries import (AugEntry, null_entry, ct_select, ct_eq,
                       ct_select_entry, lex_compare, KEY_J_TID,
                       KEY_TID_J_D, KEY_F, KEY_NONNULL_F, KEY_J_II)
-from .trace import (READ, WRITE, TraceEvent, ZERO_DIGEST, encode_event,
-                    hash_step, chain_digest, chain_kernel, TraceSink,
-                    NullSink, LogSink, HashSink, PublicArray, alloc,
-                    OutOfBoundsError)
+from .trace import (READ, WRITE, TraceEvent, TraceSink, NullSink, LogSink,
+                    HashSink, PublicArray, alloc, OutOfBoundsError)
 from .primitives import (compare_exchange, bitonic_sort,
                          oblivious_distribute, oblivious_expand,
                          DistributeCollisionError)

@@ -1,10 +1,5 @@
-"""The native module: the trace hash chain, the whole sorting network and
-the routing network in one C source, compiled into one shared object.
-
-oblivjoin_chain extends the trace hash chain.  One chain link hashes the
-32-byte digest followed by a 17-byte record.  Those 49 bytes plus SHA-256
-padding fill exactly one 64-byte block, so a link is one SHA256_Transform
-from the IV, with the padding written once.
+"""The native module: the whole sorting network and the routing network in
+one C source, compiled into one shared object with `cc` alone.
 
 oblivjoin_sort runs every level of one sort's network in every batch row,
 on the uint64 key copies and the int64 slot permutation of the vector
@@ -25,10 +20,9 @@ ct_select.
 
 The object is compiled on first use into the user's cache directory and
 loaded with ctypes; nothing is built at import.  load() returns None when
-it cannot build or load the object, and then every caller keeps its
-fallback: trace.chain_digest a hashlib loop, primitives.bitonic_sort the
-numpy level per level of sort_levels, primitives.oblivious_distribute the
-numpy hop.
+it cannot build or load the object, and then both callers keep their
+fallbacks: primitives.bitonic_sort the numpy level per level of
+sort_levels, primitives.oblivious_distribute the numpy hop.
 """
 
 from __future__ import annotations
@@ -44,38 +38,8 @@ from pathlib import Path
 import numpy as np
 
 SOURCE = r"""
-#define OPENSSL_SUPPRESS_DEPRECATED
 #include <stddef.h>
 #include <stdint.h>
-#include <string.h>
-#include <openssl/sha.h>
-
-static const SHA_LONG IV[8] = {
-    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-    0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-
-/* h: 32-byte chain state, updated in place; rec: n records of 17 bytes */
-void oblivjoin_chain(unsigned char *h, const unsigned char *rec, size_t n)
-{
-    unsigned char block[64] = {0};
-    SHA256_CTX ctx;
-    memcpy(block, h, 32);
-    block[49] = 0x80;
-    block[62] = 392 >> 8;
-    block[63] = 392 & 0xff;
-    for (size_t i = 0; i < n; i++) {
-        memcpy(block + 32, rec + 17 * i, 17);
-        memcpy(ctx.h, IV, sizeof IV);
-        SHA256_Transform(&ctx, block);
-        for (int w = 0; w < 8; w++) {
-            block[4 * w] = (unsigned char)(ctx.h[w] >> 24);
-            block[4 * w + 1] = (unsigned char)(ctx.h[w] >> 16);
-            block[4 * w + 2] = (unsigned char)(ctx.h[w] >> 8);
-            block[4 * w + 3] = (unsigned char)ctx.h[w];
-        }
-    }
-    memcpy(h, block, 32);
-}
 
 /* Orders slots i and k of one row: a lexicographic compare over the
    nkeys key rows, each ascending, then an XOR-masked swap of the keys and
@@ -229,10 +193,6 @@ int oblivjoin_route(uint64_t *f, uint64_t *nul, int64_t *perm, size_t batch,
 """
 
 _FLAGS = ("-O2", "-shared", "-fPIC")
-_LIBS = ("-lcrypto",)
-# one type for the chain state: a fresh c_char array type per call would
-# leave a reference cycle for the cyclic GC on every digest
-_State = ctypes.c_char * 32
 _P, _N = ctypes.c_void_p, ctypes.c_size_t
 
 
@@ -250,26 +210,16 @@ def _addr(arr: np.ndarray, dtype) -> int:
 
 
 class Kernels:
-    """The three kernels of one loaded shared object."""
+    """The two kernels of one loaded shared object."""
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         # each lookup raises AttributeError on an object that lacks it
-        self._chain = lib.oblivjoin_chain
         self._sort = lib.oblivjoin_sort
         self._route = lib.oblivjoin_route
-        self._chain.argtypes = (ctypes.POINTER(_State), _P, _N)
-        self._chain.restype = None
         self._sort.argtypes = (_P, _N, _P, _N, _N, _P, _N)
         self._sort.restype = ctypes.c_int
         self._route.argtypes = (_P, _P, _P, _N, _N, _P, _N)
         self._route.restype = ctypes.c_int
-
-    def chain(self, h: bytes, rec_addr: int, n: int) -> bytes:
-        """Extend the 32-byte state h by the n 17-byte records stored
-        contiguously at address rec_addr."""
-        state = _State.from_buffer_copy(h)
-        self._chain(state, rec_addr, n)
-        return bytes(state)
 
     def sort(self, keys, perm: np.ndarray, prog: np.ndarray) -> None:
         """Run the sort program prog (_schedule.sort_program, an int64
@@ -305,7 +255,7 @@ class Kernels:
 def _library_path(cc: str, cache: Path) -> Path:
     """Where the shared object lives: named by the SHA-256 of the source
     and the compile command."""
-    key = hashlib.sha256(" ".join((SOURCE, cc, *_FLAGS, *_LIBS)).encode())
+    key = hashlib.sha256(" ".join((SOURCE, cc, *_FLAGS)).encode())
     return cache / f"native-{key.hexdigest()[:16]}.so"
 
 
@@ -321,7 +271,7 @@ def load(cc: str = "cc", cache_dir: Path | None = None) -> Kernels | None:
             with tempfile.TemporaryDirectory(dir=cache) as tmp:
                 src, out = Path(tmp, "native.c"), Path(tmp, "native.so")
                 src.write_text(SOURCE)
-                subprocess.run([cc, *_FLAGS, "-o", str(out), str(src), *_LIBS],
+                subprocess.run([cc, *_FLAGS, "-o", str(out), str(src)],
                                check=True, capture_output=True, timeout=300)
                 os.replace(out, lib)
         return Kernels(ctypes.CDLL(str(lib)))

@@ -6,13 +6,12 @@ to the run's sink.  Allocation assigns ids in order and emits nothing, so
 two runs agree on ids whenever they allocate in the same order.
 
 Sinks consume the event stream three ways: NullSink discards it (timing
-runs), LogSink keeps it (inspection, file dumps), HashSink folds it into a
-chained SHA-256 digest (trace-equality verification).  Every sink also
-tallies its events per phase label (cost accounting).  The chain is
-defined link-by-link by hash_step; chain_digest computes the same digest
-over a block of events, in a C kernel over OpenSSL's SHA-256 block
-function where the native module (_native) can be built and in a hashlib
-loop otherwise.
+runs), LogSink keeps it (inspection, file dumps), HashSink digests it
+(trace-equality verification).  Every sink also tallies its events per
+phase label (cost accounting).  The digest is SHA-256 over the
+concatenation of the events' 17-byte REC_DTYPE records.  The records are
+fixed-width and SHA-256's padding encodes the message length, so equal
+digests mean equal traces under SHA-256's collision resistance.
 
 Every access, a scalar read or write or an engine's bulk access pattern,
 reaches the sink through emit_steps, the one place that counts events and
@@ -29,12 +28,10 @@ from typing import Iterator
 
 import numpy as np
 
-from . import _native
 from .entries import AugEntry, U64_FIELDS
 
 __all__ = [
-    "READ", "WRITE", "TraceEvent", "ZERO_DIGEST", "encode_event",
-    "hash_step", "chain_digest", "chain_kernel", "REC_DTYPE",
+    "READ", "WRITE", "TraceEvent", "REC_DTYPE",
     "TraceSink", "NullSink", "LogSink", "HashSink",
     "PublicArray", "alloc", "emit_steps", "OutOfBoundsError",
 ]
@@ -42,10 +39,8 @@ __all__ = [
 READ = 0
 WRITE = 1
 
-ZERO_DIGEST = b"\x00" * 32
-
-# Wire layout of one event record: u64 array id, u8 op, u64 index, all
-# big-endian, 17 bytes total.
+# One event record: u64 array id, u8 op, u64 index, all big-endian, 17
+# bytes total.  The trace digest hashes these records back to back.
 REC_DTYPE = np.dtype([("aid", ">u8"), ("op", "u1"), ("idx", ">u8")])
 assert REC_DTYPE.itemsize == 17
 
@@ -58,53 +53,6 @@ class TraceEvent:
 
     def __str__(self) -> str:
         return f"{'RW'[self.op]} {self.array_id} {self.index}"
-
-
-def encode_event(array_id: int, op: int, index: int) -> bytes:
-    """17-byte record: u64 array id, u8 op, u64 index (big-endian)."""
-    return np.array((array_id, op, index), REC_DTYPE).tobytes()
-
-
-def hash_step(h: bytes, ev: TraceEvent) -> bytes:
-    """One link of the trace hash chain.
-
-    The chain starts from 32 zero bytes; each event extends it with
-    SHA-256(previous digest || record).
-    """
-    return hashlib.sha256(h + encode_event(ev.array_id, ev.op, ev.index)).digest()
-
-
-def chain_digest(h: bytes, aids, ops, idxs) -> bytes:
-    """Digest of a whole event sequence, starting from chain state h.
-
-    aids may be a scalar (one array) or a per-event vector.  Equals
-    folding hash_step over the events one by one.  Runs the C kernel of
-    _native when it is available (see chain_kernel), else a hashlib loop.
-    """
-    if len(h) != 32:
-        raise ValueError("chain state must be 32 bytes")
-    n = len(ops)
-    rec = np.empty(n, REC_DTYPE)
-    rec["aid"] = aids
-    rec["op"] = ops
-    rec["idx"] = idxs
-    kernel = _native.kernel()
-    if kernel is not None:
-        return kernel.chain(h, rec.ctypes.data, n)
-    buf = rec.tobytes()
-    for i in range(0, 17 * n, 17):
-        h = hashlib.sha256(h + buf[i:i + 17]).digest()
-    return h
-
-
-def chain_kernel() -> str:
-    """Which path the native module's callers run in this process:
-    "openssl" when it is loaded, so chain_digest, the sorting network of
-    bitonic_sort and the routing network of oblivious_distribute all run
-    in C, or "hashlib" when all three run their fallbacks (a hashlib loop,
-    the numpy level per level of sort_levels, the numpy hop).  Builds the
-    module if needed."""
-    return "hashlib" if _native.kernel() is None else "openssl"
 
 
 # --------------------------------------------------------------------------
@@ -221,25 +169,30 @@ class LogSink(TraceSink):
 
 
 class HashSink(TraceSink):
-    """Folds the event stream into the running SHA-256 chain.
+    """SHA-256 over the concatenated REC_DTYPE records of the event stream.
 
-    Local state is exactly the 32-byte chain value, independent of trace
-    length.
+    Local state is one SHA-256 context, independent of trace length.
+    digest and hexdigest() read the digest of the events so far without
+    finalizing it, so the stream may go on.
     """
 
     def __init__(self) -> None:
         super().__init__()
-        self._h = ZERO_DIGEST
+        self._h = hashlib.sha256()
 
     def emit_block(self, aid, ops, idxs):
-        self._h = chain_digest(self._h, aid, ops, idxs)
+        rec = np.empty(len(ops), REC_DTYPE)
+        rec["aid"] = aid
+        rec["op"] = ops
+        rec["idx"] = idxs
+        self._h.update(rec)
 
     @property
     def digest(self) -> bytes:
-        return self._h
+        return self._h.digest()
 
     def hexdigest(self) -> str:
-        return self._h.hex()
+        return self._h.hexdigest()
 
 
 # --------------------------------------------------------------------------

@@ -6,12 +6,16 @@ commits: a refactor of the engine or of the trace layer must leave every
 value below byte-identical.  Inputs come from closed-form integer
 arithmetic, never from an RNG, so a numpy release cannot move them.
 
-Each join pins (m, peak_entries, HashSink hexdigest, SHA-256 of
+Each join pins (m, peak_entries, chain digest, SHA-256 of
 pairs.tobytes()) and its per-phase event counts on both engines.  The
-primitives pin their HashSink hexdigest and, on the native path and on
-the numpy fallback, one SHA-256 over every column of every output slot.
-Joins and primitives also pin the stream digest of their trace: SHA-256
-over the concatenation of its 17-byte REC_DTYPE records.
+primitives pin their chain digest and, on the native path and on the
+numpy fallback, one SHA-256 over every column of every output slot.  The
+chain digest is the trace digest of an earlier release: from 32 zero
+bytes, each event's 17-byte REC_DTYPE record extends the digest h to
+SHA-256(h || record).  The tests fold it over a LogSink's events, so the
+old pins keep checking the trace.  Joins and primitives also pin the
+HashSink digest of their trace, SHA-256 over the concatenation of its
+records.
 The sort schedule pins one SHA-256 over every level's lo, hi and asc
 bytes for a ladder of lengths with and without ragged tails.  Two
 instances at the sizes the native kernels run, a join of about 2 * 10^5
@@ -109,8 +113,8 @@ GOLDEN_JOINS = {
 }
 
 
-# name: SHA-256 over the concatenated 17-byte REC_DTYPE records of the
-# join's trace
+# name: HashSink hexdigest, SHA-256 over the concatenated 17-byte
+# REC_DTYPE records of the join's trace
 GOLDEN_JOIN_STREAMS = {
     "empty_both":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -143,12 +147,21 @@ def _records(log):
     return rec.tobytes()
 
 
+def _chain_hexdigest(log):
+    """The retired per-event chain folded over a LogSink's events."""
+    buf = _records(log)
+    h = bytes(32)
+    for i in range(0, len(buf), 17):
+        h = hashlib.sha256(h + buf[i:i + 17]).digest()
+    return h.hex()
+
+
 @pytest.mark.parametrize("name", sorted(JOINS))
 def test_join_golden(name):
     t1, t2 = JOINS[name]()
-    sink = HashSink()
+    sink = LogSink()
     res = oblivious_join(t1, t2, sink)
-    got = (res.m, sink.peak_entries, sink.hexdigest(),
+    got = (res.m, sink.peak_entries, _chain_hexdigest(sink),
            hashlib.sha256(res.pairs.tobytes()).hexdigest())
     assert got == GOLDEN_JOINS[name]
 
@@ -156,10 +169,9 @@ def test_join_golden(name):
 @pytest.mark.parametrize("name", sorted(JOINS))
 def test_join_stream_golden(name):
     t1, t2 = JOINS[name]()
-    sink = LogSink()
+    sink = HashSink()
     oblivious_join(t1, t2, sink)
-    assert hashlib.sha256(_records(sink)).hexdigest() == \
-        GOLDEN_JOIN_STREAMS[name]
+    assert sink.hexdigest() == GOLDEN_JOIN_STREAMS[name]
 
 
 # name: events emitted under each phase label.  The digest pins above
@@ -222,9 +234,13 @@ def test_join_counts_golden(name, engine):
     assert Counter(sink.phase_labels()) == GOLDEN_COUNTS[name]
     # every sink counts the events it is given
     assert sink.counts == Counter(GOLDEN_COUNTS[name])
-    for other in (NullSink(), HashSink()):
+    hashed = HashSink()
+    for other in (NullSink(), hashed):
         oblivious_join(t1, t2, other, engine=engine)
         assert other.counts == sink.counts
+    # the same digest whether the engine sends one-event blocks (scalar)
+    # or whole levels (vector)
+    assert hashed.hexdigest() == GOLDEN_JOIN_STREAMS[name]
 
 
 @pytest.mark.parametrize("name", sorted(JOINS))
@@ -318,7 +334,7 @@ GOLDEN_PRIMITIVES = {
         "1a6f22449de39f2111b222edd899a47f4c74c2e79d86bde91adaab98493cbd73",
 }
 
-# name: SHA-256 over the concatenated REC_DTYPE records of the trace
+# name: HashSink hexdigest
 GOLDEN_PRIMITIVE_STREAMS = {
     "batch_oblivious_distribute":
         "e6ac59d2650789ea5057145b6aa297d9ab8667a30c6066c21c90ee5f35a6a685",
@@ -354,17 +370,16 @@ GOLDEN_OUTPUTS = {
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVES))
 def test_primitive_golden(name):
-    sink = HashSink()
+    sink = LogSink()
     PRIMITIVES[name](sink)
-    assert sink.hexdigest() == GOLDEN_PRIMITIVES[name]
+    assert _chain_hexdigest(sink) == GOLDEN_PRIMITIVES[name]
 
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVES))
 def test_primitive_stream_golden(name):
-    sink = LogSink()
+    sink = HashSink()
     PRIMITIVES[name](sink)
-    assert hashlib.sha256(_records(sink)).hexdigest() == \
-        GOLDEN_PRIMITIVE_STREAMS[name]
+    assert sink.hexdigest() == GOLDEN_PRIMITIVE_STREAMS[name]
 
 
 def _columns_digest(a):

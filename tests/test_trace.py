@@ -1,4 +1,5 @@
-"""Trace events, hash chaining, sinks, and public-array accounting."""
+"""Trace events, the trace digest, sinks, the native module's build, and
+public-array accounting."""
 
 import functools
 import hashlib
@@ -18,6 +19,7 @@ from oblivjoin.entries import KEY_J_TID, AugEntry
 from oblivjoin.harness import make_distribute_input
 from oblivjoin.trace import (
     READ,
+    REC_DTYPE,
     WRITE,
     HashSink,
     LogSink,
@@ -26,21 +28,19 @@ from oblivjoin.trace import (
     PublicArray,
     TraceEvent,
     alloc,
-    chain_digest,
-    chain_kernel,
     emit_steps,
-    encode_event,
-    hash_step,
 )
 
-ZERO32 = b"\x00" * 32
 U64_MAX = 2**64 - 1
 
 
 def test_event_encoding_layout():
-    rec = encode_event(3, WRITE, 17)
-    assert len(rec) == 17
-    assert rec == (3).to_bytes(8, "big") + b"\x01" + (17).to_bytes(8, "big")
+    rec = np.array([(3, WRITE, 17), (U64_MAX, READ, U64_MAX - 1)],
+                   REC_DTYPE).tobytes()
+    assert len(rec) == 34
+    assert rec[:17] == (3).to_bytes(8, "big") + b"\x01" + \
+        (17).to_bytes(8, "big")
+    assert rec[17:] == b"\xff" * 8 + b"\x00" + b"\xff" * 7 + b"\xfe"
 
 
 def test_event_str_form():
@@ -48,108 +48,79 @@ def test_event_str_form():
     assert str(TraceEvent(2, WRITE, 0)) == "W 2 0"
 
 
-def test_hash_step_is_chained_sha256():
-    ev = TraceEvent(1, READ, 9)
-    want = hashlib.sha256(ZERO32 + encode_event(1, READ, 9)).digest()
-    assert hash_step(ZERO32, ev) == want
-    # second step chains on the first digest
-    ev2 = TraceEvent(1, WRITE, 9)
-    want2 = hashlib.sha256(want + encode_event(1, WRITE, 9)).digest()
-    assert hash_step(hash_step(ZERO32, ev), ev2) == want2
+# -- the trace digest: SHA-256 over the concatenated records ----------------
+
+def _stream_sha256(log):
+    """Reference: hashlib.sha256 over a LogSink's REC_DTYPE records."""
+    aids, ops, idxs = log.event_arrays()
+    rec = np.empty(len(ops), REC_DTYPE)
+    rec["aid"], rec["op"], rec["idx"] = aids, ops, idxs
+    return hashlib.sha256(rec.tobytes()).digest()
 
 
-# -- the chain over a block: C kernel and hashlib fallback ------------------
-
-def _fold(h, aids, ops, idxs):
-    """Reference: hash_step folded over the events one by one."""
-    aids = np.broadcast_to(np.asarray(aids, np.uint64), len(ops))
-    for a, o, i in zip(aids.tolist(), ops.tolist(), idxs.tolist()):
-        h = hash_step(h, TraceEvent(a, o, i))
-    return h
-
-
-def _case(name, rng):
-    """(h, aids, ops, idxs) of one named chain test case."""
-    n = 257  # not a multiple of anything convenient
+def _block(rng, n=257):
+    """(aids, ops, idxs) of n events on a per-event aid vector, with
+    U64_MAX among the aids and the indices."""
     ops = rng.integers(0, 2, n, dtype=np.uint8)
+    aids = np.where(ops == 1, U64_MAX, rng.integers(0, 5, n)).astype(np.uint64)
     idxs = rng.integers(0, 1000, n, dtype=np.uint64)
-    if name == "aid_vector":
-        return ZERO32, rng.integers(0, 5, n, dtype=np.uint64), ops, idxs
-    if name == "empty":
-        return ZERO32, 3, ops[:0], idxs[:0]
-    if name == "scalar_aid":
-        return ZERO32, 7, ops, idxs
-    if name == "nonzero_start":
-        return hashlib.sha256(b"start").digest(), 2, ops, idxs
-    if name == "u64_max":
-        aids = np.where(ops == 1, U64_MAX, 0).astype(np.uint64)
-        idxs[::3] = U64_MAX
-        return ZERO32, aids, ops, idxs
-    raise ValueError(name)
+    idxs[::3] = U64_MAX
+    return aids, ops, idxs
 
 
-@pytest.fixture(params=["openssl", "hashlib"])
-def chain_path(request, native_loads, monkeypatch):
-    """Runs chain_digest on one path for the test's duration."""
-    kernel = native_loads["native" if request.param == "openssl"
-                          else "fallback"]
-    if request.param == "openssl" and kernel is None:
-        pytest.skip("the native module cannot be built here")
-    monkeypatch.setattr(_native, "kernel", lambda: kernel)
-    assert chain_kernel() == request.param
-    return request.param
+def test_hash_sink_digest_is_sha256_of_the_records(rng):
+    hs, ls = HashSink(), LogSink()
+    block = _block(rng)
+    for s in (hs, ls):
+        s.emit_block(*block)
+        s.emit_block(7, *block[1:])
+    assert hs.digest == _stream_sha256(ls)
+    assert hs.hexdigest() == hs.digest.hex()
 
 
-@pytest.mark.parametrize("case", ["aid_vector", "empty", "scalar_aid",
-                                  "nonzero_start", "u64_max"])
-def test_chain_digest_matches_stepwise(chain_path, case, rng):
-    h, aids, ops, idxs = _case(case, rng)
-    assert chain_digest(h, aids, ops, idxs) == _fold(h, aids, ops, idxs)
+def test_hash_sink_digest_of_an_empty_trace():
+    hs, ls = HashSink(), LogSink()
+    assert hs.digest == _stream_sha256(ls) == hashlib.sha256(b"").digest()
+    for s in (hs, ls):
+        s.emit_block(3, np.zeros(0, np.uint8), np.zeros(0, np.uint64))
+    assert hs.digest == _stream_sha256(ls) == hashlib.sha256(b"").digest()
 
 
-@pytest.fixture(scope="module")
-def long_block():
-    rng = np.random.default_rng(0x5EED)
-    n = 100_003
-    block = (rng.integers(0, 1 << 40, n, dtype=np.uint64),
-             rng.integers(0, 2, n, dtype=np.uint8),
-             rng.integers(0, 1 << 63, n, dtype=np.uint64))
-    return block, _fold(ZERO32, *block)
+def test_hash_sink_digest_ignores_block_boundaries(rng):
+    # one block, one-event blocks, and random splits give one digest; a
+    # digest read between blocks does not end the stream
+    aids, ops, idxs = _block(rng)
+    n = len(ops)
+    cuts = np.sort(rng.choice(np.arange(1, n), 9, replace=False))
+    splits = {"one": [0, n], "single": list(range(n + 1)),
+              "random": [0, *cuts.tolist(), n]}
+    digests = set()
+    for bounds in splits.values():
+        hs = HashSink()
+        for lo, hi in zip(bounds, bounds[1:]):
+            hs.emit_block(aids[lo:hi], ops[lo:hi], idxs[lo:hi])
+            hs.hexdigest()
+        digests.add(hs.digest)
+    one = HashSink()
+    one.emit_block(aids, ops, idxs)
+    assert digests == {one.digest}
 
 
-def test_chain_digest_matches_stepwise_on_a_long_block(chain_path, long_block):
-    block, want = long_block
-    assert chain_digest(ZERO32, *block) == want
-
-
-def test_chain_digest_rejects_a_short_state(chain_path):
-    with pytest.raises(ValueError):
-        chain_digest(ZERO32[:31], 0, np.zeros(1, np.uint8),
-                     np.zeros(1, np.uint64))
-
-
-def test_unwritable_cache_falls_back_to_hashlib(tmp_path):
+def test_unwritable_cache_falls_back(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("a file where the cache directory would go")
     assert _native.load(cache_dir=blocker / "oblivjoin") is None
 
 
 def _can_build_kernel() -> bool:
-    cc = shutil.which("cc")
-    if cc is None:
-        return False
-    probe = subprocess.run([cc, "-E", "-x", "c", "-", "-o", os.devnull],
-                           input=b"#include <openssl/sha.h>\n",
-                           capture_output=True)
-    return probe.returncode == 0
+    return shutil.which("cc") is not None
 
 
-@pytest.mark.skipif(not _can_build_kernel(),
-                    reason="no cc or no openssl/sha.h")
-def test_chain_kernel_is_openssl_where_it_can_be_built(monkeypatch):
-    # a broken build must not quietly hand every hash, every sort and
-    # every routing network to the slow path
-    assert chain_kernel() == "openssl"
+@pytest.mark.skipif(not _can_build_kernel(), reason="no cc")
+def test_native_module_loads_where_it_can_be_built(monkeypatch):
+    # a broken build must not quietly hand every sort and every routing
+    # network to the slow path
+    assert _native.kernel() is not None
 
     def numpy_fallback(*args):
         raise AssertionError("a numpy fallback ran beside a live kernel")
@@ -165,28 +136,26 @@ def test_chain_kernel_is_openssl_where_it_can_be_built(monkeypatch):
     assert out.debug_col("f").tolist() == [[1, 0, 3, 0]]
 
 
-@pytest.mark.skipif(not _can_build_kernel(),
-                    reason="no cc or no openssl/sha.h")
+@pytest.mark.skipif(not _can_build_kernel(), reason="no cc")
 def test_native_source_compiles_without_warnings(tmp_path):
     # the kernels' C source stays clean under -Wall -Wextra -Werror
     src = tmp_path / "native.c"
     src.write_text(_native.SOURCE)
     proc = subprocess.run([shutil.which("cc"), "-Wall", "-Wextra", "-Werror",
                            *_native._FLAGS, "-o", str(tmp_path / "native.so"),
-                           str(src), *_native._LIBS],
+                           str(src)],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
 
 
 # Run in a subprocess on an object built with -fsanitize=undefined: the
-# sort on ragged lengths with each key count (and one refused program),
-# one route and one chain call; any undefined behaviour aborts it.
+# sort on ragged lengths with each key count (and one refused program)
+# and one route; any undefined behaviour aborts it.
 UBSAN_RUN = """
-import ctypes, hashlib, sys
+import ctypes, sys
 import numpy as np
 from oblivjoin import _native
 from oblivjoin._schedule import route_hops, sort_program
-from oblivjoin.trace import REC_DTYPE
 kernel = _native.Kernels(ctypes.CDLL(sys.argv[1]))
 rng = np.random.default_rng(5)
 top = np.array([0, 1, 2**63, 2**64 - 1], np.uint64)
@@ -208,12 +177,6 @@ nul = np.array([[0, 0, 1, 1]], np.uint64)
 perm = np.arange(4, dtype=np.int64)[None]
 kernel.route(f, nul, perm, np.array(route_hops(4), np.int64))
 assert (f.tolist(), perm.tolist()) == ([[1, 0, 3, 0]], [[0, -1, 1, 3]])
-rec = np.zeros(3, REC_DTYPE)
-rec["aid"], rec["op"], rec["idx"] = 7, [0, 1, 0], [5, 2**64 - 1, 0]
-h = bytes(32)
-for i in range(0, 51, 17):
-    h = hashlib.sha256(h + rec.tobytes()[i:i + 17]).digest()
-assert kernel.chain(bytes(32), rec.ctypes.data, 3) == h
 """
 UBSAN_FLAGS = ("-O1", "-g", "-fsanitize=undefined",
                "-fno-sanitize-recover=all", "-shared", "-fPIC")
@@ -230,11 +193,11 @@ def _can_build_ubsan(tmp_path) -> bool:
 def test_native_source_runs_clean_under_ubsan(tmp_path):
     # the kernels on an -fsanitize=undefined build, loaded by ctypes
     if not _can_build_ubsan(tmp_path):
-        pytest.skip("no cc, openssl/sha.h or libubsan")
+        pytest.skip("no cc or libubsan")
     src, lib = tmp_path / "native.c", tmp_path / "native.so"
     src.write_text(_native.SOURCE)
     subprocess.run([shutil.which("cc"), *UBSAN_FLAGS, "-o", str(lib),
-                    str(src), *_native._LIBS], check=True, timeout=300)
+                    str(src)], check=True, timeout=300)
     env = dict(os.environ,
                PYTHONPATH=str(Path(oblivjoin.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", UBSAN_RUN, str(lib)],
@@ -243,11 +206,10 @@ def test_native_source_runs_clean_under_ubsan(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("symbol", ["oblivjoin_chain", "oblivjoin_sort",
-                                    "oblivjoin_route"])
+@pytest.mark.parametrize("symbol", ["oblivjoin_sort", "oblivjoin_route"])
 def test_cached_object_without_a_kernel_falls_back(symbol, tmp_path,
-                                                   monkeypatch, rng):
-    # an object at the cache path that exports only one of the three
+                                                   monkeypatch):
+    # an object at the cache path that exports only one of the two
     # kernels loads as a failure, and the failure is kept like any other
     cc = shutil.which("cc")
     if cc is None:
@@ -262,10 +224,13 @@ def test_cached_object_without_a_kernel_falls_back(symbol, tmp_path,
     assert _native.load(cache_dir=cache) is None
     monkeypatch.setattr(_native, "kernel", functools.cache(
         lambda: _native.load(cache_dir=cache)))
-    h, aids, ops, idxs = _case("aid_vector", rng)
     for _ in range(2):
-        assert chain_digest(h, aids, ops, idxs) == _fold(h, aids, ops, idxs)
-    assert chain_kernel() == "hashlib"
+        a = alloc(6, NullSink())
+        a.col("j")[:] = [5, 0, 3, 2, 4, 1]
+        a.col("is_null")[:] = 0
+        primitives.bitonic_sort(a, KEY_J_TID)
+        assert a.debug_col("j").tolist() == [[0, 1, 2, 3, 4, 5]]
+    assert _native.kernel() is None
 
 
 def test_warm_cache_load_runs_no_compiler(tmp_path, monkeypatch):
@@ -277,7 +242,6 @@ def test_warm_cache_load_runs_no_compiler(tmp_path, monkeypatch):
     monkeypatch.setattr(_native.subprocess, "run", no_compiler)
     kernel = _native.load(cache_dir=tmp_path)
     assert kernel is not None
-    assert kernel.chain(ZERO32, 0, 0) == ZERO32
     keys = [np.array([[2, 1]], np.uint64)]
     perm = np.array([[0, 1]], np.int64)
     kernel.sort(keys, perm, sort_program(2)[0])
@@ -287,41 +251,46 @@ def test_warm_cache_load_runs_no_compiler(tmp_path, monkeypatch):
     assert (f.tolist(), perm.tolist()) == ([[0, 2]], [[-1, 1]])
 
 
-# each first use in a fresh interpreter: one hashed block, one sort, one
-# distribution
+# each first use in a fresh interpreter, and whether it needs the native
+# module: a hashed block does not, a sort and a distribution do
 FIRST_USES = [
-    ["oblivjoin.chain_digest(bytes(32), 0, np.zeros(1, np.uint8),",
-     "                       np.zeros(1, np.uint64))"],
-    ["from oblivjoin.entries import KEY_J_TID",
-     "a = oblivjoin.trace.alloc(3, oblivjoin.NullSink())",
-     "oblivjoin.bitonic_sort(a, KEY_J_TID)"],
-    ["from oblivjoin.harness import make_distribute_input",
-     "x = make_distribute_input(oblivjoin.NullSink(), [3, 1])",
-     "assert oblivjoin.oblivious_distribute(x, 4).debug_col('f')[0, 2] == 3"],
+    (False, ["s = oblivjoin.HashSink()",
+             "oblivjoin.trace.alloc(3, s).read(1)",
+             "assert s.hexdigest() != hashlib.sha256().hexdigest()"]),
+    (True, ["from oblivjoin.entries import KEY_J_TID",
+            "a = oblivjoin.trace.alloc(3, oblivjoin.NullSink())",
+            "oblivjoin.bitonic_sort(a, KEY_J_TID)"]),
+    (True, ["from oblivjoin.harness import make_distribute_input",
+            "x = make_distribute_input(oblivjoin.NullSink(), [3, 1])",
+            "assert oblivjoin.oblivious_distribute(x, 4).debug_col('f')[0, 2] == 3"]),
 ]
 
 
-def test_kernel_is_built_on_first_chain_not_at_import(tmp_path):
+def test_kernel_is_built_on_first_sort_not_at_import(tmp_path):
     # a fresh interpreter with its own cache: importing the package
-    # leaves the cache untouched; the first digest, sort or distribution
-    # builds the native module
+    # leaves the cache untouched, and so does hashing a trace; the first
+    # sort or distribution builds the native module
     src = Path(oblivjoin.__file__).parents[1]
-    for k, first_use in enumerate(FIRST_USES):
+    for k, (needs_native, first_use) in enumerate(FIRST_USES):
         cache = tmp_path / str(k)
         script = "\n".join([
-            "import os, sys",
-            "import numpy as np",
+            "import glob, hashlib, os, sys",
             "import oblivjoin",
+            "from oblivjoin import _native",
             "assert not os.path.exists(os.path.join(sys.argv[1], 'oblivjoin'))",
+            "objects = os.path.join(sys.argv[1], 'oblivjoin', 'native-*.so')",
             *first_use,
-            "print(oblivjoin.chain_kernel())",
+            "print(len(glob.glob(objects)), _native.kernel() is not None)",
         ])
         env = dict(os.environ, XDG_CACHE_HOME=str(cache), PYTHONPATH=str(src))
         out = subprocess.run([sys.executable, "-c", script, str(cache)],
                              env=env, capture_output=True, text=True,
                              check=True)
-        built = list((cache / "oblivjoin").glob("native-*.so"))
-        assert (out.stdout.strip() == "openssl") == (len(built) == 1)
+        built, loads = out.stdout.split()
+        if needs_native:
+            assert int(built) == (loads == "True")
+        else:
+            assert built == "0"
 
 
 def test_hash_sink_equals_log_sink_digest(rng):
@@ -332,7 +301,7 @@ def test_hash_sink_equals_log_sink_digest(rng):
         for i in range(8):
             a.write(i, e)
             a.read(i)
-    assert hs.digest == chain_digest(ZERO32, *ls.event_arrays())
+    assert hs.digest == _stream_sha256(ls)
 
 
 def test_log_sink_records_phases():
