@@ -139,17 +139,12 @@ GOLDEN_JOIN_STREAMS = {
 }
 
 
-def _records(log):
-    """The REC_DTYPE records of a LogSink's events, concatenated."""
+def _chain_hexdigest(log):
+    """The retired per-event chain folded over a LogSink's records."""
     aids, ops, idxs = log.event_arrays()
     rec = np.empty(len(ops), REC_DTYPE)
     rec["aid"], rec["op"], rec["idx"] = aids, ops, idxs
-    return rec.tobytes()
-
-
-def _chain_hexdigest(log):
-    """The retired per-event chain folded over a LogSink's events."""
-    buf = _records(log)
+    buf = rec.tobytes()
     h = bytes(32)
     for i in range(0, len(buf), 17):
         h = hashlib.sha256(h + buf[i:i + 17]).digest()

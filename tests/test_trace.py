@@ -58,9 +58,10 @@ def _stream_sha256(log):
     return hashlib.sha256(rec.tobytes()).digest()
 
 
-def _block(rng, n=257):
-    """(aids, ops, idxs) of n events on a per-event aid vector, with
+def _block(rng):
+    """(aids, ops, idxs) of 257 events with a per-event aid vector, and
     U64_MAX among the aids and the indices."""
+    n = 257
     ops = rng.integers(0, 2, n, dtype=np.uint8)
     aids = np.where(ops == 1, U64_MAX, rng.integers(0, 5, n)).astype(np.uint64)
     idxs = rng.integers(0, 1000, n, dtype=np.uint64)
@@ -91,19 +92,15 @@ def test_hash_sink_digest_ignores_block_boundaries(rng):
     # digest read between blocks does not end the stream
     aids, ops, idxs = _block(rng)
     n = len(ops)
-    cuts = np.sort(rng.choice(np.arange(1, n), 9, replace=False))
-    splits = {"one": [0, n], "single": list(range(n + 1)),
-              "random": [0, *cuts.tolist(), n]}
+    cuts = np.sort(rng.choice(np.arange(1, n), 9, replace=False)).tolist()
     digests = set()
-    for bounds in splits.values():
+    for bounds in ([0, n], range(n + 1), [0, *cuts, n]):
         hs = HashSink()
         for lo, hi in zip(bounds, bounds[1:]):
             hs.emit_block(aids[lo:hi], ops[lo:hi], idxs[lo:hi])
             hs.hexdigest()
         digests.add(hs.digest)
-    one = HashSink()
-    one.emit_block(aids, ops, idxs)
-    assert digests == {one.digest}
+    assert len(digests) == 1
 
 
 def test_unwritable_cache_falls_back(tmp_path):
