@@ -1,5 +1,5 @@
-"""The native module: the whole sorting network and the routing network in
-one C source, compiled into one shared object with `cc` alone.
+"""The native module: the whole sorting network, its pairs and the routing
+network in one C source, compiled into one shared object with `cc` alone.
 
 oblivjoin_sort runs every level of one sort's network in every batch row,
 on the uint64 key copies and the int64 slot permutation of the vector
@@ -9,7 +9,15 @@ each level's pairs itself, the same pairs sort_levels yields.  Each pair
 is a lexicographic compare over the keys, each ascending, then an
 XOR-masked swap of the keys and the permutation, like ct_select; the
 comparator body is compiled once per key count, one to three.  The whole
-program is validated before the first write.
+program is validated before the first write, by the check that
+oblivjoin_sort_pairs shares.
+
+oblivjoin_sort_pairs writes a range of a sort program's pairs, start to
+start+count-1 in network order, as int64 lo and hi arrays: the pairs
+sort_levels yields, level after level, without walking its levels.  It
+skips the levels and parts before start by their pair counts, so each
+chunk of a sort costs one pass over the program's entries, not over the
+pairs before it.
 
 oblivjoin_route runs the whole routing network of oblivious_distribute
 (route_hops, largest first) in every batch row, on uint64 copies of f and
@@ -20,9 +28,11 @@ ct_select.
 
 The object is compiled on first use into the user's cache directory and
 loaded with ctypes; nothing is built at import.  load() returns None when
-it cannot build or load the object, and then both callers keep their
-fallbacks: primitives.bitonic_sort the numpy level per level of
-sort_levels, primitives.oblivious_distribute the numpy hop.
+it cannot build or load the object, or the object lacks one of the three
+kernels, and then both callers keep their fallbacks:
+primitives.bitonic_sort the numpy level per level of sort_levels, each
+level emitted as one block, and primitives.oblivious_distribute the
+numpy hop.
 """
 
 from __future__ import annotations
@@ -112,23 +122,20 @@ static int pairs_fit(int64_t lo0, int64_t cnt, size_t j, size_t len)
     return (size_t)lo0 + t + (t & -j) + j < len;
 }
 
-/* keys: nkeys (1 to 3) arrays of batch rows by len slots, compared in
-   order, each ascending; perm: the slot permutation, same shape.  prog,
-   plen int64 entries, is a sort program (_schedule.sort_program): the
-   level count, then per level j, k, nfull, nparts and nparts triples
-   (lo0, cnt, up).  Each level orders the pairs of the complete blocks,
-   lo = t + (t & -j) for t < nfull / 2, ascending iff (lo & k) == 0, and
-   of each part, lo = lo0 + t + (t & -j) for t < cnt, ascending iff up;
-   each pair's high slot is lo + j.  Returns -1, having written nothing,
-   unless nkeys is 1 to 3 and the whole program lies in plen entries, has
-   each j a power of two, and keeps every pair inside [0, len). */
-int oblivjoin_sort(uint64_t *const *keys, size_t nkeys, uint64_t *perm,
-                   size_t batch, size_t len, const int64_t *prog,
-                   size_t plen)
+/* The comparator count of prog, plen int64 entries, a sort program
+   (_schedule.sort_program): the level count, then per level j, k, nfull,
+   nparts and nparts triples (lo0, cnt, up).  Each level orders the pairs
+   of the complete blocks, lo = t + (t & -j) for t < nfull / 2, ascending
+   iff (lo & k) == 0, and of each part, lo = lo0 + t + (t & -j) for
+   t < cnt, ascending iff up; each pair's high slot is lo + j.  -1 unless
+   the whole program lies in plen entries, has each j a power of two,
+   keeps every pair inside [0, len) and has fewer than 2^63 pairs. */
+static int64_t check_program(size_t len, const int64_t *prog, size_t plen)
 {
-    if (nkeys < 1 || nkeys > 3 || plen < 1 || prog[0] < 0)
+    if (plen < 1 || prog[0] < 0)
         return -1;
     size_t at = 1;
+    int64_t ncomp = 0;
     for (int64_t level = 0; level < prog[0]; level++) {
         if (plen - at < 4)
             return -1;
@@ -137,13 +144,32 @@ int oblivjoin_sort(uint64_t *const *keys, size_t nkeys, uint64_t *perm,
             (uint64_t)p[2] > len || (uint64_t)p[3] > (plen - at - 4) / 3)
             return -1;
         size_t j = (size_t)p[0];
-        if (!pairs_fit(0, p[2] >> 1, j, len))
+        int64_t half = p[2] >> 1;
+        if (!pairs_fit(0, half, j, len) || half > INT64_MAX - ncomp)
             return -1;
+        ncomp += half;
         at += 4;
-        for (int64_t q = 0; q < p[3]; q++, at += 3)
-            if (!pairs_fit(prog[at], prog[at + 1], j, len))
+        for (int64_t q = 0; q < p[3]; q++, at += 3) {
+            if (!pairs_fit(prog[at], prog[at + 1], j, len) ||
+                prog[at + 1] > INT64_MAX - ncomp)
                 return -1;
+            ncomp += prog[at + 1];
+        }
     }
+    return ncomp;
+}
+
+/* keys: nkeys (1 to 3) arrays of batch rows by len slots, compared in
+   order, each ascending; perm: the slot permutation, same shape.  Runs
+   the sort program prog, plen int64 entries (check_program), in every
+   row.  Returns -1, having written nothing, unless nkeys is 1 to 3 and
+   check_program accepts prog for rows of len slots. */
+int oblivjoin_sort(uint64_t *const *keys, size_t nkeys, uint64_t *perm,
+                   size_t batch, size_t len, const int64_t *prog,
+                   size_t plen)
+{
+    if (nkeys < 1 || nkeys > 3 || check_program(len, prog, plen) < 0)
+        return -1;
     switch (nkeys) {
     case 1:
         run_sort(keys, 1, perm, batch, len, prog);
@@ -153,6 +179,57 @@ int oblivjoin_sort(uint64_t *const *keys, size_t nkeys, uint64_t *perm,
         break;
     default:
         run_sort(keys, 3, perm, batch, len, prog);
+    }
+    return 0;
+}
+
+/* Writes the pairs lo0 + t + (t & -j), lo + j of one level's complete
+   blocks or part, t < cnt, at *lo and *hi, advancing both: the first
+   *skip of them are skipped and at most *left written, and both counts
+   go down by what was skipped and written. */
+static void put_pairs(int64_t **lo, int64_t **hi, size_t lo0, size_t cnt,
+                      size_t j, size_t *skip, size_t *left)
+{
+    if (*skip >= cnt) {
+        *skip -= cnt;
+        return;
+    }
+    size_t t = *skip, end = cnt - t > *left ? t + *left : cnt;
+    *skip = 0;
+    *left -= end - t;
+    int64_t *l = *lo, *h = *hi;
+    for (; t < end; t++) {
+        size_t a = lo0 + t + (t & -j);
+        *l++ = (int64_t)a;
+        *h++ = (int64_t)(a + j);
+    }
+    *lo = l;
+    *hi = h;
+}
+
+/* lo, hi: count int64 slots each.  Writes pairs start .. start+count-1 of
+   the sort program prog, plen int64 entries, in network order: level by
+   level, the complete blocks' pairs, then each part's, the pairs
+   sort_levels yields.  Levels and parts before start are skipped by
+   their counts.  Returns -1, having written nothing, unless
+   check_program accepts prog for rows of len slots and
+   0 <= start <= start + count <= its comparator count. */
+int oblivjoin_sort_pairs(int64_t *lo, int64_t *hi, size_t len,
+                         const int64_t *prog, size_t plen, int64_t start,
+                         int64_t count)
+{
+    int64_t ncomp = check_program(len, prog, plen);
+    if (ncomp < 0 || start < 0 || count < 0 || start > ncomp ||
+        count > ncomp - start)
+        return -1;
+    size_t skip = (size_t)start, left = (size_t)count;
+    const int64_t *p = prog + 1;
+    for (int64_t level = 0; level < prog[0] && left; level++) {
+        size_t j = (size_t)p[0], nparts = (size_t)p[3];
+        put_pairs(&lo, &hi, 0, (size_t)p[2] >> 1, j, &skip, &left);
+        p += 4;
+        for (size_t q = 0; q < nparts; q++, p += 3)
+            put_pairs(&lo, &hi, (size_t)p[0], (size_t)p[1], j, &skip, &left);
     }
     return 0;
 }
@@ -210,14 +287,18 @@ def _addr(arr: np.ndarray, dtype) -> int:
 
 
 class Kernels:
-    """The two kernels of one loaded shared object."""
+    """The three kernels of one loaded shared object."""
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         # each lookup raises AttributeError on an object that lacks it
         self._sort = lib.oblivjoin_sort
+        self._pairs = lib.oblivjoin_sort_pairs
         self._route = lib.oblivjoin_route
         self._sort.argtypes = (_P, _N, _P, _N, _N, _P, _N)
         self._sort.restype = ctypes.c_int
+        self._pairs.argtypes = (_P, _P, _N, _P, _N, ctypes.c_int64,
+                                ctypes.c_int64)
+        self._pairs.restype = ctypes.c_int
         self._route.argtypes = (_P, _P, _P, _N, _N, _P, _N)
         self._route.restype = ctypes.c_int
 
@@ -236,6 +317,25 @@ class Kernels:
                       *perm.shape, _addr(prog, np.int64), len(prog)):
             raise ValueError("the sort program or its key count does not "
                              "fit the sorted rows")
+
+    def pairs(self, prog: np.ndarray, length: int, start: int, count: int,
+              lo: np.ndarray, hi: np.ndarray) -> None:
+        """Write pairs start .. start+count-1 of the sort program prog for
+        rows of length slots into the first count slots of the
+        C-contiguous one-dimensional int64 arrays lo and hi: the low and
+        high slots, in the order sort_levels(length) yields them.
+        ValueError, before any write, if the arrays are shorter, the
+        program does not fit length, or the range lies outside the
+        program's comparators."""
+        if prog.ndim != 1 or lo.ndim != 1 or lo.shape != hi.shape:
+            raise ValueError("the program and the pair arrays must be "
+                             "one-dimensional, lo and hi of one length")
+        if count > len(lo):
+            raise ValueError(f"{count} pairs do not fit {len(lo)} slots")
+        if self._pairs(_addr(lo, np.int64), _addr(hi, np.int64), length,
+                       _addr(prog, np.int64), len(prog), start, count):
+            raise ValueError("the sort program does not fit the rows, or "
+                             "the pairs lie outside it")
 
     def route(self, f: np.ndarray, nul: np.ndarray, perm: np.ndarray,
               hops: np.ndarray) -> None:

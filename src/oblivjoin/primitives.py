@@ -122,9 +122,16 @@ def _ce_level_vector(keys, perm: np.ndarray, lo, hi, asc) -> None:
         col[:, hi] = vh
 
 
+# the most comparators in one emitted block of a native-path sort under a
+# sink that consumes events, one oblivjoin_sort_pairs call each: enough
+# that a block's fixed Python cost is small beside hashing it, few enough
+# that its index and record arrays stay under 1 MiB
+_EMIT_CHUNK = 1 << 13
+
+
 def _emit_pairs(a: PublicArray, lo, hi) -> None:
-    """Emit the steps of one level of pairs (lo, hi): read both slots,
-    then write both."""
+    """Emit the compare-exchange steps of the pairs (lo, hi) in order:
+    each reads both slots, then writes both."""
     emit_steps((a, READ, lo), (a, READ, hi), (a, WRITE, lo), (a, WRITE, hi))
 
 
@@ -140,10 +147,13 @@ def bitonic_sort(a: PublicArray, key, engine: str = "vector") -> None:
     through the permutation once with _gather (the permutation has no -1
     entries).  The whole network is one call of the native sort kernel on
     sort_program(len(a)), or one _ce_level_vector call per level of
-    sort_levels when the kernel is unavailable.  A sink that consumes
-    events gets each level of sort_levels as one block; a plain NullSink
-    only counts 4 events per comparator, and on the native path no level
-    array is built for it.
+    sort_levels when the kernel is unavailable.  The events are those of
+    sort_levels's pairs in order either way.  On the native path a sink
+    that consumes events gets them in blocks of _EMIT_CHUNK comparators,
+    each filled by one call of the kernel's pair expander, and
+    sort_levels is not walked; a plain NullSink only counts 4 events per
+    comparator, and no pair array is built for it.  On the fallback each
+    level is one block.
     """
     _check_engine(engine)
     _check_key(key)
@@ -164,8 +174,12 @@ def bitonic_sort(a: PublicArray, key, engine: str = "vector") -> None:
         prog, ncomp = sort_program(a.length)
         native.sort(keys, perm, prog)
         if consumes_events(a.sink):
-            for lo, hi, _ in sort_levels(a.length):
-                _emit_pairs(a, lo, hi)
+            lo = np.empty(min(ncomp, _EMIT_CHUNK), np.int64)
+            hi = np.empty_like(lo)
+            for start in range(0, ncomp, _EMIT_CHUNK):
+                count = min(_EMIT_CHUNK, ncomp - start)
+                native.pairs(prog, a.length, start, count, lo, hi)
+                _emit_pairs(a, lo[:count], hi[:count])
         else:  # emit_steps reads only the length of the index
             _emit_pairs(a, range(ncomp), range(ncomp))
     del keys  # freed first, or the gather raises the join's peak memory

@@ -8,7 +8,8 @@ reports the status of every criterion it reached.
     2. distribution places every entry at slot f(x)-1; swaps only ever
        displace null entries (all n <= m <= 64, 100 instances each)
     3. >= 14 trace classes spanning n = 10..10,000, >= 20 instances each:
-       digests identical within a class, distinct across classes
+       digests identical within a class, distinct across classes; and one
+       class of 3 instances at the native kernels' sizes
     4. compare-exchanges always emit 2 reads + 2 writes; per-class event
        totals are a pure function of (n1, n2, m)
     5. network phase costs: exact comparator counts at powers of two,
@@ -151,6 +152,19 @@ def test_criterion_3_trace_class_invariance():
            f"{len(digests) - len(set(digests))} cross-class collisions")
     assert not failed, f"divergent classes: {failed}"
     assert distinct
+
+
+def test_criterion_3_trace_class_at_kernel_sizes():
+    # one class at n1 = 60,000, n2 = 40,001: every sort is ragged and
+    # emits its events in many blocks of the native pair expander
+    tc = gen_test_class(60_000, 40_001, "mixed", seed=17, instances=3)
+    t1s = [t1[:, 0].tolist() for t1, _ in tc.instances]
+    assert len({tuple(keys) for keys in t1s}) == 3
+    verdict = verify_trace_class(tc)
+    record(f"criterion 3 at kernel sizes: "
+           f"{'PASS' if verdict.passed else 'FAIL'} — n1 = 60,000, "
+           f"n2 = 40,001, m = {tc.m:,}, {len(tc.instances)} instances")
+    assert verdict.passed, verdict.first_divergence
 
 
 # -- 4: dummy-write regularity -------------------------------------------------

@@ -238,20 +238,47 @@ def test_join_counts_golden(name, engine):
     assert hashed.hexdigest() == GOLDEN_JOIN_STREAMS[name]
 
 
+SORT_PHASES = ("initial_sorts", "distribute_sort", "align_sort")
+
+
+class _SortBlockBound(LogSink):
+    """A LogSink that refuses a sort-phase block of more than 8,192
+    comparators' events."""
+
+    def emit_block(self, aid, ops, idxs):
+        assert self.phase not in SORT_PHASES or len(ops) <= 4 * 8192
+        super().emit_block(aid, ops, idxs)
+
+
 @pytest.mark.parametrize("name", sorted(JOINS))
 def test_null_sink_join_builds_no_schedule(name, native, monkeypatch):
-    # on the native path a plain NullSink's sorts never walk sort_levels,
-    # yet count every event, and the join is the pinned one
+    # on the native path no sink's sorts walk sort_levels: a plain
+    # NullSink's count every event, and a HashSink's and a LogSink's take
+    # their pairs from the kernel, in blocks of at most 8,192 comparators,
+    # yet the join, its counts and its trace are the pinned ones
     def no_walk(n):
-        raise AssertionError("sort_levels walked for a plain NullSink")
+        raise AssertionError("sort_levels walked on the native path")
     monkeypatch.setattr(_native, "kernel", lambda: native)
     monkeypatch.setattr(primitives, "sort_levels", no_walk)
     t1, t2 = JOINS[name]()
-    sink = NullSink()
-    res = oblivious_join(t1, t2, sink)
-    assert sink.counts == Counter(GOLDEN_COUNTS[name])
-    assert (res.m, hashlib.sha256(res.pairs.tobytes()).hexdigest()) == \
-        (GOLDEN_JOINS[name][0], GOLDEN_JOINS[name][3])
+    logged = _SortBlockBound()
+    for sink in (NullSink(), HashSink(), logged):
+        res = oblivious_join(t1, t2, sink)
+        assert sink.counts == Counter(GOLDEN_COUNTS[name])
+        assert (res.m, hashlib.sha256(res.pairs.tobytes()).hexdigest()) == \
+            (GOLDEN_JOINS[name][0], GOLDEN_JOINS[name][3])
+        if isinstance(sink, HashSink):
+            assert sink.hexdigest() == GOLDEN_JOIN_STREAMS[name]
+    # the events are those of the numpy fallback, which walks sort_levels
+    monkeypatch.setattr(_native, "kernel", lambda: None)
+    monkeypatch.setattr(primitives, "sort_levels", sort_levels)
+    fallback = LogSink()
+    oblivious_join(t1, t2, fallback)
+    assert Counter(logged.phase_labels()) == GOLDEN_COUNTS[name]
+    for c, f in zip(logged.event_arrays(), fallback.event_arrays(),
+                    strict=True):
+        assert np.array_equal(c, f)
+    assert logged.phase_labels() == fallback.phase_labels()
 
 
 def _distribute(sink):

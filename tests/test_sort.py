@@ -411,6 +411,90 @@ def test_sort_kernel_rejects_bad_programs(native):
     assert keys[0].tolist() == [[4, 2, 3, 1]]
 
 
+PAIRS_LENGTHS = [0, 1, 2, 3, 5, 7, 100, 257, 1000, 5400, 8193, 100003]
+
+
+def _network_pairs(n):
+    """sort_levels(n)'s lo and hi, each concatenated over the levels, and
+    the first pair of every level and every part of a level."""
+    levels = list(sort_levels(n))
+    lo = np.concatenate([np.zeros(0, np.int64)] + [l for l, _, _ in levels])
+    hi = np.concatenate([np.zeros(0, np.int64)] + [h for _, h, _ in levels])
+    starts, at = [], 0
+    for _, _, nfull, fired in _plan(n):
+        for cnt in (nfull >> 1, *(c for _, c, _ in fired)):
+            starts.append(at)
+            at += cnt
+    assert at == len(lo)
+    return lo, hi, starts
+
+
+@pytest.mark.parametrize("n", PAIRS_LENGTHS)
+def test_pairs_kernel_splits_into_the_network_pairs(n, native, rng):
+    # every split of [0, ncomp) into ranges, each one kernel call, tiles
+    # sort_levels(n)'s pairs in order
+    want_lo, want_hi, starts = _network_pairs(n)
+    prog, ncomp = sort_program(n)
+    assert ncomp == len(want_lo)
+    cuts = np.unique(rng.integers(0, ncomp + 1, 40))
+    splits = {
+        "one range": [0, ncomp],
+        "ranges of 8192": [*range(0, ncomp, 8192), ncomp],
+        "random cuts": [0, *cuts.tolist(), ncomp],
+    }
+    if ncomp <= 30_000:
+        splits["ranges of 1"] = list(range(ncomp + 1))
+    for name, bounds in splits.items():
+        got_lo = np.full(ncomp, -7, np.int64)
+        got_hi = np.full(ncomp, -7, np.int64)
+        for start, end in zip(bounds, bounds[1:]):
+            lo, hi = np.full(end - start, -7, np.int64), \
+                np.full(end - start, -7, np.int64)
+            native.pairs(prog, n, start, end - start, lo, hi)
+            got_lo[start:end], got_hi[start:end] = lo, hi
+        assert np.array_equal(got_lo, want_lo), (n, name)
+        assert np.array_equal(got_hi, want_hi), (n, name)
+    # ranges of 1 on the longer networks: the pairs on both sides of every
+    # level and part boundary
+    lo, hi = np.zeros(1, np.int64), np.zeros(1, np.int64)
+    for at in {s + d for s in starts for d in (-1, 0, 1)} & set(range(ncomp)):
+        native.pairs(prog, n, at, 1, lo, hi)
+        assert (lo[0], hi[0]) == (want_lo[at], want_hi[at]), (n, at)
+
+
+def test_pairs_kernel_refuses_bad_ranges_and_programs(native):
+    # every refusal raises ValueError before the kernel writes anything
+    prog, ncomp = sort_program(7)
+    lo, hi = np.full(ncomp, -7, np.int64), np.full(ncomp, -7, np.int64)
+    bad = {
+        "negative start": (prog, 7, -1, 1),
+        "negative count": (prog, 7, 0, -1),
+        "past the end": (prog, 7, ncomp - 2, 3),
+        "start past the end": (prog, 7, ncomp + 1, 0),
+        "more pairs than slots": (prog, 7, 0, ncomp + 1),
+        "program longer than the rows": (prog, 6, 0, 1),
+        # j = 3 is no power of two, and lo0 = -1
+        "bad program": (np.array([1, 3, 6, 0, 1, -1, 1, 1], np.int64), 7,
+                        0, 1),
+        "2-d program": (prog[None], 7, 0, 1),
+        "int32 program": (prog.astype(np.int32), 7, 0, 1),
+    }
+    for name, (program, n, start, count) in bad.items():
+        with pytest.raises(ValueError):
+            native.pairs(program, n, start, count, lo, hi)
+        assert (lo == -7).all() and (hi == -7).all(), name
+    for name, (l, h) in {"int32 lo": (lo.astype(np.int32), hi),
+                         "lo and hi lengths": (lo, hi[:-1]),
+                         "2-d hi": (lo, hi[None])}.items():
+        with pytest.raises(ValueError):
+            native.pairs(prog, 7, 0, 1, l, h)
+        assert (lo == -7).all() and (hi == -7).all(), name
+    # an empty range at either end is a valid call that writes nothing
+    for start in (0, ncomp):
+        native.pairs(prog, 7, start, 0, lo, hi)
+    assert (lo == -7).all() and (hi == -7).all()
+
+
 def _sorted_on(kernel, monkeypatch, n, rows, fill, key):
     monkeypatch.setattr(_native, "kernel", lambda: kernel)
     return _sorted_by_engine(n, "vector", rows, fill, key)
@@ -433,3 +517,41 @@ def test_bitonic_sort_paths_agree(n, native, native_loads, monkeypatch, rng):
         assert c_dig == n_dig
         for name in ALL_COLS:
             assert np.array_equal(c_cols[name], n_cols[name]), (key, name)
+
+
+class _BlockSizes(LogSink):
+    """A LogSink that also keeps the length of every block it is given."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def emit_block(self, aid, ops, idxs):
+        self.sizes.append(len(ops))
+        super().emit_block(aid, ops, idxs)
+
+
+@pytest.mark.parametrize("n", [5400, 8192])
+def test_native_sort_emits_chunks_of_the_network(n, native, native_loads,
+                                                 monkeypatch, rng):
+    # a consuming sink gets the native sort's events in blocks of 8,192
+    # comparators (the last one shorter), never from a sort_levels walk,
+    # and the events are the fallback's, which emits one block per level
+    rows = [rng.integers(0, 6, n) for _ in range(2)]
+    events, blocks = [], []
+    for kernel, walk in ((native, None),
+                         (native_loads["fallback"], sort_levels)):
+        monkeypatch.setattr(_native, "kernel", lambda: kernel)
+        monkeypatch.setattr(primitives, "sort_levels", walk)
+        sink = _BlockSizes()
+        a = alloc(n, sink, batch=2)
+        for r, vals in enumerate(rows):
+            _fill_distinct(a, r, vals)
+        bitonic_sort(a, KEY_J_TID)
+        events.append(sink.event_arrays())
+        blocks.append(sink.sizes)
+    full, last = divmod(comparator_count(n), 8192)
+    assert blocks[0] == [4 * 8192] * full + [4 * last]
+    assert len(blocks[1]) == sum(1 for _ in sort_levels(n))
+    for c, f in zip(*events):
+        assert np.array_equal(c, f)

@@ -146,13 +146,14 @@ def test_native_source_compiles_without_warnings(tmp_path):
 
 
 # Run in a subprocess on an object built with -fsanitize=undefined: the
-# sort on ragged lengths with each key count (and one refused program)
-# and one route; any undefined behaviour aborts it.
+# sort on ragged lengths with each key count (and one refused program),
+# the pair expander over the same lengths in ranges of 8,192 (and one
+# refused range) and one route; any undefined behaviour aborts it.
 UBSAN_RUN = """
 import ctypes, sys
 import numpy as np
 from oblivjoin import _native
-from oblivjoin._schedule import route_hops, sort_program
+from oblivjoin._schedule import route_hops, sort_levels, sort_program
 kernel = _native.Kernels(ctypes.CDLL(sys.argv[1]))
 rng = np.random.default_rng(5)
 top = np.array([0, 1, 2**63, 2**64 - 1], np.uint64)
@@ -164,6 +165,22 @@ for n in (2, 3, 7, 100, 257, 1000, 5400):
         for r in range(2):
             rows = list(zip(*(col[r, perm[r]].tolist() for col in keys)))
             assert rows == sorted(rows), (n, nkeys)
+    prog, ncomp = sort_program(n)
+    lo, hi = np.empty(8192, np.int64), np.empty(8192, np.int64)
+    got_lo, got_hi = [], []
+    for start in range(0, ncomp, 8192):
+        count = min(8192, ncomp - start)
+        kernel.pairs(prog, n, start, count, lo, hi)
+        got_lo += lo[:count].tolist()
+        got_hi += hi[:count].tolist()
+    levels = list(sort_levels(n))
+    assert got_lo == np.concatenate([l for l, _, _ in levels]).tolist(), n
+    assert got_hi == np.concatenate([h for _, h, _ in levels]).tolist(), n
+try:  # one pair past the end of the network
+    kernel.pairs(prog, n, ncomp - 1, 2, lo, hi)
+    raise AssertionError("a range past the network ran")
+except ValueError:
+    pass
 try:  # j = 3 is no power of two, and lo0 = -1
     kernel.sort(keys, perm, np.array([1, 3, 6, 0, 1, -1, 1, 1], np.int64))
     raise AssertionError("a bad program ran")
@@ -203,10 +220,11 @@ def test_native_source_runs_clean_under_ubsan(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("symbol", ["oblivjoin_sort", "oblivjoin_route"])
+@pytest.mark.parametrize("symbol", ["oblivjoin_sort", "oblivjoin_sort_pairs",
+                                    "oblivjoin_route"])
 def test_cached_object_without_a_kernel_falls_back(symbol, tmp_path,
                                                    monkeypatch):
-    # an object at the cache path that exports only one of the two
+    # an object at the cache path that exports only one of the three
     # kernels loads as a failure, and the failure is kept like any other
     cc = shutil.which("cc")
     if cc is None:
