@@ -17,7 +17,9 @@ old pins keep checking the trace.  Joins and primitives also pin the
 HashSink digest of their trace, SHA-256 over the concatenation of its
 records.
 The sort schedule pins one SHA-256 over every level's lo, hi and asc
-bytes for a ladder of lengths with and without ragged tails.  Two
+bytes for a ladder of lengths with and without ragged tails, and one
+SHA-256 over the flat sort program of every length up to 8,192 and six
+larger ones, with their summed comparator count.  Two
 instances at the sizes the native kernels run, a join of about 2 * 10^5
 rows and a batch-3 sort of 100,003 slots, are also checked against an
 oracle: sort_merge_join, and batch-1 sorts.
@@ -30,7 +32,7 @@ import numpy as np
 import pytest
 
 from oblivjoin import _native, primitives
-from oblivjoin._schedule import sort_levels
+from oblivjoin._schedule import sort_levels, sort_program
 from oblivjoin.baseline import sort_merge_join, sorted_pairs
 from oblivjoin.entries import KEY_J_TID, U64_FIELDS
 from oblivjoin.harness import make_distribute_input
@@ -434,6 +436,23 @@ def test_sort_levels_digest():
         for lo, hi, asc in sort_levels(n):
             h.update(lo.tobytes() + hi.tobytes() + asc.tobytes())
     assert h.hexdigest() == GOLDEN_SORT_LEVELS
+
+
+PROGRAM_LENGTHS = [*range(8193), 2**17 - 1, 2**17, 2**17 + 1, 209_605,
+                   10**6, 2**20 + 1]
+# (sha256 of every sort_program(n)[0].tobytes(), summed comparator count)
+GOLDEN_SORT_PROGRAM = (
+    "7708866aed4e1fe90605c052313662c09f0eeea5330c6db0c39791b14bc0dc87",
+    1707917185)
+
+
+def test_sort_program_digest():
+    h, total = hashlib.sha256(), 0
+    for n in PROGRAM_LENGTHS:
+        prog, ncomp = sort_program(n)
+        h.update(prog.tobytes())
+        total += ncomp
+    assert (h.hexdigest(), total) == GOLDEN_SORT_PROGRAM
 
 
 def _kernel_join():
