@@ -8,21 +8,25 @@ index) preserves the sequential semantics while letting the vector engine
 apply a whole level at once.
 
 The network is a bottom-up bitonic sorter that works in place for any n.
-Stage k merges adjacent blocks of size k, ascending for even block index.
-Complete blocks use the classic power-of-two merge (hop sequence
-k/2, ..., 1; pairs (i, i^j); that merge handles either orientation of a
-bitonic input).  The ragged tail block, when present, is merged by the
-arbitrary-length bitonic merge, which splits a length-s range at the
-greatest power of two j < s, compares (i, i+j), and recurses.  That merge
-is orientation-sensitive: ascending it sorts rising-then-falling input
-and must recurse on (s-j, j)-sized halves; descending it sorts the same
-shape with (j, s-j) halves (the two are mirror images).  Tail contents
-are always rising-then-falling — a complete ascending run followed by a
-shorter run — provided each stage's tail is sorted descending whenever the
-next stage's tail still extends past a complete block; the R() recursion
-below picks those directions.  At powers of two no tails exist and the
-network is exactly the classical one with n * log2(n) * (log2(n)+1) / 4
-comparators.
+Stage k (k = 2, 4, ..., kmax = np2(n)) merges adjacent blocks of size k,
+ascending for even block index.  Complete blocks use the classic
+power-of-two merge (hop sequence k/2, ..., 1; pairs (i, i^j); that merge
+handles either orientation of a bitonic input).  The ragged tail of
+s = n mod k slots, when present, is merged by the arbitrary-length bitonic
+merge, which sorts rising-then-falling input: at each hop j with bit j of
+s set, its ragged scope compares its first s mod j slots with the slots j
+above and splits off a block of j slots, which the classic merge finishes
+at the later hops.  Ascending, the block is the scope's top j slots;
+descending, its bottom j (the two are mirror images).
+
+Direction rule: the last stage's tail (k = kmax, the whole array) ascends
+and every earlier tail descends.  Proof: when bit k of n is set, the
+stage-k tail follows a complete ascending k-block in its parent's tail, so
+it must fall; otherwise it is its parent's whole tail, and a falling run
+is rising-then-falling too.
+
+At powers of two no tails exist and the network is exactly the classical
+one with n * log2(n) * (log2(n)+1) / 4 comparators.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = ["np2", "gp2", "sort_levels", "sort_program", "comparator_count",
+__all__ = ["np2", "sort_levels", "sort_program", "comparator_count",
            "route_hops"]
 
 
@@ -40,44 +44,7 @@ def np2(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
-def gp2(n: int) -> int:
-    """Greatest power of two < n (n >= 2)."""
-    return 1 << ((n - 1).bit_length() - 1)
-
-
-def _tail_directions(n: int, kmax: int) -> dict[int, bool]:
-    """Required output direction of each stage's ragged-tail merge.
-
-    The final stage sorts ascending.  A stage-k tail that shares its
-    parent's region (parent tail <= k) inherits the parent's direction;
-    one that forms the falling half of the parent's rising-then-falling
-    input (parent tail > k) must sort descending.
-    """
-    dirs: dict[int, bool] = {}
-    if n == kmax:
-        return dirs
-    dirs[kmax] = True
-    k = kmax // 2
-    while k >= 2:
-        if n % k >= 2:
-            parent_tail = n % (2 * k)
-            dirs[k] = False if parent_tail > k else dirs[2 * k]
-        k //= 2
-    return dirs
-
-
-_Part = tuple[int, int, bool]   # a tail merge or part: (lo0, size, up)
-
-
-def _file_scope(lo0: int, size: int, up: bool, blocks: list[_Part]):
-    """File a tail sub-merge: a power-of-two one joins blocks, a ragged one
-    is returned; ranges shorter than 2 need no merge."""
-    if size < 2:
-        return None
-    if size & (size - 1) == 0:
-        blocks.append((lo0, size, up))
-        return None
-    return (lo0, size, up)
+_Part = tuple[int, int, bool]   # a tail part: (lo0, cnt, up)
 
 
 def _plan(n: int) -> Iterator[tuple[int, int, int, list[_Part]]]:
@@ -85,38 +52,35 @@ def _plan(n: int) -> Iterator[tuple[int, int, int, list[_Part]]]:
 
     At stage k and hop j the complete blocks cover slots [0, nfull) and
     give pairs lo = t + (t & -j) for t < nfull / 2, ascending iff
-    (lo & k) == 0.  fired lists the tail parts (lo0, cnt, up), sorted:
-    pairs lo = lo0 + t + (t & -j) for t < cnt, ascending iff up.
+    (lo & k) == 0.  fired lists the tail parts (lo0, cnt, up) in slot
+    order: pairs lo = lo0 + t + (t & -j) for t < cnt, ascending iff up.
     Every pair's high index is lo + j.
     """
     if n < 2:
         return
     kmax = np2(n)
-    tail_dir = _tail_directions(n, kmax)
     k = 2
     while k <= kmax:
         nfull = (n // k) * k          # slots covered by complete blocks
-        # Tail sub-merges: power-of-two blocks (lo0, p, up) fire at every
-        # hop j < p; the ragged scope fires at gp2 of its size, then splits.
+        s, up = n - nfull, k == kmax
+        # Power-of-two blocks split off the tail, in slot order, each with
+        # the pairs it fires at every later hop of the stage.
         blocks: list[_Part] = []
-        ragged = _file_scope(nfull, n - nfull, tail_dir.get(k), blocks)
         j = k >> 1
         while j >= 1:
-            fired = [(lo0, p >> 1, up) for lo0, p, up in blocks if p > j]
-            if ragged is not None and gp2(ragged[1]) == j:
-                lo0, size, up = ragged
-                fired.append((lo0, size - j, up))
-                if up:  # ascending merge recurses on (size-j, j)
-                    children = ((lo0, size - j), (lo0 + size - j, j))
-                else:   # descending on (j, size-j)
-                    children = ((lo0, j), (lo0 + j, size - j))
-                ragged = None
-                for clo, csz in children:
-                    ragged = _file_scope(clo, csz, up, blocks) or ragged
-            fired.sort()
+            fired = blocks
+            if s & j:
+                cnt = s & (j - 1)     # pairs of the ragged scope
+                lo0 = nfull if up else nfull + (s & -2 * j)
+                scope = [(lo0, cnt, up)] if cnt else []
+                if up:    # the rest stays at lo0, the block follows it
+                    fired = scope + blocks
+                    blocks = [(lo0 + cnt, j >> 1, up)] + blocks
+                else:     # the block stays at lo0, the rest follows it
+                    fired = blocks + scope
+                    blocks = blocks + [(lo0, j >> 1, up)]
             yield j, k, nfull, fired
             j >>= 1
-        assert ragged is None
         k <<= 1
 
 

@@ -333,6 +333,8 @@ def oblivious_distribute(x: PublicArray, m: int,
     depends only on (n, m).
     """
     _check_engine(engine)
+    if m < 0:
+        raise ValueError(f"output size m = {m} is negative")
     n = x.length
     sink = x.sink
     a = alloc(max(n, m), sink, x.batch)
@@ -365,6 +367,10 @@ def _expand_prefix(x: PublicArray, g_attr: str, engine: str) -> int:
             s += g
         return s - 1
     g = x.col(g_attr)
+    # totals before the write below, which overwrites g when g_attr is "f"
+    totals = g.sum(axis=1, dtype=np.uint64)
+    if n and not (totals == totals[0]).all():
+        raise ValueError("batched expand requires a uniform output size")
     z = g == 0
     before = np.cumsum(g, axis=1, dtype=np.uint64) - g
     fcol = x.col("f")
@@ -373,11 +379,7 @@ def _expand_prefix(x: PublicArray, g_attr: str, engine: str) -> int:
     ncol[:] = np.where(z, 1, ncol)
     ar = np.arange(n, dtype=np.int64)
     emit_steps((x, READ, ar), (x, WRITE, ar))
-    totals = g.sum(axis=1, dtype=np.uint64)
-    m = int(totals[0]) if n else 0
-    if n and not (totals == totals[0]).all():
-        raise ValueError("batched expand requires a uniform output size")
-    return m
+    return int(totals[0]) if n else 0
 
 
 def _forward_fill(a: PublicArray, engine: str) -> None:
@@ -403,13 +405,16 @@ def _forward_fill(a: PublicArray, engine: str) -> None:
 def oblivious_expand(x: PublicArray, g_attr: str,
                      engine: str = "vector") -> PublicArray:
     """Replace each entry of x by g copies of itself (g = its g_attr
-    value), preserving order; entries with g = 0 vanish.
+    value, one of U64_FIELDS), preserving order; entries with g = 0
+    vanish.
 
     Returns a fresh array of length m = sum of g.  x itself is consumed
     (its f and null flags are overwritten by the prefix pass).  The trace
     depends only on (n, m).
     """
     _check_engine(engine)
+    if g_attr not in U64_FIELDS:
+        raise ValueError(f"g_attr {g_attr!r} is not one of {U64_FIELDS}")
     sink = x.sink
     with sink.phase_scope("expand_prefix"):
         m = _expand_prefix(x, g_attr, engine)

@@ -110,6 +110,15 @@ def test_n_greater_than_m_rejected():
 
 
 @pytest.mark.parametrize("engine", ["scalar", "vector"])
+def test_negative_m_rejected_before_any_access(engine):
+    s = LogSink()
+    x = make_distribute_input(s, [1, 2])
+    with pytest.raises(ValueError, match="negative"):
+        oblivious_distribute(x, -1, engine)
+    assert len(s) == 0
+
+
+@pytest.mark.parametrize("engine", ["scalar", "vector"])
 def test_single_slot(engine):
     x = make_distribute_input(NullSink(), [1])
     out = oblivious_distribute(x, 1, engine)

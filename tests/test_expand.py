@@ -58,6 +58,25 @@ def test_expand_by_other_attribute(engine):
     assert expanded_payloads(out) == [0, 0, 1, 1, 1]
 
 
+@pytest.mark.parametrize("engine", ["scalar", "vector"])
+def test_expand_by_f(engine):
+    # the prefix pass overwrites f, so m must be summed from g before it
+    x = make_distribute_input(NullSink(), [2, 0, 3])
+    out = oblivious_expand(x, "f", engine)
+    assert out.length == 5
+    assert expanded_payloads(out) == [0, 0, 2, 2, 2]
+
+
+@pytest.mark.parametrize("engine", ["scalar", "vector"])
+@pytest.mark.parametrize("g_attr", ["bogus", "is_null"])
+def test_unknown_g_attr_rejected_before_any_access(engine, g_attr):
+    s = LogSink()
+    x = expand_input(s, [1, 2])
+    with pytest.raises(ValueError, match="g_attr"):
+        oblivious_expand(x, g_attr, engine)
+    assert len(s) == 0
+
+
 def test_prefix_and_fill_event_counts():
     # both linear passes read and write every slot: 2n + 2m events beyond
     # the embedded distribution

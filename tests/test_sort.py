@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from oblivjoin import _native, primitives
-from oblivjoin._schedule import (_plan, comparator_count, gp2, np2,
-                                 route_hops, sort_levels, sort_program)
+from oblivjoin._schedule import (_plan, comparator_count, np2, route_hops,
+                                 sort_levels, sort_program)
 from oblivjoin.entries import KEY_J_TID, KEY_NONNULL_F, U64_FIELDS
 from oblivjoin.primitives import bitonic_sort, compare_exchange
 from oblivjoin.trace import HashSink, LogSink, NullSink, alloc
@@ -24,9 +24,8 @@ def net_sort(values):
     return v
 
 
-def test_np2_gp2():
+def test_np2():
     assert [np2(n) for n in (1, 2, 3, 4, 5, 8, 9)] == [1, 2, 4, 4, 8, 8, 16]
-    assert [gp2(n) for n in (2, 3, 4, 5, 8, 9)] == [1, 2, 2, 4, 4, 8]
 
 
 def test_network_sorts_every_length_up_to_65(rng):
