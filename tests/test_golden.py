@@ -19,14 +19,21 @@ records.
 The sort schedule pins one SHA-256 over every level's lo, hi and asc
 bytes for a ladder of lengths with and without ragged tails, and one
 SHA-256 over the flat sort program of every length up to 8,192 and six
-larger ones, with their summed comparator count.  Two
-instances at the sizes the native kernels run, a join of about 2 * 10^5
-rows and a batch-3 sort of 100,003 slots, are also checked against an
-oracle: sort_merge_join, and batch-1 sorts.
+larger ones, with their summed comparator count.  Instances at the sizes
+the native kernels run, a join of about 2 * 10^5 rows and three sorts of
+100,003 slots, are also checked against an oracle: sort_merge_join, and
+each sorted slot's columns against the input slot its payload names.
+
+Two pins were taken on a three-row instance when public arrays had a
+batch axis: batch_oblivious_distribute and GOLDEN_KERNEL_SORT.  Each row
+is now its own run.  A batch shared one trace, so each row's trace
+equals the trace pin, and the output pin hashes the rows stacked per
+column.
 """
 
 import hashlib
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -296,15 +303,16 @@ def _ext_distribute(sink):
     return oblivious_distribute(x, 9)
 
 
-def _batch_distribute(sink):
-    # 3 rows of 13 inputs into 16 slots, each row its own injective map;
-    # row 1 has 3 nulls, and every column holds values
-    f = [[((5 + 2 * b) * i + b) % 16 + 1 for i in range(13)]
-         for b in range(3)]
-    x = make_distribute_input(sink, f, batch=3)
-    x.col("is_null")[1] = [i % 4 == 1 for i in range(13)]
+def _row_distribute(b, sink):
+    # row b of 3 rows of 13 inputs into 16 slots, each row its own
+    # injective map; row 1 has 3 nulls, and every column holds values
+    f = [((5 + 2 * b) * i + b) % 16 + 1 for i in range(13)]
+    x = make_distribute_input(sink, f)
+    if b == 1:
+        x.col("is_null")[:] = [i % 4 == 1 for i in range(13)]
     for k, name in enumerate(("tid", "alpha1", "alpha2", "ii")):
-        x.col(name)[:] = np.arange(39, dtype=np.uint64).reshape(3, 13) * (k + 3)
+        x.col(name)[:] = np.arange(13 * b, 13 * b + 13,
+                                   dtype=np.uint64) * (k + 3)
     return oblivious_distribute(x, 16)
 
 
@@ -334,13 +342,15 @@ def _sort_ragged(sink):
     return a
 
 
+# name: its runs, each given a sink and returning its output array
 PRIMITIVES = {
-    "oblivious_distribute": _distribute,
-    "ext_oblivious_distribute": _ext_distribute,
-    "batch_oblivious_distribute": _batch_distribute,
-    "oblivious_expand": _expand,
-    "prp_distribute": _prp_distribute,
-    "bitonic_sort_ragged": _sort_ragged,
+    "oblivious_distribute": [_distribute],
+    "ext_oblivious_distribute": [_ext_distribute],
+    "batch_oblivious_distribute": [partial(_row_distribute, b)
+                                   for b in range(3)],
+    "oblivious_expand": [_expand],
+    "prp_distribute": [_prp_distribute],
+    "bitonic_sort_ragged": [_sort_ragged],
 }
 
 GOLDEN_PRIMITIVES = {
@@ -374,8 +384,8 @@ GOLDEN_PRIMITIVE_STREAMS = {
         "3f652e56e3f74438b94bc15aa00b9444c926b28790ff9c5909481bfb1a6aaee0",
 }
 
-# SHA-256 over every column of every output slot, every batch row; the
-# null slots count too, whatever they hold
+# SHA-256 over every column of every output slot, the runs' slots stacked
+# per column; the null slots count too, whatever they hold
 GOLDEN_OUTPUTS = {
     "batch_oblivious_distribute":
         "bbc316d9008a7db3ca591ebfbd682438205afd5724a6c3bb3aa960d25884f1c6",
@@ -394,22 +404,26 @@ GOLDEN_OUTPUTS = {
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVES))
 def test_primitive_golden(name):
-    sink = LogSink()
-    PRIMITIVES[name](sink)
-    assert _chain_hexdigest(sink) == GOLDEN_PRIMITIVES[name]
+    for run in PRIMITIVES[name]:
+        sink = LogSink()
+        run(sink)
+        assert _chain_hexdigest(sink) == GOLDEN_PRIMITIVES[name]
 
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVES))
 def test_primitive_stream_golden(name):
-    sink = HashSink()
-    PRIMITIVES[name](sink)
-    assert sink.hexdigest() == GOLDEN_PRIMITIVE_STREAMS[name]
+    for run in PRIMITIVES[name]:
+        sink = HashSink()
+        run(sink)
+        assert sink.hexdigest() == GOLDEN_PRIMITIVE_STREAMS[name]
 
 
-def _columns_digest(a):
+def _columns_digest(*arrays):
+    """SHA-256 over each column in turn, the arrays' slots stacked."""
     h = hashlib.sha256()
     for name in U64_FIELDS + ("is_null",):
-        h.update(a.debug_col(name).tobytes())
+        for a in arrays:
+            h.update(a.debug_col(name).tobytes())
     return h.hexdigest()
 
 
@@ -421,8 +435,8 @@ def test_primitive_output_golden(name, path, native_loads, monkeypatch):
     if path == "native" and kernel is None:
         pytest.skip("the native module cannot be built here")
     monkeypatch.setattr(_native, "kernel", lambda: kernel)
-    out = PRIMITIVES[name](HashSink())
-    assert _columns_digest(out) == GOLDEN_OUTPUTS[name]
+    outs = [run(HashSink()) for run in PRIMITIVES[name]]
+    assert _columns_digest(*outs) == GOLDEN_OUTPUTS[name]
 
 
 SCHEDULE_LENGTHS = [*range(130), 255, 257, 1000, 5400, 6000, 8000, 100003]
@@ -484,19 +498,24 @@ def test_kernel_size_join_matches_oracle():
     assert got == GOLDEN_KERNEL_JOIN
 
 
-def _kernel_sort(rows):
-    # one batch row per pattern r: j ties (100, 200 or 1900 values, plus
-    # U64_MAX), two tids, nulls, and every other column distinct
+def _kernel_sort_input(r):
+    """The columns of sort pattern r, by name: j ties (100, 1000 or 1900
+    values, plus U64_MAX), two tids, nulls, and every other column a
+    distinct function of the slot."""
     ar = np.arange(100_003, dtype=np.uint64)
-    a = alloc(len(ar), NullSink(), batch=len(rows))
-    for b, r in enumerate(rows):
-        j = (ar * (2 * r + 3)) % (100 + 900 * r)
-        j[ar % 1001 == 0] = U64_MAX
-        a.col("j")[b] = j
-        a.col("tid")[b] = ar % 2 + 1
-        for k, name in enumerate(("d", "alpha1", "alpha2", "f", "ii")):
-            a.col(name)[b] = ar * (k + 2) + (U64_MAX - 100 - r)
-        a.col("is_null")[b] = ar % (3 + r) == 0
+    j = (ar * (2 * r + 3)) % (100 + 900 * r)
+    j[ar % 1001 == 0] = U64_MAX
+    cols = {"j": j, "tid": ar % 2 + 1, "is_null": ar % (3 + r) == 0}
+    for k, name in enumerate(("d", "alpha1", "alpha2", "f", "ii")):
+        cols[name] = ar * (k + 2) + (U64_MAX - 100 - r)
+    return cols
+
+
+def _kernel_sort(r):
+    cols = _kernel_sort_input(r)
+    a = alloc(len(cols["j"]), NullSink())
+    for name, col in cols.items():
+        a.col(name)[:] = col
     bitonic_sort(a, KEY_J_TID)
     return a
 
@@ -506,12 +525,19 @@ GOLDEN_KERNEL_SORT = \
 
 
 def test_kernel_size_batch_sort_matches_rows():
-    batched = _kernel_sort([0, 1, 2])
-    for r in range(3):
-        single = _kernel_sort([r])
-        for name in U64_FIELDS + ("is_null",):
-            assert np.array_equal(batched.debug_col(name, r),
-                                  single.debug_col(name, 0)), (r, name)
-    j = batched.debug_col("j")
-    assert (j[:, 1:] >= j[:, :-1]).all()
-    assert _columns_digest(batched) == GOLDEN_KERNEL_SORT
+    # the three patterns, once one batched sort, each sorted on its own;
+    # d names each slot's input slot, so every column is checked
+    sorts = [_kernel_sort(r) for r in range(3)]
+    for r, a in enumerate(sorts):
+        cols = _kernel_sort_input(r)
+        d = a.debug_col("d")
+        src = ((d - cols["d"][0]) // np.uint64(2)).astype(np.int64)
+        assert np.array_equal(np.sort(src, axis=None),
+                              np.arange(len(cols["j"])))
+        for name, col in cols.items():
+            assert np.array_equal(a.debug_col(name), col[src]), (r, name)
+        j, tid = a.debug_col("j"), a.debug_col("tid")
+        assert ((j[..., 1:] > j[..., :-1])
+                | ((j[..., 1:] == j[..., :-1])
+                   & (tid[..., 1:] >= tid[..., :-1]))).all(), r
+    assert _columns_digest(*sorts) == GOLDEN_KERNEL_SORT
