@@ -1,16 +1,15 @@
 """The native module: the whole sorting network, its pairs and the routing
 network in one C source, compiled into one shared object with `cc` alone.
 
-oblivjoin_sort runs every level of one sort's network in every batch row,
-on the uint64 key copies and the int64 slot permutation of the vector
-bitonic_sort.  It reads the network as a sort program
-(_schedule.sort_program), a few int64 entries per level, and expands
-each level's pairs itself, the same pairs sort_levels yields.  Each pair
-is a lexicographic compare over the keys, each ascending, then an
-XOR-masked swap of the keys and the permutation, like ct_select; the
-comparator body is compiled once per key count, one to three.  The whole
-program is validated before the first write, by the check that
-oblivjoin_sort_pairs shares.
+oblivjoin_sort runs every level of one sort's network on the uint64 key
+copies and the int64 slot permutation of the vector bitonic_sort.  It
+reads the network as a sort program (_schedule.sort_program), a few
+int64 entries per level, and expands each level's pairs itself, the
+same pairs sort_levels yields.  Each pair is a lexicographic compare
+over the keys, each ascending, then an XOR-masked swap of the keys and
+the permutation, like ct_select; the comparator body is compiled once
+per key count, one to three.  The whole program is validated before the
+first write, by the check that oblivjoin_sort_pairs shares.
 
 oblivjoin_sort_pairs writes a range of a sort program's pairs, start to
 start+count-1 in network order, as int64 lo and hi arrays: the pairs
@@ -20,11 +19,10 @@ chunk of a sort costs one pass over the program's entries, not over the
 pairs before it.
 
 oblivjoin_route runs the whole routing network of oblivious_distribute
-(route_hops, largest first) in every batch row, on uint64 copies of f and
-the null flag and an int64 slot permutation: at hop j, for i from m-j-1
-down to 0, a live entry at i with f > i+j moves to i+j and slot i becomes
-null, its permutation entry -1.  The moves are masked selects, like
-ct_select.
+(route_hops, largest first) on uint64 copies of f and the null flag and
+an int64 slot permutation: at hop j, for i from m-j-1 down to 0, a live
+entry at i with f > i+j moves to i+j and slot i becomes null, its
+permutation entry -1.  The moves are masked selects, like ct_select.
 
 The object is compiled on first use into the user's cache directory and
 loaded with ctypes; nothing is built at import.  load() returns None when
@@ -51,8 +49,8 @@ SOURCE = r"""
 #include <stddef.h>
 #include <stdint.h>
 
-/* Orders slots i and k of one row: a lexicographic compare over the
-   nkeys key rows, each ascending, then an XOR-masked swap of the keys and
+/* Orders slots i and k: a lexicographic compare over the nkeys key
+   arrays, each ascending, then an XOR-masked swap of the keys and
    the permutation, ascending where up (1) and descending where not (0).
    Inlined with a constant nkeys, so each key count gets its own body. */
 static inline __attribute__((always_inline)) void
@@ -78,31 +76,26 @@ ce(uint64_t *const *key, int nkeys, uint64_t *perm, size_t i, size_t k,
     perm[k] ^= d;
 }
 
-/* Runs every level of the validated program prog in every row. */
+/* Runs every level of the validated program prog. */
 static inline __attribute__((always_inline)) void
-run_sort(uint64_t *const *keys, int nkeys, uint64_t *perm, size_t batch,
-         size_t len, const int64_t *prog)
+run_sort(uint64_t *const *key, int nkeys, uint64_t *perm,
+         const int64_t *prog)
 {
-    for (size_t b = 0; b < batch; b++) {
-        uint64_t *key[3], *pr = perm + b * len;
-        for (int c = 0; c < nkeys; c++)
-            key[c] = keys[c] + b * len;
-        const int64_t *p = prog + 1;
-        for (int64_t level = 0; level < prog[0]; level++) {
-            size_t j = (size_t)p[0], k = (size_t)p[1];
-            size_t half = (size_t)p[2] >> 1, nparts = (size_t)p[3];
-            p += 4;
-            for (size_t t = 0; t < half; t++) {
-                size_t lo = t + (t & -j);
-                ce(key, nkeys, pr, lo, lo + j, (lo & k) == 0);
-            }
-            for (size_t q = 0; q < nparts; q++, p += 3) {
-                size_t lo0 = (size_t)p[0], cnt = (size_t)p[1];
-                uint64_t up = p[2] != 0;
-                for (size_t t = 0; t < cnt; t++) {
-                    size_t lo = lo0 + t + (t & -j);
-                    ce(key, nkeys, pr, lo, lo + j, up);
-                }
+    const int64_t *p = prog + 1;
+    for (int64_t level = 0; level < prog[0]; level++) {
+        size_t j = (size_t)p[0], k = (size_t)p[1];
+        size_t half = (size_t)p[2] >> 1, nparts = (size_t)p[3];
+        p += 4;
+        for (size_t t = 0; t < half; t++) {
+            size_t lo = t + (t & -j);
+            ce(key, nkeys, perm, lo, lo + j, (lo & k) == 0);
+        }
+        for (size_t q = 0; q < nparts; q++, p += 3) {
+            size_t lo0 = (size_t)p[0], cnt = (size_t)p[1];
+            uint64_t up = p[2] != 0;
+            for (size_t t = 0; t < cnt; t++) {
+                size_t lo = lo0 + t + (t & -j);
+                ce(key, nkeys, perm, lo, lo + j, up);
             }
         }
     }
@@ -159,26 +152,25 @@ static int64_t check_program(size_t len, const int64_t *prog, size_t plen)
     return ncomp;
 }
 
-/* keys: nkeys (1 to 3) arrays of batch rows by len slots, compared in
-   order, each ascending; perm: the slot permutation, same shape.  Runs
-   the sort program prog, plen int64 entries (check_program), in every
-   row.  Returns -1, having written nothing, unless nkeys is 1 to 3 and
-   check_program accepts prog for rows of len slots. */
+/* keys: nkeys (1 to 3) arrays of len slots, compared in order, each
+   ascending; perm: the slot permutation, len slots.  Runs the sort
+   program prog, plen int64 entries (check_program).  Returns -1, having
+   written nothing, unless nkeys is 1 to 3 and check_program accepts prog
+   for len slots. */
 int oblivjoin_sort(uint64_t *const *keys, size_t nkeys, uint64_t *perm,
-                   size_t batch, size_t len, const int64_t *prog,
-                   size_t plen)
+                   size_t len, const int64_t *prog, size_t plen)
 {
     if (nkeys < 1 || nkeys > 3 || check_program(len, prog, plen) < 0)
         return -1;
     switch (nkeys) {
     case 1:
-        run_sort(keys, 1, perm, batch, len, prog);
+        run_sort(keys, 1, perm, prog);
         break;
     case 2:
-        run_sort(keys, 2, perm, batch, len, prog);
+        run_sort(keys, 2, perm, prog);
         break;
     default:
-        run_sort(keys, 3, perm, batch, len, prog);
+        run_sort(keys, 3, perm, prog);
     }
     return 0;
 }
@@ -212,7 +204,7 @@ static void put_pairs(int64_t **lo, int64_t **hi, size_t lo0, size_t cnt,
    level, the complete blocks' pairs, then each part's, the pairs
    sort_levels yields.  Levels and parts before start are skipped by
    their counts.  Returns -1, having written nothing, unless
-   check_program accepts prog for rows of len slots and
+   check_program accepts prog for len slots and
    0 <= start <= start + count <= its comparator count. */
 int oblivjoin_sort_pairs(int64_t *lo, int64_t *hi, size_t len,
                          const int64_t *prog, size_t plen, int64_t start,
@@ -234,35 +226,32 @@ int oblivjoin_sort_pairs(int64_t *lo, int64_t *hi, size_t len,
     return 0;
 }
 
-/* f, nul: uint64 copies of the destinations and null flags, batch rows by
-   len slots; perm: the slot permutation, same shape.  Runs the hops
-   hops[0..nhops) in order in every row: at hop j, for i from len-j-1 down
-   to 0, a live entry at i with f > i+j moves to i+j and slot i becomes
-   null, its perm -1 (all ones).  Returns -1, having written nothing, if a
-   hop lies outside [1, len). */
-int oblivjoin_route(uint64_t *f, uint64_t *nul, int64_t *perm, size_t batch,
-                    size_t len, const int64_t *hops, size_t nhops)
+/* f, nul: uint64 copies of the destinations and null flags, len slots
+   each; perm: the slot permutation, len slots.  Runs the hops
+   hops[0..nhops) in order: at hop j, for i from len-j-1 down to 0, a live
+   entry at i with f > i+j moves to i+j and slot i becomes null, its perm
+   -1 (all ones).  Returns -1, having written nothing, if a hop lies
+   outside [1, len). */
+int oblivjoin_route(uint64_t *f, uint64_t *nul, int64_t *perm, size_t len,
+                    const int64_t *hops, size_t nhops)
 {
+    uint64_t *pr = (uint64_t *)perm;
     for (size_t h = 0; h < nhops; h++)
         if (hops[h] < 1 || (uint64_t)hops[h] >= len)
             return -1;
-    for (size_t b = 0; b < batch; b++) {
-        uint64_t *fr = f + b * len, *nr = nul + b * len;
-        uint64_t *pr = (uint64_t *)perm + b * len;
-        for (size_t h = 0; h < nhops; h++) {
-            size_t j = (size_t)hops[h];
-            for (size_t i = len - j; i-- > 0;) {
-                size_t k = i + j;
-                uint64_t fi = fr[i], ni = nr[i], pi = pr[i];
-                uint64_t fk = fr[k], nk = nr[k], pk = pr[k];
-                uint64_t mask = -(uint64_t)((ni == 0) & (fi > k));
-                fr[k] = fk ^ ((fk ^ fi) & mask);
-                nr[k] = nk ^ ((nk ^ ni) & mask);
-                pr[k] = pk ^ ((pk ^ pi) & mask);
-                fr[i] = fi & ~mask;
-                nr[i] = ni | (mask & 1);
-                pr[i] = pi | mask;
-            }
+    for (size_t h = 0; h < nhops; h++) {
+        size_t j = (size_t)hops[h];
+        for (size_t i = len - j; i-- > 0;) {
+            size_t k = i + j;
+            uint64_t fi = f[i], ni = nul[i], pi = pr[i];
+            uint64_t fk = f[k], nk = nul[k], pk = pr[k];
+            uint64_t mask = -(uint64_t)((ni == 0) & (fi > k));
+            f[k] = fk ^ ((fk ^ fi) & mask);
+            nul[k] = nk ^ ((nk ^ ni) & mask);
+            pr[k] = pk ^ ((pk ^ pi) & mask);
+            f[i] = fi & ~mask;
+            nul[i] = ni | (mask & 1);
+            pr[i] = pi | mask;
         }
     }
     return 0;
@@ -294,34 +283,35 @@ class Kernels:
         self._sort = lib.oblivjoin_sort
         self._pairs = lib.oblivjoin_sort_pairs
         self._route = lib.oblivjoin_route
-        self._sort.argtypes = (_P, _N, _P, _N, _N, _P, _N)
+        self._sort.argtypes = (_P, _N, _P, _N, _P, _N)
         self._sort.restype = ctypes.c_int
         self._pairs.argtypes = (_P, _P, _N, _P, _N, ctypes.c_int64,
                                 ctypes.c_int64)
         self._pairs.restype = ctypes.c_int
-        self._route.argtypes = (_P, _P, _P, _N, _N, _P, _N)
+        self._route.argtypes = (_P, _P, _P, _N, _P, _N)
         self._route.restype = ctypes.c_int
 
     def sort(self, keys, perm: np.ndarray, prog: np.ndarray) -> None:
         """Run the sort program prog (_schedule.sort_program, an int64
-        array) in place on the C-contiguous (batch, len) uint64 key copies
-        keys, a list of one to three compared in order, each ascending,
-        and the int64 permutation perm.  ValueError, before any write, if
-        the arrays or the program do not fit."""
-        if perm.ndim != 2 or any(col.shape != perm.shape for col in keys):
-            raise ValueError("key and permutation shapes differ")
+        array) in place on the C-contiguous one-dimensional uint64 key
+        copies keys, a list of one to three compared in order, each
+        ascending, and the int64 permutation perm.  ValueError, before any
+        write, if the arrays or the program do not fit."""
+        if perm.ndim != 1 or any(col.shape != perm.shape for col in keys):
+            raise ValueError("the keys and the permutation must be "
+                             "one-dimensional, of one length")
         if prog.ndim != 1:
             raise ValueError("the sort program must be one-dimensional")
         ptrs = np.array([_addr(col, np.uint64) for col in keys], np.uintp)
         if self._sort(ptrs.ctypes.data, len(keys), _addr(perm, np.int64),
-                      *perm.shape, _addr(prog, np.int64), len(prog)):
+                      len(perm), _addr(prog, np.int64), len(prog)):
             raise ValueError("the sort program or its key count does not "
-                             "fit the sorted rows")
+                             "fit the sorted arrays")
 
     def pairs(self, prog: np.ndarray, length: int, start: int, count: int,
               lo: np.ndarray, hi: np.ndarray) -> None:
         """Write pairs start .. start+count-1 of the sort program prog for
-        rows of length slots into the first count slots of the
+        length slots into the first count slots of the
         C-contiguous one-dimensional int64 arrays lo and hi: the low and
         high slots, in the order sort_levels(length) yields them.
         ValueError, before any write, if the arrays are shorter, the
@@ -334,22 +324,24 @@ class Kernels:
             raise ValueError(f"{count} pairs do not fit {len(lo)} slots")
         if self._pairs(_addr(lo, np.int64), _addr(hi, np.int64), length,
                        _addr(prog, np.int64), len(prog), start, count):
-            raise ValueError("the sort program does not fit the rows, or "
+            raise ValueError("the sort program does not fit length slots, or "
                              "the pairs lie outside it")
 
     def route(self, f: np.ndarray, nul: np.ndarray, perm: np.ndarray,
               hops: np.ndarray) -> None:
         """Run the routing hops, an int64 array, in order and in place on
-        the C-contiguous (batch, len) uint64 copies f and nul and the int64
-        permutation perm; a slot an entry moves out of gets perm -1."""
-        if perm.ndim != 2 or not f.shape == nul.shape == perm.shape:
-            raise ValueError("f, null flag and permutation shapes differ")
+        the C-contiguous one-dimensional uint64 copies f and nul and the
+        int64 permutation perm; a slot an entry moves out of gets perm
+        -1."""
+        if perm.ndim != 1 or not f.shape == nul.shape == perm.shape:
+            raise ValueError("f, the null flag and the permutation must be "
+                             "one-dimensional, of one length")
         if hops.ndim != 1:
             raise ValueError("hops must be one-dimensional")
         if self._route(_addr(f, np.uint64), _addr(nul, np.uint64),
-                       _addr(perm, np.int64), *perm.shape,
+                       _addr(perm, np.int64), len(perm),
                        _addr(hops, np.int64), len(hops)):
-            raise ValueError("a hop lies outside the routed rows")
+            raise ValueError("a hop lies outside the routed arrays")
 
 
 def _library_path(cc: str, cache: Path) -> Path:

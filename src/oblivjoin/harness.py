@@ -425,18 +425,20 @@ def bench_csv(rows) -> str:
 # Randomized-distribution support
 # --------------------------------------------------------------------------
 
-def make_distribute_input(sink, f_values, batch: int = 1):
+def make_distribute_input(sink, f_values):
     """Public input array for the distribution primitives.
 
-    f_values (shape (n,) or (batch, n)) are 1-based destinations; payload
-    d is the entry's input position.  Setting up inputs is not part of
-    any algorithm's trace, so this writes the columns directly.
+    f_values, of shape (n,), are 1-based destinations; payload d is the
+    entry's input position.  Setting up inputs is not part of any
+    algorithm's trace, so this writes the columns directly.  ValueError
+    if f_values is not one-dimensional.
     """
     f = np.asarray(f_values, np.uint64)
-    if f.ndim == 1:
-        f = f[None, :]
-    n = f.shape[1]
-    x = alloc(n, sink, batch=batch)
+    if f.ndim != 1:
+        raise ValueError(f"f_values must be one-dimensional, got shape "
+                         f"{f.shape}")
+    n = len(f)
+    x = alloc(n, sink)
     x.col("f")[:] = f
     x.col("d")[:] = np.arange(n, dtype=np.uint64)
     x.col("j")[:] = np.arange(n, dtype=np.uint64)

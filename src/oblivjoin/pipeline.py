@@ -63,14 +63,12 @@ def _load(tc: PublicArray, t1: np.ndarray, t2: np.ndarray, engine: str) -> None:
         for i in range(n2):
             tc.write(n1 + i, AugEntry(j=int(t2[i, 0]), d=int(t2[i, 1]), tid=2))
         return
-    if n1:
-        tc.col("j")[:, :n1] = t1[:, 0]
-        tc.col("d")[:, :n1] = t1[:, 1]
-        tc.col("tid")[:, :n1] = 1
-    if n2:
-        tc.col("j")[:, n1:] = t2[:, 0]
-        tc.col("d")[:, n1:] = t2[:, 1]
-        tc.col("tid")[:, n1:] = 2
+    tc.col("j")[:n1] = t1[:, 0]
+    tc.col("d")[:n1] = t1[:, 1]
+    tc.col("tid")[:n1] = 1
+    tc.col("j")[n1:] = t2[:, 0]
+    tc.col("d")[n1:] = t2[:, 1]
+    tc.col("tid")[n1:] = 2
     tc.col("is_null")[:] = 0
     emit_steps((tc, WRITE, np.arange(n1 + n2, dtype=np.int64)))
 
@@ -127,13 +125,13 @@ def _fill_dimensions_scalar(tc: PublicArray, n: int) -> int:
 
 
 def _key_groups(j: np.ndarray):
-    """(new, start, arange(n)) for a (batch, n) key column, n > 0: new
-    marks the first slot of each run of equal keys, start is the first
-    slot of each slot's run."""
-    new = np.ones(j.shape, bool)
-    new[:, 1:] = j[:, 1:] != j[:, :-1]
-    ar = np.arange(j.shape[1], dtype=np.int64)
-    return new, np.maximum.accumulate(np.where(new, ar, 0), axis=1), ar
+    """(new, start, arange(n)) for a key column of n > 0 slots: new marks
+    the first slot of each run of equal keys, start is the first slot of
+    each slot's run."""
+    new = np.ones(len(j), bool)
+    new[1:] = j[1:] != j[:-1]
+    ar = np.arange(len(j), dtype=np.int64)
+    return new, np.maximum.accumulate(np.where(new, ar, 0)), ar
 
 
 def _fill_dimensions_vector(tc: PublicArray, n: int) -> int:
@@ -143,26 +141,20 @@ def _fill_dimensions_vector(tc: PublicArray, n: int) -> int:
     new, start, ar = _key_groups(tc.col("j"))
     is1 = (tid == 1).astype(np.uint64)
     is2 = (tid == 2).astype(np.uint64)
-    c1 = np.cumsum(is1, axis=1, dtype=np.uint64)
-    c2 = np.cumsum(is2, axis=1, dtype=np.uint64)
-    base1 = np.take_along_axis(c1, start, 1) - np.take_along_axis(is1, start, 1)
-    base2 = np.take_along_axis(c2, start, 1) - np.take_along_axis(is2, start, 1)
-    g1 = c1 - base1  # running alpha1 within the group, inclusive
-    g2 = c2 - base2
+    c1 = np.cumsum(is1, dtype=np.uint64)
+    c2 = np.cumsum(is2, dtype=np.uint64)
+    g1 = c1 - (c1[start] - is1[start])  # running alpha1 in the group
+    g2 = c2 - (c2[start] - is2[start])
     is_last = np.empty_like(new)
-    is_last[:, :-1] = new[:, 1:]
-    is_last[:, -1] = True
-    m_vals = (g1 * g2 * is_last.astype(np.uint64)).sum(axis=1)
+    is_last[:-1] = new[1:]
+    is_last[-1] = True
+    m = int((g1 * g2 * is_last.astype(np.uint64)).sum())
     # index of each entry's group-final slot, for the backward propagation
-    lidx = np.flip(np.minimum.accumulate(
-        np.flip(np.where(is_last, ar, n), 1), 1), 1)
-    tc.col("alpha1")[:] = np.take_along_axis(g1, lidx, 1)
-    tc.col("alpha2")[:] = np.take_along_axis(g2, lidx, 1)
+    lidx = np.minimum.accumulate(np.where(is_last, ar, n)[::-1])[::-1]
+    tc.col("alpha1")[:] = g1[lidx]
+    tc.col("alpha2")[:] = g2[lidx]
     emit_steps((tc, READ, ar), (tc, WRITE, ar))
     emit_steps((tc, READ, ar[::-1]), (tc, WRITE, ar[::-1]))
-    m = int(m_vals[0])
-    if not (m_vals == m_vals[0]).all():
-        raise ValueError("batched join requires a uniform output size")
     return m
 
 
@@ -265,8 +257,8 @@ def _extract(s1: PublicArray, engine: str) -> np.ndarray:
             out[i, 0] = e.d
             out[i, 1] = e.ii
         return out
-    out[:, 0] = s1.col("d")[0]
-    out[:, 1] = s1.col("ii")[0]
+    out[:, 0] = s1.col("d")
+    out[:, 1] = s1.col("ii")
     emit_steps((s1, READ, np.arange(m, dtype=np.int64)))
     return out
 

@@ -6,8 +6,8 @@ function of its public sizes — never of entry contents.  Two engines share
 each schedule: "scalar" is the literal one-entry-at-a-time reference
 (every write goes through ct_select, every comparator performs its two
 reads and two writes unconditionally), "vector" applies whole schedule
-levels across the batch axis.  Both emit identical traces; the tests hold
-them to that.
+levels at once.  Both emit identical traces; the tests hold them to
+that.
 
 The vector sort runs its whole sorting network in one call of the C sort
 kernel of the native module (_native) where it can be built, and one
@@ -64,7 +64,7 @@ _MAX_KEY_COLS = 3
 
 
 def _check_key(key) -> None:
-    if not set(key).issubset(_ALL_COLS):
+    if not isinstance(key, tuple) or not set(key).issubset(_ALL_COLS):
         raise ValueError(f"sort key {key!r} is not a tuple of entry column "
                          f"names {_ALL_COLS}")
     if not 1 <= len(key) <= _MAX_KEY_COLS:
@@ -82,7 +82,8 @@ def compare_exchange(a: PublicArray, i: int, k: int, key,
 
     Unconditionally two reads then two writes — an already-ordered or
     equal pair gets dummy writes — so the event pattern never reveals the
-    outcome.  ValueError, before any access, if key names no column.
+    outcome.  ValueError, before any access, if key is not a tuple of
+    column names.
     """
     _check_key(key)
     e1 = a.read(i)
@@ -95,13 +96,12 @@ def compare_exchange(a: PublicArray, i: int, k: int, key,
 
 def _ce_level_vector(keys, perm: np.ndarray, lo, hi, asc) -> None:
     # Lexicographic strict greater/less masks for the pairs (lo, hi).
-    shape = (perm.shape[0], len(lo))
-    gt = np.zeros(shape, bool)
-    lt = np.zeros(shape, bool)
-    eq = np.ones(shape, bool)
+    gt = np.zeros(len(lo), bool)
+    lt = np.zeros(len(lo), bool)
+    eq = np.ones(len(lo), bool)
     for col in keys:
-        av = np.take(col, lo, 1)
-        bv = np.take(col, hi, 1)
+        av = col[lo]
+        bv = col[hi]
         g = av > bv
         l = av < bv
         gt |= eq & g
@@ -112,14 +112,14 @@ def _ce_level_vector(keys, perm: np.ndarray, lo, hi, asc) -> None:
     # in the pair's difference masked by the swap bit.
     mask = -swap.astype(np.int64)
     for col in [perm, *keys]:
-        vl = np.take(col, lo, 1)
-        vh = np.take(col, hi, 1)
+        vl = col[lo]
+        vh = col[hi]
         diff = vl ^ vh
         diff &= mask.view(col.dtype)
         vl ^= diff
         vh ^= diff
-        col[:, lo] = vl
-        col[:, hi] = vh
+        col[lo] = vl
+        col[hi] = vh
 
 
 # the most comparators in one emitted block of a native-path sort under a
@@ -138,7 +138,8 @@ def _emit_pairs(a: PublicArray, lo, hi) -> None:
 def bitonic_sort(a: PublicArray, key, engine: str = "vector") -> None:
     """In-place oblivious sort of a under a KeySpec, a tuple of one to
     three entry column names compared ascending; ValueError, before any
-    access, if the key is empty, longer or names no column.
+    access, if the key is not a tuple, is empty or longer, or names no
+    column.
 
     The comparator sequence (and hence the trace) is a pure function of
     len(a); works for any length, in place.  The vector engine runs every
@@ -163,8 +164,8 @@ def bitonic_sort(a: PublicArray, key, engine: str = "vector") -> None:
                 compare_exchange(a, int(lo[t]), int(hi[t]), key, bool(asc[t]))
         return
     # uint64 copies, so that the 8-byte XOR mask fits the uint8 null flag too
-    keys = [a.col(name).astype(np.uint64, order="C") for name in key]
-    perm = np.tile(np.arange(a.length, dtype=np.int64), (a.batch, 1))
+    keys = [a.col(name).astype(np.uint64) for name in key]
+    perm = np.arange(a.length, dtype=np.int64)
     native = _native.kernel()
     if native is None:
         for lo, hi, asc in sort_levels(a.length):
@@ -192,18 +193,16 @@ _VACATED = -1
 
 
 def _gather(a: PublicArray, perm: np.ndarray) -> None:
-    """Move every column of a through perm, a (batch, len(a)) int64 slot
-    permutation, which is consumed: slot i of a row takes the entry at
-    slot perm[i] of that row, and a slot whose perm is _VACATED becomes a
-    null entry (u64 fields 0, null flag 1)."""
-    # Flat index (row offset + perm, in place); a vacated slot gathers its
-    # row's slot 0 and is then masked, like ct_select.
+    """Move every column of a through perm, a len(a) int64 slot
+    permutation, which is consumed: slot i takes the entry at slot
+    perm[i], and a slot whose perm is _VACATED becomes a null entry (u64
+    fields 0, null flag 1)."""
+    # a vacated slot gathers slot 0 and is then masked, like ct_select
     keep = -(perm != _VACATED).astype(np.uint64)
     perm &= keep.view(np.int64)
-    perm += a.length * np.arange(a.batch, dtype=np.int64)[:, None]
     for name in _ALL_COLS:
         col = a.col(name)
-        vals = np.take(col, perm)
+        vals = col[perm]
         if name == "is_null":
             vals |= keep == 0
         else:
@@ -222,7 +221,7 @@ def _copy_into(x: PublicArray, a: PublicArray, n: int, engine: str) -> None:
             a.write(i, x.read(i))
         return
     for name in _ALL_COLS:
-        a.col(name)[:, :n] = x.col(name)[:, :n]
+        a.col(name)[:n] = x.col(name)[:n]
     ar = np.arange(n, dtype=np.int64)
     emit_steps((x, READ, ar), (a, WRITE, ar))
 
@@ -247,18 +246,18 @@ def _route_hop_scalar(a: PublicArray, m: int, j: int) -> None:
 
 def _route_hop_vector(f: np.ndarray, nul: np.ndarray, perm: np.ndarray,
                       j: int) -> None:
-    cnt = f.shape[1] - j
+    cnt = len(f) - j
     # Live entries at p < m-j whose destination lies at or beyond p+j move
     # forward by j; their slots become null.  Sequential execution of the
     # descending loop does exactly this when every swap partner is null;
     # a non-null partner is overwritten and lost, which _check_placement
     # detects.
     thresh = np.arange(j, j + cnt, dtype=np.uint64)
-    mover = (nul[:, :cnt] == 0) & (f[:, :cnt] > thresh)
+    mover = (nul[:cnt] == 0) & (f[:cnt] > thresh)
     for col, vacated in ((f, 0), (nul, 1), (perm, _VACATED)):
-        src = col[:, :cnt].copy()
-        col[:, :cnt] = np.where(mover, vacated, src)
-        col[:, j:] = np.where(mover, src, col[:, j:])
+        src = col[:cnt].copy()
+        col[:cnt] = np.where(mover, vacated, src)
+        col[j:] = np.where(mover, src, col[j:])
 
 
 def _route_vector(a: PublicArray, hops: list[int]) -> None:
@@ -269,9 +268,9 @@ def _route_vector(a: PublicArray, hops: list[int]) -> None:
     with _gather: a slot an entry moved out of holds -1 and becomes a null
     entry."""
     m = a.length
-    f = a.col("f").astype(np.uint64, order="C")
-    nul = a.col("is_null").astype(np.uint64, order="C")
-    perm = np.tile(np.arange(m, dtype=np.int64), (a.batch, 1))
+    f = a.col("f").astype(np.uint64)
+    nul = a.col("is_null").astype(np.uint64)
+    perm = np.arange(m, dtype=np.int64)
     native = _native.kernel()
     if native is None:
         for j in hops:
@@ -290,22 +289,21 @@ def _route_vector(a: PublicArray, hops: list[int]) -> None:
 
 
 def _check_placement(a: PublicArray, x: PublicArray) -> None:
-    """Raise DistributeCollisionError unless, in each batch row, as many
-    entries of a sit at their slot f-1 as x holds non-null entries.
+    """Raise DistributeCollisionError unless as many entries of a sit at
+    their slot f-1 as x holds non-null entries.
 
     That holds iff f is injective into 1..len(a); an entry lost to a
     collision or left short of its slot fails it.  The count reads the
     columns untraced.
     """
     m = a.length
-    live = (x.col("is_null") == 0).sum(axis=1)
+    live = int((x.col("is_null") == 0).sum())
     slot = np.arange(1, m + 1, dtype=np.uint64)
-    placed = ((a.col("is_null") == 0) & (a.col("f") == slot)).sum(axis=1)
-    if (placed != live).any():
-        b = int(np.argmax(placed != live))
+    placed = int(((a.col("is_null") == 0) & (a.col("f") == slot)).sum())
+    if placed != live:
         raise DistributeCollisionError(
             f"destinations are not injective into 1..{m}: "
-            f"{placed[b]} of {live[b]} entries reached slot f-1")
+            f"{placed} of {live} entries reached slot f-1")
 
 
 def _route_region(a: PublicArray, x: PublicArray, engine: str) -> None:
@@ -337,7 +335,7 @@ def oblivious_distribute(x: PublicArray, m: int,
         raise ValueError(f"output size m = {m} is negative")
     n = x.length
     sink = x.sink
-    a = alloc(max(n, m), sink, x.batch)
+    a = alloc(max(n, m), sink)
     with sink.phase_scope("distribute_copy"):
         _copy_into(x, a, n, engine)
     with sink.phase_scope("distribute_sort"):
@@ -367,19 +365,17 @@ def _expand_prefix(x: PublicArray, g_attr: str, engine: str) -> int:
             s += g
         return s - 1
     g = x.col(g_attr)
-    # totals before the write below, which overwrites g when g_attr is "f"
-    totals = g.sum(axis=1, dtype=np.uint64)
-    if n and not (totals == totals[0]).all():
-        raise ValueError("batched expand requires a uniform output size")
+    # the sum before the write below, which overwrites g when g_attr is "f"
+    m = int(g.sum(dtype=np.uint64))
     z = g == 0
-    before = np.cumsum(g, axis=1, dtype=np.uint64) - g
+    before = np.cumsum(g, dtype=np.uint64) - g
     fcol = x.col("f")
     ncol = x.col("is_null")
     fcol[:] = np.where(z, 0, np.uint64(1) + before)
     ncol[:] = np.where(z, 1, ncol)
     ar = np.arange(n, dtype=np.int64)
     emit_steps((x, READ, ar), (x, WRITE, ar))
-    return int(totals[0]) if n else 0
+    return m
 
 
 def _forward_fill(a: PublicArray, engine: str) -> None:
@@ -397,7 +393,7 @@ def _forward_fill(a: PublicArray, engine: str) -> None:
     # each slot's source is the last live slot at or before it; slots
     # before the first live one are _VACATED and stay null
     src = np.maximum.accumulate(
-        np.where(a.col("is_null") == 0, ar, _VACATED), axis=1)
+        np.where(a.col("is_null") == 0, ar, _VACATED))
     _gather(a, src)
     emit_steps((a, READ, ar), (a, WRITE, ar))
 

@@ -40,6 +40,11 @@ _MIX2 = 0x94D049BB133111EB
 _M64 = (1 << 64) - 1
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed <= _M64:
+        raise ValueError(f"seed {seed} is outside [0, 2^64)")
+
+
 class SmallDomainPrp:
     """Keyed pseudorandom permutation of [0, m), with inverse.
 
@@ -51,8 +56,7 @@ class SmallDomainPrp:
     def __init__(self, m: int, seed: int) -> None:
         if m < 1:
             raise ValueError("domain size must be >= 1")
-        if not 0 <= seed <= _M64:
-            raise ValueError(f"seed {seed} is outside [0, 2^64)")
+        _check_seed(seed)
         self.m = m
         bits = max((m - 1).bit_length(), 2)
         bits += bits & 1  # even width for balanced halves
@@ -116,13 +120,13 @@ def prp_distribute(x: PublicArray, m: int, seed: int) -> PublicArray:
     into 1..m; an f outside 1..m raises it before that entry is placed.
     The trace's data-dependent part is the placement writes at pi(f-1),
     uniform in the seed; everything after placement is a fixed pattern
-    of m.
+    of m.  ValueError, before any access, if the seed lies outside
+    [0, 2^64), also when m = 0 leaves no permutation to build.
     """
+    _check_seed(seed)
     n = x.length
     if n > m:
         raise ValueError(f"distribute requires n <= m, got n={n} m={m}")
-    if x.batch != 1:
-        raise ValueError("prp_distribute operates on batch size 1")
     sink = x.sink
     if m == 0:
         return alloc(0, sink)  # no domain to permute, and nothing to place

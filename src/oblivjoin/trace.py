@@ -206,11 +206,8 @@ class OutOfBoundsError(IndexError):
 class PublicArray:
     """Fixed-length array of entry slots in traced public memory.
 
-    Storage is struct-of-arrays (one uint64 column per entry attribute,
-    uint8 null flags) with a leading batch axis: a batch of b arrays that
-    experience the same access sequence share one trace.  Scalar read and
-    write require batch size 1; the vectorized engine operates across the
-    whole batch.
+    Storage is struct-of-arrays: one uint64 column per entry attribute
+    and uint8 null flags, each of shape (length,).
 
     A PublicArray is either a root allocation or a view produced by
     view(): views share storage and array id and translate indices by
@@ -218,16 +215,15 @@ class PublicArray:
     expressed without copying.
     """
 
-    __slots__ = ("sink", "array_id", "batch", "offset", "length",
-                 "_cols", "_root", "_released")
+    __slots__ = ("sink", "array_id", "offset", "length", "_cols", "_root",
+                 "_released")
 
-    def __init__(self, sink, array_id, cols, offset, length, batch, root):
+    def __init__(self, sink, array_id, cols, offset, length, root):
         self.sink = sink
         self.array_id = array_id
         self._cols = cols
         self.offset = offset
         self.length = length
-        self.batch = batch
         # None on a root allocation: a reference to itself would be a
         # cycle, leaving the columns to the cyclic GC instead of refcounting
         self._root = root
@@ -241,8 +237,6 @@ class PublicArray:
             raise OutOfBoundsError(
                 f"index {i} out of bounds for array {self.array_id} "
                 f"of length {self.length}")
-        if self.batch != 1:
-            raise ValueError("scalar access requires batch size 1")
         emit_steps((self, op, np.array([i], np.int64)))
         return self.offset + i
 
@@ -250,23 +244,23 @@ class PublicArray:
         """Read one entry (emits a read event)."""
         p = self._emit(READ, i)
         c = self._cols
-        return AugEntry(int(c["j"][0, p]), int(c["d"][0, p]),
-                        int(c["tid"][0, p]), int(c["alpha1"][0, p]),
-                        int(c["alpha2"][0, p]), int(c["f"][0, p]),
-                        int(c["ii"][0, p]), int(c["is_null"][0, p]))
+        return AugEntry(int(c["j"][p]), int(c["d"][p]), int(c["tid"][p]),
+                        int(c["alpha1"][p]), int(c["alpha2"][p]),
+                        int(c["f"][p]), int(c["ii"][p]),
+                        int(c["is_null"][p]))
 
     def write(self, i: int, e: AugEntry) -> None:
         """Write one entry (emits a write event)."""
         p = self._emit(WRITE, i)
         c = self._cols
-        c["j"][0, p] = e.j
-        c["d"][0, p] = e.d
-        c["tid"][0, p] = e.tid
-        c["alpha1"][0, p] = e.alpha1
-        c["alpha2"][0, p] = e.alpha2
-        c["f"][0, p] = e.f
-        c["ii"][0, p] = e.ii
-        c["is_null"][0, p] = e.is_null & 1
+        c["j"][p] = e.j
+        c["d"][p] = e.d
+        c["tid"][p] = e.tid
+        c["alpha1"][p] = e.alpha1
+        c["alpha2"][p] = e.alpha2
+        c["f"][p] = e.f
+        c["ii"][p] = e.ii
+        c["is_null"][p] = e.is_null & 1
 
     # -- structure -------------------------------------------------------
 
@@ -277,7 +271,7 @@ class PublicArray:
                 f"view [{offset}, {offset + length}) out of bounds for "
                 f"length {self.length}")
         return PublicArray(self.sink, self.array_id, self._cols,
-                           self.offset + offset, length, self.batch,
+                           self.offset + offset, length,
                            self._root if self._root is not None else self)
 
     def release(self) -> None:
@@ -296,30 +290,29 @@ class PublicArray:
     # -- engine internals (traced bulk access) ---------------------------
 
     def col(self, name: str) -> np.ndarray:
-        """Storage column restricted to this view: shape (batch, length).
+        """Storage column restricted to this view: shape (length,).
 
         Engines pair every column access with an explicit emit; this
         accessor does not emit by itself.
         """
-        return self._cols[name][:, self.offset:self.offset + self.length]
+        return self._cols[name][self.offset:self.offset + self.length]
 
     # -- diagnostics (untraced, never used by the algorithms) ------------
 
-    def debug_entries(self, row: int = 0) -> list[AugEntry]:
+    def debug_entries(self) -> list[AugEntry]:
         """Snapshot of the entries for inspection in tests and demos.
 
         Bypasses the trace deliberately; the algorithms never call it.
         """
         lo, hi = self.offset, self.offset + self.length
         c = self._cols
-        return [AugEntry(*(int(c[name][row, p]) for name in U64_FIELDS),
-                         int(c["is_null"][row, p]))
+        return [AugEntry(*(int(c[name][p]) for name in U64_FIELDS),
+                         int(c["is_null"][p]))
                 for p in range(lo, hi)]
 
-    def debug_col(self, name: str, row: int | None = None) -> np.ndarray:
+    def debug_col(self, name: str) -> np.ndarray:
         """Untraced copy of one column (diagnostics only)."""
-        block = self._cols[name][:, self.offset:self.offset + self.length]
-        return block[row].copy() if row is not None else block.copy()
+        return self.col(name).copy()
 
 
 def emit_steps(*accesses) -> None:
@@ -358,7 +351,7 @@ def emit_steps(*accesses) -> None:
     sink.emit_block(aid, ops, idxs)
 
 
-def alloc(length: int, sink: TraceSink, batch: int = 1) -> PublicArray:
+def alloc(length: int, sink: TraceSink) -> PublicArray:
     """Allocate a public array of null entries.
 
     Assigns the sink's next array id and accounts length slots against its
@@ -366,10 +359,8 @@ def alloc(length: int, sink: TraceSink, batch: int = 1) -> PublicArray:
     """
     if length < 0:
         raise ValueError("negative length")
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
     aid = sink.register_array(length)
     cols: dict[str, np.ndarray] = {
-        name: np.zeros((batch, length), np.uint64) for name in U64_FIELDS}
-    cols["is_null"] = np.ones((batch, length), np.uint8)
-    return PublicArray(sink, aid, cols, 0, length, batch, None)
+        name: np.zeros(length, np.uint64) for name in U64_FIELDS}
+    cols["is_null"] = np.ones(length, np.uint8)
+    return PublicArray(sink, aid, cols, 0, length, None)

@@ -90,26 +90,26 @@ def test_criterion_2_distribute_placement():
     pairs = instances = 0
     for m in range(1, 65):
         for n in range(1, m + 1):
-            f = np.argsort(rng.random((B, m)), axis=1)[:, :n] + 1
-            x = make_distribute_input(NullSink(), f.astype(np.uint64), batch=B)
-            # the routing check raises if a swap displaces a non-null entry
-            # or an entry misses its slot
-            out = oblivious_distribute(x, m)
-            dest = (f - 1).astype(np.int64)
-            exp_f = np.zeros((B, m), np.uint64)
-            exp_d = np.zeros((B, m), np.uint64)
-            exp_nul = np.ones((B, m), np.uint8)
-            np.put_along_axis(exp_f, dest, f.astype(np.uint64), axis=1)
-            np.put_along_axis(
-                exp_d, dest,
-                np.broadcast_to(np.arange(n, dtype=np.uint64), (B, n)), axis=1)
-            np.put_along_axis(exp_nul, dest, np.uint8(0), axis=1)
-            assert np.array_equal(out.debug_col("f"), exp_f), (n, m)
-            assert np.array_equal(out.debug_col("d"), exp_d), (n, m)
-            assert np.array_equal(out.debug_col("is_null"), exp_nul), (n, m)
+            maps = np.argsort(rng.random((B, m)), axis=1)[:, :n] + 1
+            for f in maps.astype(np.uint64):
+                x = make_distribute_input(NullSink(), f)
+                # the routing check raises if a swap displaces a non-null
+                # entry or an entry misses its slot
+                out = oblivious_distribute(x, m)
+                dest = (f - 1).astype(np.int64)
+                exp_f = np.zeros(m, np.uint64)
+                exp_d = np.zeros(m, np.uint64)
+                exp_nul = np.ones(m, np.uint8)
+                exp_f[dest] = f
+                exp_d[dest] = np.arange(n, dtype=np.uint64)
+                exp_nul[dest] = 0
+                assert np.array_equal(out.debug_col("f"), exp_f), (n, m)
+                assert np.array_equal(out.debug_col("d"), exp_d), (n, m)
+                assert np.array_equal(out.debug_col("is_null"), exp_nul), \
+                    (n, m)
+                instances += 1
             pairs += 1
-            instances += B
-    ok = pairs == 64 * 65 // 2
+    ok = pairs == 64 * 65 // 2 and instances == B * pairs
     record(f"criterion 2 (exact placement, null-only swaps): "
            f"{'PASS' if ok else 'FAIL'} — all {pairs} (n, m) pairs with "
            f"n <= m <= 64, {instances} instances, collision check armed")

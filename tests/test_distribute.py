@@ -80,9 +80,10 @@ def test_collision_tripwire_fires():
             prp_distribute(x, m, seed=1)
 
 
-# one batched input per contract that oblivious_distribute covers: every
-# entry live with n <= m, and the null-skipping n > m contract that
-# ext_oblivious_distribute had before the two were merged
+# three maps into 4 slots per contract that oblivious_distribute covers:
+# every entry live with n <= m, and the null-skipping n > m contract that
+# ext_oblivious_distribute had before the two were merged.  Rows 0 and 2
+# are injective; only row 1 collides (f = 0 is null).
 BATCH_COLLISIONS = {
     "oblivious_distribute": [[1, 2, 3], [2, 2, 3], [4, 1, 2]],
     "ext_oblivious_distribute": [[1, 0, 2, 0, 3], [2, 0, 2, 0, 3],
@@ -90,14 +91,25 @@ BATCH_COLLISIONS = {
 }
 
 
+def _check_collision_rows(rows):
+    """Distribute each row on its own: the injective ones place every
+    live entry, and the colliding one raises."""
+    for r, row in enumerate(rows):
+        f = np.array(row, np.uint64)
+        x = make_distribute_input(NullSink(), f)
+        x.col("is_null")[:] = f == 0
+        if r == 1:
+            with pytest.raises(DistributeCollisionError):
+                oblivious_distribute(x, 4)
+        else:
+            out = oblivious_distribute(x, 4)
+            assert [e.f for e in out.debug_entries()
+                    if not e.is_null] == sorted(f[f > 0].tolist())
+
+
 @pytest.mark.parametrize("contract", list(BATCH_COLLISIONS))
 def test_collision_in_one_batch_row_fires(contract):
-    # rows 0 and 2 are injective; only row 1 collides (f = 0 is null)
-    f = np.array(BATCH_COLLISIONS[contract], np.uint64)
-    x = make_distribute_input(NullSink(), f, batch=3)
-    x.col("is_null")[:] = (f == 0)
-    with pytest.raises(DistributeCollisionError):
-        oblivious_distribute(x, 4)
+    _check_collision_rows(BATCH_COLLISIONS[contract])
 
 
 def test_n_greater_than_m_rejected():
@@ -165,7 +177,7 @@ def test_engines_agree_on_trace_and_output(engine, rng):
 def test_ext_skips_null_entries(engine):
     s = NullSink()
     x = make_distribute_input(s, [1, 0, 3])
-    x.col("is_null")[:, 1] = 1
+    x.col("is_null")[1] = 1
     out = oblivious_distribute(x, 3, engine)
     got = placed(out)
     assert got[0] == (1, 0)
@@ -178,7 +190,7 @@ def test_ext_with_n_exceeding_m(engine):
     # five inputs, two real, into three slots
     s = NullSink()
     x = make_distribute_input(s, [2, 0, 0, 1, 0])
-    x.col("is_null")[:, [1, 2, 4]] = 1
+    x.col("is_null")[[1, 2, 4]] = 1
     out = oblivious_distribute(x, 3, engine)
     assert out.length == 3
     got = placed(out)
@@ -201,21 +213,6 @@ def test_ext_trace_depends_only_on_sizes(rng):
     assert len(digests) == 1
 
 
-def test_batched_distribute_matches_instancewise(rng):
-    # the batch axis exists for the vector engine only
-    m, n, b = 9, 4, 6
-    fs = np.stack([rng.permutation(m)[:n] + 1 for _ in range(b)])
-    xb = make_distribute_input(NullSink(), fs, batch=b)
-    outb = oblivious_distribute(xb, m)
-    fb = outb.debug_col("f")
-    nb = outb.debug_col("is_null")
-    for r in range(b):
-        x = make_distribute_input(NullSink(), fs[r])
-        out = oblivious_distribute(x, m)
-        assert np.array_equal(fb[r], out.debug_col("f")[0])
-        assert np.array_equal(nb[r], out.debug_col("is_null")[0])
-
-
 # -- the native route kernel against the numpy hops --------------------------
 
 @pytest.fixture(params=["native", "numpy"])
@@ -229,51 +226,49 @@ def route_path(request, native_loads, monkeypatch):
     return request.param
 
 
-def _route_copies(rng, batch, m):
+def _route_copies(rng, m):
     """Routing copies whose f and null flags follow no contract: live
     entries with f = 0, f past m, and f at or above 2^63, which only an
-    unsigned compare moves; rows differ."""
+    unsigned compare moves."""
     wild = np.array([0, m + 1, 2**63, 2**63 + 5, U64_MAX], np.uint64)
-    f = rng.integers(1, m + 1, (batch, m), dtype=np.uint64)
-    odd = rng.random((batch, m)) < 0.2
+    f = rng.integers(1, m + 1, m, dtype=np.uint64)
+    odd = rng.random(m) < 0.2
     f[odd] = wild[rng.integers(0, len(wild), odd.sum())]
-    nul = (rng.random((batch, m)) < 0.3).astype(np.uint64)
-    perm = np.tile(np.arange(m, dtype=np.int64), (batch, 1))
-    return f, nul, perm
+    nul = (rng.random(m) < 0.3).astype(np.uint64)
+    return f, nul, np.arange(m, dtype=np.int64)
 
 
-@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("trials", [1, 3])
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 33, 64, 100, 257, 1000])
-def test_route_kernel_matches_numpy_hops(m, batch, native, rng):
+def test_route_kernel_matches_numpy_hops(m, trials, native, rng):
     # the kernel runs the whole network in one call; the numpy fallback
     # one hop at a time: both leave the same f, null flags and permutation
+    # on each of trials inputs
     hops = route_hops(m)
-    c = _route_copies(rng, batch, m)
-    v = tuple(arr.copy() for arr in c)
-    native.route(*c, np.array(hops, np.int64))
-    for j in hops:
-        primitives._route_hop_vector(*v, j)
-    for got, want in zip(c, v):
-        assert np.array_equal(got, want)
-    # a slot an entry moved out of is null, with f = 0
-    vacated = v[2] == -1
-    assert (v[1][vacated] == 1).all() and (v[0][vacated] == 0).all()
+    for _ in range(trials):
+        c = _route_copies(rng, m)
+        v = tuple(arr.copy() for arr in c)
+        native.route(*c, np.array(hops, np.int64))
+        for j in hops:
+            primitives._route_hop_vector(*v, j)
+        for got, want in zip(c, v):
+            assert np.array_equal(got, want)
+        # a slot an entry moved out of is null, with f = 0
+        vacated = v[2] == -1
+        assert (v[1][vacated] == 1).all() and (v[0][vacated] == 0).all()
 
 
-def _distribution_input(rng, batch, n, m):
-    """n entries, at most m of them live with distinct f in 1..m per row;
-    every column holds random values, nulls included, and a null entry's
-    f is random too."""
-    x = alloc(n, NullSink(), batch)
+def _distribution_input(rng, n, m):
+    """n entries, at most m of them live with distinct f in 1..m; every
+    column holds random values, nulls included, and a null entry's f is
+    random too."""
+    x = alloc(n, NullSink())
     for name in U64_FIELDS:
-        x.col(name)[:] = rng.integers(0, 2**64, (batch, n), dtype=np.uint64)
-    nul = np.ones((batch, n), np.uint8)
-    for r in range(batch):
-        live = int(rng.integers(0, min(n, m) + 1))
-        pos = rng.permutation(n)[:live]
-        x.col("f")[r, pos] = rng.permutation(m)[:live] + 1
-        nul[r, pos] = 0
-    x.col("is_null")[:] = nul
+        x.col(name)[:] = rng.integers(0, 2**64, n, dtype=np.uint64)
+    live = int(rng.integers(0, min(n, m) + 1))
+    pos = rng.permutation(n)[:live]
+    x.col("f")[pos] = rng.permutation(m)[:live] + 1
+    x.col("is_null")[pos] = 0  # every other slot stays null
     return x
 
 
@@ -281,7 +276,7 @@ def _distributed_on(kernel, monkeypatch, x, m, sink):
     """Every column of every slot of a vector distribution of a copy of x
     into the given sink, with _native.kernel() returning kernel."""
     monkeypatch.setattr(_native, "kernel", lambda: kernel)
-    y = alloc(x.length, sink, x.batch)
+    y = alloc(x.length, sink)
     for name in ALL_COLS:
         y.col(name)[:] = x.col(name)
     out = oblivious_distribute(y, m)
@@ -295,13 +290,14 @@ DISTRIBUTION_SIZES = ([(m, m) for m in range(1, 71)]
                          (1 << 15, 1 << 15)])
 
 
-@pytest.mark.parametrize("batch", [1, 3])
-def test_distribute_paths_agree(batch, native, native_loads, monkeypatch,
+@pytest.mark.parametrize("trials", [1, 3])
+def test_distribute_paths_agree(trials, native, native_loads, monkeypatch,
                                 rng):
-    # injective maps with random nulls: the two route paths fill every
-    # column of every slot, nulls included, alike, and emit one trace
-    for n, m in DISTRIBUTION_SIZES:
-        x = _distribution_input(rng, batch, n, m)
+    # injective maps with random nulls, trials inputs per size: the two
+    # route paths fill every column of every slot, nulls included, alike,
+    # and emit one trace
+    for n, m in [size for size in DISTRIBUTION_SIZES for _ in range(trials)]:
+        x = _distribution_input(rng, n, m)
         outs, digests = [], []
         for kernel in (native, native_loads["fallback"]):
             # hashlib would take seconds on the 2^15 fallback trace
@@ -314,36 +310,32 @@ def test_distribute_paths_agree(batch, native, native_loads, monkeypatch,
 
 
 def test_collisions_raise_on_both_route_paths(route_path):
-    # every bad map of the tripwire and of both batched contracts raises
+    # every bad map of the tripwire and of both collision contracts raises
     # on either path
     for f, m in [([2, 2], 2), ([2, 2, 3], 4), ([1, 1], 2), ([5], 4),
                  ([0, 1], 2)]:
         with pytest.raises(DistributeCollisionError):
             oblivious_distribute(make_distribute_input(NullSink(), f), m)
     for rows in BATCH_COLLISIONS.values():
-        f = np.array(rows, np.uint64)
-        x = make_distribute_input(NullSink(), f, batch=3)
-        x.col("is_null")[:] = (f == 0)
-        with pytest.raises(DistributeCollisionError):
-            oblivious_distribute(x, 4)
+        _check_collision_rows(rows)
 
 
 def test_route_kernel_rejects_bad_arrays(native):
     # every bad call is refused before the kernel writes anything
-    f = np.array([[2, 0, 0]], np.uint64)
-    nul = np.array([[0, 1, 1]], np.uint64)
-    perm = np.array([[0, 1, 2]], np.int64)
+    f = np.array([2, 0, 0], np.uint64)
+    nul = np.array([0, 1, 1], np.uint64)
+    perm = np.array([0, 1, 2], np.int64)
     hops = np.array([2, 1], np.int64)
     before = [arr.copy() for arr in (f, nul, perm)]
-    wide = np.zeros((1, 6), np.uint64)
+    wide = np.zeros(6, np.uint64)
     for args in ((f.astype(np.int64), nul, perm, hops),     # f not uint64
                  (f, nul.astype(np.uint8), perm, hops),     # flag not uint64
                  (f, nul, perm.astype(np.uint64), hops),    # perm not int64
                  (f, nul, perm, hops.astype(np.int32)),     # hops not int64
-                 (wide[:, ::2], nul, perm, hops),           # not contiguous
+                 (wide[::2], nul, perm, hops),              # not contiguous
                  (f, nul, perm, np.array([2, 9, 1, 9])[::2]),  # strided
-                 (f, nul[:, :2], perm, hops),               # shapes differ
-                 (f[0], nul[0], perm[0], hops),             # not (batch, len)
+                 (f, nul[:2], perm, hops),                  # shapes differ
+                 (f[None], nul[None], perm[None], hops),    # not 1-D
                  (f, nul, perm, hops[:, None]),             # hops not 1-D
                  (f, nul, perm, np.array([3], np.int64)),   # hop past the end
                  (f, nul, perm, np.array([0], np.int64)),   # hop 0
@@ -354,4 +346,4 @@ def test_route_kernel_rejects_bad_arrays(native):
         assert np.array_equal(arr, old)
     native.route(f, nul, perm, hops)
     assert (f.tolist(), nul.tolist(), perm.tolist()) == (
-        [[0, 2, 0]], [[1, 0, 1]], [[-1, 0, 2]])
+        [0, 2, 0], [1, 0, 1], [-1, 0, 2])

@@ -8,9 +8,9 @@ from oblivjoin.primitives import oblivious_expand
 from oblivjoin.trace import HashSink, LogSink, NullSink
 
 
-def expand_input(sink, g_values, batch=1):
+def expand_input(sink, g_values):
     g = np.asarray(g_values, np.uint64)
-    x = make_distribute_input(sink, np.zeros_like(g), batch=batch)
+    x = make_distribute_input(sink, np.zeros_like(g))
     x.col("alpha1")[:] = g
     return x
 
@@ -115,20 +115,3 @@ def test_engines_agree(rng):
     assert outs[0] == outs[1]
     assert digs[0] == digs[1]
 
-
-def test_batched_expand(rng):
-    # batched rows must share m; permute one layout across rows
-    base = np.array([2, 1, 0, 3], np.uint64)
-    b = 5
-    gs = np.stack([base[rng.permutation(4)] for _ in range(b)])
-    x = expand_input(NullSink(), gs, batch=b)
-    out = oblivious_expand(x, "alpha1")
-    want = np.stack([np.repeat(np.arange(4), gs[r].astype(int)) for r in range(b)])
-    assert np.array_equal(out.debug_col("d"), want)
-
-
-def test_batched_expand_rejects_nonuniform_m():
-    gs = np.array([[2, 1], [1, 2 + 1]], np.uint64)
-    x = expand_input(NullSink(), gs, batch=2)
-    with pytest.raises(ValueError):
-        oblivious_expand(x, "alpha1")

@@ -22,9 +22,11 @@ from oblivjoin.harness import (
     bench_csv,
     cost_report,
     gen_test_class,
+    make_distribute_input,
     placement_uniformity,
     verify_trace_class,
 )
+from oblivjoin.trace import LogSink
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -188,6 +190,19 @@ def test_bench_needs_a_rep():
 
 
 # -- randomized placement -----------------------------------------------------
+
+def test_distribute_input_is_one_dimensional():
+    # a public array is one row of slots, so a 2-D f is refused before
+    # anything is allocated
+    s = LogSink()
+    for f in ([[1, 2], [2, 1]], np.ones((1, 3), np.uint64), 3):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            make_distribute_input(s, f)
+    assert (s.peak_entries, len(s)) == (0, 0)
+    x = make_distribute_input(s, [2, 1])
+    assert x.debug_col("f").tolist() == [2, 1]
+    assert x.debug_col("d").tolist() == [0, 1]
+
 
 def test_placement_uniformity_returns_counts_and_pvalue():
     counts, p = placement_uniformity(4, 16, n_seeds=40)

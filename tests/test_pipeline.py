@@ -80,16 +80,6 @@ def test_fill_dimensions_multiple_groups(engine):
     assert by_key == {1: (1, 1), 2: (2, 0), 3: (0, 2)}
 
 
-def test_fill_dimensions_rejects_batch_rows_whose_m_differs():
-    # row 0 matches one pair, row 1 none: a batched join has one m
-    tc = alloc(2, NullSink(), batch=2)
-    tc.col("j")[:] = [[1, 1], [1, 2]]
-    tc.col("tid")[:] = [[1, 2], [1, 2]]
-    tc.col("is_null")[:] = 0
-    with pytest.raises(ValueError, match="uniform output size"):
-        fill_dimensions(tc)
-
-
 def test_fill_dimensions_matches_oracle_counts(rng):
     for _ in range(30):
         t1, t2 = random_tables(rng)

@@ -52,6 +52,14 @@ def test_seed_checks():
             SmallDomainPrp(4, seed)
     prp = SmallDomainPrp(4, (1 << 64) - 1)
     assert sorted(prp.forward(v) for v in range(4)) == [0, 1, 2, 3]
+    # prp_distribute checks it before any access, also when m = 0 leaves
+    # no domain to permute
+    for seed in (-1, 1 << 64):
+        for f, m in (([], 0), ([1], 1)):
+            s = LogSink()
+            with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+                prp_distribute(make_distribute_input(s, f), m, seed=seed)
+            assert len(s) == 0
 
 
 def out_state(a):
@@ -106,9 +114,3 @@ def test_rejects_more_entries_than_slots():
     x = make_distribute_input(NullSink(), [1, 2, 3])
     with pytest.raises(ValueError, match="n <= m"):
         prp_distribute(x, 2, seed=0)
-
-
-def test_rejects_batched_input():
-    x = make_distribute_input(NullSink(), np.ones((2, 1), np.uint64), batch=2)
-    with pytest.raises(ValueError):
-        prp_distribute(x, 1, seed=0)

@@ -88,11 +88,11 @@ def test_route_hops_values():
 
 def _fill(a, j_vals, tid_vals=None):
     n = len(j_vals)
-    a.col("j")[:, :n] = np.asarray(j_vals, np.uint64)
+    a.col("j")[:n] = np.asarray(j_vals, np.uint64)
     if tid_vals is not None:
-        a.col("tid")[:, :n] = np.asarray(tid_vals, np.uint64)
-    a.col("d")[:, :n] = np.arange(n, dtype=np.uint64)
-    a.col("is_null")[:, :n] = 0
+        a.col("tid")[:n] = np.asarray(tid_vals, np.uint64)
+    a.col("d")[:n] = np.arange(n, dtype=np.uint64)
+    a.col("is_null")[:n] = 0
 
 
 @pytest.mark.parametrize("engine", ["scalar", "vector"])
@@ -111,8 +111,8 @@ def test_sort_orders_by_lexicographic_key(engine, rng):
 def test_sort_nonnull_key_front_loads_real_entries(engine):
     a = alloc(5, NullSink())
     # slots 1 and 3 stay null
-    a.col("is_null")[:, [0, 2, 4]] = 0
-    a.col("f")[:, [0, 2, 4]] = [3, 1, 2]
+    a.col("is_null")[[0, 2, 4]] = 0
+    a.col("f")[[0, 2, 4]] = [3, 1, 2]
     bitonic_sort(a, KEY_NONNULL_F, engine)
     ents = a.debug_entries()
     assert [e.is_null for e in ents] == [0, 0, 0, 1, 1]
@@ -120,8 +120,9 @@ def test_sort_nonnull_key_front_loads_real_entries(engine):
 
 
 @pytest.mark.parametrize("engine", ["scalar", "vector"])
-@pytest.mark.parametrize("key", [("j", "nonnull"), (("j", True),)],
-                         ids=["unknown-name", "name-direction-pair"])
+@pytest.mark.parametrize("key", [("j", "nonnull"), (("j", True),), "jd"],
+                         ids=["unknown-name", "name-direction-pair",
+                              "string"])
 def test_sort_rejects_a_key_that_names_no_column(engine, key):
     # refused before the first access, on either engine
     s = LogSink()
@@ -130,7 +131,7 @@ def test_sort_rejects_a_key_that_names_no_column(engine, key):
     with pytest.raises(ValueError, match=re.escape(repr(key))):
         bitonic_sort(a, key, engine)
     assert list(s.events()) == []
-    assert a.debug_col("j").tolist() == [[2, 1, 0]]
+    assert a.debug_col("j").tolist() == [2, 1, 0]
 
 
 @pytest.mark.parametrize("engine", ["scalar", "vector"])
@@ -145,16 +146,18 @@ def test_sort_rejects_a_key_of_no_or_more_than_three_columns(engine, key):
     with pytest.raises(ValueError, match="1 to 3"):
         bitonic_sort(a, key, engine)
     assert list(s.events()) == []
-    assert a.debug_col("j").tolist() == [[2, 1, 0]]
+    assert a.debug_col("j").tolist() == [2, 1, 0]
 
 
 def test_compare_exchange_rejects_a_key_that_names_no_column():
-    # refused before either read, as bitonic_sort refuses it
-    s = LogSink()
-    with pytest.raises(ValueError, match=re.escape(repr(("x",)))):
-        compare_exchange(alloc(2, s), 0, 1, ("x",))
-    assert len(s) == 0
-    assert s.counts == {}
+    # refused before either read, as bitonic_sort refuses it; a string is
+    # no KeySpec, even where its characters name columns
+    for key in (("x",), "jd"):
+        s = LogSink()
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            compare_exchange(alloc(2, s), 0, 1, key)
+        assert len(s) == 0
+        assert s.counts == {}
 
 
 def test_sort_rejects_an_unknown_engine():
@@ -196,22 +199,21 @@ def test_scalar_and_vector_engines_agree(n, rng):
 ALL_COLS = U64_FIELDS + ("is_null",)
 
 
-def _fill_distinct(a, row, j_vals):
+def _fill_distinct(a, j_vals):
     # j from a small range (heavy ties), every other column distinct per
     # slot, so the order of tied entries shows in all of them
     n = len(j_vals)
-    a.col("j")[row] = np.asarray(j_vals, np.uint64)
+    a.col("j")[:] = np.asarray(j_vals, np.uint64)
     for c, name in enumerate(("d", "alpha1", "alpha2", "f", "ii"), 1):
-        a.col(name)[row] = np.arange(n, dtype=np.uint64) * np.uint64(c) + \
+        a.col(name)[:] = np.arange(n, dtype=np.uint64) * np.uint64(c) + \
             np.uint64(1000 * c)
-    a.col("is_null")[row] = 0
+    a.col("is_null")[:] = 0
 
 
-def _sorted_by_engine(n, engine, rows, fill, key):
+def _sorted_by_engine(n, engine, vals, fill, key):
     s = HashSink()
-    a = alloc(n, s, batch=len(rows))
-    for r, vals in enumerate(rows):
-        fill(a, r, vals)
+    a = alloc(n, s)
+    fill(a, vals)
     bitonic_sort(a, key, engine)
     return {name: a.debug_col(name) for name in ALL_COLS}, s.digest
 
@@ -220,43 +222,43 @@ def _sorted_by_engine(n, engine, rows, fill, key):
 def test_engines_agree_on_ragged_lengths_with_ties(n, rng):
     # ragged lengths split power-of-two sub-merges off multi-level tails;
     # ties on j make every non-key column show the exact swap sequence.
-    # Row r of one batch=3 vector run must equal the scalar run of row r.
-    rows = [rng.integers(0, 6, n) for _ in range(3)]
-    vec, vdig = _sorted_by_engine(n, "vector", rows, _fill_distinct,
-                                  KEY_J_TID)
-    for r, j in enumerate(rows):
-        sca, sdig = _sorted_by_engine(n, "scalar", [j], _fill_distinct,
+    # Each vector run must equal the scalar run of its input.
+    for _ in range(3):
+        j = rng.integers(0, 6, n)
+        vec, vdig = _sorted_by_engine(n, "vector", j, _fill_distinct,
+                                      KEY_J_TID)
+        sca, sdig = _sorted_by_engine(n, "scalar", j, _fill_distinct,
                                       KEY_J_TID)
         assert sdig == vdig
         for name in ALL_COLS:
-            assert np.array_equal(sca[name][0], vec[name][r]), (r, name)
-    assert (np.diff(vec["j"].astype(np.int64), axis=1) >= 0).all()
+            assert np.array_equal(sca[name], vec[name]), name
+        assert (np.diff(vec["j"].astype(np.int64)) >= 0).all()
 
 
-def _fill_nulls(a, row, null_vals):
+def _fill_nulls(a, null_vals):
     # null slots keep distinct contents: KEY_NONNULL_F ties all of them
     n = len(null_vals)
     null = np.asarray(null_vals, np.uint8)
-    _fill_distinct(a, row, np.zeros(n, int))
-    a.col("f")[row] = np.where(null, 0, np.arange(n) % 4 + 1)
-    a.col("is_null")[row] = null
+    _fill_distinct(a, np.zeros(n, int))
+    a.col("f")[:] = np.where(null, 0, np.arange(n) % 4 + 1)
+    a.col("is_null")[:] = null
 
 
 @pytest.mark.parametrize("n", [100, 257])
 def test_engines_agree_on_nonnull_key_with_distinct_nulls(n, rng):
     nulls = rng.integers(0, 2, n)
-    sca, sdig = _sorted_by_engine(n, "scalar", [nulls], _fill_nulls,
+    sca, sdig = _sorted_by_engine(n, "scalar", nulls, _fill_nulls,
                                   KEY_NONNULL_F)
-    vec, vdig = _sorted_by_engine(n, "vector", [nulls], _fill_nulls,
+    vec, vdig = _sorted_by_engine(n, "vector", nulls, _fill_nulls,
                                   KEY_NONNULL_F)
     assert sdig == vdig
     for name in ALL_COLS:
         assert np.array_equal(sca[name], vec[name]), name
     real = int((nulls == 0).sum())
-    assert (vec["is_null"][0, :real] == 0).all()
-    assert (vec["is_null"][0, real:] == 1).all()
+    assert (vec["is_null"][:real] == 0).all()
+    assert (vec["is_null"][real:] == 1).all()
     # the null block holds the null slots' distinct d values, permuted
-    assert sorted(vec["d"][0, real:]) == sorted(
+    assert sorted(vec["d"][real:]) == sorted(
         1000 + np.flatnonzero(nulls == 1))
 
 
@@ -283,90 +285,82 @@ def test_sort_of_view_touches_only_the_view():
     assert [e.j for e in a.debug_entries()][7:] == [2, 1, 0]
 
 
-def test_sort_batched_rows_sort_independently(rng):
-    s = HashSink()
-    a = alloc(12, s, batch=4)
-    j = rng.integers(0, 9, size=(4, 12)).astype(np.uint64)
-    a.col("j")[:] = j
-    a.col("is_null")[:] = 0
-    bitonic_sort(a, KEY_J_TID)
-    out = a.debug_col("j")
-    assert np.array_equal(out, np.sort(j, axis=1))
-
-
 # -- the native sort kernel against the numpy level -------------------------
 
 U64_MAX = 2**64 - 1
 
 
-def _kernel_keys(rng, batch, n, nkeys):
+def _kernel_keys(rng, n, nkeys):
     """Key copies in bitonic_sort's layout: heavy ties on the first key,
     a second key whose top values only an unsigned compare orders, and a
-    third key to break what ties remain; rows differ."""
+    third key to break what ties remain."""
     top = np.array([0, 1, 2**63, U64_MAX], np.uint64)
-    return [rng.integers(0, 3, (batch, n), dtype=np.uint64),
-            top[rng.integers(0, 4, (batch, n))],
-            rng.integers(0, 2, (batch, n), dtype=np.uint64)][:nkeys]
+    return [rng.integers(0, 3, n, dtype=np.uint64),
+            top[rng.integers(0, 4, n)],
+            rng.integers(0, 2, n, dtype=np.uint64)][:nkeys]
+
+
+def _sorts_by_keys(perm, keys):
+    """Whether the permutation orders the keys lexicographically."""
+    rows = list(zip(*(col[perm].tolist() for col in keys)))
+    return rows == sorted(rows)
 
 
 @pytest.mark.parametrize("nkeys", [1, 2, 3])
-@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("trials", [1, 3])
 @pytest.mark.parametrize("n", [2, 3, 7, 64, 100, 257, 1024, 5400, 8000])
-def test_sort_kernel_matches_numpy_levels(n, batch, nkeys, native, rng):
+def test_sort_kernel_matches_numpy_levels(n, trials, nkeys, native, rng):
     # one kernel call leaves the keys and permutation that the numpy level
-    # leaves after every level of sort_levels
-    keys = _kernel_keys(rng, batch, n, nkeys)
-    ck, nk = [col.copy() for col in keys], [col.copy() for col in keys]
-    cperm = np.tile(np.arange(n, dtype=np.int64), (batch, 1))
-    nperm = cperm.copy()
+    # leaves after every level of sort_levels, on each of trials inputs
     prog, ncomp = sort_program(n)
-    native.sort(ck, cperm, prog)
-    for lo, hi, asc in sort_levels(n):
-        primitives._ce_level_vector(nk, nperm, lo, hi, asc)
     assert ncomp == comparator_count(n)
-    assert np.array_equal(cperm, nperm)
-    for c, v in zip(ck, nk):
-        assert np.array_equal(c, v)
-    # and the permutation sorts each row by the keys
-    for r in range(batch):
-        rows = list(zip(*(col[r, cperm[r]].tolist() for col in keys)))
-        assert rows == sorted(rows)
-
-
-@pytest.mark.parametrize("batch", [1, 3])
-@pytest.mark.parametrize("n", [2, 3, 7, 64, 100, 257, 1024])
-def test_level_kernel_matches_numpy_level(n, batch, native, rng):
-    # level by level, a one-level program of _plan leaves the same keys and
-    # permutation as the numpy level over that level of sort_levels
-    keys = _kernel_keys(rng, batch, n, 3)
-    ck, nk = [col.copy() for col in keys], [col.copy() for col in keys]
-    cperm = np.tile(np.arange(n, dtype=np.int64), (batch, 1))
-    nperm = cperm.copy()
-    for (j, k, nfull, fired), (lo, hi, asc) in zip(_plan(n), sort_levels(n),
-                                                     strict=True):
-        prog = np.array([1, j, k, nfull, len(fired),
-                         *(v for part in fired for v in part)], np.int64)
+    for _ in range(trials):
+        keys = _kernel_keys(rng, n, nkeys)
+        ck, nk = [col.copy() for col in keys], [col.copy() for col in keys]
+        cperm = np.arange(n, dtype=np.int64)
+        nperm = cperm.copy()
         native.sort(ck, cperm, prog)
-        primitives._ce_level_vector(nk, nperm, lo, hi, asc)
+        for lo, hi, asc in sort_levels(n):
+            primitives._ce_level_vector(nk, nperm, lo, hi, asc)
         assert np.array_equal(cperm, nperm)
         for c, v in zip(ck, nk):
             assert np.array_equal(c, v)
-    # and the permutation sorts each row by (key 0, key 1, key 2)
-    for r in range(batch):
-        rows = list(zip(*(col[r, cperm[r]].tolist() for col in keys)))
-        assert rows == sorted(rows)
+        assert _sorts_by_keys(cperm, keys)
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("n", [2, 3, 7, 64, 100, 257, 1024])
+def test_level_kernel_matches_numpy_level(n, trials, native, rng):
+    # level by level, a one-level program of _plan leaves the same keys and
+    # permutation as the numpy level over that level of sort_levels, on
+    # each of trials inputs
+    for _ in range(trials):
+        keys = _kernel_keys(rng, n, 3)
+        ck, nk = [col.copy() for col in keys], [col.copy() for col in keys]
+        cperm = np.arange(n, dtype=np.int64)
+        nperm = cperm.copy()
+        for (j, k, nfull, fired), (lo, hi, asc) in zip(
+                _plan(n), sort_levels(n), strict=True):
+            prog = np.array([1, j, k, nfull, len(fired),
+                             *(v for part in fired for v in part)], np.int64)
+            native.sort(ck, cperm, prog)
+            primitives._ce_level_vector(nk, nperm, lo, hi, asc)
+            assert np.array_equal(cperm, nperm)
+            for c, v in zip(ck, nk):
+                assert np.array_equal(c, v)
+        assert _sorts_by_keys(cperm, keys)
 
 
 def test_sort_kernel_rejects_bad_programs(native):
     # every bad call is refused before the kernel writes anything
     def arrays():
-        return [np.array([[4, 3, 2, 1]], np.uint64)], \
-            np.array([[0, 1, 2, 3]], np.int64)
+        return [np.array([4, 3, 2, 1], np.uint64)], \
+            np.array([0, 1, 2, 3], np.int64)
 
     keys, perm = arrays()
     prog = np.array([1, 2, 4, 4, 0], np.int64)  # j = 2 over 4 slots
     native.sort(keys, perm, prog)
-    assert perm.tolist() == [[2, 3, 0, 1]]
+    assert perm.tolist() == [2, 3, 0, 1]
 
     def level(j, nfull, *parts):
         return np.array([1, j, 2 * j, nfull, len(parts),
@@ -374,16 +368,15 @@ def test_sort_kernel_rejects_bad_programs(native):
 
     keys, perm = arrays()
     native.sort(keys, perm, level(1, 0, (1, 1, 1)))  # one pair, (1, 2)
-    assert perm.tolist() == [[0, 2, 1, 3]]
+    assert perm.tolist() == [0, 2, 1, 3]
     bad = {
         "no keys": ([], perm, prog),
         "four keys": (keys * 4, perm, prog),
         "part past the end": (keys, perm, level(1, 0, (2, 2, 1))),
         # nfull fits the 6 slots, but not as blocks of 2j = 8
-        "blocks past the end": ([np.arange(6, 0, -1, dtype=np.uint64)[None]],
-                                np.arange(6, dtype=np.int64)[None],
-                                level(4, 6)),
-        "blocks longer than a row": (keys, perm, level(1, 8)),
+        "blocks past the end": ([np.arange(6, 0, -1, dtype=np.uint64)],
+                                np.arange(6, dtype=np.int64), level(4, 6)),
+        "blocks longer than the array": (keys, perm, level(1, 8)),
         "j = 0": (keys, perm, level(0, 0, (0, 1, 1))),
         "j not a power of two": (keys, perm, level(3, 0, (0, 1, 1))),
         "negative lo0": (keys, perm, level(1, 0, (-1, 1, 1))),
@@ -395,10 +388,9 @@ def test_sort_kernel_rejects_bad_programs(native):
         "2-d program": (keys, perm, prog[None]),
         "int64 key": ([keys[0].astype(np.int64)], perm, prog),
         "int32 permutation": (keys, perm.astype(np.int32), prog),
-        "key shape": ([np.zeros((1, 3), np.uint64)], perm, prog),
-        "1-d permutation": ([keys[0][0]], perm[0], prog),
-        "non-contiguous key": ([np.zeros((1, 8), np.uint64)[:, ::2]], perm,
-                               prog),
+        "key shape": ([np.zeros(3, np.uint64)], perm, prog),
+        "2-d arrays": ([keys[0][None]], perm[None], prog),
+        "non-contiguous key": ([np.zeros(8, np.uint64)[::2]], perm, prog),
     }
     for name, (k, p, program) in bad.items():
         before = [col.copy() for col in (*k, p)]
@@ -406,8 +398,8 @@ def test_sort_kernel_rejects_bad_programs(native):
             native.sort(k, p, program)
         for col, old in zip((*k, p), before):
             assert np.array_equal(col, old), name
-    assert perm.tolist() == [[0, 2, 1, 3]]
-    assert keys[0].tolist() == [[4, 2, 3, 1]]
+    assert perm.tolist() == [0, 2, 1, 3]
+    assert keys[0].tolist() == [4, 2, 3, 1]
 
 
 PAIRS_LENGTHS = [0, 1, 2, 3, 5, 7, 100, 257, 1000, 5400, 8193, 100003]
@@ -494,28 +486,30 @@ def test_pairs_kernel_refuses_bad_ranges_and_programs(native):
     assert (lo == -7).all() and (hi == -7).all()
 
 
-def _sorted_on(kernel, monkeypatch, n, rows, fill, key):
+def _sorted_on(kernel, monkeypatch, n, vals, fill, key):
     monkeypatch.setattr(_native, "kernel", lambda: kernel)
-    return _sorted_by_engine(n, "vector", rows, fill, key)
+    return _sorted_by_engine(n, "vector", vals, fill, key)
 
 
 @pytest.mark.parametrize("n", [100, 128, 257])
 def test_bitonic_sort_paths_agree(n, native, native_loads, monkeypatch, rng):
-    # the whole vector sort on each path, batch rows that differ: ties on
-    # j, the uint8 null flag under KEY_NONNULL_F, a second key on d
+    # the whole vector sort on each path, inputs that differ: ties on j,
+    # the uint8 null flag under KEY_NONNULL_F, a second key on d
     cases = [([rng.integers(0, 6, n) for _ in range(3)], _fill_distinct,
               KEY_J_TID),
              ([rng.integers(0, 2, n) for _ in range(3)], _fill_nulls,
               KEY_NONNULL_F),
              ([rng.integers(0, 6, n) for _ in range(2)], _fill_distinct,
               ("j", "d"))]
-    for rows, fill, key in cases:
-        c_cols, c_dig = _sorted_on(native, monkeypatch, n, rows, fill, key)
-        n_cols, n_dig = _sorted_on(native_loads["fallback"], monkeypatch, n,
-                                   rows, fill, key)
-        assert c_dig == n_dig
-        for name in ALL_COLS:
-            assert np.array_equal(c_cols[name], n_cols[name]), (key, name)
+    for inputs, fill, key in cases:
+        for vals in inputs:
+            c_cols, c_dig = _sorted_on(native, monkeypatch, n, vals, fill,
+                                       key)
+            n_cols, n_dig = _sorted_on(native_loads["fallback"], monkeypatch,
+                                       n, vals, fill, key)
+            assert c_dig == n_dig
+            for name in ALL_COLS:
+                assert np.array_equal(c_cols[name], n_cols[name]), (key, name)
 
 
 class _BlockSizes(LogSink):
@@ -536,16 +530,15 @@ def test_native_sort_emits_chunks_of_the_network(n, native, native_loads,
     # a consuming sink gets the native sort's events in blocks of 8,192
     # comparators (the last one shorter), never from a sort_levels walk,
     # and the events are the fallback's, which emits one block per level
-    rows = [rng.integers(0, 6, n) for _ in range(2)]
+    vals = rng.integers(0, 6, n)
     events, blocks = [], []
     for kernel, walk in ((native, None),
                          (native_loads["fallback"], sort_levels)):
         monkeypatch.setattr(_native, "kernel", lambda: kernel)
         monkeypatch.setattr(primitives, "sort_levels", walk)
         sink = _BlockSizes()
-        a = alloc(n, sink, batch=2)
-        for r, vals in enumerate(rows):
-            _fill_distinct(a, r, vals)
+        a = alloc(n, sink)
+        _fill_distinct(a, vals)
         bitonic_sort(a, KEY_J_TID)
         events.append(sink.event_arrays())
         blocks.append(sink.sizes)

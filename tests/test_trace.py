@@ -15,7 +15,7 @@ import pytest
 import oblivjoin
 from oblivjoin import _native, primitives
 from oblivjoin._schedule import sort_program
-from oblivjoin.entries import KEY_J_TID, AugEntry
+from oblivjoin.entries import KEY_J_TID, U64_FIELDS, AugEntry
 from oblivjoin.harness import make_distribute_input
 from oblivjoin.trace import (
     READ,
@@ -127,10 +127,10 @@ def test_native_module_loads_where_it_can_be_built(monkeypatch):
     a.col("j")[:] = [5, 0, 3, 2, 4, 1]
     a.col("is_null")[:] = 0
     primitives.bitonic_sort(a, KEY_J_TID)
-    assert a.debug_col("j").tolist() == [[0, 1, 2, 3, 4, 5]]
+    assert a.debug_col("j").tolist() == [0, 1, 2, 3, 4, 5]
     x = make_distribute_input(NullSink(), [3, 1])
     out = primitives.oblivious_distribute(x, 4)
-    assert out.debug_col("f").tolist() == [[1, 0, 3, 0]]
+    assert out.debug_col("f").tolist() == [1, 0, 3, 0]
 
 
 @pytest.mark.skipif(not _can_build_kernel(), reason="no cc")
@@ -159,12 +159,11 @@ rng = np.random.default_rng(5)
 top = np.array([0, 1, 2**63, 2**64 - 1], np.uint64)
 for n in (2, 3, 7, 100, 257, 1000, 5400):
     for nkeys in (1, 2, 3):
-        keys = [top[rng.integers(0, 4, (2, n))] for _ in range(nkeys)]
-        perm = np.tile(np.arange(n, dtype=np.int64), (2, 1))
+        keys = [top[rng.integers(0, 4, n)] for _ in range(nkeys)]
+        perm = np.arange(n, dtype=np.int64)
         kernel.sort([col.copy() for col in keys], perm, sort_program(n)[0])
-        for r in range(2):
-            rows = list(zip(*(col[r, perm[r]].tolist() for col in keys)))
-            assert rows == sorted(rows), (n, nkeys)
+        rows = list(zip(*(col[perm].tolist() for col in keys)))
+        assert rows == sorted(rows), (n, nkeys)
     prog, ncomp = sort_program(n)
     lo, hi = np.empty(8192, np.int64), np.empty(8192, np.int64)
     got_lo, got_hi = [], []
@@ -186,11 +185,11 @@ try:  # j = 3 is no power of two, and lo0 = -1
     raise AssertionError("a bad program ran")
 except ValueError:
     pass
-f = np.array([[1, 3, 0, 0]], np.uint64)
-nul = np.array([[0, 0, 1, 1]], np.uint64)
-perm = np.arange(4, dtype=np.int64)[None]
+f = np.array([1, 3, 0, 0], np.uint64)
+nul = np.array([0, 0, 1, 1], np.uint64)
+perm = np.arange(4, dtype=np.int64)
 kernel.route(f, nul, perm, np.array(route_hops(4), np.int64))
-assert (f.tolist(), perm.tolist()) == ([[1, 0, 3, 0]], [[0, -1, 1, 3]])
+assert (f.tolist(), perm.tolist()) == ([1, 0, 3, 0], [0, -1, 1, 3])
 """
 UBSAN_FLAGS = ("-O1", "-g", "-fsanitize=undefined",
                "-fno-sanitize-recover=all", "-shared", "-fPIC")
@@ -244,7 +243,7 @@ def test_cached_object_without_a_kernel_falls_back(symbol, tmp_path,
         a.col("j")[:] = [5, 0, 3, 2, 4, 1]
         a.col("is_null")[:] = 0
         primitives.bitonic_sort(a, KEY_J_TID)
-        assert a.debug_col("j").tolist() == [[0, 1, 2, 3, 4, 5]]
+        assert a.debug_col("j").tolist() == [0, 1, 2, 3, 4, 5]
     assert _native.kernel() is None
 
 
@@ -257,13 +256,13 @@ def test_warm_cache_load_runs_no_compiler(tmp_path, monkeypatch):
     monkeypatch.setattr(_native.subprocess, "run", no_compiler)
     kernel = _native.load(cache_dir=tmp_path)
     assert kernel is not None
-    keys = [np.array([[2, 1]], np.uint64)]
-    perm = np.array([[0, 1]], np.int64)
+    keys = [np.array([2, 1], np.uint64)]
+    perm = np.array([0, 1], np.int64)
     kernel.sort(keys, perm, sort_program(2)[0])
-    assert perm.tolist() == [[1, 0]]
-    f, nul = np.array([[2, 0]], np.uint64), np.array([[0, 1]], np.uint64)
+    assert perm.tolist() == [1, 0]
+    f, nul = np.array([2, 0], np.uint64), np.array([0, 1], np.uint64)
     kernel.route(f, nul, perm, np.array([1]))
-    assert (f.tolist(), perm.tolist()) == ([[0, 2]], [[-1, 1]])
+    assert (f.tolist(), perm.tolist()) == ([0, 2], [-1, 1])
 
 
 # each first use in a fresh interpreter, and whether it needs the native
@@ -277,7 +276,7 @@ FIRST_USES = [
             "oblivjoin.bitonic_sort(a, KEY_J_TID)"]),
     (True, ["from oblivjoin.harness import make_distribute_input",
             "x = make_distribute_input(oblivjoin.NullSink(), [3, 1])",
-            "assert oblivjoin.oblivious_distribute(x, 4).debug_col('f')[0, 2] == 3"]),
+            "assert oblivjoin.oblivious_distribute(x, 4).debug_col('f')[2] == 3"]),
 ]
 
 
@@ -384,14 +383,6 @@ def test_view_past_the_end_is_out_of_bounds():
     assert a.view(4, 0).length == 0
 
 
-def test_scalar_access_needs_batch_one():
-    a = alloc(3, NullSink(), batch=2)
-    with pytest.raises(ValueError, match="batch size 1"):
-        a.read(0)
-    with pytest.raises(ValueError, match="batch size 1"):
-        a.write(0, AugEntry())
-
-
 def test_view_shares_storage_and_translates_indices():
     s = LogSink()
     a = alloc(6, s)
@@ -448,14 +439,9 @@ def test_fresh_allocation_is_null():
     s = NullSink()
     a = alloc(3, s)
     assert all(a.read(i).is_null == 1 for i in range(3))
-
-
-def test_allocation_needs_a_batch():
-    # rejected at allocation, not later as an IndexError in
-    # oblivious_expand
-    for batch in (0, -1):
-        with pytest.raises(ValueError, match="batch"):
-            alloc(3, NullSink(), batch=batch)
+    # one row of slots per column
+    assert all(a.debug_col(name).shape == (3,)
+               for name in U64_FIELDS + ("is_null",))
 
 
 def test_allocation_needs_a_length():
