@@ -4,12 +4,25 @@ network in one C source, compiled into one shared object with `cc` alone.
 oblivjoin_sort runs every level of one sort's network on the uint64 key
 copies and the int64 slot permutation of the vector bitonic_sort.  It
 reads the network as a sort program (_schedule.sort_program), a few
-int64 entries per level, and expands each level's pairs itself, the
-same pairs sort_levels yields.  Each pair is a lexicographic compare
-over the keys, each ascending, then an XOR-masked swap of the keys and
-the permutation, like ct_select; the comparator body is compiled once
-per key count, one to three.  The whole program is validated before the
-first write, by the check that oblivjoin_sort_pairs shares.
+int64 entries per level, and runs each level as spans.  The complete
+blocks and each tail part at hop j are runs of j consecutive low slots,
+2j apart, the last cut at the part's count, and each run has one
+direction, so a run is one loop over i of pairs (i, i+j) on
+restrict-qualified key and permutation pointers, which the compiler
+vectorizes.  At j = 1 a run is one pair, so the pairs of one direction
+run as one loop of stride 2 instead.  These are the pairs sort_levels
+yields; the pairs of a level are disjoint, so their order within it
+changes nothing.  Each pair is a lexicographic compare over the keys,
+each ascending, then an XOR-masked swap of the keys and the permutation,
+like ct_select; the loop body is compiled once per key count, one to
+three.  The whole program is validated before the first write, by the
+check that oblivjoin_sort_pairs shares.  The keys and the permutation
+must not overlap (Kernels.sort refuses arrays that share memory).
+
+The sort stays data-oblivious: its loop bounds and addresses come from
+the program alone, a function of the public length; every select is a
+mask, with no branch on a key; and which compiled body runs (below)
+depends on the host CPU only.
 
 oblivjoin_sort_pairs writes a range of a sort program's pairs, start to
 start+count-1 in network order, as int64 lo and hi arrays: the pairs
@@ -25,7 +38,13 @@ entry at i with f > i+j moves to i+j and slot i becomes null, its
 permutation entry -1.  The moves are masked selects, like ct_select.
 
 The object is compiled on first use into the user's cache directory and
-loaded with ctypes; nothing is built at import.  load() returns None when
+loaded with ctypes; nothing is built at import.  It is built with -O3,
+because GCC 12's -O2 does not vectorize the span loops.  On x86-64 with
+glibc, oblivjoin_sort carries target_clones("avx2", "default"): one body
+for AVX2 and one for the x86-64 baseline, and the loader picks one by
+the CPU.  Other targets and C libraries build the plain body.  There is
+no -march=native: the cache key does not name the CPU, so an object in a
+shared cache must run on any x86-64.  load() returns None when
 it cannot build or load the object, or the object lacks one of the three
 kernels, and then both callers keep their fallbacks:
 primitives.bitonic_sort the numpy level per level of sort_levels, each
@@ -38,6 +57,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import itertools
 import os
 import subprocess
 import tempfile
@@ -49,34 +69,86 @@ SOURCE = r"""
 #include <stddef.h>
 #include <stdint.h>
 
-/* Orders slots i and k: a lexicographic compare over the nkeys key
-   arrays, each ascending, then an XOR-masked swap of the keys and
-   the permutation, ascending where up (1) and descending where not (0).
-   Inlined with a constant nkeys, so each key count gets its own body. */
+/* Folds one key's compare of x and y into gt, lt and eq. */
+#define CMP(x, y)                                                       \
+    do {                                                                \
+        uint64_t g = (x) > (y), l = (x) < (y);                          \
+        gt |= eq & g;                                                   \
+        lt |= eq & l;                                                   \
+        eq &= ~(g | l);                                                 \
+    } while (0)
+
+/* Swaps x and y where mask is all ones, by an XOR, like ct_select. */
+#define SWAP(x, y)                                                      \
+    do {                                                                \
+        uint64_t d = ((x) ^ (y)) & mask;                                \
+        (x) ^= d;                                                       \
+        (y) ^= d;                                                       \
+    } while (0)
+
+/* Orders n pairs of slots in one direction, the i-th pair at s*i of each
+   low array a* and high array b*: a lexicographic compare over the nkeys
+   key arrays, each ascending, then an XOR-masked swap of the keys and the
+   permutation, ascending where up (1) and descending where not (0).  No
+   low slot is a high slot, so every pointer is restrict.  Inlined with a
+   constant nkeys and s, so each key count gets its own loop, and the loop
+   vectorizes. */
 static inline __attribute__((always_inline)) void
-ce(uint64_t *const *key, int nkeys, uint64_t *perm, size_t i, size_t k,
-   uint64_t up)
+span(uint64_t *restrict a0, uint64_t *restrict b0, uint64_t *restrict a1,
+     uint64_t *restrict b1, uint64_t *restrict a2, uint64_t *restrict b2,
+     uint64_t *restrict ap, uint64_t *restrict bp, int nkeys, size_t n,
+     size_t s, uint64_t up)
 {
-    uint64_t gt = 0, lt = 0, eq = 1;
-    for (int c = 0; c < nkeys; c++) {
-        uint64_t x = key[c][i], y = key[c][k];
-        uint64_t g = x > y, l = x < y;
-        gt |= eq & g;
-        lt |= eq & l;
-        eq &= ~(g | l);
+    for (size_t i = 0; i < n * s; i += s) {
+        uint64_t gt = 0, lt = 0, eq = 1;
+        CMP(a0[i], b0[i]);
+        if (nkeys > 1)
+            CMP(a1[i], b1[i]);
+        if (nkeys > 2)
+            CMP(a2[i], b2[i]);
+        uint64_t mask = -((up & gt) | ((up ^ 1) & lt));
+        SWAP(a0[i], b0[i]);
+        if (nkeys > 1)
+            SWAP(a1[i], b1[i]);
+        if (nkeys > 2)
+            SWAP(a2[i], b2[i]);
+        SWAP(ap[i], bp[i]);
     }
-    uint64_t mask = -((up & gt) | ((up ^ 1) & lt));
-    for (int c = 0; c < nkeys; c++) {
-        uint64_t d = (key[c][i] ^ key[c][k]) & mask;
-        key[c][i] ^= d;
-        key[c][k] ^= d;
-    }
-    uint64_t d = (perm[i] ^ perm[k]) & mask;
-    perm[i] ^= d;
-    perm[k] ^= d;
 }
 
-/* Runs every level of the validated program prog. */
+/* Orders n pairs (b + s*i, b + s*i + j), i < n, in one direction. */
+static inline __attribute__((always_inline)) void
+pairs_at(uint64_t *const *key, int nkeys, uint64_t *perm, size_t b,
+         size_t j, size_t n, size_t s, uint64_t up)
+{
+    span(key[0] + b, key[0] + b + j, key[1] + b, key[1] + b + j,
+         key[2] + b, key[2] + b + j, perm + b, perm + b + j, nkeys, n, s, up);
+}
+
+/* Orders the pairs lo = lo0 + t + (t & -j), hi = lo + j, for t < cnt:
+   runs of j consecutive low slots, 2j apart, the last cut at cnt, each
+   ascending where (lo & k) == 0 if k is not 0 (the complete blocks of
+   stage k; a run lies in one block), else where up (a tail part).  At
+   j = 1 a run is one pair, so the pairs of one direction, a block of k
+   slots or the whole part, run as one span of stride 2 instead. */
+static inline __attribute__((always_inline)) void
+run_part(uint64_t *const *key, int nkeys, uint64_t *perm, size_t lo0,
+         size_t cnt, size_t j, size_t k, uint64_t up)
+{
+    size_t run = j > 1 ? j : k ? k >> 1 : cnt;
+    for (size_t t = 0; t < cnt; t += run) {
+        size_t b = lo0 + 2 * t, n = cnt - t < run ? cnt - t : run;
+        uint64_t dir = k ? (b & k) == 0 : up;
+        if (j > 1)
+            pairs_at(key, nkeys, perm, b, j, n, 1, dir);
+        else
+            pairs_at(key, nkeys, perm, b, 1, n, 2, dir);
+    }
+}
+
+/* Runs every level of the validated program prog: its complete blocks,
+   then each part.  The pairs of a level are disjoint, so their order
+   within it does not change the result. */
 static inline __attribute__((always_inline)) void
 run_sort(uint64_t *const *key, int nkeys, uint64_t *perm,
          const int64_t *prog)
@@ -86,18 +158,10 @@ run_sort(uint64_t *const *key, int nkeys, uint64_t *perm,
         size_t j = (size_t)p[0], k = (size_t)p[1];
         size_t half = (size_t)p[2] >> 1, nparts = (size_t)p[3];
         p += 4;
-        for (size_t t = 0; t < half; t++) {
-            size_t lo = t + (t & -j);
-            ce(key, nkeys, perm, lo, lo + j, (lo & k) == 0);
-        }
-        for (size_t q = 0; q < nparts; q++, p += 3) {
-            size_t lo0 = (size_t)p[0], cnt = (size_t)p[1];
-            uint64_t up = p[2] != 0;
-            for (size_t t = 0; t < cnt; t++) {
-                size_t lo = lo0 + t + (t & -j);
-                ce(key, nkeys, perm, lo, lo + j, up);
-            }
-        }
+        run_part(key, nkeys, perm, 0, half, j, k, 0);
+        for (size_t q = 0; q < nparts; q++, p += 3)
+            run_part(key, nkeys, perm, (size_t)p[0], (size_t)p[1], j, 0,
+                     p[2] != 0);
     }
 }
 
@@ -121,8 +185,9 @@ static int pairs_fit(int64_t lo0, int64_t cnt, size_t j, size_t len)
    of the complete blocks, lo = t + (t & -j) for t < nfull / 2, ascending
    iff (lo & k) == 0, and of each part, lo = lo0 + t + (t & -j) for
    t < cnt, ascending iff up; each pair's high slot is lo + j.  -1 unless
-   the whole program lies in plen entries, has each j a power of two,
-   keeps every pair inside [0, len) and has fewer than 2^63 pairs. */
+   the whole program lies in plen entries, has each j and k a power of
+   two with k >= 2j, keeps every pair inside [0, len) and has fewer than
+   2^63 pairs. */
 static int64_t check_program(size_t len, const int64_t *prog, size_t plen)
 {
     if (plen < 1 || prog[0] < 0)
@@ -133,7 +198,8 @@ static int64_t check_program(size_t len, const int64_t *prog, size_t plen)
         if (plen - at < 4)
             return -1;
         const int64_t *p = prog + at;
-        if (p[0] < 1 || (p[0] & (p[0] - 1)) || p[2] < 0 || p[3] < 0 ||
+        if (p[0] < 1 || (p[0] & (p[0] - 1)) || p[1] < 2 ||
+            (p[1] & (p[1] - 1)) || p[1] / 2 < p[0] || p[2] < 0 || p[3] < 0 ||
             (uint64_t)p[2] > len || (uint64_t)p[3] > (plen - at - 4) / 3)
             return -1;
         size_t j = (size_t)p[0];
@@ -153,24 +219,31 @@ static int64_t check_program(size_t len, const int64_t *prog, size_t plen)
 }
 
 /* keys: nkeys (1 to 3) arrays of len slots, compared in order, each
-   ascending; perm: the slot permutation, len slots.  Runs the sort
-   program prog, plen int64 entries (check_program).  Returns -1, having
-   written nothing, unless nkeys is 1 to 3 and check_program accepts prog
-   for len slots. */
+   ascending; perm: the slot permutation, len slots; no two of them
+   overlap.  Runs the sort program prog, plen int64 entries
+   (check_program).  Returns -1, having written nothing, unless nkeys is 1
+   to 3 and check_program accepts prog for len slots.  On x86-64 glibc it
+   is built twice, for AVX2 and for the baseline, and the loader picks one
+   by the CPU alone. */
+#if defined(__x86_64__) && defined(__GLIBC__)
+__attribute__((target_clones("avx2", "default")))
+#endif
 int oblivjoin_sort(uint64_t *const *keys, size_t nkeys, uint64_t *perm,
                    size_t len, const int64_t *prog, size_t plen)
 {
     if (nkeys < 1 || nkeys > 3 || check_program(len, prog, plen) < 0)
         return -1;
+    /* a key past nkeys repeats one before it and is never read */
+    uint64_t *key[3] = {keys[0], keys[nkeys > 1], keys[nkeys - 1]};
     switch (nkeys) {
     case 1:
-        run_sort(keys, 1, perm, prog);
+        run_sort(key, 1, perm, prog);
         break;
     case 2:
-        run_sort(keys, 2, perm, prog);
+        run_sort(key, 2, perm, prog);
         break;
     default:
-        run_sort(keys, 3, perm, prog);
+        run_sort(key, 3, perm, prog);
     }
     return 0;
 }
@@ -258,7 +331,7 @@ int oblivjoin_route(uint64_t *f, uint64_t *nul, int64_t *perm, size_t len,
 }
 """
 
-_FLAGS = ("-O2", "-shared", "-fPIC")
+_FLAGS = ("-O3", "-shared", "-fPIC")
 _P, _N = ctypes.c_void_p, ctypes.c_size_t
 
 
@@ -296,12 +369,17 @@ class Kernels:
         array) in place on the C-contiguous one-dimensional uint64 key
         copies keys, a list of one to three compared in order, each
         ascending, and the int64 permutation perm.  ValueError, before any
-        write, if the arrays or the program do not fit."""
+        write, if the arrays or the program do not fit, or two of the
+        arrays share memory (the kernel takes them as restrict)."""
         if perm.ndim != 1 or any(col.shape != perm.shape for col in keys):
             raise ValueError("the keys and the permutation must be "
                              "one-dimensional, of one length")
         if prog.ndim != 1:
             raise ValueError("the sort program must be one-dimensional")
+        if any(np.may_share_memory(x, y)
+               for x, y in itertools.combinations([*keys, perm], 2)):
+            raise ValueError("the keys and the permutation must not share "
+                             "memory")
         ptrs = np.array([_addr(col, np.uint64) for col in keys], np.uintp)
         if self._sort(ptrs.ctypes.data, len(keys), _addr(perm, np.int64),
                       len(perm), _addr(prog, np.int64), len(prog)):

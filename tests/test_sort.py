@@ -371,7 +371,7 @@ def test_sort_kernel_rejects_bad_programs(native):
     assert perm.tolist() == [0, 2, 1, 3]
     bad = {
         "no keys": ([], perm, prog),
-        "four keys": (keys * 4, perm, prog),
+        "four keys": ([keys[0].copy() for _ in range(4)], perm, prog),
         "part past the end": (keys, perm, level(1, 0, (2, 2, 1))),
         # nfull fits the 6 slots, but not as blocks of 2j = 8
         "blocks past the end": ([np.arange(6, 0, -1, dtype=np.uint64)],
@@ -379,6 +379,13 @@ def test_sort_kernel_rejects_bad_programs(native):
         "blocks longer than the array": (keys, perm, level(1, 8)),
         "j = 0": (keys, perm, level(0, 0, (0, 1, 1))),
         "j not a power of two": (keys, perm, level(3, 0, (0, 1, 1))),
+        # the pair (0, 1) fits, but a run of pairs needs k a power of two
+        # and at least 2j, or the block of k slots it lies in is unclear
+        "k = 0": (keys, perm, np.array([1, 1, 0, 0, 1, 0, 1, 1], np.int64)),
+        "k = 1": (keys, perm, np.array([1, 1, 1, 2, 0], np.int64)),
+        "k not a power of two": (keys, perm,
+                                 np.array([1, 1, 3, 2, 0], np.int64)),
+        "k below 2j": (keys, perm, np.array([1, 2, 2, 4, 0], np.int64)),
         "negative lo0": (keys, perm, level(1, 0, (-1, 1, 1))),
         "negative count": (keys, perm, level(1, 0, (0, -1, 1))),
         "levels past the program": (keys, perm, prog[:4]),
@@ -400,6 +407,33 @@ def test_sort_kernel_rejects_bad_programs(native):
             assert np.array_equal(col, old), name
     assert perm.tolist() == [0, 2, 1, 3]
     assert keys[0].tolist() == [4, 2, 3, 1]
+
+
+def test_sort_kernel_refuses_arrays_that_share_memory(native):
+    # the kernel takes the keys and the permutation as restrict pointers,
+    # so two of them on one buffer are refused before any write
+    key = np.array([4, 3, 2, 1], np.uint64)
+    perm = np.arange(4, dtype=np.int64)
+    prog = sort_program(4)[0]
+    for keys, p in (([key, key], perm),
+                    ([key, key[:]], perm),
+                    ([perm.view(np.uint64)], perm)):
+        before = [col.copy() for col in (*keys, p)]
+        with pytest.raises(ValueError, match="share memory"):
+            native.sort(keys, p, prog)
+        for col, old in zip((*keys, p), before):
+            assert np.array_equal(col, old)
+    native.sort([key, key.copy()], perm, prog)
+    assert perm.tolist() == [3, 2, 1, 0]
+
+
+def test_sort_program_is_built_once_per_length():
+    prog, ncomp = sort_program(100)
+    assert sort_program(100)[0] is prog
+    assert not prog.flags.writeable
+    with pytest.raises(ValueError):
+        prog[0] = 0
+    assert comparator_count(100) == ncomp
 
 
 PAIRS_LENGTHS = [0, 1, 2, 3, 5, 7, 100, 257, 1000, 5400, 8193, 100003]

@@ -1,9 +1,11 @@
 """Trace events, the trace digest, sinks, the native module's build, and
 public-array accounting."""
 
+import ctypes
 import functools
 import hashlib
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -14,7 +16,7 @@ import pytest
 
 import oblivjoin
 from oblivjoin import _native, primitives
-from oblivjoin._schedule import sort_program
+from oblivjoin._schedule import sort_levels, sort_program
 from oblivjoin.entries import KEY_J_TID, U64_FIELDS, AugEntry
 from oblivjoin.harness import make_distribute_input
 from oblivjoin.trace import (
@@ -203,12 +205,25 @@ def _can_build_ubsan(tmp_path) -> bool:
          str(probe)], capture_output=True).returncode == 0
 
 
-def test_native_source_runs_clean_under_ubsan(tmp_path):
-    # the kernels on an -fsanitize=undefined build, loaded by ctypes
+# oblivjoin_sort's dispatch on x86-64 glibc: an AVX2 body and the x86-64
+# baseline body, picked by the CPU when the object loads
+CLONES = '__attribute__((target_clones("avx2", "default")))'
+
+
+def _plain_source() -> str:
+    """SOURCE without the dispatch: the plain body, which is the "default"
+    clone that an x86-64 CPU without AVX2 runs, and what other targets
+    build."""
+    assert _native.SOURCE.count(CLONES) == 1
+    return _native.SOURCE.replace(CLONES, "")
+
+
+def _run_under_ubsan(source: str, tmp_path) -> None:
+    """Build source with UBSAN_FLAGS and run UBSAN_RUN on it."""
     if not _can_build_ubsan(tmp_path):
         pytest.skip("no cc or libubsan")
     src, lib = tmp_path / "native.c", tmp_path / "native.so"
-    src.write_text(_native.SOURCE)
+    src.write_text(source)
     subprocess.run([shutil.which("cc"), *UBSAN_FLAGS, "-o", str(lib),
                     str(src)], check=True, timeout=300)
     env = dict(os.environ,
@@ -217,6 +232,62 @@ def test_native_source_runs_clean_under_ubsan(tmp_path):
                           env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_native_source_runs_clean_under_ubsan(tmp_path):
+    # the kernels on an -fsanitize=undefined build, loaded by ctypes; the
+    # sort runs the clone this CPU picks
+    _run_under_ubsan(_native.SOURCE, tmp_path)
+
+
+def test_plain_source_runs_clean_under_ubsan(tmp_path):
+    # the same without the clone dispatch: the default clone's body
+    _run_under_ubsan(_plain_source(), tmp_path)
+
+
+@pytest.mark.skipif(not _can_build_kernel(), reason="no cc")
+def test_default_clone_matches_numpy_levels(tmp_path):
+    # the plain body, built as the module is, leaves the permutation and
+    # keys of the numpy level walk on tie-heavy keys, at every length to
+    # 300 and at three join lengths whose tail parts end mid-run, for both
+    # the unit-stride spans and the stride-2 spans of j = 1
+    src, lib = tmp_path / "native.c", tmp_path / "native.so"
+    src.write_text(_plain_source())
+    subprocess.run([shutil.which("cc"), *_native._FLAGS, "-o", str(lib),
+                    str(src)], check=True, timeout=300)
+    kernel = _native.Kernels(ctypes.CDLL(str(lib)))
+    rng = np.random.default_rng(11)
+    top = np.array([0, 1, 2**63, 2**64 - 1], np.uint64)
+    for n in (*range(2, 301), 5400, 6000, 8193):
+        prog = sort_program(n)[0]
+        for nkeys in (1, 2, 3):
+            keys = [top[rng.integers(0, 4, n)] for _ in range(nkeys)]
+            ck, nk = [col.copy() for col in keys], [col.copy() for col in keys]
+            cperm = np.arange(n, dtype=np.int64)
+            nperm = cperm.copy()
+            kernel.sort(ck, cperm, prog)
+            for lo, hi, asc in sort_levels(n):
+                primitives._ce_level_vector(nk, nperm, lo, hi, asc)
+            assert np.array_equal(cperm, nperm), (n, nkeys)
+            for c, v in zip(ck, nk):
+                assert np.array_equal(c, v), (n, nkeys)
+
+
+@pytest.mark.skipif(not (_can_build_kernel() and shutil.which("nm")
+                         and platform.machine() == "x86_64"
+                         and platform.libc_ver()[0] == "glibc"),
+                    reason="no cc or nm, or not x86-64 glibc")
+def test_sort_kernel_is_dispatched_on_x86_64_glibc(tmp_path):
+    # the built object holds both clones behind an ifunc: a compiler that
+    # silently dropped the attribute would leave one plain body
+    assert _native.load(cache_dir=tmp_path) is not None
+    out = subprocess.run(["nm", str(_native._library_path("cc", tmp_path))],
+                         capture_output=True, text=True, check=True).stdout
+    symbols = {line.split()[-1]: line.split()[-2]
+               for line in out.splitlines()}
+    assert symbols["oblivjoin_sort"] == "i"
+    for body in ("oblivjoin_sort.avx2", "oblivjoin_sort.default"):
+        assert any(name.startswith(body) for name in symbols), body
 
 
 @pytest.mark.parametrize("symbol", ["oblivjoin_sort", "oblivjoin_sort_pairs",
