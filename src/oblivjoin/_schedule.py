@@ -45,28 +45,33 @@ def np2(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
-_Part = tuple[int, int, bool]   # a tail part: (lo0, cnt, up)
-
-
-def _plan(n: int) -> Iterator[tuple[int, int, int, list[_Part]]]:
-    """Yield the length-n network level by level as (j, k, nfull, fired).
+# keeps the programs of the 64 most recently sorted lengths: a join sorts
+# only a few lengths, and a program takes 17 KiB at n = 10^6, 31 KiB at
+# n = 10^7
+@functools.lru_cache(maxsize=64)
+def sort_program(n: int) -> tuple[np.ndarray, int]:
+    """The length-n network as one flat int64 program, and its comparator
+    count.  The program is the level count, then per level j, k, nfull,
+    the number of tail parts and each part's lo0, cnt, up.
 
     At stage k and hop j the complete blocks cover slots [0, nfull) and
     give pairs lo = t + (t & -j) for t < nfull / 2, ascending iff
-    (lo & k) == 0.  fired lists the tail parts (lo0, cnt, up) in slot
-    order: pairs lo = lo0 + t + (t & -j) for t < cnt, ascending iff up.
-    Every pair's high index is lo + j.
+    (lo & k) == 0; the tail parts follow in slot order, each with pairs
+    lo = lo0 + t + (t & -j) for t < cnt, ascending iff up.  Every pair's
+    high index is lo + j.  (t + (t & -j) is t with its bits from j up
+    shifted one place left, and t itself for t < j, so the first pairs of
+    a ragged scope take the same form.)  The native sort kernel and
+    sort_levels both expand this program.  Built once per length while
+    the cache keeps it, so the array is read-only.
     """
-    if n < 2:
-        return
-    kmax = np2(n)
-    k = 2
+    prog, ncomp = [0], 0
+    kmax, k = np2(max(n, 1)), 2
     while k <= kmax:
         nfull = (n // k) * k          # slots covered by complete blocks
         s, up = n - nfull, k == kmax
         # Power-of-two blocks split off the tail, in slot order, each with
         # the pairs it fires at every later hop of the stage.
-        blocks: list[_Part] = []
+        blocks: list[tuple[int, int, bool]] = []
         j = k >> 1
         while j >= 1:
             fired = blocks
@@ -80,29 +85,35 @@ def _plan(n: int) -> Iterator[tuple[int, int, int, list[_Part]]]:
                 else:     # the block stays at lo0, the rest follows it
                     fired = blocks + scope
                     blocks = blocks + [(lo0, j >> 1, up)]
-            yield j, k, nfull, fired
+            prog += (j, k, nfull, len(fired))
+            ncomp += nfull >> 1
+            for part in fired:
+                prog += part
+                ncomp += part[1]
+            prog[0] += 1
             j >>= 1
         k <<= 1
+    arr = np.array(prog, np.int64)
+    arr.flags.writeable = False
+    return arr, ncomp
 
 
 def sort_levels(n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield the sorting network for length n as levels (lo, hi, asc).
+    """Yield the levels (lo, hi, asc) of sort_program(n), in order.
 
     lo/hi are int64 index arrays (pairwise disjoint within a level,
     ascending in lo); asc is the per-comparator direction: True orders the
-    pair ascending, False descending.
-
-    Every part of a level is one closed form shifted to its range: at hop
-    j the t-th pair of a power-of-two merge starting at lo0 has low index
-    lo0 + t + (t & -j) (t with its bits from j up shifted one place left),
-    and the first s - j pairs of a ragged merge of length s are the same
-    formula (it is t for t < j).  So the complete blocks, each
-    power-of-two sub-merge split off the tail and the one ragged scope
-    left of the tail's chain all slice one index vector per hop.
+    pair ascending, False descending.  All parts of a level slice one
+    index vector t + (t & -j).
     """
+    prog = sort_program(n)[0].tolist()
     t = np.arange(n >> 1, dtype=np.int64)   # no level has more pairs
-    for j, k, nfull, fired in _plan(n):
-        tm = t[:max([nfull >> 1] + [c for _, c, _ in fired])]
+    at = 1
+    for _ in range(prog[0]):
+        j, k, nfull, nparts = prog[at:at + 4]
+        at += 4
+        end = at + 3 * nparts
+        tm = t[:max([nfull >> 1, *prog[at + 1:end:3]])]   # the longest part
         base = tm + (tm & -j)
         parts_lo: list[np.ndarray] = []
         parts_asc: list[np.ndarray] = []
@@ -110,37 +121,16 @@ def sort_levels(n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
             lo = base[:nfull >> 1]
             parts_lo.append(lo)
             parts_asc.append((lo & k) == 0)
-        for lo0, cnt, up in fired:
+        while at < end:
+            lo0, cnt, up = prog[at], prog[at + 1], prog[at + 2]
             parts_lo.append(base[:cnt] + lo0)
-            parts_asc.append(np.full(cnt, up))
+            parts_asc.append(np.full(cnt, up == 1))
+            at += 3
         if len(parts_lo) == 1:
             lo, asc = parts_lo[0], parts_asc[0]
         else:
             lo, asc = np.concatenate(parts_lo), np.concatenate(parts_asc)
         yield lo, lo + j, asc
-
-
-# keeps the programs of the 64 most recently sorted lengths: a join sorts
-# only a few lengths, and a program takes 17 KiB at n = 10^6, 31 KiB at
-# n = 10^7
-@functools.lru_cache(maxsize=64)
-def sort_program(n: int) -> tuple[np.ndarray, int]:
-    """The length-n network as one flat int64 program, and its comparator
-    count.  The program is the level count, then per level of _plan j, k,
-    nfull, the number of fired parts and each part's lo0, cnt, up; the
-    native sort kernel expands it to the pairs sort_levels(n) yields.
-    Built once per length while the cache keeps it, so the array is
-    read-only."""
-    prog, ncomp = [0], 0
-    for j, k, nfull, fired in _plan(n):
-        prog += (j, k, nfull, len(fired))
-        for part in fired:
-            prog += part
-        prog[0] += 1
-        ncomp += (nfull >> 1) + sum(cnt for _, cnt, _ in fired)
-    arr = np.array(prog, np.int64)
-    arr.flags.writeable = False
-    return arr, ncomp
 
 
 def comparator_count(n: int) -> int:

@@ -406,11 +406,17 @@ def oblivious_expand(x: PublicArray, g_attr: str,
 
     Returns a fresh array of length m = sum of g.  x itself is consumed
     (its f and null flags are overwritten by the prefix pass).  The trace
-    depends only on (n, m).
+    depends only on (n, m).  ValueError, before any access, if m does not
+    fit in 64 bits.
     """
     _check_engine(engine)
     if g_attr not in U64_FIELDS:
         raise ValueError(f"g_attr {g_attr!r} is not one of {U64_FIELDS}")
+    # an untraced read: a uint64 running sum that wraps drops below its term
+    g = x.col(g_attr)
+    if (np.cumsum(g, dtype=np.uint64) < g).any():
+        raise ValueError(f"the sum of {g_attr} over {x.length} entries "
+                         f"does not fit in 64 bits")
     sink = x.sink
     with sink.phase_scope("expand_prefix"):
         m = _expand_prefix(x, g_attr, engine)

@@ -163,9 +163,11 @@ class LogSink(TraceSink):
         return out
 
     def lines(self) -> Iterator[str]:
-        """Text form, one event per line: 'R <array_id> <index>'."""
-        for ev in self.events():
-            yield str(ev)
+        """Text form, one event per line: 'R <array_id> <index>', as
+        str(TraceEvent) writes it."""
+        aids, ops, idxs = self.event_arrays()
+        for a, o, i in zip(aids.tolist(), ops.tolist(), idxs.tolist()):
+            yield f"{'RW'[o]} {a} {i}"
 
 
 class HashSink(TraceSink):

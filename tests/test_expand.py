@@ -77,6 +77,22 @@ def test_unknown_g_attr_rejected_before_any_access(engine, g_attr):
     assert len(s) == 0
 
 
+@pytest.mark.parametrize("engine", ["scalar", "vector"])
+@pytest.mark.parametrize("d", [[2**64 - 1, 1], [1, 2**64 - 1]])
+def test_total_beyond_64_bits_rejected_before_any_access(engine, d):
+    # a uint64 sum of g would wrap to m = 0; neither engine reads, writes
+    # or allocates before refusing it
+    s = LogSink()
+    x = make_distribute_input(s, [1, 2])
+    x.col("d")[:] = d
+    with pytest.raises(ValueError, match="does not fit in 64 bits"):
+        oblivious_expand(x, "d", engine)
+    assert len(s) == 0
+    assert s.peak_entries == 2
+    assert x.col("d").tolist() == d
+    assert x.col("f").tolist() == [1, 2]
+
+
 def test_prefix_and_fill_event_counts():
     # both linear passes read and write every slot: 2n + 2m events beyond
     # the embedded distribution

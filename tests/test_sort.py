@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oblivjoin import _native, primitives
-from oblivjoin._schedule import (_plan, comparator_count, np2, route_hops,
+from oblivjoin._schedule import (comparator_count, np2, route_hops,
                                  sort_levels, sort_program)
 from oblivjoin.entries import KEY_J_TID, KEY_NONNULL_F, U64_FIELDS
 from oblivjoin.primitives import bitonic_sort, compare_exchange
@@ -328,10 +328,20 @@ def test_sort_kernel_matches_numpy_levels(n, trials, nkeys, native, rng):
         assert _sorts_by_keys(cperm, keys)
 
 
+def _program_levels(n):
+    """The levels of sort_program(n), each as its entries j, k, nfull,
+    nparts and then lo0, cnt, up per part."""
+    prog, at = sort_program(n)[0].tolist(), 1
+    for _ in range(prog[0]):
+        end = at + 4 + 3 * prog[at + 3]
+        yield prog[at:end]
+        at = end
+
+
 @pytest.mark.parametrize("trials", [1, 3])
 @pytest.mark.parametrize("n", [2, 3, 7, 64, 100, 257, 1024])
 def test_level_kernel_matches_numpy_level(n, trials, native, rng):
-    # level by level, a one-level program of _plan leaves the same keys and
+    # level by level, a one-level program leaves the same keys and
     # permutation as the numpy level over that level of sort_levels, on
     # each of trials inputs
     for _ in range(trials):
@@ -339,10 +349,9 @@ def test_level_kernel_matches_numpy_level(n, trials, native, rng):
         ck, nk = [col.copy() for col in keys], [col.copy() for col in keys]
         cperm = np.arange(n, dtype=np.int64)
         nperm = cperm.copy()
-        for (j, k, nfull, fired), (lo, hi, asc) in zip(
-                _plan(n), sort_levels(n), strict=True):
-            prog = np.array([1, j, k, nfull, len(fired),
-                             *(v for part in fired for v in part)], np.int64)
+        for level, (lo, hi, asc) in zip(
+                _program_levels(n), sort_levels(n), strict=True):
+            prog = np.array([1, *level], np.int64)
             native.sort(ck, cperm, prog)
             primitives._ce_level_vector(nk, nperm, lo, hi, asc)
             assert np.array_equal(cperm, nperm)
@@ -436,6 +445,16 @@ def test_sort_program_is_built_once_per_length():
     assert comparator_count(100) == ncomp
 
 
+def test_sort_levels_builds_no_network_of_its_own():
+    # walking sort_levels reads the cached program: one build per length
+    lengths = (1, 5, 100, 257, 5400, 5, 100, 5400)
+    sort_program.cache_clear()
+    for n in lengths:
+        for _ in sort_levels(n):
+            pass
+    assert sort_program.cache_info().misses == len(set(lengths))
+
+
 PAIRS_LENGTHS = [0, 1, 2, 3, 5, 7, 100, 257, 1000, 5400, 8193, 100003]
 
 
@@ -446,8 +465,8 @@ def _network_pairs(n):
     lo = np.concatenate([np.zeros(0, np.int64)] + [l for l, _, _ in levels])
     hi = np.concatenate([np.zeros(0, np.int64)] + [h for _, h, _ in levels])
     starts, at = [], 0
-    for _, _, nfull, fired in _plan(n):
-        for cnt in (nfull >> 1, *(c for _, c, _ in fired)):
+    for level in _program_levels(n):
+        for cnt in (level[2] >> 1, *level[5::3]):
             starts.append(at)
             at += cnt
     assert at == len(lo)

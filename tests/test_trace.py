@@ -411,6 +411,16 @@ def test_log_sink_lines():
     a.write(1, AugEntry())
     a.read(0)
     assert list(s.lines()) == [f"W {a.array_id} 1", f"R {a.array_id} 0"]
+    # a view's events carry its offset; a block over two arrays carries a
+    # per-event id vector
+    b = alloc(3, s)
+    a.view(1, 1).read(0)
+    emit_steps((a, READ, np.arange(2)), (b.view(1, 2), WRITE, np.arange(2)))
+    lines = list(s.lines())
+    assert lines == [str(ev) for ev in s.events()]
+    assert lines[2:] == [f"R {a.array_id} 1",
+                         f"R {a.array_id} 0", f"W {b.array_id} 1",
+                         f"R {a.array_id} 1", f"W {b.array_id} 2"]
 
 
 @pytest.mark.parametrize("sink_cls", [NullSink, LogSink, HashSink])
