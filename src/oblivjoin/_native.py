@@ -1,23 +1,25 @@
-"""The native module: the whole sorting network, its pairs and the routing
-network in one C source, compiled into one shared object with `cc` alone.
+"""The native module: the whole sorting network, its pairs, the routing
+network and the column gather in one C source, compiled into one shared
+object with `cc` alone.
 
 oblivjoin_sort runs every level of one sort's network on the uint64 key
-copies and the int64 slot permutation of the vector bitonic_sort.  It
-reads the network as a sort program (_schedule.sort_program), a few
-int64 entries per level, and runs each level as spans.  The complete
-blocks and each tail part at hop j are runs of j consecutive low slots,
-2j apart, the last cut at the part's count, and each run has one
-direction, so a run is one loop over i of pairs (i, i+j) on
-restrict-qualified key and permutation pointers, which the compiler
-vectorizes.  At j = 1 a run is one pair, so the pairs of one direction
-run as one loop of stride 2 instead.  These are the pairs sort_levels
-yields; the pairs of a level are disjoint, so their order within it
-changes nothing.  Each pair is a lexicographic compare over the keys,
-each ascending, then an XOR-masked swap of the keys and the permutation,
-like ct_select; the loop body is compiled once per key count, one to
-three.  The whole program is validated before the first write, by the
-check that oblivjoin_sort_pairs shares.  The keys and the permutation
-must not overlap (Kernels.sort refuses arrays that share memory).
+copies and the int64 slot permutation of the vector bitonic_sort and
+oblivious_distribute.  It reads the network as a sort program
+(_schedule.sort_program), a few int64 entries per level, and runs each
+level as spans.  The complete blocks and each tail part at hop j are
+runs of j consecutive low slots, 2j apart, the last cut at the part's
+count, and each run has one direction, so a run is one loop over i of
+pairs (i, i+j) on restrict-qualified key and permutation pointers, which
+the compiler vectorizes.  At j = 1 a run is one pair, so the pairs of
+one direction run as one loop of stride 2 instead.  These are the pairs
+sort_levels yields; the pairs of a level are disjoint, so their order
+within it changes nothing.  Each pair is a lexicographic compare over
+the keys, each ascending, then an XOR-masked swap of the keys and the
+permutation, like ct_select; the loop body is compiled once per key
+count, one to three.  The whole program is validated before the first
+write, by the check that oblivjoin_sort_pairs shares.  The keys and the
+permutation must not overlap (Kernels.sort refuses arrays that share
+memory).
 
 The sort stays data-oblivious: its loop bounds and addresses come from
 the program alone, a function of the public length; every select is a
@@ -32,10 +34,19 @@ chunk of a sort costs one pass over the program's entries, not over the
 pairs before it.
 
 oblivjoin_route runs the whole routing network of oblivious_distribute
-(route_hops, largest first) on uint64 copies of f and the null flag and
-an int64 slot permutation: at hop j, for i from m-j-1 down to 0, a live
-entry at i with f > i+j moves to i+j and slot i becomes null, its
+(route_hops, largest first) on two arrays: the uint64 destinations
+g = f & (nul - 1), f on a live entry and 0 on a null one, and an int64
+slot permutation.  At hop j, for i from m-j-1 down to 0, an entry at i
+with g > i+j moves to i+j and slot i becomes null, its g 0 and its
 permutation entry -1.  The moves are masked selects, like ct_select.
+
+oblivjoin_gather moves every column of an array, the uint64 fields and
+the uint8 null flags, through an int64 slot permutation in place, one
+column at a time through a scratch column: slot i takes slot perm[i],
+and a slot whose entry is -1 becomes a null entry, by a mask.  It
+refuses an entry outside [-1, len) before its first write.  Its reads
+follow the permutation, so unlike the networks its addresses depend on
+the data.
 
 The object is compiled on first use into the user's cache directory and
 loaded with ctypes; nothing is built at import.  It is built with -O3,
@@ -45,11 +56,11 @@ for AVX2 and one for the x86-64 baseline, and the loader picks one by
 the CPU.  Other targets and C libraries build the plain body.  There is
 no -march=native: the cache key does not name the CPU, so an object in a
 shared cache must run on any x86-64.  load() returns None when
-it cannot build or load the object, or the object lacks one of the three
-kernels, and then both callers keep their fallbacks:
-primitives.bitonic_sort the numpy level per level of sort_levels, each
-level emitted as one block, and primitives.oblivious_distribute the
-numpy hop.
+it cannot build or load the object, or the object lacks one of the four
+kernels, and then the callers keep their fallbacks: primitives'
+bitonic_sort and oblivious_distribute the numpy level per level of
+sort_levels, each level emitted as one block, oblivious_distribute the
+numpy hop, and _gather one numpy gather per column.
 """
 
 from __future__ import annotations
@@ -57,7 +68,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
-import itertools
 import os
 import subprocess
 import tempfile
@@ -68,6 +78,8 @@ import numpy as np
 SOURCE = r"""
 #include <stddef.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 /* Folds one key's compare of x and y into gt, lt and eq. */
 #define CMP(x, y)                                                       \
@@ -299,13 +311,13 @@ int oblivjoin_sort_pairs(int64_t *lo, int64_t *hi, size_t len,
     return 0;
 }
 
-/* f, nul: uint64 copies of the destinations and null flags, len slots
-   each; perm: the slot permutation, len slots.  Runs the hops
-   hops[0..nhops) in order: at hop j, for i from len-j-1 down to 0, a live
-   entry at i with f > i+j moves to i+j and slot i becomes null, its perm
-   -1 (all ones).  Returns -1, having written nothing, if a hop lies
-   outside [1, len). */
-int oblivjoin_route(uint64_t *f, uint64_t *nul, int64_t *perm, size_t len,
+/* g: the uint64 destinations, f on a live entry and 0 on a null one;
+   perm: the slot permutation; len slots each.  Runs the hops
+   hops[0..nhops) in order: at hop j, for i from len-j-1 down to 0, an
+   entry at i with g > i+j moves to i+j and slot i becomes null, its g 0
+   and its perm -1 (all ones).  Returns -1, having written nothing, if a
+   hop lies outside [1, len). */
+int oblivjoin_route(uint64_t *g, int64_t *perm, size_t len,
                     const int64_t *hops, size_t nhops)
 {
     uint64_t *pr = (uint64_t *)perm;
@@ -316,17 +328,51 @@ int oblivjoin_route(uint64_t *f, uint64_t *nul, int64_t *perm, size_t len,
         size_t j = (size_t)hops[h];
         for (size_t i = len - j; i-- > 0;) {
             size_t k = i + j;
-            uint64_t fi = f[i], ni = nul[i], pi = pr[i];
-            uint64_t fk = f[k], nk = nul[k], pk = pr[k];
-            uint64_t mask = -(uint64_t)((ni == 0) & (fi > k));
-            f[k] = fk ^ ((fk ^ fi) & mask);
-            nul[k] = nk ^ ((nk ^ ni) & mask);
+            uint64_t gi = g[i], pi = pr[i], gk = g[k], pk = pr[k];
+            uint64_t mask = -(uint64_t)(gi > k);
+            g[k] = gk ^ ((gk ^ gi) & mask);
             pr[k] = pk ^ ((pk ^ pi) & mask);
-            f[i] = fi & ~mask;
-            nul[i] = ni | (mask & 1);
+            g[i] = gi & ~mask;
             pr[i] = pi | mask;
         }
     }
+    return 0;
+}
+
+/* cols: ncols uint64 columns; nul: the uint8 null flags; perm: the slot
+   permutation; len slots each, no two overlapping.  Moves every column
+   through perm in place: slot i takes slot perm[i], and a slot whose perm
+   is -1 takes u64 fields 0 and null flag 1, by a mask, like ct_select.
+   Returns -1, having written nothing, if an entry of perm lies outside
+   [-1, len), and -2 if the scratch column cannot be allocated. */
+int oblivjoin_gather(uint64_t *const *cols, size_t ncols, uint8_t *nul,
+                     const int64_t *perm, size_t len)
+{
+    uint64_t bad = 0;
+    for (size_t i = 0; i < len; i++)
+        bad |= (uint64_t)perm[i] + 1 > len;
+    if (bad)
+        return -1;
+    if (len == 0)
+        return 0;
+    uint64_t *tmp = malloc(len * sizeof *tmp);
+    if (tmp == NULL)
+        return -2;
+    for (size_t c = 0; c < ncols; c++) {
+        const uint64_t *col = cols[c];
+        for (size_t i = 0; i < len; i++) {
+            uint64_t vac = -(uint64_t)(perm[i] < 0);
+            tmp[i] = col[(uint64_t)perm[i] & ~vac] & ~vac;
+        }
+        memcpy(cols[c], tmp, len * sizeof *tmp);
+    }
+    uint8_t *flag = (uint8_t *)tmp;
+    for (size_t i = 0; i < len; i++) {
+        uint64_t vac = -(uint64_t)(perm[i] < 0);
+        flag[i] = nul[(uint64_t)perm[i] & ~vac] | (uint8_t)(vac & 1);
+    }
+    memcpy(nul, flag, len);
+    free(tmp);
     return 0;
 }
 """
@@ -348,21 +394,38 @@ def _addr(arr: np.ndarray, dtype) -> int:
     return arr.ctypes.data
 
 
+def _row_addresses(arrays, dtypes, what: str) -> list[int]:
+    """Addresses of arrays, each checked to be one-dimensional and
+    C-contiguous, of its dtype in dtypes, all of one length, and no two
+    sharing memory (each kernel takes them as distinct arrays)."""
+    if any(arr.ndim != 1 or arr.shape != arrays[0].shape for arr in arrays):
+        raise ValueError(f"{what} must be one-dimensional, of one length")
+    addrs = [_addr(arr, dtype) for arr, dtype in zip(arrays, dtypes)]
+    # contiguous, so each array spans [address, address + nbytes)
+    spans = sorted(zip(addrs, (arr.nbytes for arr in arrays)))
+    if any(a + n > b for (a, n), (b, _) in zip(spans, spans[1:])):
+        raise ValueError(f"{what} must not share memory")
+    return addrs
+
+
 class Kernels:
-    """The three kernels of one loaded shared object."""
+    """The four kernels of one loaded shared object."""
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         # each lookup raises AttributeError on an object that lacks it
         self._sort = lib.oblivjoin_sort
         self._pairs = lib.oblivjoin_sort_pairs
         self._route = lib.oblivjoin_route
+        self._gather = lib.oblivjoin_gather
         self._sort.argtypes = (_P, _N, _P, _N, _P, _N)
         self._sort.restype = ctypes.c_int
         self._pairs.argtypes = (_P, _P, _N, _P, _N, ctypes.c_int64,
                                 ctypes.c_int64)
         self._pairs.restype = ctypes.c_int
-        self._route.argtypes = (_P, _P, _P, _N, _P, _N)
+        self._route.argtypes = (_P, _P, _N, _P, _N)
         self._route.restype = ctypes.c_int
+        self._gather.argtypes = (_P, _N, _P, _P, _N)
+        self._gather.restype = ctypes.c_int
 
     def sort(self, keys, perm: np.ndarray, prog: np.ndarray) -> None:
         """Run the sort program prog (_schedule.sort_program, an int64
@@ -371,18 +434,14 @@ class Kernels:
         ascending, and the int64 permutation perm.  ValueError, before any
         write, if the arrays or the program do not fit, or two of the
         arrays share memory (the kernel takes them as restrict)."""
-        if perm.ndim != 1 or any(col.shape != perm.shape for col in keys):
-            raise ValueError("the keys and the permutation must be "
-                             "one-dimensional, of one length")
         if prog.ndim != 1:
             raise ValueError("the sort program must be one-dimensional")
-        if any(np.may_share_memory(x, y)
-               for x, y in itertools.combinations([*keys, perm], 2)):
-            raise ValueError("the keys and the permutation must not share "
-                             "memory")
-        ptrs = np.array([_addr(col, np.uint64) for col in keys], np.uintp)
-        if self._sort(ptrs.ctypes.data, len(keys), _addr(perm, np.int64),
-                      len(perm), _addr(prog, np.int64), len(prog)):
+        *ptrs, pp = _row_addresses([*keys, perm],
+                                   [np.uint64] * len(keys) + [np.int64],
+                                   "the keys and the permutation")
+        ptrs = np.array(ptrs, np.uintp)
+        if self._sort(ptrs.ctypes.data, len(keys), pp, len(perm),
+                      _addr(prog, np.int64), len(prog)):
             raise ValueError("the sort program or its key count does not "
                              "fit the sorted arrays")
 
@@ -405,21 +464,37 @@ class Kernels:
             raise ValueError("the sort program does not fit length slots, or "
                              "the pairs lie outside it")
 
-    def route(self, f: np.ndarray, nul: np.ndarray, perm: np.ndarray,
+    def route(self, g: np.ndarray, perm: np.ndarray,
               hops: np.ndarray) -> None:
         """Run the routing hops, an int64 array, in order and in place on
-        the C-contiguous one-dimensional uint64 copies f and nul and the
-        int64 permutation perm; a slot an entry moves out of gets perm
-        -1."""
-        if perm.ndim != 1 or not f.shape == nul.shape == perm.shape:
-            raise ValueError("f, the null flag and the permutation must be "
-                             "one-dimensional, of one length")
+        the C-contiguous one-dimensional uint64 destinations g (0 on a
+        null entry) and int64 permutation perm; a slot an entry moves out
+        of gets g 0 and perm -1.  ValueError, before any write, if the
+        arrays do not fit or share memory, or a hop lies outside them."""
         if hops.ndim != 1:
             raise ValueError("hops must be one-dimensional")
-        if self._route(_addr(f, np.uint64), _addr(nul, np.uint64),
-                       _addr(perm, np.int64), len(perm),
-                       _addr(hops, np.int64), len(hops)):
+        pg, pp = _row_addresses([g, perm], [np.uint64, np.int64],
+                                "g and the permutation")
+        if self._route(pg, pp, len(perm), _addr(hops, np.int64), len(hops)):
             raise ValueError("a hop lies outside the routed arrays")
+
+    def gather(self, cols, nul: np.ndarray, perm: np.ndarray) -> None:
+        """Move the C-contiguous one-dimensional uint64 columns cols and
+        uint8 null flags nul through the int64 slot permutation perm, in
+        place: slot i takes slot perm[i], and a slot whose perm is -1
+        becomes a null entry (u64 fields 0, null flag 1).  ValueError,
+        before any write, if the arrays do not fit or share memory, or an
+        entry of perm lies outside [-1, len(perm))."""
+        *ptrs, pn, pp = _row_addresses(
+            [*cols, nul, perm], [np.uint64] * len(cols) + [np.uint8, np.int64],
+            "the columns and the permutation")
+        ptrs = np.array(ptrs, np.uintp)
+        rc = self._gather(ptrs.ctypes.data, len(cols), pn, pp, len(perm))
+        if rc == -2:
+            raise MemoryError("no memory for the gather's scratch column")
+        if rc:
+            raise ValueError("a permutation entry lies outside "
+                             f"[-1, {len(perm)})")
 
 
 def _library_path(cc: str, cache: Path) -> Path:

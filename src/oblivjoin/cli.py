@@ -7,7 +7,8 @@
 
 Every command runs the vector engine; the scalar reference engine is a
 library setting for tests, not a command-line choice.  `join` writes its
-m rows `d1 d2` in fixed-size chunks, never as one string of all of them.
+m rows `d1 d2`, and `--trace log` its event lines, in fixed-size chunks,
+never as one string of all of them nor one write per line.
 
 Exit codes: 0 success, 1 malformed input file, 2 usage error or I/O
 failure, 3 trace verification divergence.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import sys
 
 from .trace import HashSink, LogSink, NullSink
@@ -94,8 +96,9 @@ def _cmd_join(args) -> int:
     if args.trace == "hash":
         print(f"trace sha256: {sink.hexdigest()}", file=sys.stderr)
     elif args.trace == "log":
-        for line in sink.lines():
-            sys.stderr.write(line + "\n")
+        lines = sink.lines()
+        while chunk := list(itertools.islice(lines, _OUT_CHUNK)):
+            sys.stderr.write("\n".join(chunk) + "\n")
     print(f"n1={res.n1} n2={res.n2} m={res.m}", file=sys.stderr)
     return 0
 

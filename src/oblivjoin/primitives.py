@@ -13,15 +13,18 @@ The vector sort runs its whole sorting network in one call of the C sort
 kernel of the native module (_native) where it can be built, and one
 level of sort_levels at a time as numpy gathers and scatters
 (_ce_level_vector) otherwise; the two give the same permutation.  The
-vector distribution likewise runs its whole routing network in one call
-of the C route kernel, or one numpy hop at a time (_route_hop_vector),
-on copies of f and the null flag plus a slot permutation; the two give
-the same arrays.
+vector distribution sorts its own copies of f and the null flag with a
+slot permutation, then routes g = f & (nul - 1) (0 on null entries) and
+that permutation through the whole routing network in one call of the C
+route kernel, or one numpy hop at a time (_route_hop_vector); the two
+give the same arrays.  The expansion folds its forward fill into the
+same permutation.
 
-The sort, the routing network and the expansion's fill pass each end in
-one slot permutation, and _gather moves every column of the array
-through it.  A permutation entry of -1 (_VACATED) marks a slot that
-becomes a null entry.
+So a sort, a distribution and an expansion each end in one slot
+permutation, and _gather moves every column of the array through it
+once, in one call of the C gather kernel, or one numpy gather per column
+(_gather_vector).  A permutation entry of -1 (_VACATED) marks a slot
+that becomes a null entry.
 """
 
 from __future__ import annotations
@@ -144,9 +147,10 @@ def bitonic_sort(a: PublicArray, key, engine: str = "vector") -> None:
     The comparator sequence (and hence the trace) is a pure function of
     len(a); works for any length, in place.  The vector engine runs every
     comparator on copies of the key columns and a slot permutation only
-    (a swap depends on nothing else), then gathers every column of a
-    through the permutation once with _gather (the permutation has no -1
-    entries).  The whole network is one call of the native sort kernel on
+    (a swap depends on nothing else), in _sort_network, which the vector
+    distribution shares, then gathers every column of a through the
+    permutation once with _gather (the permutation has no -1 entries).
+    The whole network is one call of the native sort kernel on
     sort_program(len(a)), or one _ce_level_vector call per level of
     sort_levels when the kernel is unavailable.  The events are those of
     sort_levels's pairs in order either way.  On the native path a sink
@@ -166,25 +170,34 @@ def bitonic_sort(a: PublicArray, key, engine: str = "vector") -> None:
     # uint64 copies, so that the 8-byte XOR mask fits the uint8 null flag too
     keys = [a.col(name).astype(np.uint64) for name in key]
     perm = np.arange(a.length, dtype=np.int64)
+    _sort_network(a, keys, perm)
+    del keys  # freed first, or the gather raises the join's peak memory
+    _gather(a, perm)
+
+
+def _sort_network(a: PublicArray, keys, perm: np.ndarray) -> None:
+    """Run the sorting network of len(a) slots on the uint64 key copies
+    keys and the int64 slot permutation perm, in place, and emit its
+    events on a: one native sort call and blocks of _EMIT_CHUNK
+    comparators, or one _ce_level_vector call and one block per level of
+    sort_levels."""
     native = _native.kernel()
     if native is None:
         for lo, hi, asc in sort_levels(a.length):
             _ce_level_vector(keys, perm, lo, hi, asc)
             _emit_pairs(a, lo, hi)
-    else:
-        prog, ncomp = sort_program(a.length)
-        native.sort(keys, perm, prog)
-        if consumes_events(a.sink):
-            lo = np.empty(min(ncomp, _EMIT_CHUNK), np.int64)
-            hi = np.empty_like(lo)
-            for start in range(0, ncomp, _EMIT_CHUNK):
-                count = min(_EMIT_CHUNK, ncomp - start)
-                native.pairs(prog, a.length, start, count, lo, hi)
-                _emit_pairs(a, lo[:count], hi[:count])
-        else:  # emit_steps reads only the length of the index
-            _emit_pairs(a, range(ncomp), range(ncomp))
-    del keys  # freed first, or the gather raises the join's peak memory
-    _gather(a, perm)
+        return
+    prog, ncomp = sort_program(a.length)
+    native.sort(keys, perm, prog)
+    if consumes_events(a.sink):
+        lo = np.empty(min(ncomp, _EMIT_CHUNK), np.int64)
+        hi = np.empty_like(lo)
+        for start in range(0, ncomp, _EMIT_CHUNK):
+            count = min(_EMIT_CHUNK, ncomp - start)
+            native.pairs(prog, a.length, start, count, lo, hi)
+            _emit_pairs(a, lo[:count], hi[:count])
+    else:  # emit_steps reads only the length of the index
+        _emit_pairs(a, range(ncomp), range(ncomp))
 
 
 # the permutation entry of a slot that becomes a null entry: one an entry
@@ -194,20 +207,31 @@ _VACATED = -1
 
 def _gather(a: PublicArray, perm: np.ndarray) -> None:
     """Move every column of a through perm, a len(a) int64 slot
-    permutation, which is consumed: slot i takes the entry at slot
+    permutation, which may be overwritten: slot i takes the entry at slot
     perm[i], and a slot whose perm is _VACATED becomes a null entry (u64
-    fields 0, null flag 1)."""
+    fields 0, null flag 1).  One native gather call, or _gather_vector
+    when the kernel is unavailable."""
+    cols = [a.col(name) for name in U64_FIELDS]
+    native = _native.kernel()
+    if native is None:
+        _gather_vector(cols, a.col("is_null"), perm)
+    else:
+        native.gather(cols, a.col("is_null"), perm)
+
+
+def _gather_vector(cols, nul: np.ndarray, perm: np.ndarray) -> None:
+    """_gather's numpy body on the uint64 columns cols and the uint8 null
+    flags nul; perm is consumed."""
     # a vacated slot gathers slot 0 and is then masked, like ct_select
     keep = -(perm != _VACATED).astype(np.uint64)
     perm &= keep.view(np.int64)
-    for name in _ALL_COLS:
-        col = a.col(name)
+    for col in cols:
         vals = col[perm]
-        if name == "is_null":
-            vals |= keep == 0
-        else:
-            vals &= keep
+        vals &= keep
         col[:] = vals
+    vals = nul[perm]
+    vals |= keep == 0
+    nul[:] = vals
 
 
 # --------------------------------------------------------------------------
@@ -244,78 +268,121 @@ def _route_hop_scalar(a: PublicArray, m: int, j: int) -> None:
         a.write(i + j, ct_select_entry(cond, y, y2))
 
 
-def _route_hop_vector(f: np.ndarray, nul: np.ndarray, perm: np.ndarray,
-                      j: int) -> None:
-    cnt = len(f) - j
-    # Live entries at p < m-j whose destination lies at or beyond p+j move
-    # forward by j; their slots become null.  Sequential execution of the
-    # descending loop does exactly this when every swap partner is null;
-    # a non-null partner is overwritten and lost, which _check_placement
-    # detects.
+def _route_hop_vector(g: np.ndarray, perm: np.ndarray, j: int) -> None:
+    cnt = len(g) - j
+    # Entries at p < m-j whose destination lies at or beyond p+j move
+    # forward by j; their slots become null.  Null entries have g = 0 and
+    # never move.  Sequential execution of the descending loop does
+    # exactly this when every swap partner is null; a non-null partner is
+    # overwritten and lost, which _check_placement detects.
     thresh = np.arange(j, j + cnt, dtype=np.uint64)
-    mover = (nul[:cnt] == 0) & (f[:cnt] > thresh)
-    for col, vacated in ((f, 0), (nul, 1), (perm, _VACATED)):
+    mover = g[:cnt] > thresh
+    for col, vacated in ((g, 0), (perm, _VACATED)):
         src = col[:cnt].copy()
         col[:cnt] = np.where(mover, vacated, src)
         col[j:] = np.where(mover, src, col[j:])
 
 
-def _route_vector(a: PublicArray, hops: list[int]) -> None:
-    """Route on uint64 copies of f and the null flag plus a slot
-    permutation (one call of the native route kernel, or _route_hop_vector
-    per hop when it is unavailable), emit each hop's steps, then move every
-    column of a, f and the null flag included, through the permutation
-    with _gather: a slot an entry moved out of holds -1 and becomes a null
-    entry."""
+def _route_vector(a: PublicArray, g: np.ndarray, perm: np.ndarray) -> None:
+    """Route the len(a) destinations g (0 on a null entry) and the slot
+    permutation perm in place, in one call of the native route kernel, or
+    _route_hop_vector per hop when it is unavailable, and emit each hop's
+    steps on a: a slot an entry moves out of gets g 0 and perm -1."""
     m = a.length
-    f = a.col("f").astype(np.uint64)
-    nul = a.col("is_null").astype(np.uint64)
-    perm = np.arange(m, dtype=np.int64)
+    hops = route_hops(m)
     native = _native.kernel()
     if native is None:
         for j in hops:
-            _route_hop_vector(f, nul, perm, j)
+            _route_hop_vector(g, perm, j)
     else:
-        native.route(f, nul, perm, np.array(hops, np.int64))
+        native.route(g, perm, np.array(hops, np.int64))
     # hop j steps (i, i+j) for i from m-j-1 down to 0: both index vectors
     # are slices of one descending range
     down = np.arange(m - 1, -1, -1, dtype=np.int64)
     for j in hops:
         _emit_pairs(a, down[j:], down[:m - j])
-    # the routed copies are freed before the gather, which would otherwise
-    # raise the join's peak memory
-    del f, nul
-    _gather(a, perm)
 
 
-def _check_placement(a: PublicArray, x: PublicArray) -> None:
-    """Raise DistributeCollisionError unless as many entries of a sit at
-    their slot f-1 as x holds non-null entries.
+def _destinations(a: PublicArray) -> np.ndarray:
+    """f on the live entries of a, 0 on the null ones: the g that the
+    vector route carries."""
+    return np.where(a.col("is_null") == 0, a.col("f"), np.uint64(0))
 
-    That holds iff f is injective into 1..len(a); an entry lost to a
+
+def _check_placement(g: np.ndarray, x: PublicArray) -> None:
+    """Raise DistributeCollisionError unless as many slots i of a
+    placement hold an entry with destination g = i+1 as x holds non-null
+    entries; g is 0 on a null entry.
+
+    That holds iff f is injective into 1..len(g); an entry lost to a
     collision or left short of its slot fails it.  The count reads the
-    columns untraced.
+    arrays untraced.
     """
-    m = a.length
+    m = len(g)
     live = int((x.col("is_null") == 0).sum())
-    slot = np.arange(1, m + 1, dtype=np.uint64)
-    placed = int(((a.col("is_null") == 0) & (a.col("f") == slot)).sum())
+    placed = int((g == np.arange(1, m + 1, dtype=np.uint64)).sum())
     if placed != live:
         raise DistributeCollisionError(
             f"destinations are not injective into 1..{m}: "
             f"{placed} of {live} entries reached slot f-1")
 
 
-def _route_region(a: PublicArray, x: PublicArray, engine: str) -> None:
-    """Route the non-null entries of a, copied from x, to slots f-1."""
-    m = a.length
-    hops = route_hops(m)
-    if engine == "scalar":
-        for j in hops:
-            _route_hop_scalar(a, m, j)
-    else:
-        _route_vector(a, hops)
-    _check_placement(a, x)
+def _copied(x: PublicArray, m: int, engine: str) -> PublicArray:
+    """A fresh max(n, m)-slot array holding x in its first n slots."""
+    a = alloc(max(x.length, m), x.sink)
+    with x.sink.phase_scope("distribute_copy"):
+        _copy_into(x, a, x.length, engine)
+    return a
+
+
+def _distribute_scalar(x: PublicArray, m: int) -> PublicArray:
+    """The scalar distribution into a max(n, m)-slot array: copy, sort,
+    then route its first m slots."""
+    n = x.length
+    sink = x.sink
+    a = _copied(x, m, "scalar")
+    with sink.phase_scope("distribute_sort"):
+        bitonic_sort(a.view(0, n), KEY_NONNULL_F, "scalar")
+    with sink.phase_scope("distribute_route"):
+        region = a.view(0, m)
+        for j in route_hops(m):
+            _route_hop_scalar(region, m, j)
+        _check_placement(_destinations(region), x)
+    return a
+
+
+def _distribute_vector(x: PublicArray, m: int):
+    """The vector distribution up to its gather: returns (a, g, perm).
+
+    a holds x in its first n of max(n, m) slots, unmoved.  Slot i of the
+    distribution takes slot perm[i] of a, or is null where perm[i] is
+    _VACATED; g[i], for i < m, is its destination (0 on a null entry).
+    The network sorts uint64 copies of the null flag and f with perm, then
+    routes g = f & (nul - 1), computed on those copies, with the first m
+    entries of perm, so no column moves until one _gather.  Slots past n
+    start null with f = 0, so their g is 0.
+    """
+    n = x.length
+    sink = x.sink
+    a = _copied(x, m, "vector")
+    # uint64 copies of the whole array, in KEY_NONNULL_F's order
+    nul, g = (a.col(name).astype(np.uint64) for name in KEY_NONNULL_F)
+    perm = np.arange(a.length, dtype=np.int64)
+    with sink.phase_scope("distribute_sort"):
+        _sort_network(a.view(0, n), [nul[:n], g[:n]], perm[:n])
+    with sink.phase_scope("distribute_route"):
+        nul -= 1  # all ones on a live entry, 0 on a null one
+        g &= nul
+        del nul
+        g = g[:m]
+        _route_vector(a.view(0, m), g, perm[:m])
+        _check_placement(g, x)
+    return a, g, perm
+
+
+def _first(a: PublicArray, m: int) -> PublicArray:
+    """a, or a view of its first m slots when it is longer."""
+    return a if a.length == m else a.view(0, m)
 
 
 def oblivious_distribute(x: PublicArray, m: int,
@@ -328,21 +395,19 @@ def oblivious_distribute(x: PublicArray, m: int,
     Unfilled slots are null.  Returns a fresh array of length m, or a
     view of its first m slots when n > m: the sort parks nulls behind
     them and routing never consults the rest.  The access sequence
-    depends only on (n, m).
+    depends only on (n, m).  The vector engine moves the columns once,
+    at the end of the routing phase.
     """
     _check_engine(engine)
     if m < 0:
         raise ValueError(f"output size m = {m} is negative")
-    n = x.length
-    sink = x.sink
-    a = alloc(max(n, m), sink)
-    with sink.phase_scope("distribute_copy"):
-        _copy_into(x, a, n, engine)
-    with sink.phase_scope("distribute_sort"):
-        bitonic_sort(a.view(0, n), KEY_NONNULL_F, engine)
-    with sink.phase_scope("distribute_route"):
-        _route_region(a.view(0, m), x, engine)
-    return a if a.length == m else a.view(0, m)
+    if engine == "scalar":
+        return _first(_distribute_scalar(x, m), m)
+    a, g, perm = _distribute_vector(x, m)
+    del g
+    with x.sink.phase_scope("distribute_route"):
+        _gather(a, perm)
+    return _first(a, m)
 
 
 # --------------------------------------------------------------------------
@@ -378,24 +443,27 @@ def _expand_prefix(x: PublicArray, g_attr: str, engine: str) -> int:
     return m
 
 
-def _forward_fill(a: PublicArray, engine: str) -> None:
-    """Second expansion pass: each null slot takes the last value written."""
-    m = a.length
-    if engine == "scalar":
-        px = null_entry()
-        for i in range(m):
-            e = a.read(i)
-            e = ct_select_entry(e.is_null, px, e)
-            px = e
-            a.write(i, e)
-        return
-    ar = np.arange(m, dtype=np.int64)
-    # each slot's source is the last live slot at or before it; slots
-    # before the first live one are _VACATED and stay null
-    src = np.maximum.accumulate(
-        np.where(a.col("is_null") == 0, ar, _VACATED))
-    _gather(a, src)
-    emit_steps((a, READ, ar), (a, WRITE, ar))
+def _forward_fill(a: PublicArray) -> None:
+    """Second expansion pass, scalar engine: each null slot takes the last
+    value written."""
+    px = null_entry()
+    for i in range(a.length):
+        e = a.read(i)
+        e = ct_select_entry(e.is_null, px, e)
+        px = e
+        a.write(i, e)
+
+
+def _fold_fill(g: np.ndarray, perm: np.ndarray) -> None:
+    """The second expansion pass, folded into the permutation of
+    _distribute_vector's (a, g, perm): slot i < len(g) takes the last
+    live slot src at or before it, so perm[i] becomes perm[src], or
+    _VACATED where no live slot precedes it.  After _check_placement the
+    live slots are exactly those with g != 0."""
+    ar = np.arange(len(g), dtype=np.int64)
+    src = np.maximum.accumulate(np.where(g != 0, ar, _VACATED))
+    # a _VACATED src reads perm[-1], which the where discards
+    perm[:len(g)] = np.where(src == _VACATED, _VACATED, perm[src])
 
 
 def oblivious_expand(x: PublicArray, g_attr: str,
@@ -407,7 +475,8 @@ def oblivious_expand(x: PublicArray, g_attr: str,
     Returns a fresh array of length m = sum of g.  x itself is consumed
     (its f and null flags are overwritten by the prefix pass).  The trace
     depends only on (n, m).  ValueError, before any access, if m does not
-    fit in 64 bits.
+    fit in 64 bits.  The vector engine moves the columns once, in the
+    fill phase.
     """
     _check_engine(engine)
     if g_attr not in U64_FIELDS:
@@ -420,7 +489,16 @@ def oblivious_expand(x: PublicArray, g_attr: str,
     sink = x.sink
     with sink.phase_scope("expand_prefix"):
         m = _expand_prefix(x, g_attr, engine)
-    a = oblivious_distribute(x, m, engine)
+    if engine == "scalar":
+        a = oblivious_distribute(x, m, engine)
+        with sink.phase_scope("expand_fill"):
+            _forward_fill(a)
+        return a
+    a, g, perm = _distribute_vector(x, m)
     with sink.phase_scope("expand_fill"):
-        _forward_fill(a, engine)
-    return a
+        _fold_fill(g, perm)
+        del g  # freed first, or the gather raises the join's peak memory
+        _gather(a, perm)
+        ar = np.arange(m, dtype=np.int64)
+        emit_steps((a, READ, ar), (a, WRITE, ar))
+    return _first(a, m)

@@ -30,7 +30,7 @@ import numpy as np
 from .entries import KEY_F
 from .trace import READ, WRITE, PublicArray, alloc, emit_steps
 from .primitives import (DistributeCollisionError, bitonic_sort,
-                         _check_placement)
+                         _check_placement, _destinations)
 
 __all__ = ["SmallDomainPrp", "prp_distribute"]
 
@@ -155,5 +155,5 @@ def prp_distribute(x: PublicArray, m: int, seed: int) -> PublicArray:
         fcol = a.col("f")
         fcol[:] = fcol % big
         emit_steps((a, READ, ar), (a, WRITE, ar))
-    _check_placement(a, x)
+    _check_placement(_destinations(a), x)
     return a

@@ -18,7 +18,8 @@ import pytest
 import oblivjoin.cli as cli
 from oblivjoin.harness import ClassVerdict
 from oblivjoin.pipeline import oblivious_join
-from oblivjoin.tablefile import format_table_text
+from oblivjoin.tablefile import format_table_text, parse_table_file
+from oblivjoin.trace import LogSink
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
@@ -114,6 +115,35 @@ def test_join_trace_log(tmp_path, capsys):
     ev = [ln for ln in err.splitlines() if ln and ln[0] in "RW"]
     assert len(ev) > 10
     assert all(len(ln.split()) == 3 for ln in ev)
+
+
+def test_join_trace_log_writes_the_sinks_lines_in_chunks(monkeypatch,
+                                                        capsys):
+    # chunks of 7 lines: stderr holds the LogSink's lines byte for byte,
+    # then the size line, and is written once per chunk
+    writes = []
+    real_stderr = sys.stderr
+
+    class Counting:
+        def write(self, text):
+            writes.append(text)
+            return real_stderr.write(text)
+
+        def flush(self):
+            real_stderr.flush()
+    monkeypatch.setattr(cli, "_OUT_CHUNK", 7)
+    monkeypatch.setattr(sys, "stderr", Counting())
+    rc = run(["join", str(VALID[0]), "--trace", "log"])
+    err = capsys.readouterr().err
+    assert rc == 0
+    t1, t2 = parse_table_file(VALID[0])
+    sink = LogSink()
+    res = oblivious_join(t1, t2, sink)
+    want = "".join(line + "\n" for line in sink.lines())
+    assert err == want + f"n1={res.n1} n2={res.n2} m={res.m}\n"
+    nlines = want.count("\n")
+    assert nlines > 7
+    assert len([w for w in writes if w[:1] in "RW"]) == -(-nlines // 7)
 
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])

@@ -227,23 +227,23 @@ def route_path(request, native_loads, monkeypatch):
 
 
 def _route_copies(rng, m):
-    """Routing copies whose f and null flags follow no contract: live
-    entries with f = 0, f past m, and f at or above 2^63, which only an
-    unsigned compare moves."""
+    """Routing arrays whose destinations follow no contract: live entries
+    with g = 0, g past m, and g at or above 2^63, which only an unsigned
+    compare moves; a null entry has g = 0, as g = f & (nul - 1) gives."""
     wild = np.array([0, m + 1, 2**63, 2**63 + 5, U64_MAX], np.uint64)
     f = rng.integers(1, m + 1, m, dtype=np.uint64)
     odd = rng.random(m) < 0.2
     f[odd] = wild[rng.integers(0, len(wild), odd.sum())]
     nul = (rng.random(m) < 0.3).astype(np.uint64)
-    return f, nul, np.arange(m, dtype=np.int64)
+    return f & (nul - np.uint64(1)), np.arange(m, dtype=np.int64)
 
 
 @pytest.mark.parametrize("trials", [1, 3])
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 33, 64, 100, 257, 1000])
 def test_route_kernel_matches_numpy_hops(m, trials, native, rng):
     # the kernel runs the whole network in one call; the numpy fallback
-    # one hop at a time: both leave the same f, null flags and permutation
-    # on each of trials inputs
+    # one hop at a time: both leave the same g and permutation on each of
+    # trials inputs
     hops = route_hops(m)
     for _ in range(trials):
         c = _route_copies(rng, m)
@@ -253,9 +253,9 @@ def test_route_kernel_matches_numpy_hops(m, trials, native, rng):
             primitives._route_hop_vector(*v, j)
         for got, want in zip(c, v):
             assert np.array_equal(got, want)
-        # a slot an entry moved out of is null, with f = 0
-        vacated = v[2] == -1
-        assert (v[1][vacated] == 1).all() and (v[0][vacated] == 0).all()
+        # a slot an entry moved out of is null, with g = 0
+        vacated = v[1] == -1
+        assert (v[0][vacated] == 0).all()
 
 
 def _distribution_input(rng, n, m):
@@ -322,28 +322,137 @@ def test_collisions_raise_on_both_route_paths(route_path):
 
 def test_route_kernel_rejects_bad_arrays(native):
     # every bad call is refused before the kernel writes anything
-    f = np.array([2, 0, 0], np.uint64)
-    nul = np.array([0, 1, 1], np.uint64)
+    g = np.array([2, 0, 0], np.uint64)
     perm = np.array([0, 1, 2], np.int64)
     hops = np.array([2, 1], np.int64)
-    before = [arr.copy() for arr in (f, nul, perm)]
+    before = [arr.copy() for arr in (g, perm)]
     wide = np.zeros(6, np.uint64)
-    for args in ((f.astype(np.int64), nul, perm, hops),     # f not uint64
-                 (f, nul.astype(np.uint8), perm, hops),     # flag not uint64
-                 (f, nul, perm.astype(np.uint64), hops),    # perm not int64
-                 (f, nul, perm, hops.astype(np.int32)),     # hops not int64
-                 (wide[::2], nul, perm, hops),              # not contiguous
-                 (f, nul, perm, np.array([2, 9, 1, 9])[::2]),  # strided
-                 (f, nul[:2], perm, hops),                  # shapes differ
-                 (f[None], nul[None], perm[None], hops),    # not 1-D
-                 (f, nul, perm, hops[:, None]),             # hops not 1-D
-                 (f, nul, perm, np.array([3], np.int64)),   # hop past the end
-                 (f, nul, perm, np.array([0], np.int64)),   # hop 0
-                 (f, nul, perm, np.array([-1], np.int64))):  # negative hop
+    for args in ((g.astype(np.int64), perm, hops),          # g not uint64
+                 (g, perm.astype(np.uint64), hops),         # perm not int64
+                 (g, perm, hops.astype(np.int32)),          # hops not int64
+                 (wide[::2], perm, hops),                   # not contiguous
+                 (g, perm, np.array([2, 9, 1, 9])[::2]),    # strided
+                 (g, perm[:2], hops),                       # shapes differ
+                 (g[None], perm[None], hops),               # not 1-D
+                 (g, perm, hops[:, None]),                  # hops not 1-D
+                 (g, perm, np.array([3], np.int64)),        # hop past the end
+                 (g, perm, np.array([0], np.int64)),        # hop 0
+                 (g, perm, np.array([-1], np.int64)),       # negative hop
+                 (g, g.view(np.int64), hops)):              # shared memory
         with pytest.raises(ValueError):
             native.route(*args)
-    for arr, old in zip((f, nul, perm), before):
+    for arr, old in zip((g, perm), before):
         assert np.array_equal(arr, old)
-    native.route(f, nul, perm, hops)
-    assert (f.tolist(), nul.tolist(), perm.tolist()) == (
-        [0, 2, 0], [1, 0, 1], [-1, 0, 2])
+    native.route(g, perm, hops)
+    assert (g.tolist(), perm.tolist()) == ([0, 2, 0], [-1, 0, 2])
+
+
+# -- the native gather kernel against the numpy gather -----------------------
+
+def _gather_input(rng, n, vacated):
+    """Seven random uint64 columns, random null flags and a random slot
+    map of n slots, with -1 entries where vacated (about a quarter)."""
+    cols = [rng.integers(0, 2**64, n, dtype=np.uint64) for _ in U64_FIELDS]
+    nul = rng.integers(0, 2, n).astype(np.uint8)
+    perm = rng.permutation(n).astype(np.int64)
+    if vacated:
+        perm[rng.random(n) < 0.25] = -1
+    return cols, nul, perm
+
+
+@pytest.mark.parametrize("vacated", [False, True], ids=["full", "vacated"])
+def test_gather_kernel_matches_numpy_gather(vacated, native, rng):
+    # every length to 300 and two join lengths, a permutation with and
+    # without -1 entries: the kernel leaves the numpy gather's columns
+    for n in (*range(301), 5400, 1 << 15):
+        cols, nul, perm = _gather_input(rng, n, vacated)
+        want = [col.copy() for col in (*cols, nul)]
+        primitives._gather_vector(want[:-1], want[-1], perm.copy())
+        native.gather(cols, nul, perm)
+        for got, exp in zip((*cols, nul), want):
+            assert np.array_equal(got, exp), n
+
+
+def test_gather_kernel_on_views_with_an_offset(native, rng):
+    # the columns of a view that starts at slot 5 of a longer array: the
+    # slots outside the view keep their values
+    a = alloc(40, NullSink())
+    for name in ALL_COLS:
+        a.col(name)[:] = rng.integers(0, 2, 40) if name == "is_null" else (
+            rng.integers(0, 2**64, 40, dtype=np.uint64))
+    before = {name: a.debug_col(name) for name in ALL_COLS}
+    view = a.view(5, 20)
+    perm = rng.permutation(20).astype(np.int64)
+    perm[[3, 11]] = -1
+    native.gather([view.col(name) for name in U64_FIELDS],
+                  view.col("is_null"), perm)
+    for name in ALL_COLS:
+        col, old = a.debug_col(name), before[name]
+        src = old[5:25][np.maximum(perm, 0)]
+        src[perm == -1] = 1 if name == "is_null" else 0
+        assert np.array_equal(col[5:25], src), name
+        assert np.array_equal(col[:5], old[:5]), name
+        assert np.array_equal(col[25:], old[25:]), name
+
+
+def test_gather_kernel_rejects_bad_arrays(native, rng):
+    # every bad call is refused before the kernel writes anything
+    cols, nul, perm = _gather_input(rng, 6, True)
+    before = [arr.copy() for arr in (*cols, nul, perm)]
+    wide = np.zeros(12, np.uint64)
+    shared = np.zeros(48, np.uint8)  # six int64 slots or 48 flags
+    bad = {
+        "entry below -1": (cols, nul, np.array([0, 1, -2, 3, 4, 5])),
+        "entry at len": (cols, nul, np.array([0, 1, 6, 3, 4, 5])),
+        "entry past len": (cols, nul, np.array([0, 1, 2, 3, 4, 2**62])),
+        "int64 column": ([cols[0].astype(np.int64), *cols[1:]], nul, perm),
+        "uint64 flags": (cols, nul.astype(np.uint64), perm),
+        "int32 permutation": (cols, nul, perm.astype(np.int32)),
+        "non-contiguous column": ([wide[::2], *cols[1:]], nul, perm),
+        "non-contiguous flags": (cols, np.zeros(12, np.uint8)[::2], perm),
+        "short column": ([cols[0][:5], *cols[1:]], nul, perm),
+        "2-d permutation": (cols, nul, perm[None]),
+        "permutation on a column": (cols, nul, cols[2].view(np.int64)),
+        "permutation on the flags": (cols, shared[:6], shared.view(np.int64)),
+        "one column twice": ([cols[0], cols[0], *cols[2:]], nul, perm),
+    }
+    for name, (c, fl, p) in bad.items():
+        with pytest.raises(ValueError):
+            native.gather(c, fl, p)
+            pytest.fail(name)
+        for arr, old in zip((*cols, nul, perm), before):
+            assert np.array_equal(arr, old), name
+
+
+def _counting_gather(monkeypatch):
+    """Wraps primitives._gather in a counter; returns the count list."""
+    calls = []
+    gather = primitives._gather
+
+    def counted(a, perm):
+        calls.append(a.length)
+        gather(a, perm)
+    monkeypatch.setattr(primitives, "_gather", counted)
+    return calls
+
+
+@pytest.mark.parametrize("path", ["native", "fallback"])
+def test_each_distribution_and_expansion_gathers_once(path, native_loads,
+                                                      monkeypatch):
+    # a distribution moves its columns once, after routing, and an
+    # expansion once, after its fill: neither the sort nor the routing
+    # network gathers on its own
+    kernel = native_loads[path]
+    if path == "native" and kernel is None:
+        pytest.skip("the native module cannot be built here")
+    monkeypatch.setattr(_native, "kernel", lambda: kernel)
+    calls = _counting_gather(monkeypatch)
+    out = oblivious_distribute(make_distribute_input(NullSink(), [3, 1]), 4)
+    assert placed(out) == [(1, 1), None, (3, 0), None]
+    assert calls == [4]
+    calls.clear()
+    x = make_distribute_input(NullSink(), [0, 0, 0])
+    x.col("alpha1")[:] = [2, 0, 3]
+    out = primitives.oblivious_expand(x, "alpha1")
+    assert out.debug_col("d").tolist() == [0, 0, 2, 2, 2]
+    assert calls == [5]

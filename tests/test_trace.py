@@ -125,6 +125,7 @@ def test_native_module_loads_where_it_can_be_built(monkeypatch):
         raise AssertionError("a numpy fallback ran beside a live kernel")
     monkeypatch.setattr(primitives, "_ce_level_vector", numpy_fallback)
     monkeypatch.setattr(primitives, "_route_hop_vector", numpy_fallback)
+    monkeypatch.setattr(primitives, "_gather_vector", numpy_fallback)
     a = alloc(6, NullSink())
     a.col("j")[:] = [5, 0, 3, 2, 4, 1]
     a.col("is_null")[:] = 0
@@ -150,7 +151,9 @@ def test_native_source_compiles_without_warnings(tmp_path):
 # Run in a subprocess on an object built with -fsanitize=undefined: the
 # sort on ragged lengths with each key count (and one refused program),
 # the pair expander over the same lengths in ranges of 8,192 (and one
-# refused range) and one route; any undefined behaviour aborts it.
+# refused range), two routes (one of a length that is not a power of
+# two) and gathers with -1 entries (and one refused permutation); any
+# undefined behaviour aborts it.
 UBSAN_RUN = """
 import ctypes, sys
 import numpy as np
@@ -187,11 +190,29 @@ try:  # j = 3 is no power of two, and lo0 = -1
     raise AssertionError("a bad program ran")
 except ValueError:
     pass
-f = np.array([1, 3, 0, 0], np.uint64)
-nul = np.array([0, 0, 1, 1], np.uint64)
+g = np.array([1, 3, 0, 0], np.uint64)
 perm = np.arange(4, dtype=np.int64)
-kernel.route(f, nul, perm, np.array(route_hops(4), np.int64))
-assert (f.tolist(), perm.tolist()) == ([1, 0, 3, 0], [0, -1, 1, 3])
+kernel.route(g, perm, np.array(route_hops(4), np.int64))
+assert (g.tolist(), perm.tolist()) == ([1, 0, 3, 0], [0, -1, 1, 3])
+g = np.array([2, 4, 7, 0, 0, 0, 0], np.uint64)
+perm = np.arange(7, dtype=np.int64)
+kernel.route(g, perm, np.array(route_hops(7), np.int64))
+assert (g.tolist(), perm.tolist()) == ([0, 2, 0, 4, 0, 0, 7],
+                                       [-1, 0, -1, 1, 4, 5, 2])
+for n in (0, 1, 7, 1000):
+    cols = [rng.integers(0, 2**64, n, dtype=np.uint64) for _ in range(7)]
+    nul = rng.integers(0, 2, n).astype(np.uint8)
+    perm = rng.integers(-1, n, n)
+    want = [np.where(perm < 0, 0, col[perm]) for col in cols]
+    want_nul = np.where(perm < 0, 1, nul[perm])
+    kernel.gather(cols, nul, perm)
+    assert all(np.array_equal(c, w) for c, w in zip(cols, want)), n
+    assert np.array_equal(nul, want_nul), n
+try:  # an entry past the end
+    kernel.gather(cols, nul, np.full(n, n, np.int64))
+    raise AssertionError("a gather past the end ran")
+except ValueError:
+    pass
 """
 UBSAN_FLAGS = ("-O1", "-g", "-fsanitize=undefined",
                "-fno-sanitize-recover=all", "-shared", "-fPIC")
@@ -291,10 +312,10 @@ def test_sort_kernel_is_dispatched_on_x86_64_glibc(tmp_path):
 
 
 @pytest.mark.parametrize("symbol", ["oblivjoin_sort", "oblivjoin_sort_pairs",
-                                    "oblivjoin_route"])
+                                    "oblivjoin_route", "oblivjoin_gather"])
 def test_cached_object_without_a_kernel_falls_back(symbol, tmp_path,
                                                    monkeypatch):
-    # an object at the cache path that exports only one of the three
+    # an object at the cache path that exports only one of the four
     # kernels loads as a failure, and the failure is kept like any other
     cc = shutil.which("cc")
     if cc is None:
@@ -331,9 +352,9 @@ def test_warm_cache_load_runs_no_compiler(tmp_path, monkeypatch):
     perm = np.array([0, 1], np.int64)
     kernel.sort(keys, perm, sort_program(2)[0])
     assert perm.tolist() == [1, 0]
-    f, nul = np.array([2, 0], np.uint64), np.array([0, 1], np.uint64)
-    kernel.route(f, nul, perm, np.array([1]))
-    assert (f.tolist(), perm.tolist()) == ([0, 2], [-1, 1])
+    g = np.array([2, 0], np.uint64)
+    kernel.route(g, perm, np.array([1]))
+    assert (g.tolist(), perm.tolist()) == ([0, 2], [-1, 1])
 
 
 # each first use in a fresh interpreter, and whether it needs the native
