@@ -1,6 +1,6 @@
 """The native module: the whole sorting network, its pairs, the routing
-network and the column gather in one C source, compiled into one shared
-object with `cc` alone.
+network, the column gather and the linear scans of the join in one C
+source, compiled into one shared object with `cc` alone.
 
 oblivjoin_sort runs every level of one sort's network on the uint64 key
 copies and the int64 slot permutation of the vector bitonic_sort and
@@ -48,6 +48,23 @@ refuses an entry outside [-1, len) before its first write.  Its reads
 follow the permutation, so unlike the networks its addresses depend on
 the data.
 
+Four scans run the vector engine's linear passes, each one sequential
+pass over its columns, as the scalar engine does: the carried values
+are selected by masks, with no branch or address that depends on a
+value.  oblivjoin_fill is fill_dimensions: forward, it carries each run
+of equal keys' counts of tid 1 and tid 2 (alpha1, alpha2) and the sum m
+of the runs' final alpha1 * alpha2; backward, it carries each run's
+final counts over the run.  oblivjoin_prefix is the expansion's prefix
+pass, a running sum; it refuses a sum that wraps past 2^64 - 1 in a
+read-only first pass, before any write.  oblivjoin_fold is the
+expansion's forward fill folded into the routed permutation: it carries
+the permutation entry of the last live slot.  oblivjoin_align is the
+align pass: it carries each slot's index q in its key run and writes
+q / alpha1 + (q % alpha1) * alpha2; it refuses an alpha1 of 0 before
+any write.  Each equals its numpy body in pipeline or primitives on
+every input, valid join or not.  The hardware divide of the align scan
+may take a time that depends on its operands.
+
 The object is compiled on first use into the user's cache directory and
 loaded with ctypes; nothing is built at import.  It is built with -O3,
 because GCC 12's -O2 does not vectorize the span loops.  On x86-64 with
@@ -56,11 +73,13 @@ for AVX2 and one for the x86-64 baseline, and the loader picks one by
 the CPU.  Other targets and C libraries build the plain body.  There is
 no -march=native: the cache key does not name the CPU, so an object in a
 shared cache must run on any x86-64.  load() returns None when
-it cannot build or load the object, or the object lacks one of the four
+it cannot build or load the object, or the object lacks one of the eight
 kernels, and then the callers keep their fallbacks: primitives'
 bitonic_sort and oblivious_distribute the numpy level per level of
 sort_levels, each level emitted as one block, oblivious_distribute the
-numpy hop, and _gather one numpy gather per column.
+numpy hop, _gather one numpy gather per column, and each scan its numpy
+body (_fill_dimensions_vector, _expand_prefix_vector, _fold_fill_vector,
+_align_pass_vector).
 """
 
 from __future__ import annotations
@@ -375,6 +394,107 @@ int oblivjoin_gather(uint64_t *const *cols, size_t ncols, uint8_t *nul,
     free(tmp);
     return 0;
 }
+
+/* All ones where x is not 0, else 0. */
+#define ONES(x) (-(uint64_t)((x) != 0))
+
+/* j, tid: the key and table id columns; a1, a2: the alpha1 and alpha2
+   columns; len slots each, no two overlapping.  The forward pass carries
+   each run of equal keys' running counts of tid 1 and tid 2 into a1 and
+   a2, and the sum m of each run's final a1 * a2; the backward pass
+   carries each run's final counts back over it.  Returns m, modulo
+   2^64. */
+uint64_t oblivjoin_fill(const uint64_t *restrict j,
+                        const uint64_t *restrict tid, uint64_t *restrict a1,
+                        uint64_t *restrict a2, size_t len)
+{
+    uint64_t c1 = 0, c2 = 0, m = 0, pj = 0;
+    for (size_t i = 0; i < len; i++) {
+        uint64_t same = ONES(i) & -(uint64_t)(j[i] == pj), t = tid[i];
+        m += (c1 * c2) & ~same;
+        c1 = (c1 & same) + (t == 1);
+        c2 = (c2 & same) + (t == 2);
+        a1[i] = c1;
+        a2[i] = c2;
+        pj = j[i];
+    }
+    m += c1 * c2;
+    for (size_t i = len; i-- > 0;) {
+        uint64_t last = ONES(i + 1 == len) | ONES(j[i] != pj);
+        c1 = (a1[i] & last) | (c1 & ~last);
+        c2 = (a2[i] & last) | (c2 & ~last);
+        a1[i] = c1;
+        a2[i] = c2;
+        pj = j[i];
+    }
+    return m;
+}
+
+/* g: the uint64 counts; f: the uint64 destinations; nul: the uint8 null
+   flags; len slots each.  g may be f itself (each slot is read before it
+   is written); nul overlaps neither.  Writes f = 1 + the sum of g before
+   the slot, or 0 where g is 0, and the null flag 1 where g is 0, and the
+   sum of g at *sum.  Returns -1, having written nothing, if a running
+   sum wraps past 2^64 - 1. */
+int oblivjoin_prefix(const uint64_t *g, uint64_t *f, uint8_t *restrict nul,
+                     size_t len, uint64_t *restrict sum)
+{
+    uint64_t s = 0, bad = 0;
+    for (size_t i = 0; i < len; i++) {
+        s += g[i];
+        bad |= s < g[i];
+    }
+    if (bad)
+        return -1;
+    *sum = s;
+    s = 0;
+    for (size_t i = 0; i < len; i++) {
+        uint64_t gi = g[i], live = ONES(gi);
+        f[i] = (s + 1) & live;
+        nul[i] = (uint8_t)((nul[i] & live) | (~live & 1));
+        s += gi;
+    }
+    return 0;
+}
+
+/* g: the uint64 destinations, 0 on a null slot; perm: the slot
+   permutation; len slots each, not overlapping.  Each slot takes the perm
+   entry of the last live slot at or before it, or -1 where there is
+   none. */
+void oblivjoin_fold(const uint64_t *restrict g, int64_t *restrict perm,
+                    size_t len)
+{
+    uint64_t *pr = (uint64_t *)perm, carry = (uint64_t)-1;
+    for (size_t i = 0; i < len; i++) {
+        uint64_t live = ONES(g[i]);
+        carry = (pr[i] & live) | (carry & ~live);
+        pr[i] = carry;
+    }
+}
+
+/* j: the keys; a1, a2: the alpha1 and alpha2 columns; ii: the uint64
+   slots it writes; len slots each, no two overlapping.  For the q-th
+   slot of each run of equal keys, from 0, writes
+   ii = q / a1 + (q % a1) * a2.  Returns -1, having written nothing, if
+   an a1 is 0. */
+int oblivjoin_align(const uint64_t *restrict j, const uint64_t *restrict a1,
+                    const uint64_t *restrict a2, uint64_t *restrict ii,
+                    size_t len)
+{
+    uint64_t bad = 0;
+    for (size_t i = 0; i < len; i++)
+        bad |= a1[i] == 0;
+    if (bad)
+        return -1;
+    uint64_t q = 0, pj = 0;
+    for (size_t i = 0; i < len; i++) {
+        uint64_t c = a1[i];
+        q = (q + 1) & ONES(i) & -(uint64_t)(j[i] == pj);
+        ii[i] = q / c + (q % c) * a2[i];
+        pj = j[i];
+    }
+    return 0;
+}
 """
 
 _FLAGS = ("-O3", "-shared", "-fPIC")
@@ -409,7 +529,7 @@ def _row_addresses(arrays, dtypes, what: str) -> list[int]:
 
 
 class Kernels:
-    """The four kernels of one loaded shared object."""
+    """The eight kernels of one loaded shared object."""
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         # each lookup raises AttributeError on an object that lacks it
@@ -426,6 +546,18 @@ class Kernels:
         self._route.restype = ctypes.c_int
         self._gather.argtypes = (_P, _N, _P, _P, _N)
         self._gather.restype = ctypes.c_int
+        self._fill = lib.oblivjoin_fill
+        self._fill.argtypes = (_P, _P, _P, _P, _N)
+        self._fill.restype = ctypes.c_uint64
+        self._prefix = lib.oblivjoin_prefix
+        self._prefix.argtypes = (_P, _P, _P, _N, _P)
+        self._prefix.restype = ctypes.c_int
+        self._fold = lib.oblivjoin_fold
+        self._fold.argtypes = (_P, _P, _N)
+        self._fold.restype = None
+        self._align = lib.oblivjoin_align
+        self._align.argtypes = (_P, _P, _P, _P, _N)
+        self._align.restype = ctypes.c_int
 
     def sort(self, keys, perm: np.ndarray, prog: np.ndarray) -> None:
         """Run the sort program prog (_schedule.sort_program, an int64
@@ -495,6 +627,58 @@ class Kernels:
         if rc:
             raise ValueError("a permutation entry lies outside "
                              f"[-1, {len(perm)})")
+
+
+    def fill_dimensions(self, j: np.ndarray, tid: np.ndarray,
+                        alpha1: np.ndarray, alpha2: np.ndarray) -> int:
+        """Write each slot's key run dimensions into the C-contiguous
+        one-dimensional uint64 columns alpha1 and alpha2: the counts of
+        tid 1 and of tid 2 in its run of equal keys j.  Returns the sum,
+        modulo 2^64, of alpha1 * alpha2 over the runs.  ValueError, before
+        any write, if the arrays do not fit or share memory."""
+        addrs = _row_addresses([j, tid, alpha1, alpha2], [np.uint64] * 4,
+                               "the key, table id and alpha columns")
+        return self._fill(*addrs, len(j))
+
+    def prefix(self, g: np.ndarray, f: np.ndarray,
+               nul: np.ndarray) -> int | None:
+        """Write f = 1 + the sum of g before each slot, or 0 where g is 0,
+        and the null flag 1 where g is 0, into the C-contiguous
+        one-dimensional uint64 f and uint8 nul; g is uint64 and may be f
+        itself.  Returns the sum of g, or None, having written nothing,
+        if a running sum wraps past 2^64 - 1.  ValueError, before any
+        write, if the arrays do not fit or share memory otherwise."""
+        pf, pn = _row_addresses([f, nul], [np.uint64, np.uint8],
+                                "f and the null flags")
+        if g.shape == f.shape and _addr(g, np.uint64) == pf:
+            pg = pf  # g is f itself
+        else:
+            pg = _row_addresses([g, f, nul], [np.uint64, np.uint64, np.uint8],
+                                "g, f and the null flags")[0]
+        total = ctypes.c_uint64()
+        if self._prefix(pg, pf, pn, len(f), ctypes.addressof(total)):
+            return None
+        return total.value
+
+    def fold(self, g: np.ndarray, perm: np.ndarray) -> None:
+        """Give each slot of the C-contiguous one-dimensional int64
+        permutation perm, in place, the entry of the last slot at or
+        before it whose uint64 g is not 0, or -1 where there is none.
+        ValueError, before any write, if the arrays do not fit or share
+        memory."""
+        self._fold(*_row_addresses([g, perm], [np.uint64, np.int64],
+                                   "g and the permutation"), len(g))
+
+    def align(self, j: np.ndarray, alpha1: np.ndarray, alpha2: np.ndarray,
+              ii: np.ndarray) -> bool:
+        """Write ii = q // alpha1 + (q % alpha1) * alpha2 into the
+        C-contiguous one-dimensional uint64 ii, for the q-th slot, from
+        0, of each run of equal keys j.  Returns False, having written
+        nothing, if an alpha1 is 0.  ValueError, before any write, if the
+        arrays do not fit or share memory."""
+        addrs = _row_addresses([j, alpha1, alpha2, ii], [np.uint64] * 4,
+                               "the key, alpha and ii columns")
+        return self._align(*addrs, len(j)) == 0
 
 
 def _library_path(cc: str, cache: Path) -> Path:

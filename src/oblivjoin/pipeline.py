@@ -19,6 +19,10 @@ whose first m-dependent access comes after an allocation of m slots has
 been made; everything before that point is a pure function of (n1, n2).
 Peak live public entries are exactly (n1+n2) + max(n1,m) + max(n2,m): the
 output is zipped into S1 rather than a separate table.
+
+The vector engine runs fill_dimensions' two passes and the align pass in
+one call each of the native fill and align scans (_native), or in their
+numpy bodies where the native module cannot be built.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .entries import (AugEntry, KEY_J_II, KEY_J_TID, KEY_TID_J_D, ct_eq,
                       ct_select)
 from .trace import (NullSink, PublicArray, READ, TraceSink, WRITE, alloc,
@@ -70,7 +75,7 @@ def _load(tc: PublicArray, t1: np.ndarray, t2: np.ndarray, engine: str) -> None:
     tc.col("d")[n1:] = t2[:, 1]
     tc.col("tid")[n1:] = 2
     tc.col("is_null")[:] = 0
-    emit_steps((tc, WRITE, np.arange(n1 + n2, dtype=np.int64)))
+    emit_steps((tc, WRITE, range(n1 + n2)))
 
 
 def fill_dimensions(tc: PublicArray, engine: str = "vector") -> int:
@@ -79,7 +84,9 @@ def fill_dimensions(tc: PublicArray, engine: str = "vector") -> int:
     Expects tc sorted by (j, tid).  One forward pass accumulates the
     running per-group counts and the output size m; one backward pass
     propagates each group's final dimensions to all its entries.  Both
-    passes read and write every slot unconditionally.  Returns m.
+    passes read and write every slot unconditionally.  Returns m.  The
+    vector engine runs both passes in one call of the native fill scan,
+    or _fill_dimensions_vector when the kernel is unavailable.
     """
     _check_engine(engine)
     sink = tc.sink
@@ -87,7 +94,16 @@ def fill_dimensions(tc: PublicArray, engine: str = "vector") -> int:
     with sink.phase_scope("fill_dimensions"):
         if engine == "scalar":
             return _fill_dimensions_scalar(tc, n)
-        return _fill_dimensions_vector(tc, n)
+        if n == 0:
+            return 0
+        native = _native.kernel()
+        fill = (_fill_dimensions_vector if native is None
+                else native.fill_dimensions)
+        m = fill(*(tc.col(name) for name in ("j", "tid", "alpha1", "alpha2")))
+        up, down = range(n), range(n - 1, -1, -1)
+        emit_steps((tc, READ, up), (tc, WRITE, up))
+        emit_steps((tc, READ, down), (tc, WRITE, down))
+        return m
 
 
 def _fill_dimensions_scalar(tc: PublicArray, n: int) -> int:
@@ -134,11 +150,12 @@ def _key_groups(j: np.ndarray):
     return new, np.maximum.accumulate(np.where(new, ar, 0)), ar
 
 
-def _fill_dimensions_vector(tc: PublicArray, n: int) -> int:
-    if n == 0:
-        return 0
-    tid = tc.col("tid")
-    new, start, ar = _key_groups(tc.col("j"))
+def _fill_dimensions_vector(j: np.ndarray, tid: np.ndarray,
+                            alpha1: np.ndarray, alpha2: np.ndarray) -> int:
+    """fill_dimensions' numpy body on n > 0 slots of the key, table id
+    and alpha columns; returns m."""
+    n = len(j)
+    new, start, ar = _key_groups(j)
     is1 = (tid == 1).astype(np.uint64)
     is2 = (tid == 2).astype(np.uint64)
     c1 = np.cumsum(is1, dtype=np.uint64)
@@ -151,10 +168,8 @@ def _fill_dimensions_vector(tc: PublicArray, n: int) -> int:
     m = int((g1 * g2 * is_last.astype(np.uint64)).sum())
     # index of each entry's group-final slot, for the backward propagation
     lidx = np.minimum.accumulate(np.where(is_last, ar, n)[::-1])[::-1]
-    tc.col("alpha1")[:] = g1[lidx]
-    tc.col("alpha2")[:] = g2[lidx]
-    emit_steps((tc, READ, ar), (tc, WRITE, ar))
-    emit_steps((tc, READ, ar[::-1]), (tc, WRITE, ar[::-1]))
+    alpha1[:] = g1[lidx]
+    alpha2[:] = g2[lidx]
     return m
 
 
@@ -191,15 +206,24 @@ def align_table(s2: PublicArray, engine: str = "vector") -> None:
     Within each key group of size alpha1 x alpha2, the q-th copy (0-based)
     is sent to slot floor(q/alpha1) + (q mod alpha1)*alpha2: S1 repeats
     each of its alpha1 rows alpha2 times in a row, so S2 must cycle
-    through its alpha2 distinct rows alpha1 times.
+    through its alpha2 distinct rows alpha1 times.  The vector engine
+    computes every slot in one call of the native align scan, or
+    _align_pass_vector when the kernel is unavailable.  ValueError, before
+    any access, if an alpha1 is 0.
     """
     _check_engine(engine)
     sink = s2.sink
+    m = s2.length
     with sink.phase_scope("align_pass"):
         if engine == "scalar":
             _align_pass_scalar(s2)
-        else:
-            _align_pass_vector(s2)
+        elif m:
+            native = _native.kernel()
+            align = _align_pass_vector if native is None else native.align
+            if not align(*(s2.col(name)
+                           for name in ("j", "alpha1", "alpha2", "ii"))):
+                raise ValueError("align requires alpha1 >= 1 on every entry")
+            emit_steps((s2, READ, range(m)), (s2, WRITE, range(m)))
     with sink.phase_scope("align_sort"):
         bitonic_sort(s2, KEY_J_II, engine)
 
@@ -216,18 +240,16 @@ def _align_pass_scalar(s2: PublicArray) -> None:
         pj = e.j
 
 
-def _align_pass_vector(s2: PublicArray) -> None:
-    m = s2.length
-    if m == 0:
-        return
-    _, start, ar = _key_groups(s2.col("j"))
+def _align_pass_vector(j: np.ndarray, alpha1: np.ndarray,
+                       alpha2: np.ndarray, ii: np.ndarray) -> bool:
+    """The align pass's numpy body on m > 0 slots of the key, alpha and
+    ii columns; False, having written nothing, if an alpha1 is 0."""
+    if not (alpha1 > 0).all():
+        return False
+    _, start, ar = _key_groups(j)
     q = (ar - start).astype(np.uint64)
-    c = s2.col("alpha1")
-    b = s2.col("alpha2")
-    if not (c > 0).all():
-        raise ValueError("align requires alpha1 >= 1 on every entry")
-    s2.col("ii")[:] = q // c + (q % c) * b
-    emit_steps((s2, READ, ar), (s2, WRITE, ar))
+    ii[:] = q // alpha1 + (q % alpha1) * alpha2
+    return True
 
 
 # --------------------------------------------------------------------------
@@ -244,8 +266,8 @@ def _zip_pass(s1: PublicArray, s2: PublicArray, engine: str) -> None:
             s1.write(i, e1)
         return
     s1.col("ii")[:] = s2.col("d")
-    ar = np.arange(m, dtype=np.int64)
-    emit_steps((s1, READ, ar), (s2, READ, ar), (s1, WRITE, ar))
+    emit_steps((s1, READ, range(m)), (s2, READ, range(m)),
+               (s1, WRITE, range(m)))
 
 
 def _extract(s1: PublicArray, engine: str) -> np.ndarray:
@@ -259,7 +281,7 @@ def _extract(s1: PublicArray, engine: str) -> np.ndarray:
         return out
     out[:, 0] = s1.col("d")
     out[:, 1] = s1.col("ii")
-    emit_steps((s1, READ, np.arange(m, dtype=np.int64)))
+    emit_steps((s1, READ, range(m)))
     return out
 
 

@@ -17,8 +17,10 @@ vector distribution sorts its own copies of f and the null flag with a
 slot permutation, then routes g = f & (nul - 1) (0 on null entries) and
 that permutation through the whole routing network in one call of the C
 route kernel, or one numpy hop at a time (_route_hop_vector); the two
-give the same arrays.  The expansion folds its forward fill into the
-same permutation.
+give the same arrays.  The expansion runs its prefix pass in one call
+of the C prefix scan (or _expand_prefix_vector) and folds its forward
+fill into the same permutation in one call of the C fold scan (or
+_fold_fill_vector); each scan is one sequential pass of masked selects.
 
 So a sort, a distribution and an expansion each end in one slot
 permutation, and _gather moves every column of the array through it
@@ -246,8 +248,7 @@ def _copy_into(x: PublicArray, a: PublicArray, n: int, engine: str) -> None:
         return
     for name in _ALL_COLS:
         a.col(name)[:n] = x.col(name)[:n]
-    ar = np.arange(n, dtype=np.int64)
-    emit_steps((x, READ, ar), (a, WRITE, ar))
+    emit_steps((x, READ, range(n)), (a, WRITE, range(n)))
 
 
 # --------------------------------------------------------------------------
@@ -298,7 +299,7 @@ def _route_vector(a: PublicArray, g: np.ndarray, perm: np.ndarray) -> None:
         native.route(g, perm, np.array(hops, np.int64))
     # hop j steps (i, i+j) for i from m-j-1 down to 0: both index vectors
     # are slices of one descending range
-    down = np.arange(m - 1, -1, -1, dtype=np.int64)
+    down = range(m - 1, -1, -1)
     for j in hops:
         _emit_pairs(a, down[j:], down[:m - j])
 
@@ -357,24 +358,26 @@ def _distribute_vector(x: PublicArray, m: int):
     a holds x in its first n of max(n, m) slots, unmoved.  Slot i of the
     distribution takes slot perm[i] of a, or is null where perm[i] is
     _VACATED; g[i], for i < m, is its destination (0 on a null entry).
-    The network sorts uint64 copies of the null flag and f with perm, then
-    routes g = f & (nul - 1), computed on those copies, with the first m
-    entries of perm, so no column moves until one _gather.  Slots past n
-    start null with f = 0, so their g is 0.
+    The network sorts uint64 copies of x's null flags and f with perm,
+    then routes g = f & (nul - 1), computed on those copies, with the
+    first m entries of perm, so no column moves until one _gather.  Slots
+    past n start null with f = 0, so their g is 0.
     """
     n = x.length
     sink = x.sink
     a = _copied(x, m, "vector")
-    # uint64 copies of the whole array, in KEY_NONNULL_F's order
-    nul, g = (a.col(name).astype(np.uint64) for name in KEY_NONNULL_F)
+    # uint64 copies of x's n slots, in KEY_NONNULL_F's order
+    nul, f = (x.col(name).astype(np.uint64) for name in KEY_NONNULL_F)
     perm = np.arange(a.length, dtype=np.int64)
     with sink.phase_scope("distribute_sort"):
-        _sort_network(a.view(0, n), [nul[:n], g[:n]], perm[:n])
+        _sort_network(a.view(0, n), [nul, f], perm[:n])
     with sink.phase_scope("distribute_route"):
+        k = min(n, m)
+        nul = nul[:k]
         nul -= 1  # all ones on a live entry, 0 on a null one
-        g &= nul
-        del nul
-        g = g[:m]
+        g = np.zeros(m, np.uint64)
+        np.bitwise_and(f[:k], nul, out=g[:k])
+        del nul, f
         _route_vector(a.view(0, m), g, perm[:m])
         _check_placement(g, x)
     return a, g, perm
@@ -416,30 +419,59 @@ def oblivious_distribute(x: PublicArray, m: int,
 
 def _expand_prefix(x: PublicArray, g_attr: str, engine: str) -> int:
     """First expansion pass: f <- 1 + exclusive prefix sum of g, zero-g
-    entries become null with f = 0.  Returns m = sum of g."""
+    entries become null with f = 0.  Returns m = sum of g.  ValueError,
+    before any access or write, if a running sum of g does not fit in 64
+    bits.  The vector engine runs the pass in one call of the native
+    prefix scan, which refuses that sum itself, or _expand_prefix_vector
+    when the kernel is unavailable."""
     n = x.length
-    if engine == "scalar":
-        s = 1
-        for i in range(n):
-            e = x.read(i)
-            g = getattr(e, g_attr)
-            z = ct_eq(g, 0)
-            e.f = ct_select(z, 0, s)
-            e.is_null = ct_select(z, 1, e.is_null)
-            x.write(i, e)
-            s += g
-        return s - 1
     g = x.col(g_attr)
-    # the sum before the write below, which overwrites g when g_attr is "f"
+    if engine == "scalar":
+        m = None if _sum_wraps(g) else _expand_prefix_scalar(x, g_attr)
+    else:
+        native = _native.kernel()
+        prefix = _expand_prefix_vector if native is None else native.prefix
+        m = prefix(g, x.col("f"), x.col("is_null"))
+    if m is None:
+        raise ValueError(f"the sum of {g_attr} over {n} entries does not "
+                         f"fit in 64 bits")
+    if engine == "vector":
+        emit_steps((x, READ, range(n)), (x, WRITE, range(n)))
+    return m
+
+
+def _sum_wraps(g: np.ndarray) -> bool:
+    """Whether a uint64 running sum of g wraps, by an untraced read: a sum
+    that wraps drops below its term."""
+    return bool((np.cumsum(g, dtype=np.uint64) < g).any())
+
+
+def _expand_prefix_scalar(x: PublicArray, g_attr: str) -> int:
+    s = 1
+    for i in range(x.length):
+        e = x.read(i)
+        g = getattr(e, g_attr)
+        z = ct_eq(g, 0)
+        e.f = ct_select(z, 0, s)
+        e.is_null = ct_select(z, 1, e.is_null)
+        x.write(i, e)
+        s += g
+    return s - 1
+
+
+def _expand_prefix_vector(g: np.ndarray, f: np.ndarray,
+                          nul: np.ndarray) -> int | None:
+    """The prefix pass's numpy body on the g, f and null flag columns; g
+    may be f itself.  Returns m, or None, having written nothing, if a
+    running sum of g wraps."""
+    if _sum_wraps(g):
+        return None
+    # computed before the writes below, which overwrite g when it is f
     m = int(g.sum(dtype=np.uint64))
     z = g == 0
     before = np.cumsum(g, dtype=np.uint64) - g
-    fcol = x.col("f")
-    ncol = x.col("is_null")
-    fcol[:] = np.where(z, 0, np.uint64(1) + before)
-    ncol[:] = np.where(z, 1, ncol)
-    ar = np.arange(n, dtype=np.int64)
-    emit_steps((x, READ, ar), (x, WRITE, ar))
+    f[:] = np.where(z, 0, np.uint64(1) + before)
+    nul[:] = np.where(z, 1, nul)
     return m
 
 
@@ -459,11 +491,19 @@ def _fold_fill(g: np.ndarray, perm: np.ndarray) -> None:
     _distribute_vector's (a, g, perm): slot i < len(g) takes the last
     live slot src at or before it, so perm[i] becomes perm[src], or
     _VACATED where no live slot precedes it.  After _check_placement the
-    live slots are exactly those with g != 0."""
+    live slots are exactly those with g != 0.  One call of the native
+    fold scan, or _fold_fill_vector when the kernel is unavailable."""
+    native = _native.kernel()
+    fold = _fold_fill_vector if native is None else native.fold
+    fold(g, perm[:len(g)])
+
+
+def _fold_fill_vector(g: np.ndarray, perm: np.ndarray) -> None:
+    """_fold_fill's numpy body on g and perm of one length."""
     ar = np.arange(len(g), dtype=np.int64)
     src = np.maximum.accumulate(np.where(g != 0, ar, _VACATED))
     # a _VACATED src reads perm[-1], which the where discards
-    perm[:len(g)] = np.where(src == _VACATED, _VACATED, perm[src])
+    perm[:] = np.where(src == _VACATED, _VACATED, perm[src])
 
 
 def oblivious_expand(x: PublicArray, g_attr: str,
@@ -481,11 +521,6 @@ def oblivious_expand(x: PublicArray, g_attr: str,
     _check_engine(engine)
     if g_attr not in U64_FIELDS:
         raise ValueError(f"g_attr {g_attr!r} is not one of {U64_FIELDS}")
-    # an untraced read: a uint64 running sum that wraps drops below its term
-    g = x.col(g_attr)
-    if (np.cumsum(g, dtype=np.uint64) < g).any():
-        raise ValueError(f"the sum of {g_attr} over {x.length} entries "
-                         f"does not fit in 64 bits")
     sink = x.sink
     with sink.phase_scope("expand_prefix"):
         m = _expand_prefix(x, g_attr, engine)
@@ -499,6 +534,5 @@ def oblivious_expand(x: PublicArray, g_attr: str,
         _fold_fill(g, perm)
         del g  # freed first, or the gather raises the join's peak memory
         _gather(a, perm)
-        ar = np.arange(m, dtype=np.int64)
-        emit_steps((a, READ, ar), (a, WRITE, ar))
+        emit_steps((a, READ, range(m)), (a, WRITE, range(m)))
     return _first(a, m)

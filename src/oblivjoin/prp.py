@@ -133,7 +133,7 @@ def prp_distribute(x: PublicArray, m: int, seed: int) -> PublicArray:
     prp = SmallDomainPrp(m, seed)
     a = alloc(m, sink)
     big = np.uint64(m + 1)
-    ar = np.arange(m, dtype=np.int64)
+    ar = range(m)
     with sink.phase_scope("prp_place"):
         for i in range(n):
             e = x.read(i)

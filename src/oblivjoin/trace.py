@@ -326,12 +326,11 @@ def emit_steps(*accesses) -> None:
     emit_steps((a, READ, lo), (a, READ, hi), (a, WRITE, lo), (a, WRITE, hi)).
     The first array's sink counts the events under its phase and
     receives one emit_block call, with a scalar array id when every
-    access is on one array and a per-event id vector otherwise.  A sink
-    that does not consume events (a plain NullSink) gets no call and no
-    block is built; only len() of the first idx is read before that
-    return, so a caller that knows the sink discards events may pass a
-    range of the step count instead of index arrays.  A scalar read or
-    write of a PublicArray is a one-step emit_steps call.
+    access is on one array and a per-event id vector otherwise.  An idx
+    may be a range, which is built into an array only for a sink that
+    consumes events: a sink that does not (a plain NullSink) gets no call
+    and no block is built, and only len() of the first idx is read.  A
+    scalar read or write of a PublicArray is a one-step emit_steps call.
     """
     first = accesses[0][0]
     sink = first.sink
@@ -348,6 +347,8 @@ def emit_steps(*accesses) -> None:
         for s, (a, _, _) in enumerate(accesses):
             aid[s::k] = a.array_id
     for s, (a, op, idx) in enumerate(accesses):
+        if isinstance(idx, range):
+            idx = np.arange(idx.start, idx.stop, idx.step, dtype=np.int64)
         ops[s::k] = op
         idxs[s::k] = idx + a.offset if a.offset else idx
     sink.emit_block(aid, ops, idxs)

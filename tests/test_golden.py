@@ -178,6 +178,25 @@ def test_join_stream_golden(name):
     assert sink.hexdigest() == GOLDEN_JOIN_STREAMS[name]
 
 
+@pytest.mark.parametrize("path", ["native", "numpy"])
+@pytest.mark.parametrize("name", sorted(JOINS))
+def test_join_pins_hold_on_both_paths(name, path, native_loads, monkeypatch):
+    # the native kernels and their numpy fallbacks each give the pinned
+    # output size, peak entries, pairs, trace digest and per-phase counts
+    kernel = native_loads["native" if path == "native" else "fallback"]
+    if path == "native" and kernel is None:
+        pytest.skip("the native module cannot be built here")
+    monkeypatch.setattr(_native, "kernel", lambda: kernel)
+    t1, t2 = JOINS[name]()
+    sink = HashSink()
+    res = oblivious_join(t1, t2, sink)
+    m, peak, _, pairs = GOLDEN_JOINS[name]
+    assert (res.m, sink.peak_entries,
+            hashlib.sha256(res.pairs.tobytes()).hexdigest()) == (m, peak, pairs)
+    assert sink.hexdigest() == GOLDEN_JOIN_STREAMS[name]
+    assert sink.counts == Counter(GOLDEN_COUNTS[name])
+
+
 # name: events emitted under each phase label.  The digest pins above
 # cannot catch a miscount: counting does not change the event stream.
 GOLDEN_COUNTS = {

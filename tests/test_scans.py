@@ -1,0 +1,243 @@
+"""The native linear scans (fill, prefix, fold, align) against their numpy
+bodies, their refusals, and which of the two each join phase runs."""
+
+import numpy as np
+import pytest
+
+from oblivjoin import _native, pipeline, primitives
+from oblivjoin.harness import make_distribute_input
+from oblivjoin.pipeline import align_table, oblivious_join
+from oblivjoin.primitives import oblivious_expand
+from oblivjoin.trace import HashSink, LogSink, alloc
+
+LENGTHS = [*range(301), 5400, 32768]
+KINDS = ("ties", "sorted_ties", "distinct")
+TOP = np.array([0, 1, 2**63, 2**64 - 1], np.uint64)
+
+
+def _keys(rng, n, kind):
+    """n uint64 keys: a few values in random or sorted order, or n
+    distinct ones."""
+    if kind == "distinct":
+        return rng.permutation(n).astype(np.uint64) * np.uint64(2**50 + 1)
+    keys = TOP[rng.integers(0, len(TOP), n)]
+    return np.sort(keys) if kind == "sorted_ties" else keys
+
+
+def _wild(rng, n):
+    """n uint64 values anywhere in [0, 2^64)."""
+    return rng.integers(0, 2**64, n, dtype=np.uint64)
+
+
+def _copies(*arrays):
+    return [a.copy() for a in arrays]
+
+
+def _cases(seed):
+    rng = np.random.default_rng(seed)
+    for n in LENGTHS:
+        for kind in KINDS:
+            yield rng, n, kind
+
+
+def test_fill_scan_matches_numpy_body(native):
+    # tid outside {1, 2} and unsorted keys included; alpha1 and alpha2
+    # start as garbage, which both overwrite
+    for rng, n, kind in _cases(1):
+        j = _keys(rng, n, kind)
+        tid = np.array([0, 1, 2, 3, 2**64 - 1], np.uint64)[
+            rng.choice(5, n, p=[0.05, 0.45, 0.4, 0.05, 0.05])]
+        a1, a2 = _wild(rng, n), _wild(rng, n)
+        cols = _copies(j, tid, a1, a2)
+        m = native.fill_dimensions(*cols)
+        if n == 0:
+            assert m == 0
+            continue
+        want = _copies(j, tid, a1, a2)
+        assert m == pipeline._fill_dimensions_vector(*want), (n, kind)
+        for got, exp in zip(cols, want):
+            assert np.array_equal(got, exp), (n, kind)
+
+
+def test_align_scan_matches_numpy_body(native):
+    # alpha1 varies within a key run, and alpha2 is wild, so the products
+    # wrap
+    for rng, n, kind in _cases(2):
+        j = _keys(rng, n, kind)
+        a1 = rng.integers(1, 5, n).astype(np.uint64)
+        a1[rng.random(n) < 0.1] = _wild(rng, n)[:1] | np.uint64(1)
+        a2, ii = _wild(rng, n), _wild(rng, n)
+        cols, want = _copies(j, a1, a2, ii), _copies(j, a1, a2, ii)
+        assert native.align(*cols)
+        assert pipeline._align_pass_vector(*want)
+        for got, exp in zip(cols, want):
+            assert np.array_equal(got, exp), (n, kind)
+
+
+def _counts(rng, n, kind):
+    """n counts whose running sum fits in 64 bits: mostly zeros and ones,
+    or distinct and large."""
+    if kind == "distinct":
+        return rng.permutation(n).astype(np.uint64) << np.uint64(30)
+    return np.array([0, 0, 1, 3], np.uint64)[rng.integers(0, 4, n)]
+
+
+@pytest.mark.parametrize("alias", [False, True], ids=["g", "g_is_f"])
+def test_prefix_scan_matches_numpy_body(native, alias):
+    # the null flags are wild bytes; with alias, g is the f column itself
+    # (g_attr="f"), so each slot is read before it is written
+    for rng, n, kind in _cases(3):
+        g, f = _counts(rng, n, kind), _wild(rng, n)
+        nul = rng.integers(0, 256, n).astype(np.uint8)
+        if alias:
+            f = g
+        got, want = _copies(g, f, nul), _copies(g, f, nul)
+        if alias:
+            got[1], want[1] = got[0], want[0]
+        m = native.prefix(*got)
+        assert m == primitives._expand_prefix_vector(*want), (n, kind)
+        assert m == int(g.sum(dtype=np.uint64))
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b), (n, kind)
+
+
+def test_fold_scan_matches_numpy_body(native):
+    # perm holds anything in [-1, n), as after a route
+    for rng, n, kind in _cases(4):
+        g = _keys(rng, n, kind) % np.uint64(3)
+        perm = rng.integers(-1, max(n, 1), n)
+        got, want = _copies(g, perm), _copies(g, perm)
+        native.fold(*got)
+        primitives._fold_fill_vector(*want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b), (n, kind)
+
+
+# -- refusals, each before any write -----------------------------------------
+
+@pytest.mark.parametrize("alias", [False, True], ids=["g", "g_is_f"])
+@pytest.mark.parametrize("path", ["native", "numpy"])
+def test_prefix_refuses_a_wrapping_sum_before_any_write(native, path, alias):
+    body = native.prefix if path == "native" else \
+        primitives._expand_prefix_vector
+    for g in ([2**64 - 1, 1], [1, 2**64 - 1], [2**63, 0, 2**63, 5]):
+        g = np.array(g, np.uint64)
+        f = g if alias else np.arange(len(g), dtype=np.uint64)
+        nul = np.full(len(g), 7, np.uint8)
+        before = _copies(g, f, nul)
+        assert body(g, f, nul) is None
+        for a, b in zip((g, f, nul), before):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("path", ["native", "numpy"])
+def test_align_refuses_a_zero_alpha1_before_any_write(native, path):
+    body = native.align if path == "native" else pipeline._align_pass_vector
+    j = np.zeros(5, np.uint64)
+    a1 = np.array([1, 2, 3, 0, 1], np.uint64)
+    a2 = np.ones(5, np.uint64)
+    ii = np.full(5, 9, np.uint64)
+    assert not body(j, a1, a2, ii)
+    assert ii.tolist() == [9] * 5
+
+
+def test_scan_argument_refusals_write_nothing(native):
+    u = np.arange(4, dtype=np.uint64)
+    cols = [u + np.uint64(10 * k) for k in range(4)]
+    before = _copies(*cols)
+    nul = np.zeros(4, np.uint8)
+    perm = np.arange(4, dtype=np.int64)
+    bad = [
+        lambda: native.fill_dimensions(cols[0], cols[1], cols[2],
+                                       cols[2]),  # alpha1 is alpha2
+        lambda: native.fill_dimensions(cols[0], cols[1], cols[2][:3],
+                                       cols[3]),  # a short column
+        lambda: native.fill_dimensions(cols[0], cols[1].astype(np.int64),
+                                       cols[2], cols[3]),  # a wrong dtype
+        lambda: native.align(cols[0], cols[1], cols[2],
+                             cols[1]),  # ii is alpha1
+        lambda: native.align(cols[0], cols[1], cols[2],
+                             cols[3][::-1]),  # not C-contiguous
+        lambda: native.prefix(cols[0][1:], cols[0][:3],
+                              nul[:3]),  # g overlaps f, but is not f
+        lambda: native.prefix(cols[0], cols[1], nul.view(np.int8)),
+        lambda: native.prefix(cols[0], cols[1], cols[1].view(np.uint8)[:4]),
+        lambda: native.fold(cols[0], perm.astype(np.int32)),
+        lambda: native.fold(cols[0], cols[0].view(np.int64)),  # shared
+    ]
+    for call in bad:
+        with pytest.raises(ValueError):
+            call()
+        for a, b in zip(cols, before):
+            assert np.array_equal(a, b)
+        assert nul.tolist() == [0] * 4 and perm.tolist() == [0, 1, 2, 3]
+
+
+# -- which body each join phase runs -----------------------------------------
+
+# (module, numpy body, Kernels method, the phase it runs under)
+SCANS = [
+    (pipeline, "_fill_dimensions_vector", "fill_dimensions",
+     "fill_dimensions"),
+    (primitives, "_expand_prefix_vector", "prefix", "expand_prefix"),
+    (primitives, "_fold_fill_vector", "fold", "expand_fill"),
+    (pipeline, "_align_pass_vector", "align", "align_pass"),
+]
+
+
+@pytest.mark.parametrize("path", ["native", "fallback"])
+def test_each_join_phase_runs_its_scan(path, native_loads, monkeypatch):
+    # under the native path every linear pass is one kernel call and no
+    # numpy body runs; on the fallback the numpy bodies run instead, in
+    # the same phases
+    kernel = native_loads[path]
+    if path == "native" and kernel is None:
+        pytest.skip("the native module cannot be built here")
+    monkeypatch.setattr(_native, "kernel", lambda: kernel)
+    sink = HashSink()
+    calls = []
+
+    def recorder(name, fn):
+        def run(*args):
+            calls.append((name, sink.phase))
+            return fn(*args)
+        return run
+    for module, body, method, _ in SCANS:
+        monkeypatch.setattr(module, body,
+                            recorder(body, getattr(module, body)))
+        if kernel is not None:
+            monkeypatch.setattr(kernel, method,
+                                recorder(method, getattr(kernel, method)))
+    t1 = np.array([(1, 10), (2, 11), (1, 12), (5, 13)], np.uint64)
+    t2 = np.array([(1, 20), (2, 21), (2, 22), (7, 23)], np.uint64)
+    res = oblivious_join(t1, t2, sink)
+    assert sorted(res.rows()) == [(10, 20), (11, 21), (11, 22), (12, 20)]
+    col = 2 if path == "native" else 1
+    want = [(s[col], s[3]) for s in (SCANS[0], *SCANS[1:3], *SCANS[1:])]
+    assert calls == want
+
+
+@pytest.mark.parametrize("path", ["native", "fallback"])
+def test_phase_refusals_access_nothing(path, native_loads, monkeypatch):
+    # align_table and oblivious_expand (with g_attr="f", g and f one
+    # column) refuse with their messages on either path, having emitted,
+    # allocated and written nothing
+    kernel = native_loads[path]
+    if path == "native" and kernel is None:
+        pytest.skip("the native module cannot be built here")
+    monkeypatch.setattr(_native, "kernel", lambda: kernel)
+    sink = LogSink()
+    s2 = alloc(3, sink)
+    s2.col("alpha1")[:] = [2, 0, 2]
+    s2.col("ii")[:] = 9
+    with pytest.raises(ValueError, match="alpha1 >= 1 on every entry"):
+        align_table(s2)
+    assert s2.col("ii").tolist() == [9] * 3
+    x = make_distribute_input(sink, [2**64 - 1, 1, 5])
+    with pytest.raises(ValueError, match="sum of f over 3 entries does not "
+                                         "fit in 64 bits"):
+        oblivious_expand(x, "f")
+    assert x.col("f").tolist() == [2**64 - 1, 1, 5]
+    assert x.col("is_null").tolist() == [0] * 3
+    assert len(sink) == 0 and not sink.counts
+    assert sink.peak_entries == 6

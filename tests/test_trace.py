@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 import oblivjoin
-from oblivjoin import _native, primitives
-from oblivjoin._schedule import sort_levels, sort_program
+from oblivjoin import _native, pipeline, primitives
+from oblivjoin._schedule import route_hops, sort_levels, sort_program
 from oblivjoin.entries import KEY_J_TID, U64_FIELDS, AugEntry
 from oblivjoin.harness import make_distribute_input
 from oblivjoin.trace import (
@@ -123,9 +123,11 @@ def test_native_module_loads_where_it_can_be_built(monkeypatch):
 
     def numpy_fallback(*args):
         raise AssertionError("a numpy fallback ran beside a live kernel")
-    monkeypatch.setattr(primitives, "_ce_level_vector", numpy_fallback)
-    monkeypatch.setattr(primitives, "_route_hop_vector", numpy_fallback)
-    monkeypatch.setattr(primitives, "_gather_vector", numpy_fallback)
+    for name in ("_ce_level_vector", "_route_hop_vector", "_gather_vector",
+                 "_expand_prefix_vector", "_fold_fill_vector"):
+        monkeypatch.setattr(primitives, name, numpy_fallback)
+    for name in ("_fill_dimensions_vector", "_align_pass_vector"):
+        monkeypatch.setattr(pipeline, name, numpy_fallback)
     a = alloc(6, NullSink())
     a.col("j")[:] = [5, 0, 3, 2, 4, 1]
     a.col("is_null")[:] = 0
@@ -134,6 +136,8 @@ def test_native_module_loads_where_it_can_be_built(monkeypatch):
     x = make_distribute_input(NullSink(), [3, 1])
     out = primitives.oblivious_distribute(x, 4)
     assert out.debug_col("f").tolist() == [1, 0, 3, 0]
+    res = pipeline.oblivious_join([(1, 7), (2, 8)], [(1, 9), (1, 6)])
+    assert sorted(res.rows()) == [(7, 6), (7, 9)]
 
 
 @pytest.mark.skipif(not _can_build_kernel(), reason="no cc")
@@ -152,8 +156,9 @@ def test_native_source_compiles_without_warnings(tmp_path):
 # sort on ragged lengths with each key count (and one refused program),
 # the pair expander over the same lengths in ranges of 8,192 (and one
 # refused range), two routes (one of a length that is not a power of
-# two) and gathers with -1 entries (and one refused permutation); any
-# undefined behaviour aborts it.
+# two), gathers with -1 entries (and one refused permutation), and the
+# four scans on wild columns against their numpy bodies (and a refused
+# prefix and align); any undefined behaviour aborts it.
 UBSAN_RUN = """
 import ctypes, sys
 import numpy as np
@@ -213,6 +218,32 @@ try:  # an entry past the end
     raise AssertionError("a gather past the end ran")
 except ValueError:
     pass
+from oblivjoin import pipeline, primitives
+for n in (1, 2, 7, 1000, 5400):
+    j = top[rng.integers(0, 4, n)]
+    tid = rng.integers(0, 4, n).astype(np.uint64)
+    wild = [rng.integers(0, 2**64, n, dtype=np.uint64) for _ in range(4)]
+    got, want = ([c.copy() for c in (j, tid, *wild[:2])] for _ in range(2))
+    assert kernel.fill_dimensions(*got) == \
+        pipeline._fill_dimensions_vector(*want), n
+    assert all(np.array_equal(a, b) for a, b in zip(got, want)), n
+    a1 = wild[2] | np.uint64(1)
+    got, want = ([c.copy() for c in (j, a1, *wild[2:])] for _ in range(2))
+    assert kernel.align(*got) and pipeline._align_pass_vector(*want), n
+    assert all(np.array_equal(a, b) for a, b in zip(got, want)), n
+    g = j % np.uint64(5)
+    nul = rng.integers(0, 256, n).astype(np.uint8)
+    got, want = ([c.copy() for c in (g, wild[0], nul)] for _ in range(2))
+    assert kernel.prefix(*got) == primitives._expand_prefix_vector(*want), n
+    assert all(np.array_equal(a, b) for a, b in zip(got, want)), n
+    assert kernel.prefix(got[0], got[0], got[2]) is not None  # g is f
+    perm = rng.integers(-1, n, n)
+    got, want = ([c.copy() for c in (g, perm)] for _ in range(2))
+    kernel.fold(*got)
+    primitives._fold_fill_vector(*want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want)), n
+assert kernel.prefix(top, wild[0][:4], nul[:4]) is None  # the sum wraps
+assert not kernel.align(j, j.copy(), j.copy(), wild[0])  # an alpha1 of 0
 """
 UBSAN_FLAGS = ("-O1", "-g", "-fsanitize=undefined",
                "-fno-sanitize-recover=all", "-shared", "-fPIC")
@@ -266,6 +297,130 @@ def test_plain_source_runs_clean_under_ubsan(tmp_path):
     _run_under_ubsan(_plain_source(), tmp_path)
 
 
+# GCC's and Clang's -fsanitize-coverage=trace-pc call
+# __sanitizer_cov_trace_pc at every basic block.  This hook, built
+# without the flag and hidden, so that the object's calls bind to it,
+# folds each caller's address into a hash of the block sequence.
+COV_FLAG = "-fsanitize-coverage=trace-pc"
+COV_HOOK = r"""
+#include <stdint.h>
+static uint64_t h, count;
+__attribute__((visibility("hidden"))) void __sanitizer_cov_trace_pc(void)
+{
+    h = (h ^ (uint64_t)(uintptr_t)__builtin_return_address(0)) *
+        1099511628211u;
+    count++;
+}
+void cov_reset(void) { h = 14695981039346656037u; count = 0; }
+uint64_t cov_hash(void) { return h; }
+uint64_t cov_count(void) { return count; }
+"""
+
+
+def _build_traced(source: str, tmp_path, name: str):
+    """(kernels, hook) of source built as the module is, with COV_FLAG,
+    and linked with COV_HOOK; None where cc cannot build with the flag."""
+    cc = shutil.which("cc")
+    if cc is None:
+        return None
+    hook, src = tmp_path / "hook.o", tmp_path / f"{name}.c"
+    lib = tmp_path / f"{name}.so"
+    (tmp_path / "hook.c").write_text(COV_HOOK)
+    src.write_text(source)
+    for cmd in ([cc, "-O2", "-fPIC", "-c", "-o", str(hook),
+                 str(tmp_path / "hook.c")],
+                [cc, *_native._FLAGS, COV_FLAG, "-o", str(lib), str(src),
+                 str(hook)]):
+        if subprocess.run(cmd, capture_output=True,
+                          timeout=300).returncode != 0:
+            return None
+    dll = ctypes.CDLL(str(lib))
+    dll.cov_hash.restype = dll.cov_count.restype = ctypes.c_uint64
+    return _native.Kernels(dll), dll
+
+
+def _key_sets(rng, n):
+    """Four uint64 key columns of n slots: all equal, tie-heavy, distinct
+    and uniform."""
+    return [np.zeros(n, np.uint64),
+            rng.integers(0, 3, n).astype(np.uint64),
+            rng.permutation(n).astype(np.uint64),
+            rng.integers(0, 2**64, n, dtype=np.uint64)]
+
+
+def _kernel_runs(kernel, n, keys):
+    """name -> a call of each checked kernel on n slots built from the
+    key column keys: the sort on two keys, the route, and the four
+    scans, each on the columns its phase gives it."""
+    j = np.sort(keys)
+    tid = keys % np.uint64(4)
+    g = keys % np.uint64(n + 2)
+    counts = keys % np.uint64(5)
+    alpha1 = keys % np.uint64(7) + np.uint64(1)
+    hops = np.array(route_hops(n), np.int64)
+    zeros = functools.partial(np.zeros, n, np.uint64)
+    return {
+        "sort": lambda: kernel.sort([keys.copy(), keys[::-1].copy()],
+                                    np.arange(n), sort_program(n)[0]),
+        "route": lambda: kernel.route(g.copy(), np.arange(n), hops),
+        "fill": lambda: kernel.fill_dimensions(j, tid, zeros(), zeros()),
+        "prefix": lambda: kernel.prefix(counts, zeros(),
+                                        np.zeros(n, np.uint8)),
+        "fold": lambda: kernel.fold(counts, np.arange(n)),
+        "align": lambda: kernel.align(j, alpha1, keys >> np.uint64(3),
+                                      zeros()),
+    }
+
+
+def _block_sequences(traced, n):
+    """name -> the set of (hash, count) block sequences each kernel of
+    _kernel_runs runs over the four key sets of _key_sets at n slots."""
+    kernel, hook = traced
+    seqs = {}
+    for keys in _key_sets(np.random.default_rng(n), n):
+        for name, run in _kernel_runs(kernel, n, keys).items():
+            hook.cov_reset()
+            run()
+            seqs.setdefault(name, set()).add((hook.cov_hash(),
+                                              hook.cov_count()))
+    return seqs
+
+
+def test_kernels_run_one_block_sequence_per_length(tmp_path):
+    # the sort, the route and the four scans take no branch on the data:
+    # for each length, every key set runs the same basic blocks in the
+    # same order
+    traced = _build_traced(_native.SOURCE, tmp_path, "native")
+    if traced is None:
+        pytest.skip(f"cc cannot build with {COV_FLAG}")
+    for n in (1, 7, 1000, 5400):
+        seqs = _block_sequences(traced, n)
+        assert {name: len(s) for name, s in seqs.items()} == \
+            dict.fromkeys(seqs, 1), n
+
+
+# one `if` on a key in the sort's span loop and in the fold: each keeps
+# the kernel's output but branches on the data
+COV_MUTANTS = {
+    "sort": ("        uint64_t mask = -((up & gt) | ((up ^ 1) & lt));\n",
+             "        if (gt)\n            mask = -up;\n"),
+    "fold": ("        carry = (pr[i] & live) | (carry & ~live);\n",
+             "        if (live)\n            carry = pr[i];\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COV_MUTANTS))
+def test_block_sequence_check_sees_a_branch_on_a_key(name, tmp_path):
+    line, branch = COV_MUTANTS[name]
+    assert _native.SOURCE.count(line) == 1
+    keep = line if name == "sort" else ""
+    traced = _build_traced(_native.SOURCE.replace(line, keep + branch),
+                           tmp_path, name)
+    if traced is None:
+        pytest.skip(f"cc cannot build with {COV_FLAG}")
+    assert len(_block_sequences(traced, 1000)[name]) > 1
+
+
 @pytest.mark.skipif(not _can_build_kernel(), reason="no cc")
 def test_default_clone_matches_numpy_levels(tmp_path):
     # the plain body, built as the module is, leaves the permutation and
@@ -312,10 +467,12 @@ def test_sort_kernel_is_dispatched_on_x86_64_glibc(tmp_path):
 
 
 @pytest.mark.parametrize("symbol", ["oblivjoin_sort", "oblivjoin_sort_pairs",
-                                    "oblivjoin_route", "oblivjoin_gather"])
+                                    "oblivjoin_route", "oblivjoin_gather",
+                                    "oblivjoin_fill", "oblivjoin_prefix",
+                                    "oblivjoin_fold", "oblivjoin_align"])
 def test_cached_object_without_a_kernel_falls_back(symbol, tmp_path,
                                                    monkeypatch):
-    # an object at the cache path that exports only one of the four
+    # an object at the cache path that exports only one of the eight
     # kernels loads as a failure, and the failure is kept like any other
     cc = shutil.which("cc")
     if cc is None:
