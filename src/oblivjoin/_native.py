@@ -16,10 +16,17 @@ sort_levels yields; the pairs of a level are disjoint, so their order
 within it changes nothing.  Each pair is a lexicographic compare over
 the keys, each ascending, then an XOR-masked swap of the keys and the
 permutation, like ct_select; the loop body is compiled once per key
-count, one to three.  The whole program is validated before the first
-write, by the check that oblivjoin_sort_pairs shares.  The keys and the
-permutation must not overlap (Kernels.sort refuses arrays that share
-memory).
+count, one to three.  In the AVX2 body (below), hops 4, 2 and 1 of a
+stage k >= 8 run their complete blocks in one pass instead, an 8-slot
+block at a time in registers: two four-lane vectors per key copy and
+for the permutation, compared lane by lane at hop 4, shuffled to slots
+{0,1,4,5} and {2,3,6,7} for hop 2 and to {0,2,4,6} and {1,3,5,7} for
+hop 1, and shuffled back to be stored; the three levels' tail parts,
+past the complete blocks, then run as spans.  The baseline body and
+other targets run every level as spans.  The whole program is validated
+before the first write, by the check that oblivjoin_sort_pairs shares.
+The keys and the permutation must not overlap (Kernels.sort refuses
+arrays that share memory).
 
 The sort stays data-oblivious: its loop bounds and addresses come from
 the program alone, a function of the public length; every select is a
@@ -70,7 +77,10 @@ loaded with ctypes; nothing is built at import.  It is built with -O3,
 because GCC 12's -O2 does not vectorize the span loops.  On x86-64 with
 glibc, oblivjoin_sort carries target_clones("avx2", "default"): one body
 for AVX2 and one for the x86-64 baseline, and the loader picks one by
-the CPU.  Other targets and C libraries build the plain body.  There is
+the CPU; the sort runs the fused hops on the same test of the CPU.
+Without AVX, GCC lowers the four-lane compares to scalar code, slower
+than the spans, so the baseline body keeps the spans.  Other targets and
+C libraries build the plain body, which runs spans only.  There is
 no -march=native: the cache key does not name the CPU, so an object in a
 shared cache must run on any x86-64.  load() returns None when
 it cannot build or load the object, or the object lacks one of the eight
@@ -177,22 +187,112 @@ run_part(uint64_t *const *key, int nkeys, uint64_t *perm, size_t lo0,
     }
 }
 
+/* Four 64-bit lanes: one 256-bit register in the AVX2 body. */
+typedef uint64_t v4 __attribute__((vector_size(32)));
+
+/* Orders the four lane pairs of the low vectors a[0..nkeys] and high
+   vectors b[0..nkeys], the keys and then the permutation, in one
+   direction: the compare and the masked swap of span, lane by lane. */
+static inline __attribute__((always_inline)) void
+lanes(v4 *a, v4 *b, int nkeys, uint64_t up)
+{
+    v4 gt = {0}, lt = {0}, eq = ~gt;
+    for (int q = 0; q < nkeys; q++) {
+        v4 g = (v4)(a[q] > b[q]), l = (v4)(a[q] < b[q]);
+        gt |= eq & g;
+        lt |= eq & l;
+        eq &= ~(g | l);
+    }
+    v4 mask = (gt & -up) | (lt & (up - 1));
+    for (int q = 0; q <= nkeys; q++) {
+        v4 d = (a[q] ^ b[q]) & mask;
+        a[q] ^= d;
+        b[q] ^= d;
+    }
+}
+
+/* Runs hops 4, 2 and 1 of stage k (k >= 8) on the complete blocks, slots
+   [0, nfull), nfull a multiple of 8, in one pass of 8-slot blocks, each
+   in one direction, ascending where (b & k) == 0.  Each key copy and the
+   permutation are loaded as slots {0,1,2,3} and {4,5,6,7} of the block
+   for hop 4, shuffled to {0,1,4,5} and {2,3,6,7} for hop 2 and to
+   {0,2,4,6} and {1,3,5,7} for hop 1, and shuffled back to be stored. */
+static inline __attribute__((always_inline)) void
+run_eights(uint64_t *const *key, int nkeys, uint64_t *perm, size_t nfull,
+           size_t k)
+{
+    for (size_t b = 0; b < nfull; b += 8) {
+        uint64_t up = (b & k) == 0;
+        v4 lo[4], hi[4];
+        /* unrolled, so that no pointer or vector goes through memory */
+#pragma GCC unroll 4
+        for (int q = 0; q <= nkeys; q++) {
+            const uint64_t *x = (q < nkeys ? key[q] : perm) + b;
+            memcpy(&lo[q], x, sizeof lo[q]);
+            memcpy(&hi[q], x + 4, sizeof hi[q]);
+        }
+        lanes(lo, hi, nkeys, up);
+        for (int q = 0; q <= nkeys; q++) {
+            v4 x = lo[q], y = hi[q];
+            lo[q] = __builtin_shufflevector(x, y, 0, 1, 4, 5);
+            hi[q] = __builtin_shufflevector(x, y, 2, 3, 6, 7);
+        }
+        lanes(lo, hi, nkeys, up);
+        for (int q = 0; q <= nkeys; q++) {
+            v4 x = lo[q], y = hi[q];
+            lo[q] = __builtin_shufflevector(x, y, 0, 4, 2, 6);
+            hi[q] = __builtin_shufflevector(x, y, 1, 5, 3, 7);
+        }
+        lanes(lo, hi, nkeys, up);
+#pragma GCC unroll 4
+        for (int q = 0; q <= nkeys; q++) {
+            uint64_t *x = (q < nkeys ? key[q] : perm) + b;
+            v4 y = __builtin_shufflevector(lo[q], hi[q], 0, 4, 1, 5);
+            v4 z = __builtin_shufflevector(lo[q], hi[q], 2, 6, 3, 7);
+            memcpy(x, &y, sizeof y);
+            memcpy(x + 4, &z, sizeof z);
+        }
+    }
+}
+
+/* Whether the level at p and the two after it, of left levels, are hops
+   4, 2 and 1 of one stage k >= 8 whose complete blocks are whole 8-slot
+   blocks: the levels run_eights runs. */
+static int fusable(const int64_t *p, int64_t left)
+{
+    if (left < 3 || p[0] != 4 || p[1] < 8 || p[2] % 8)
+        return 0;
+    const int64_t *q = p + 4 + 3 * p[3];
+    const int64_t *r = q + 4 + 3 * q[3];
+    return q[0] == 2 && q[1] == p[1] && q[2] == p[2] && r[0] == 1 &&
+           r[1] == p[1] && r[2] == p[2];
+}
+
 /* Runs every level of the validated program prog: its complete blocks,
    then each part.  The pairs of a level are disjoint, so their order
-   within it does not change the result. */
+   within it does not change the result.  Where fuse, hops 4, 2 and 1 of
+   a stage run their complete blocks in one run_eights pass, then each
+   level's parts: the parts lie past the complete blocks, so this leaves
+   what the three levels leave one after another. */
 static inline __attribute__((always_inline)) void
 run_sort(uint64_t *const *key, int nkeys, uint64_t *perm,
-         const int64_t *prog)
+         const int64_t *prog, int fuse)
 {
     const int64_t *p = prog + 1;
     for (int64_t level = 0; level < prog[0]; level++) {
-        size_t j = (size_t)p[0], k = (size_t)p[1];
-        size_t half = (size_t)p[2] >> 1, nparts = (size_t)p[3];
-        p += 4;
-        run_part(key, nkeys, perm, 0, half, j, k, 0);
-        for (size_t q = 0; q < nparts; q++, p += 3)
-            run_part(key, nkeys, perm, (size_t)p[0], (size_t)p[1], j, 0,
-                     p[2] != 0);
+        size_t j = (size_t)p[0], k = (size_t)p[1], nfull = (size_t)p[2];
+        int hops = fuse && fusable(p, prog[0] - level) ? 3 : 1;
+        if (hops == 3)
+            run_eights(key, nkeys, perm, nfull, k);
+        else
+            run_part(key, nkeys, perm, 0, nfull >> 1, j, k, 0);
+        for (int h = 0; h < hops; h++, j >>= 1) {
+            size_t nparts = (size_t)p[3];
+            for (p += 4; nparts > 0; nparts--, p += 3)
+                run_part(key, nkeys, perm, (size_t)p[0], (size_t)p[1], j, 0,
+                         p[2] != 0);
+        }
+        level += hops - 1;
     }
 }
 
@@ -255,9 +355,15 @@ static int64_t check_program(size_t len, const int64_t *prog, size_t plen)
    (check_program).  Returns -1, having written nothing, unless nkeys is 1
    to 3 and check_program accepts prog for len slots.  On x86-64 glibc it
    is built twice, for AVX2 and for the baseline, and the loader picks one
-   by the CPU alone. */
+   by the CPU alone; the AVX2 body, on the same test of the CPU, runs the
+   fused hops of run_eights.  The baseline body and other targets run
+   spans only: without AVX, GCC lowers the 64-bit lane compares to scalar
+   code, which is slower than the spans. */
 #if defined(__x86_64__) && defined(__GLIBC__)
+#define FUSE __builtin_cpu_supports("avx2")
 __attribute__((target_clones("avx2", "default")))
+#else
+#define FUSE 0
 #endif
 int oblivjoin_sort(uint64_t *const *keys, size_t nkeys, uint64_t *perm,
                    size_t len, const int64_t *prog, size_t plen)
@@ -266,15 +372,16 @@ int oblivjoin_sort(uint64_t *const *keys, size_t nkeys, uint64_t *perm,
         return -1;
     /* a key past nkeys repeats one before it and is never read */
     uint64_t *key[3] = {keys[0], keys[nkeys > 1], keys[nkeys - 1]};
+    int fuse = FUSE;
     switch (nkeys) {
     case 1:
-        run_sort(key, 1, perm, prog);
+        run_sort(key, 1, perm, prog, fuse);
         break;
     case 2:
-        run_sort(key, 2, perm, prog);
+        run_sort(key, 2, perm, prog, fuse);
         break;
     default:
-        run_sort(key, 3, perm, prog);
+        run_sort(key, 3, perm, prog, fuse);
     }
     return 0;
 }

@@ -308,7 +308,8 @@ def _sorts_by_keys(perm, keys):
 
 @pytest.mark.parametrize("nkeys", [1, 2, 3])
 @pytest.mark.parametrize("trials", [1, 3])
-@pytest.mark.parametrize("n", [2, 3, 7, 64, 100, 257, 1024, 5400, 8000])
+@pytest.mark.parametrize("n", [2, 3, 7, 64, 100, 257, 1024, 2000, 5400, 6000,
+                               8000])
 def test_sort_kernel_matches_numpy_levels(n, trials, nkeys, native, rng):
     # one kernel call leaves the keys and permutation that the numpy level
     # leaves after every level of sort_levels, on each of trials inputs
@@ -358,6 +359,68 @@ def test_level_kernel_matches_numpy_level(n, trials, native, rng):
             for c, v in zip(ck, nk):
                 assert np.array_equal(c, v)
         assert _sorts_by_keys(cperm, keys)
+
+
+def _expand_program(prog):
+    """The levels (lo, hi, asc) of a sort program that the kernel accepts,
+    expanded as sort_program documents them, without sort_levels."""
+    at = 1
+    for _ in range(prog[0]):
+        j, k, nfull, nparts = prog[at:at + 4]
+        parts = [(0, nfull >> 1, None)] + [
+            tuple(prog[at + 4 + 3 * q:at + 7 + 3 * q]) for q in range(nparts)]
+        at += 4 + 3 * nparts
+        lo, asc = [], []
+        for lo0, cnt, up in parts:
+            t = np.arange(cnt, dtype=np.int64)
+            lo.append(lo0 + t + (t & -j))
+            asc.append((lo[-1] & k) == 0 if up is None
+                       else np.full(cnt, up == 1))
+        lo = np.concatenate(lo)
+        yield lo, lo + j, np.concatenate(asc)
+
+
+def _fused_variants(window):
+    """Three-level programs from three consecutive levels of a sort
+    program: the window itself and, where it is hops 4, 2 and 1 of a
+    stage with complete blocks, the window with its last level's k
+    doubled, with every nfull cut by 4 (no whole 8-slot blocks), and with
+    the middle level's nfull cut by 8 (a different block count)."""
+    yield window
+    if [level[0] for level in window] != [4, 2, 1] or window[0][2] < 8:
+        return
+
+    def changed(entry, by, levels):
+        variant = [list(level) for level in window]
+        for at in levels:
+            variant[at][entry] += by
+        return variant
+    yield changed(1, window[2][1], [2])
+    yield changed(2, -4, [0, 1, 2])
+    yield changed(2, -8, [1])
+
+
+@pytest.mark.parametrize("n", [64, 1000, 5400])
+def test_sort_kernel_fuses_only_whole_stages(n, native, rng):
+    # every three consecutive levels of sort_program(n), among them hops
+    # 4, 2 and 1 of each stage, which the AVX2 body runs as one pass of
+    # 8-slot blocks, and variants of those that it must run as spans,
+    # leave the keys and permutation of the numpy levels
+    levels = list(_program_levels(n))
+    for first in range(len(levels) - 2):
+        for window in _fused_variants(levels[first:first + 3]):
+            prog = [3] + [entry for level in window for entry in level]
+            for nkeys in (1, 2, 3):
+                keys = _kernel_keys(rng, n, nkeys)
+                ck, nk = ([col.copy() for col in keys] for _ in range(2))
+                cperm = np.arange(n, dtype=np.int64)
+                nperm = cperm.copy()
+                native.sort(ck, cperm, np.array(prog, np.int64))
+                for lo, hi, asc in _expand_program(prog):
+                    primitives._ce_level_vector(nk, nperm, lo, hi, asc)
+                assert np.array_equal(cperm, nperm), (first, window)
+                for c, v in zip(ck, nk):
+                    assert np.array_equal(c, v), (first, window)
 
 
 def test_sort_kernel_rejects_bad_programs(native):

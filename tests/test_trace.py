@@ -142,14 +142,17 @@ def test_native_module_loads_where_it_can_be_built(monkeypatch):
 
 @pytest.mark.skipif(not _can_build_kernel(), reason="no cc")
 def test_native_source_compiles_without_warnings(tmp_path):
-    # the kernels' C source stays clean under -Wall -Wextra -Werror
+    # the kernels' C source stays clean under -Wall -Wextra -Werror, with
+    # the dispatch and as the plain body, built without AVX, where a
+    # helper that took or returned a 32-byte vector would draw -Wpsabi
     src = tmp_path / "native.c"
-    src.write_text(_native.SOURCE)
-    proc = subprocess.run([shutil.which("cc"), "-Wall", "-Wextra", "-Werror",
-                           *_native._FLAGS, "-o", str(tmp_path / "native.so"),
-                           str(src)],
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    for source in (_native.SOURCE, _plain_source()):
+        src.write_text(source)
+        proc = subprocess.run([shutil.which("cc"), "-Wall", "-Wextra",
+                               "-Werror", *_native._FLAGS, "-o",
+                               str(tmp_path / "native.so"), str(src)],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
 
 # Run in a subprocess on an object built with -fsanitize=undefined: the
@@ -258,16 +261,26 @@ def _can_build_ubsan(tmp_path) -> bool:
 
 
 # oblivjoin_sort's dispatch on x86-64 glibc: an AVX2 body and the x86-64
-# baseline body, picked by the CPU when the object loads
+# baseline body, picked by the CPU when the object loads, and the same
+# test of the CPU, which turns on the fused hops
 CLONES = '__attribute__((target_clones("avx2", "default")))'
+FUSE = '#define FUSE __builtin_cpu_supports("avx2")'
 
 
 def _plain_source() -> str:
-    """SOURCE without the dispatch: the plain body, which is the "default"
-    clone that an x86-64 CPU without AVX2 runs, and what other targets
-    build."""
-    assert _native.SOURCE.count(CLONES) == 1
-    return _native.SOURCE.replace(CLONES, "")
+    """SOURCE without the dispatch and with the fused hops off: the plain
+    body, which is the "default" clone that an x86-64 CPU without AVX2
+    runs, and what other targets build."""
+    assert _native.SOURCE.count(CLONES) == _native.SOURCE.count(FUSE) == 1
+    return _native.SOURCE.replace(CLONES, "").replace(FUSE, "#define FUSE 0")
+
+
+def _cpu_has_avx2() -> bool:
+    """Whether this CPU runs the AVX2 body, by its /proc/cpuinfo flags."""
+    try:
+        return "avx2" in Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        return False
 
 
 def _run_under_ubsan(source: str, tmp_path) -> None:
@@ -399,13 +412,18 @@ def test_kernels_run_one_block_sequence_per_length(tmp_path):
             dict.fromkeys(seqs, 1), n
 
 
-# one `if` on a key in the sort's span loop and in the fold: each keeps
-# the kernel's output but branches on the data
+# one `if` on a key in the sort's span loop, in the AVX2 body's fused
+# compare-exchange and in the fold: each keeps the kernel's output but
+# branches on the data
+SPAN_MASK = "        uint64_t mask = -((up & gt) | ((up ^ 1) & lt));\n"
+LANE_MASK = "    v4 mask = (gt & -up) | (lt & (up - 1));\n"
+FOLD_CARRY = "        carry = (pr[i] & live) | (carry & ~live);\n"
 COV_MUTANTS = {
-    "sort": ("        uint64_t mask = -((up & gt) | ((up ^ 1) & lt));\n",
-             "        if (gt)\n            mask = -up;\n"),
-    "fold": ("        carry = (pr[i] & live) | (carry & ~live);\n",
-             "        if (live)\n            carry = pr[i];\n"),
+    "sort": (SPAN_MASK, SPAN_MASK + "        if (gt)\n"
+                                    "            mask = -up;\n"),
+    "fused": (LANE_MASK, LANE_MASK + "    if (gt[0])\n"
+                                     "        mask[0] = -up;\n"),
+    "fold": (FOLD_CARRY, "        if (live)\n            carry = pr[i];\n"),
 }
 
 
@@ -413,40 +431,48 @@ COV_MUTANTS = {
 def test_block_sequence_check_sees_a_branch_on_a_key(name, tmp_path):
     line, branch = COV_MUTANTS[name]
     assert _native.SOURCE.count(line) == 1
-    keep = line if name == "sort" else ""
-    traced = _build_traced(_native.SOURCE.replace(line, keep + branch),
-                           tmp_path, name)
+    if name == "fused" and not _cpu_has_avx2():
+        pytest.skip("this CPU does not run the AVX2 body")
+    traced = _build_traced(_native.SOURCE.replace(line, branch), tmp_path,
+                           name)
     if traced is None:
         pytest.skip(f"cc cannot build with {COV_FLAG}")
-    assert len(_block_sequences(traced, 1000)[name]) > 1
+    kernel = "sort" if name == "fused" else name
+    assert len(_block_sequences(traced, 1000)[kernel]) > 1
 
 
 @pytest.mark.skipif(not _can_build_kernel(), reason="no cc")
 def test_default_clone_matches_numpy_levels(tmp_path):
-    # the plain body, built as the module is, leaves the permutation and
+    # the plain body, and the dispatched build (the fused hops on a CPU
+    # with AVX2), each built as the module is, leave the permutation and
     # keys of the numpy level walk on tie-heavy keys, at every length to
     # 300 and at three join lengths whose tail parts end mid-run, for both
     # the unit-stride spans and the stride-2 spans of j = 1
-    src, lib = tmp_path / "native.c", tmp_path / "native.so"
-    src.write_text(_plain_source())
-    subprocess.run([shutil.which("cc"), *_native._FLAGS, "-o", str(lib),
-                    str(src)], check=True, timeout=300)
-    kernel = _native.Kernels(ctypes.CDLL(str(lib)))
+    kernels = []
+    for name, source in (("plain", _plain_source()),
+                         ("native", _native.SOURCE)):
+        src, lib = tmp_path / f"{name}.c", tmp_path / f"{name}.so"
+        src.write_text(source)
+        subprocess.run([shutil.which("cc"), *_native._FLAGS, "-o", str(lib),
+                        str(src)], check=True, timeout=300)
+        kernels.append(_native.Kernels(ctypes.CDLL(str(lib))))
     rng = np.random.default_rng(11)
     top = np.array([0, 1, 2**63, 2**64 - 1], np.uint64)
     for n in (*range(2, 301), 5400, 6000, 8193):
         prog = sort_program(n)[0]
         for nkeys in (1, 2, 3):
             keys = [top[rng.integers(0, 4, n)] for _ in range(nkeys)]
-            ck, nk = [col.copy() for col in keys], [col.copy() for col in keys]
-            cperm = np.arange(n, dtype=np.int64)
-            nperm = cperm.copy()
-            kernel.sort(ck, cperm, prog)
+            nk = [col.copy() for col in keys]
+            nperm = np.arange(n, dtype=np.int64)
             for lo, hi, asc in sort_levels(n):
                 primitives._ce_level_vector(nk, nperm, lo, hi, asc)
-            assert np.array_equal(cperm, nperm), (n, nkeys)
-            for c, v in zip(ck, nk):
-                assert np.array_equal(c, v), (n, nkeys)
+            for kernel in kernels:
+                ck = [col.copy() for col in keys]
+                cperm = np.arange(n, dtype=np.int64)
+                kernel.sort(ck, cperm, prog)
+                assert np.array_equal(cperm, nperm), (n, nkeys)
+                for c, v in zip(ck, nk):
+                    assert np.array_equal(c, v), (n, nkeys)
 
 
 @pytest.mark.skipif(not (_can_build_kernel() and shutil.which("nm")
