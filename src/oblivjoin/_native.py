@@ -1,32 +1,40 @@
-"""The native module: the whole sorting network, its pairs, the routing
-network, the column gather and the linear scans of the join in one C
-source, compiled into one shared object with `cc` alone.
+"""The vector engine's kernel sets: the sorting network, its pairs, the
+routing network, the column gather and the linear scans, as C kernels in
+one source compiled with `cc` alone (Kernels), or as their numpy bodies
+(NUMPY).  kernel() returns the C set where it can be built and loaded,
+else NUMPY, once per process; no caller asks which.  Both sets have the
+methods sort, route, gather, fill_dimensions, prefix, fold and align,
+with the same parameters and results.  A sort hands its pairs to an emit
+callback in network order: the C set in blocks of _EMIT_CHUNK
+comparators from the pair expander, NUMPY one level of sort_levels at a
+time from the walk that runs it.  NUMPY's reads and writes follow the
+data; the C kernels' follow it only in the gather.
 
 oblivjoin_sort runs every level of one sort's network on the uint64 key
 copies and the int64 slot permutation of the vector bitonic_sort and
-oblivious_distribute.  It reads the network as a sort program
-(_schedule.sort_program), a few int64 entries per level, and runs each
-level as spans.  The complete blocks and each tail part at hop j are
-runs of j consecutive low slots, 2j apart, the last cut at the part's
-count, and each run has one direction, so a run is one loop over i of
-pairs (i, i+j) on restrict-qualified key and permutation pointers, which
-the compiler vectorizes.  At j = 1 a run is one pair, so the pairs of
-one direction run as one loop of stride 2 instead.  These are the pairs
-sort_levels yields; the pairs of a level are disjoint, so their order
-within it changes nothing.  Each pair is a lexicographic compare over
-the keys, each ascending, then an XOR-masked swap of the keys and the
-permutation, like ct_select; the loop body is compiled once per key
-count, one to three.  In the AVX2 body (below), hops 4, 2 and 1 of a
-stage k >= 8 run their complete blocks in one pass instead, an 8-slot
-block at a time in registers: two four-lane vectors per key copy and
-for the permutation, compared lane by lane at hop 4, shuffled to slots
-{0,1,4,5} and {2,3,6,7} for hop 2 and to {0,2,4,6} and {1,3,5,7} for
-hop 1, and shuffled back to be stored; the three levels' tail parts,
-past the complete blocks, then run as spans.  The baseline body and
-other targets run every level as spans.  The whole program is validated
-before the first write, by the check that oblivjoin_sort_pairs shares.
-The keys and the permutation must not overlap (Kernels.sort refuses
-arrays that share memory).
+oblivious_distribute, and returns its comparator count.  It reads the
+network as a sort program (_schedule.sort_program), a few int64 entries
+per level, and runs each level as spans.  The complete blocks and each
+tail part at hop j are runs of j consecutive low slots, 2j apart, the
+last cut at the part's count, and each run has one direction, so a run
+is one loop over i of pairs (i, i+j) on restrict-qualified key and
+permutation pointers, which the compiler vectorizes.  At j = 1 a run is
+one pair, so the pairs of one direction run as one loop of stride 2
+instead.  These are the pairs sort_levels yields; the pairs of a level
+are disjoint, so their order within it changes nothing.  Each pair is a
+lexicographic compare over the keys, each ascending, then an XOR-masked
+swap of the keys and the permutation, like ct_select; the loop body is
+compiled once per key count, one to three.  In the AVX2 body (below),
+hops 4, 2 and 1 of a stage k >= 8 run their complete blocks in one pass
+instead, an 8-slot block at a time in registers: two four-lane vectors
+per key copy and for the permutation, compared lane by lane at hop 4,
+shuffled to slots {0,1,4,5} and {2,3,6,7} for hop 2 and to {0,2,4,6}
+and {1,3,5,7} for hop 1, and shuffled back to be stored; the three
+levels' tail parts, past the complete blocks, then run as spans.  The
+baseline body and other targets run every level as spans.  The whole
+program is validated before the first write, by the check that
+oblivjoin_sort_pairs shares.  The keys and the permutation must not
+overlap (Kernels.sort refuses arrays that share memory).
 
 The sort stays data-oblivious: its loop bounds and addresses come from
 the program alone, a function of the public length; every select is a
@@ -45,7 +53,8 @@ oblivjoin_route runs the whole routing network of oblivious_distribute
 g = f & (nul - 1), f on a live entry and 0 on a null one, and an int64
 slot permutation.  At hop j, for i from m-j-1 down to 0, an entry at i
 with g > i+j moves to i+j and slot i becomes null, its g 0 and its
-permutation entry -1.  The moves are masked selects, like ct_select.
+permutation entry -1 (_VACATED).  The moves are masked selects, like
+ct_select.
 
 oblivjoin_gather moves every column of an array, the uint64 fields and
 the uint8 null flags, through an int64 slot permutation in place, one
@@ -68,9 +77,9 @@ expansion's forward fill folded into the routed permutation: it carries
 the permutation entry of the last live slot.  oblivjoin_align is the
 align pass: it carries each slot's index q in its key run and writes
 q / alpha1 + (q % alpha1) * alpha2; it refuses an alpha1 of 0 before
-any write.  Each equals its numpy body in pipeline or primitives on
-every input, valid join or not.  The hardware divide of the align scan
-may take a time that depends on its operands.
+any write.  Each equals its numpy body on every input, valid join or
+not, empty included.  The hardware divide of the align scan may take a
+time that depends on its operands.
 
 The object is compiled on first use into the user's cache directory and
 loaded with ctypes; nothing is built at import.  It is built with -O3,
@@ -80,16 +89,11 @@ for AVX2 and one for the x86-64 baseline, and the loader picks one by
 the CPU; the sort runs the fused hops on the same test of the CPU.
 Without AVX, GCC lowers the four-lane compares to scalar code, slower
 than the spans, so the baseline body keeps the spans.  Other targets and
-C libraries build the plain body, which runs spans only.  There is
-no -march=native: the cache key does not name the CPU, so an object in a
-shared cache must run on any x86-64.  load() returns None when
-it cannot build or load the object, or the object lacks one of the eight
-kernels, and then the callers keep their fallbacks: primitives'
-bitonic_sort and oblivious_distribute the numpy level per level of
-sort_levels, each level emitted as one block, oblivious_distribute the
-numpy hop, _gather one numpy gather per column, and each scan its numpy
-body (_fill_dimensions_vector, _expand_prefix_vector, _fold_fill_vector,
-_align_pass_vector).
+C libraries build the plain body, which runs spans only.  There is no
+-march=native: the cache key names the machine's architecture, not its
+CPU, so an object in a shared cache must run on any CPU of it.  load()
+returns NUMPY when it cannot build or load the object, or the object
+lacks one of the eight kernels.
 """
 
 from __future__ import annotations
@@ -98,11 +102,14 @@ import ctypes
 import functools
 import hashlib
 import os
+import platform
 import subprocess
 import tempfile
 from pathlib import Path
 
 import numpy as np
+
+from ._schedule import sort_levels
 
 SOURCE = r"""
 #include <stddef.h>
@@ -352,8 +359,9 @@ static int64_t check_program(size_t len, const int64_t *prog, size_t plen)
 /* keys: nkeys (1 to 3) arrays of len slots, compared in order, each
    ascending; perm: the slot permutation, len slots; no two of them
    overlap.  Runs the sort program prog, plen int64 entries
-   (check_program).  Returns -1, having written nothing, unless nkeys is 1
-   to 3 and check_program accepts prog for len slots.  On x86-64 glibc it
+   (check_program), and returns its comparator count; returns -1, having
+   written nothing, unless nkeys is 1 to 3 and check_program accepts prog
+   for len slots.  On x86-64 glibc it
    is built twice, for AVX2 and for the baseline, and the loader picks one
    by the CPU alone; the AVX2 body, on the same test of the CPU, runs the
    fused hops of run_eights.  The baseline body and other targets run
@@ -365,10 +373,11 @@ __attribute__((target_clones("avx2", "default")))
 #else
 #define FUSE 0
 #endif
-int oblivjoin_sort(uint64_t *const *keys, size_t nkeys, uint64_t *perm,
-                   size_t len, const int64_t *prog, size_t plen)
+int64_t oblivjoin_sort(uint64_t *const *keys, size_t nkeys, uint64_t *perm,
+                       size_t len, const int64_t *prog, size_t plen)
 {
-    if (nkeys < 1 || nkeys > 3 || check_program(len, prog, plen) < 0)
+    int64_t ncomp = check_program(len, prog, plen);
+    if (nkeys < 1 || nkeys > 3 || ncomp < 0)
         return -1;
     /* a key past nkeys repeats one before it and is never read */
     uint64_t *key[3] = {keys[0], keys[nkeys > 1], keys[nkeys - 1]};
@@ -383,7 +392,7 @@ int oblivjoin_sort(uint64_t *const *keys, size_t nkeys, uint64_t *perm,
     default:
         run_sort(key, 3, perm, prog, fuse);
     }
-    return 0;
+    return ncomp;
 }
 
 /* Writes the pairs lo0 + t + (t & -j), lo + j of one level's complete
@@ -607,10 +616,22 @@ int oblivjoin_align(const uint64_t *restrict j, const uint64_t *restrict a1,
 _FLAGS = ("-O3", "-shared", "-fPIC")
 _P, _N = ctypes.c_void_p, ctypes.c_size_t
 
+# the most comparators in one block that Kernels.sort hands to emit, one
+# oblivjoin_sort_pairs call each: enough that a block's fixed Python cost
+# is small beside hashing it, few enough that its index and record arrays
+# stay under 1 MiB
+_EMIT_CHUNK = 1 << 13
+
+# the permutation entry of a slot that becomes a null entry: one an entry
+# moved out of in routing, or one before the first live entry in the fold
+_VACATED = -1
+
 
 def _default_cache() -> Path:
-    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
-    return Path(base) / "oblivjoin"
+    # the XDG spec says to ignore a relative XDG_CACHE_HOME
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    return (Path(base) if os.path.isabs(base)
+            else Path.home() / ".cache") / "oblivjoin"
 
 
 def _addr(arr: np.ndarray, dtype) -> int:
@@ -635,57 +656,63 @@ def _row_addresses(arrays, dtypes, what: str) -> list[int]:
     return addrs
 
 
+# each exported kernel, oblivjoin_<name>: its return and argument types
+_SIGNATURES = {
+    "sort": (ctypes.c_int64, (_P, _N, _P, _N, _P, _N)),
+    "sort_pairs": (ctypes.c_int, (_P, _P, _N, _P, _N, ctypes.c_int64,
+                                  ctypes.c_int64)),
+    "route": (ctypes.c_int, (_P, _P, _N, _P, _N)),
+    "gather": (ctypes.c_int, (_P, _N, _P, _P, _N)),
+    "fill": (ctypes.c_uint64, (_P, _P, _P, _P, _N)),
+    "prefix": (ctypes.c_int, (_P, _P, _P, _N, _P)),
+    "fold": (None, (_P, _P, _N)),
+    "align": (ctypes.c_int, (_P, _P, _P, _P, _N)),
+}
+
+
 class Kernels:
-    """The eight kernels of one loaded shared object."""
+    """The C kernels of one loaded shared object."""
 
     def __init__(self, lib: ctypes.CDLL) -> None:
-        # each lookup raises AttributeError on an object that lacks it
-        self._sort = lib.oblivjoin_sort
-        self._pairs = lib.oblivjoin_sort_pairs
-        self._route = lib.oblivjoin_route
-        self._gather = lib.oblivjoin_gather
-        self._sort.argtypes = (_P, _N, _P, _N, _P, _N)
-        self._sort.restype = ctypes.c_int
-        self._pairs.argtypes = (_P, _P, _N, _P, _N, ctypes.c_int64,
-                                ctypes.c_int64)
-        self._pairs.restype = ctypes.c_int
-        self._route.argtypes = (_P, _P, _N, _P, _N)
-        self._route.restype = ctypes.c_int
-        self._gather.argtypes = (_P, _N, _P, _P, _N)
-        self._gather.restype = ctypes.c_int
-        self._fill = lib.oblivjoin_fill
-        self._fill.argtypes = (_P, _P, _P, _P, _N)
-        self._fill.restype = ctypes.c_uint64
-        self._prefix = lib.oblivjoin_prefix
-        self._prefix.argtypes = (_P, _P, _P, _N, _P)
-        self._prefix.restype = ctypes.c_int
-        self._fold = lib.oblivjoin_fold
-        self._fold.argtypes = (_P, _P, _N)
-        self._fold.restype = None
-        self._align = lib.oblivjoin_align
-        self._align.argtypes = (_P, _P, _P, _P, _N)
-        self._align.restype = ctypes.c_int
+        self._c = {}
+        for name, (restype, argtypes) in _SIGNATURES.items():
+            # raises AttributeError on an object that lacks the kernel
+            fn = self._c[name] = getattr(lib, f"oblivjoin_{name}")
+            fn.restype, fn.argtypes = restype, argtypes
 
-    def sort(self, keys, perm: np.ndarray, prog: np.ndarray) -> None:
+    def sort(self, keys, perm: np.ndarray, prog: np.ndarray,
+             emit=None) -> int:
         """Run the sort program prog (_schedule.sort_program, an int64
         array) in place on the C-contiguous one-dimensional uint64 key
         copies keys, a list of one to three compared in order, each
-        ascending, and the int64 permutation perm.  ValueError, before any
-        write, if the arrays or the program do not fit, or two of the
-        arrays share memory (the kernel takes them as restrict)."""
+        ascending, and the int64 permutation perm, and return its
+        comparator count.  Where emit is given, hand it the pairs of the
+        network in order, as emit(lo, hi) with int64 index arrays, in
+        blocks of _EMIT_CHUNK comparators.  ValueError, before any write,
+        if the arrays or the program do not fit, or two of the arrays
+        share memory (the kernel takes them as restrict)."""
         if prog.ndim != 1:
             raise ValueError("the sort program must be one-dimensional")
         *ptrs, pp = _row_addresses([*keys, perm],
                                    [np.uint64] * len(keys) + [np.int64],
                                    "the keys and the permutation")
         ptrs = np.array(ptrs, np.uintp)
-        if self._sort(ptrs.ctypes.data, len(keys), pp, len(perm),
-                      _addr(prog, np.int64), len(prog)):
+        ncomp = self._c["sort"](ptrs.ctypes.data, len(keys), pp, len(perm),
+                                _addr(prog, np.int64), len(prog))
+        if ncomp < 0:
             raise ValueError("the sort program or its key count does not "
                              "fit the sorted arrays")
+        if emit is not None:
+            lo = np.empty(min(ncomp, _EMIT_CHUNK), np.int64)
+            hi = np.empty_like(lo)
+            for start in range(0, ncomp, _EMIT_CHUNK):
+                count = min(_EMIT_CHUNK, ncomp - start)
+                self._pairs(prog, len(perm), start, count, lo, hi)
+                emit(lo[:count], hi[:count])
+        return ncomp
 
-    def pairs(self, prog: np.ndarray, length: int, start: int, count: int,
-              lo: np.ndarray, hi: np.ndarray) -> None:
+    def _pairs(self, prog: np.ndarray, length: int, start: int, count: int,
+               lo: np.ndarray, hi: np.ndarray) -> None:
         """Write pairs start .. start+count-1 of the sort program prog for
         length slots into the first count slots of the
         C-contiguous one-dimensional int64 arrays lo and hi: the low and
@@ -698,8 +725,9 @@ class Kernels:
                              "one-dimensional, lo and hi of one length")
         if count > len(lo):
             raise ValueError(f"{count} pairs do not fit {len(lo)} slots")
-        if self._pairs(_addr(lo, np.int64), _addr(hi, np.int64), length,
-                       _addr(prog, np.int64), len(prog), start, count):
+        if self._c["sort_pairs"](_addr(lo, np.int64), _addr(hi, np.int64),
+                                 length, _addr(prog, np.int64), len(prog),
+                                 start, count):
             raise ValueError("the sort program does not fit length slots, or "
                              "the pairs lie outside it")
 
@@ -708,33 +736,34 @@ class Kernels:
         """Run the routing hops, an int64 array, in order and in place on
         the C-contiguous one-dimensional uint64 destinations g (0 on a
         null entry) and int64 permutation perm; a slot an entry moves out
-        of gets g 0 and perm -1.  ValueError, before any write, if the
-        arrays do not fit or share memory, or a hop lies outside them."""
+        of gets g 0 and perm _VACATED.  ValueError, before any write, if
+        the arrays do not fit or share memory, or a hop lies outside
+        them."""
         if hops.ndim != 1:
             raise ValueError("hops must be one-dimensional")
         pg, pp = _row_addresses([g, perm], [np.uint64, np.int64],
                                 "g and the permutation")
-        if self._route(pg, pp, len(perm), _addr(hops, np.int64), len(hops)):
+        if self._c["route"](pg, pp, len(perm), _addr(hops, np.int64),
+                            len(hops)):
             raise ValueError("a hop lies outside the routed arrays")
 
     def gather(self, cols, nul: np.ndarray, perm: np.ndarray) -> None:
         """Move the C-contiguous one-dimensional uint64 columns cols and
         uint8 null flags nul through the int64 slot permutation perm, in
-        place: slot i takes slot perm[i], and a slot whose perm is -1
-        becomes a null entry (u64 fields 0, null flag 1).  ValueError,
-        before any write, if the arrays do not fit or share memory, or an
-        entry of perm lies outside [-1, len(perm))."""
+        place: slot i takes slot perm[i], and a slot whose perm is
+        _VACATED becomes a null entry (u64 fields 0, null flag 1).
+        ValueError, before any write, if the arrays do not fit or share
+        memory, or an entry of perm lies outside [-1, len(perm))."""
         *ptrs, pn, pp = _row_addresses(
             [*cols, nul, perm], [np.uint64] * len(cols) + [np.uint8, np.int64],
             "the columns and the permutation")
         ptrs = np.array(ptrs, np.uintp)
-        rc = self._gather(ptrs.ctypes.data, len(cols), pn, pp, len(perm))
+        rc = self._c["gather"](ptrs.ctypes.data, len(cols), pn, pp, len(perm))
         if rc == -2:
             raise MemoryError("no memory for the gather's scratch column")
         if rc:
             raise ValueError("a permutation entry lies outside "
                              f"[-1, {len(perm)})")
-
 
     def fill_dimensions(self, j: np.ndarray, tid: np.ndarray,
                         alpha1: np.ndarray, alpha2: np.ndarray) -> int:
@@ -745,7 +774,7 @@ class Kernels:
         any write, if the arrays do not fit or share memory."""
         addrs = _row_addresses([j, tid, alpha1, alpha2], [np.uint64] * 4,
                                "the key, table id and alpha columns")
-        return self._fill(*addrs, len(j))
+        return self._c["fill"](*addrs, len(j))
 
     def prefix(self, g: np.ndarray, f: np.ndarray,
                nul: np.ndarray) -> int | None:
@@ -763,18 +792,18 @@ class Kernels:
             pg = _row_addresses([g, f, nul], [np.uint64, np.uint64, np.uint8],
                                 "g, f and the null flags")[0]
         total = ctypes.c_uint64()
-        if self._prefix(pg, pf, pn, len(f), ctypes.addressof(total)):
+        if self._c["prefix"](pg, pf, pn, len(f), ctypes.addressof(total)):
             return None
         return total.value
 
     def fold(self, g: np.ndarray, perm: np.ndarray) -> None:
         """Give each slot of the C-contiguous one-dimensional int64
         permutation perm, in place, the entry of the last slot at or
-        before it whose uint64 g is not 0, or -1 where there is none.
-        ValueError, before any write, if the arrays do not fit or share
-        memory."""
-        self._fold(*_row_addresses([g, perm], [np.uint64, np.int64],
-                                   "g and the permutation"), len(g))
+        before it whose uint64 g is not 0, or _VACATED where there is
+        none.  ValueError, before any write, if the arrays do not fit or
+        share memory."""
+        self._c["fold"](*_row_addresses([g, perm], [np.uint64, np.int64],
+                                        "g and the permutation"), len(g))
 
     def align(self, j: np.ndarray, alpha1: np.ndarray, alpha2: np.ndarray,
               ii: np.ndarray) -> bool:
@@ -785,20 +814,175 @@ class Kernels:
         arrays do not fit or share memory."""
         addrs = _row_addresses([j, alpha1, alpha2, ii], [np.uint64] * 4,
                                "the key, alpha and ii columns")
-        return self._align(*addrs, len(j)) == 0
+        return self._c["align"](*addrs, len(j)) == 0
+
+
+def _ce_level_vector(keys, perm: np.ndarray, lo, hi, asc) -> None:
+    """One level of the sorting network, the pairs (lo, hi) ascending
+    where asc, on the key copies keys and the permutation perm."""
+    # Lexicographic strict greater/less masks for the pairs (lo, hi).
+    gt = np.zeros(len(lo), bool)
+    lt = np.zeros(len(lo), bool)
+    eq = np.ones(len(lo), bool)
+    for col in keys:
+        av = col[lo]
+        bv = col[hi]
+        g = av > bv
+        l = av < bv
+        gt |= eq & g
+        lt |= eq & l
+        eq &= ~(g | l)
+    swap = (gt & asc) | (lt & ~asc)
+    # Select by mask arithmetic, like ct_select: each side of a pair XORs
+    # in the pair's difference masked by the swap bit.
+    mask = -swap.astype(np.int64)
+    for col in [perm, *keys]:
+        vl = col[lo]
+        vh = col[hi]
+        diff = vl ^ vh
+        diff &= mask.view(col.dtype)
+        vl ^= diff
+        vh ^= diff
+        col[lo] = vl
+        col[hi] = vh
+
+
+def _route_hop_vector(g: np.ndarray, perm: np.ndarray, j: int) -> None:
+    """One hop j of the routing network on g and perm."""
+    cnt = len(g) - j
+    # Entries at p < m-j whose destination lies at or beyond p+j move
+    # forward by j; their slots become null.  Null entries have g = 0 and
+    # never move.  Sequential execution of the descending loop does
+    # exactly this when every swap partner is null; a non-null partner is
+    # overwritten and lost, which the distribution's placement check
+    # detects.
+    thresh = np.arange(j, j + cnt, dtype=np.uint64)
+    mover = g[:cnt] > thresh
+    for col, vacated in ((g, 0), (perm, _VACATED)):
+        src = col[:cnt].copy()
+        col[:cnt] = np.where(mover, vacated, src)
+        col[j:] = np.where(mover, src, col[j:])
+
+
+def _key_groups(j: np.ndarray):
+    """(new, start, arange(n)) for a key column of n slots: new marks the
+    first slot of each run of equal keys, start is the first slot of each
+    slot's run."""
+    new = np.ones(len(j), bool)
+    new[1:] = j[1:] != j[:-1]
+    ar = np.arange(len(j), dtype=np.int64)
+    return new, np.maximum.accumulate(np.where(new, ar, 0)), ar
+
+
+def _sum_wraps(g: np.ndarray) -> bool:
+    """Whether a uint64 running sum of g wraps, by an untraced read: a sum
+    that wraps drops below its term."""
+    return bool((np.cumsum(g, dtype=np.uint64) < g).any())
+
+
+class NumpyKernels:
+    """The numpy bodies of the kernels: Kernels' methods, with the same
+    results on every input they both accept.  Their reads and writes
+    follow the data where the C kernels' do not."""
+
+    def sort(self, keys, perm: np.ndarray, prog: np.ndarray,
+             emit=None) -> int:
+        """Kernels.sort, one level of sort_levels at a time; emit gets
+        each level as one block, from the one walk that runs it."""
+        ncomp = 0
+        for lo, hi, asc in sort_levels(len(perm), prog):
+            _ce_level_vector(keys, perm, lo, hi, asc)
+            if emit is not None:
+                emit(lo, hi)
+            ncomp += len(lo)
+        return ncomp
+
+    def route(self, g: np.ndarray, perm: np.ndarray,
+              hops: np.ndarray) -> None:
+        """Kernels.route, one hop at a time."""
+        for j in hops.tolist():
+            _route_hop_vector(g, perm, j)
+
+    def gather(self, cols, nul: np.ndarray, perm: np.ndarray) -> None:
+        """Kernels.gather, one column at a time; perm is overwritten."""
+        # a vacated slot gathers slot 0 and is then masked, like ct_select
+        keep = -(perm != _VACATED).astype(np.uint64)
+        perm &= keep.view(np.int64)
+        for col in cols:
+            vals = col[perm]
+            vals &= keep
+            col[:] = vals
+        vals = nul[perm]
+        vals |= keep == 0
+        nul[:] = vals
+
+    def fill_dimensions(self, j: np.ndarray, tid: np.ndarray,
+                        alpha1: np.ndarray, alpha2: np.ndarray) -> int:
+        """Kernels.fill_dimensions, by running sums over each key run."""
+        n = len(j)
+        new, start, ar = _key_groups(j)
+        is1 = (tid == 1).astype(np.uint64)
+        is2 = (tid == 2).astype(np.uint64)
+        c1 = np.cumsum(is1, dtype=np.uint64)
+        c2 = np.cumsum(is2, dtype=np.uint64)
+        g1 = c1 - (c1[start] - is1[start])  # running alpha1 in the group
+        g2 = c2 - (c2[start] - is2[start])
+        is_last = np.ones_like(new)
+        is_last[:-1] = new[1:]
+        m = int((g1 * g2 * is_last.astype(np.uint64)).sum())
+        # index of each entry's group-final slot, for the backward pass
+        lidx = np.minimum.accumulate(np.where(is_last, ar, n)[::-1])[::-1]
+        alpha1[:] = g1[lidx]
+        alpha2[:] = g2[lidx]
+        return m
+
+    def prefix(self, g: np.ndarray, f: np.ndarray,
+               nul: np.ndarray) -> int | None:
+        """Kernels.prefix, by a cumulative sum."""
+        if _sum_wraps(g):
+            return None
+        # computed before the writes below, which overwrite g when it is f
+        m = int(g.sum(dtype=np.uint64))
+        z = g == 0
+        before = np.cumsum(g, dtype=np.uint64) - g
+        f[:] = np.where(z, 0, np.uint64(1) + before)
+        nul[:] = np.where(z, 1, nul)
+        return m
+
+    def fold(self, g: np.ndarray, perm: np.ndarray) -> None:
+        """Kernels.fold, by a running maximum of the live slots."""
+        ar = np.arange(len(g), dtype=np.int64)
+        src = np.maximum.accumulate(np.where(g != 0, ar, _VACATED))
+        # a _VACATED src reads perm[-1], which the where discards
+        perm[:] = np.where(src == _VACATED, _VACATED, perm[src])
+
+    def align(self, j: np.ndarray, alpha1: np.ndarray, alpha2: np.ndarray,
+              ii: np.ndarray) -> bool:
+        """Kernels.align, by each slot's offset in its key run."""
+        if not (alpha1 > 0).all():
+            return False
+        _, start, ar = _key_groups(j)
+        q = (ar - start).astype(np.uint64)
+        ii[:] = q // alpha1 + (q % alpha1) * alpha2
+        return True
+
+
+NUMPY = NumpyKernels()
 
 
 def _library_path(cc: str, cache: Path) -> Path:
-    """Where the shared object lives: named by the SHA-256 of the source
-    and the compile command."""
-    key = hashlib.sha256(" ".join((SOURCE, cc, *_FLAGS)).encode())
+    """Where the shared object lives: named by the SHA-256 of the source,
+    the compile command and the machine it runs on."""
+    key = hashlib.sha256(" ".join((SOURCE, cc, *_FLAGS,
+                                   platform.machine())).encode())
     return cache / f"native-{key.hexdigest()[:16]}.so"
 
 
-def load(cc: str = "cc", cache_dir: Path | None = None) -> Kernels | None:
-    """The kernels of the shared object, or None if it cannot be built or
-    loaded, or lacks a kernel.  It is compiled only when the cache lacks
-    it."""
+def load(cc: str = "cc",
+         cache_dir: Path | None = None) -> Kernels | NumpyKernels:
+    """The C kernels of the shared object, or NUMPY if it cannot be built
+    or loaded, or lacks a kernel.  It is compiled only when the cache
+    lacks it."""
     cache = cache_dir or _default_cache()
     lib = _library_path(cc, cache)
     try:
@@ -812,10 +996,10 @@ def load(cc: str = "cc", cache_dir: Path | None = None) -> Kernels | None:
                 os.replace(out, lib)
         return Kernels(ctypes.CDLL(str(lib)))
     except (OSError, AttributeError, subprocess.SubprocessError):
-        return None
+        return NUMPY
 
 
 @functools.cache
-def kernel() -> Kernels | None:
-    """load() with the defaults, once per process; a failure is kept too."""
+def kernel() -> Kernels | NumpyKernels:
+    """load() with the defaults, once per process; NUMPY is kept too."""
     return load()

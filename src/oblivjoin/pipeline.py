@@ -21,8 +21,7 @@ Peak live public entries are exactly (n1+n2) + max(n1,m) + max(n2,m): the
 output is zipped into S1 rather than a separate table.
 
 The vector engine runs fill_dimensions' two passes and the align pass in
-one call each of the native fill and align scans (_native), or in their
-numpy bodies where the native module cannot be built.
+one call each of the kernel set that _native.kernel() returns.
 """
 
 from __future__ import annotations
@@ -85,8 +84,7 @@ def fill_dimensions(tc: PublicArray, engine: str = "vector") -> int:
     running per-group counts and the output size m; one backward pass
     propagates each group's final dimensions to all its entries.  Both
     passes read and write every slot unconditionally.  Returns m.  The
-    vector engine runs both passes in one call of the native fill scan,
-    or _fill_dimensions_vector when the kernel is unavailable.
+    vector engine runs both passes in one kernel fill_dimensions call.
     """
     _check_engine(engine)
     sink = tc.sink
@@ -94,12 +92,8 @@ def fill_dimensions(tc: PublicArray, engine: str = "vector") -> int:
     with sink.phase_scope("fill_dimensions"):
         if engine == "scalar":
             return _fill_dimensions_scalar(tc, n)
-        if n == 0:
-            return 0
-        native = _native.kernel()
-        fill = (_fill_dimensions_vector if native is None
-                else native.fill_dimensions)
-        m = fill(*(tc.col(name) for name in ("j", "tid", "alpha1", "alpha2")))
+        m = _native.kernel().fill_dimensions(
+            *(tc.col(name) for name in ("j", "tid", "alpha1", "alpha2")))
         up, down = range(n), range(n - 1, -1, -1)
         emit_steps((tc, READ, up), (tc, WRITE, up))
         emit_steps((tc, READ, down), (tc, WRITE, down))
@@ -140,39 +134,6 @@ def _fill_dimensions_scalar(tc: PublicArray, n: int) -> int:
     return m_acc
 
 
-def _key_groups(j: np.ndarray):
-    """(new, start, arange(n)) for a key column of n > 0 slots: new marks
-    the first slot of each run of equal keys, start is the first slot of
-    each slot's run."""
-    new = np.ones(len(j), bool)
-    new[1:] = j[1:] != j[:-1]
-    ar = np.arange(len(j), dtype=np.int64)
-    return new, np.maximum.accumulate(np.where(new, ar, 0)), ar
-
-
-def _fill_dimensions_vector(j: np.ndarray, tid: np.ndarray,
-                            alpha1: np.ndarray, alpha2: np.ndarray) -> int:
-    """fill_dimensions' numpy body on n > 0 slots of the key, table id
-    and alpha columns; returns m."""
-    n = len(j)
-    new, start, ar = _key_groups(j)
-    is1 = (tid == 1).astype(np.uint64)
-    is2 = (tid == 2).astype(np.uint64)
-    c1 = np.cumsum(is1, dtype=np.uint64)
-    c2 = np.cumsum(is2, dtype=np.uint64)
-    g1 = c1 - (c1[start] - is1[start])  # running alpha1 in the group
-    g2 = c2 - (c2[start] - is2[start])
-    is_last = np.empty_like(new)
-    is_last[:-1] = new[1:]
-    is_last[-1] = True
-    m = int((g1 * g2 * is_last.astype(np.uint64)).sum())
-    # index of each entry's group-final slot, for the backward propagation
-    lidx = np.minimum.accumulate(np.where(is_last, ar, n)[::-1])[::-1]
-    alpha1[:] = g1[lidx]
-    alpha2[:] = g2[lidx]
-    return m
-
-
 def augment_tables(t1_rows, t2_rows, sink: TraceSink,
                    engine: str = "vector"):
     """Build and annotate the combined table.
@@ -207,9 +168,8 @@ def align_table(s2: PublicArray, engine: str = "vector") -> None:
     is sent to slot floor(q/alpha1) + (q mod alpha1)*alpha2: S1 repeats
     each of its alpha1 rows alpha2 times in a row, so S2 must cycle
     through its alpha2 distinct rows alpha1 times.  The vector engine
-    computes every slot in one call of the native align scan, or
-    _align_pass_vector when the kernel is unavailable.  ValueError, before
-    any access, if an alpha1 is 0.
+    computes every slot in one kernel align call.  ValueError, before any
+    access, if an alpha1 is 0.
     """
     _check_engine(engine)
     sink = s2.sink
@@ -217,11 +177,9 @@ def align_table(s2: PublicArray, engine: str = "vector") -> None:
     with sink.phase_scope("align_pass"):
         if engine == "scalar":
             _align_pass_scalar(s2)
-        elif m:
-            native = _native.kernel()
-            align = _align_pass_vector if native is None else native.align
-            if not align(*(s2.col(name)
-                           for name in ("j", "alpha1", "alpha2", "ii"))):
+        else:
+            cols = (s2.col(name) for name in ("j", "alpha1", "alpha2", "ii"))
+            if not _native.kernel().align(*cols):
                 raise ValueError("align requires alpha1 >= 1 on every entry")
             emit_steps((s2, READ, range(m)), (s2, WRITE, range(m)))
     with sink.phase_scope("align_sort"):
@@ -238,18 +196,6 @@ def _align_pass_scalar(s2: PublicArray) -> None:
         e.ii = q // e.alpha1 + (q % e.alpha1) * e.alpha2
         s2.write(i, e)
         pj = e.j
-
-
-def _align_pass_vector(j: np.ndarray, alpha1: np.ndarray,
-                       alpha2: np.ndarray, ii: np.ndarray) -> bool:
-    """The align pass's numpy body on m > 0 slots of the key, alpha and
-    ii columns; False, having written nothing, if an alpha1 is 0."""
-    if not (alpha1 > 0).all():
-        return False
-    _, start, ar = _key_groups(j)
-    q = (ar - start).astype(np.uint64)
-    ii[:] = q // alpha1 + (q % alpha1) * alpha2
-    return True
 
 
 # --------------------------------------------------------------------------

@@ -9,27 +9,25 @@ reads and two writes unconditionally), "vector" applies whole schedule
 levels at once.  Both emit identical traces; the tests hold them to
 that.
 
-The vector sort runs its whole sorting network in one call of the C sort
-kernel of the native module (_native) where it can be built, and one
-level of sort_levels at a time as numpy gathers and scatters
-(_ce_level_vector) otherwise; the two give the same permutation.  The
-vector distribution sorts its own copies of f and the null flag with a
-slot permutation, then routes g = f & (nul - 1) (0 on null entries) and
-that permutation through the whole routing network in one call of the C
-route kernel, or one numpy hop at a time (_route_hop_vector); the two
-give the same arrays.  The expansion runs its prefix pass in one call
-of the C prefix scan (or _expand_prefix_vector) and folds its forward
-fill into the same permutation in one call of the C fold scan (or
-_fold_fill_vector); each scan is one sequential pass of masked selects.
+The vector engine runs its networks and its linear passes in the kernel
+set that _native.kernel() returns, the C kernels or their numpy bodies,
+which give the same arrays.  The vector sort runs its whole sorting
+network in one kernel sort call.  The vector distribution sorts its own
+copies of f and the null flag with a slot permutation, then routes
+g = f & (nul - 1) (0 on null entries) and that permutation through the
+whole routing network in one route call.  The expansion runs its prefix
+pass in one prefix call and folds its forward fill into the same
+permutation in one fold call.
 
 So a sort, a distribution and an expansion each end in one slot
 permutation, and _gather moves every column of the array through it
-once, in one call of the C gather kernel, or one numpy gather per column
-(_gather_vector).  A permutation entry of -1 (_VACATED) marks a slot
-that becomes a null entry.
+once, in one gather call.  A permutation entry of -1 marks a slot that
+becomes a null entry.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -99,41 +97,6 @@ def compare_exchange(a: PublicArray, i: int, k: int, key,
     a.write(k, ct_select_entry(swap, e1, e2))
 
 
-def _ce_level_vector(keys, perm: np.ndarray, lo, hi, asc) -> None:
-    # Lexicographic strict greater/less masks for the pairs (lo, hi).
-    gt = np.zeros(len(lo), bool)
-    lt = np.zeros(len(lo), bool)
-    eq = np.ones(len(lo), bool)
-    for col in keys:
-        av = col[lo]
-        bv = col[hi]
-        g = av > bv
-        l = av < bv
-        gt |= eq & g
-        lt |= eq & l
-        eq &= ~(g | l)
-    swap = (gt & asc) | (lt & ~asc)
-    # Select by mask arithmetic, like ct_select: each side of a pair XORs
-    # in the pair's difference masked by the swap bit.
-    mask = -swap.astype(np.int64)
-    for col in [perm, *keys]:
-        vl = col[lo]
-        vh = col[hi]
-        diff = vl ^ vh
-        diff &= mask.view(col.dtype)
-        vl ^= diff
-        vh ^= diff
-        col[lo] = vl
-        col[hi] = vh
-
-
-# the most comparators in one emitted block of a native-path sort under a
-# sink that consumes events, one oblivjoin_sort_pairs call each: enough
-# that a block's fixed Python cost is small beside hashing it, few enough
-# that its index and record arrays stay under 1 MiB
-_EMIT_CHUNK = 1 << 13
-
-
 def _emit_pairs(a: PublicArray, lo, hi) -> None:
     """Emit the compare-exchange steps of the pairs (lo, hi) in order:
     each reads both slots, then writes both."""
@@ -152,15 +115,10 @@ def bitonic_sort(a: PublicArray, key, engine: str = "vector") -> None:
     (a swap depends on nothing else), in _sort_network, which the vector
     distribution shares, then gathers every column of a through the
     permutation once with _gather (the permutation has no -1 entries).
-    The whole network is one call of the native sort kernel on
-    sort_program(len(a)), or one _ce_level_vector call per level of
-    sort_levels when the kernel is unavailable.  The events are those of
-    sort_levels's pairs in order either way.  On the native path a sink
-    that consumes events gets them in blocks of _EMIT_CHUNK comparators,
-    each filled by one call of the kernel's pair expander, and
-    sort_levels is not walked; a plain NullSink only counts 4 events per
-    comparator, and no pair array is built for it.  On the fallback each
-    level is one block.
+    The whole network is one kernel sort call on sort_program(len(a)).
+    The events are those of sort_levels's pairs in order, in the blocks
+    that the kernel set hands to emit; a plain NullSink only counts 4
+    events per comparator, and no pair array is built for it.
     """
     _check_engine(engine)
     _check_key(key)
@@ -180,60 +138,21 @@ def bitonic_sort(a: PublicArray, key, engine: str = "vector") -> None:
 def _sort_network(a: PublicArray, keys, perm: np.ndarray) -> None:
     """Run the sorting network of len(a) slots on the uint64 key copies
     keys and the int64 slot permutation perm, in place, and emit its
-    events on a: one native sort call and blocks of _EMIT_CHUNK
-    comparators, or one _ce_level_vector call and one block per level of
-    sort_levels."""
-    native = _native.kernel()
-    if native is None:
-        for lo, hi, asc in sort_levels(a.length):
-            _ce_level_vector(keys, perm, lo, hi, asc)
-            _emit_pairs(a, lo, hi)
-        return
-    prog, ncomp = sort_program(a.length)
-    native.sort(keys, perm, prog)
-    if consumes_events(a.sink):
-        lo = np.empty(min(ncomp, _EMIT_CHUNK), np.int64)
-        hi = np.empty_like(lo)
-        for start in range(0, ncomp, _EMIT_CHUNK):
-            count = min(_EMIT_CHUNK, ncomp - start)
-            native.pairs(prog, a.length, start, count, lo, hi)
-            _emit_pairs(a, lo[:count], hi[:count])
-    else:  # emit_steps reads only the length of the index
+    events on a."""
+    emit = (functools.partial(_emit_pairs, a) if consumes_events(a.sink)
+            else None)
+    ncomp = _native.kernel().sort(keys, perm, sort_program(a.length)[0], emit)
+    if emit is None:  # emit_steps reads only the length of the index
         _emit_pairs(a, range(ncomp), range(ncomp))
-
-
-# the permutation entry of a slot that becomes a null entry: one an entry
-# moved out of in routing, or one before the first live entry in the fill
-_VACATED = -1
 
 
 def _gather(a: PublicArray, perm: np.ndarray) -> None:
     """Move every column of a through perm, a len(a) int64 slot
     permutation, which may be overwritten: slot i takes the entry at slot
-    perm[i], and a slot whose perm is _VACATED becomes a null entry (u64
-    fields 0, null flag 1).  One native gather call, or _gather_vector
-    when the kernel is unavailable."""
-    cols = [a.col(name) for name in U64_FIELDS]
-    native = _native.kernel()
-    if native is None:
-        _gather_vector(cols, a.col("is_null"), perm)
-    else:
-        native.gather(cols, a.col("is_null"), perm)
-
-
-def _gather_vector(cols, nul: np.ndarray, perm: np.ndarray) -> None:
-    """_gather's numpy body on the uint64 columns cols and the uint8 null
-    flags nul; perm is consumed."""
-    # a vacated slot gathers slot 0 and is then masked, like ct_select
-    keep = -(perm != _VACATED).astype(np.uint64)
-    perm &= keep.view(np.int64)
-    for col in cols:
-        vals = col[perm]
-        vals &= keep
-        col[:] = vals
-    vals = nul[perm]
-    vals |= keep == 0
-    nul[:] = vals
+    perm[i], and a slot whose perm is -1 becomes a null entry (u64
+    fields 0, null flag 1)."""
+    _native.kernel().gather([a.col(name) for name in U64_FIELDS],
+                            a.col("is_null"), perm)
 
 
 # --------------------------------------------------------------------------
@@ -269,34 +188,14 @@ def _route_hop_scalar(a: PublicArray, m: int, j: int) -> None:
         a.write(i + j, ct_select_entry(cond, y, y2))
 
 
-def _route_hop_vector(g: np.ndarray, perm: np.ndarray, j: int) -> None:
-    cnt = len(g) - j
-    # Entries at p < m-j whose destination lies at or beyond p+j move
-    # forward by j; their slots become null.  Null entries have g = 0 and
-    # never move.  Sequential execution of the descending loop does
-    # exactly this when every swap partner is null; a non-null partner is
-    # overwritten and lost, which _check_placement detects.
-    thresh = np.arange(j, j + cnt, dtype=np.uint64)
-    mover = g[:cnt] > thresh
-    for col, vacated in ((g, 0), (perm, _VACATED)):
-        src = col[:cnt].copy()
-        col[:cnt] = np.where(mover, vacated, src)
-        col[j:] = np.where(mover, src, col[j:])
-
-
 def _route_vector(a: PublicArray, g: np.ndarray, perm: np.ndarray) -> None:
     """Route the len(a) destinations g (0 on a null entry) and the slot
-    permutation perm in place, in one call of the native route kernel, or
-    _route_hop_vector per hop when it is unavailable, and emit each hop's
-    steps on a: a slot an entry moves out of gets g 0 and perm -1."""
+    permutation perm in place, in one kernel route call, and emit each
+    hop's steps on a: a slot an entry moves out of gets g 0 and perm
+    -1."""
     m = a.length
     hops = route_hops(m)
-    native = _native.kernel()
-    if native is None:
-        for j in hops:
-            _route_hop_vector(g, perm, j)
-    else:
-        native.route(g, perm, np.array(hops, np.int64))
+    _native.kernel().route(g, perm, np.array(hops, np.int64))
     # hop j steps (i, i+j) for i from m-j-1 down to 0: both index vectors
     # are slices of one descending range
     down = range(m - 1, -1, -1)
@@ -357,7 +256,7 @@ def _distribute_vector(x: PublicArray, m: int):
 
     a holds x in its first n of max(n, m) slots, unmoved.  Slot i of the
     distribution takes slot perm[i] of a, or is null where perm[i] is
-    _VACATED; g[i], for i < m, is its destination (0 on a null entry).
+    -1; g[i], for i < m, is its destination (0 on a null entry).
     The network sorts uint64 copies of x's null flags and f with perm,
     then routes g = f & (nul - 1), computed on those copies, with the
     first m entries of perm, so no column moves until one _gather.  Slots
@@ -421,29 +320,20 @@ def _expand_prefix(x: PublicArray, g_attr: str, engine: str) -> int:
     """First expansion pass: f <- 1 + exclusive prefix sum of g, zero-g
     entries become null with f = 0.  Returns m = sum of g.  ValueError,
     before any access or write, if a running sum of g does not fit in 64
-    bits.  The vector engine runs the pass in one call of the native
-    prefix scan, which refuses that sum itself, or _expand_prefix_vector
-    when the kernel is unavailable."""
+    bits.  The vector engine runs the pass in one kernel prefix call,
+    which refuses that sum itself."""
     n = x.length
     g = x.col(g_attr)
     if engine == "scalar":
-        m = None if _sum_wraps(g) else _expand_prefix_scalar(x, g_attr)
+        m = None if _native._sum_wraps(g) else _expand_prefix_scalar(x, g_attr)
     else:
-        native = _native.kernel()
-        prefix = _expand_prefix_vector if native is None else native.prefix
-        m = prefix(g, x.col("f"), x.col("is_null"))
+        m = _native.kernel().prefix(g, x.col("f"), x.col("is_null"))
     if m is None:
         raise ValueError(f"the sum of {g_attr} over {n} entries does not "
                          f"fit in 64 bits")
     if engine == "vector":
         emit_steps((x, READ, range(n)), (x, WRITE, range(n)))
     return m
-
-
-def _sum_wraps(g: np.ndarray) -> bool:
-    """Whether a uint64 running sum of g wraps, by an untraced read: a sum
-    that wraps drops below its term."""
-    return bool((np.cumsum(g, dtype=np.uint64) < g).any())
 
 
 def _expand_prefix_scalar(x: PublicArray, g_attr: str) -> int:
@@ -459,22 +349,6 @@ def _expand_prefix_scalar(x: PublicArray, g_attr: str) -> int:
     return s - 1
 
 
-def _expand_prefix_vector(g: np.ndarray, f: np.ndarray,
-                          nul: np.ndarray) -> int | None:
-    """The prefix pass's numpy body on the g, f and null flag columns; g
-    may be f itself.  Returns m, or None, having written nothing, if a
-    running sum of g wraps."""
-    if _sum_wraps(g):
-        return None
-    # computed before the writes below, which overwrite g when it is f
-    m = int(g.sum(dtype=np.uint64))
-    z = g == 0
-    before = np.cumsum(g, dtype=np.uint64) - g
-    f[:] = np.where(z, 0, np.uint64(1) + before)
-    nul[:] = np.where(z, 1, nul)
-    return m
-
-
 def _forward_fill(a: PublicArray) -> None:
     """Second expansion pass, scalar engine: each null slot takes the last
     value written."""
@@ -484,26 +358,6 @@ def _forward_fill(a: PublicArray) -> None:
         e = ct_select_entry(e.is_null, px, e)
         px = e
         a.write(i, e)
-
-
-def _fold_fill(g: np.ndarray, perm: np.ndarray) -> None:
-    """The second expansion pass, folded into the permutation of
-    _distribute_vector's (a, g, perm): slot i < len(g) takes the last
-    live slot src at or before it, so perm[i] becomes perm[src], or
-    _VACATED where no live slot precedes it.  After _check_placement the
-    live slots are exactly those with g != 0.  One call of the native
-    fold scan, or _fold_fill_vector when the kernel is unavailable."""
-    native = _native.kernel()
-    fold = _fold_fill_vector if native is None else native.fold
-    fold(g, perm[:len(g)])
-
-
-def _fold_fill_vector(g: np.ndarray, perm: np.ndarray) -> None:
-    """_fold_fill's numpy body on g and perm of one length."""
-    ar = np.arange(len(g), dtype=np.int64)
-    src = np.maximum.accumulate(np.where(g != 0, ar, _VACATED))
-    # a _VACATED src reads perm[-1], which the where discards
-    perm[:] = np.where(src == _VACATED, _VACATED, perm[src])
 
 
 def oblivious_expand(x: PublicArray, g_attr: str,
@@ -531,7 +385,10 @@ def oblivious_expand(x: PublicArray, g_attr: str,
         return a
     a, g, perm = _distribute_vector(x, m)
     with sink.phase_scope("expand_fill"):
-        _fold_fill(g, perm)
+        # the forward fill, folded into perm: slot i < m takes perm[src] of
+        # the last live slot src at or before it, or -1 where none is;
+        # after _check_placement the live slots are those with g != 0
+        _native.kernel().fold(g, perm[:m])
         del g  # freed first, or the gather raises the join's peak memory
         _gather(a, perm)
         emit_steps((a, READ, range(m)), (a, WRITE, range(m)))

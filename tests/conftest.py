@@ -31,23 +31,29 @@ def criterion_7_placement():
 
 
 @pytest.fixture(scope="session")
-def native_loads(tmp_path_factory):
-    """The native module loaded both ways through load()'s parameters:
-    "native" built into a fresh cache (None where it cannot be built),
-    "fallback" with a compiler that does not exist (always None)."""
-    cache = tmp_path_factory.mktemp("native-cache")
-    return {"native": _native.load(cache_dir=cache),
-            "fallback": _native.load(cc=str(cache / "no-such-cc"),
-                                     cache_dir=cache)}
+def native_kernels(tmp_path_factory):
+    """load() into a fresh cache: the C kernels, or _native.NUMPY where
+    they cannot be built."""
+    return _native.load(cache_dir=tmp_path_factory.mktemp("native-cache"))
 
 
 @pytest.fixture
-def native(native_loads):
-    """The built native module; skips the test where it cannot be built."""
-    kernel = native_loads["native"]
-    if kernel is None:
+def native(native_kernels):
+    """The C kernels; skips the test where they cannot be built."""
+    if native_kernels is _native.NUMPY:
         pytest.skip("the native module cannot be built here")
-    return kernel
+    return native_kernels
+
+
+@pytest.fixture(params=["native", "numpy"])
+def kernels(request, monkeypatch):
+    """The kernel set of one path, the C kernels or _native.NUMPY, which
+    _native.kernel() returns for the test; the native run skips where
+    the C kernels cannot be built."""
+    kernels = (request.getfixturevalue("native")
+               if request.param == "native" else _native.NUMPY)
+    monkeypatch.setattr(_native, "kernel", lambda: kernels)
+    return kernels
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -215,17 +215,6 @@ def test_ext_trace_depends_only_on_sizes(rng):
 
 # -- the native route kernel against the numpy hops --------------------------
 
-@pytest.fixture(params=["native", "numpy"])
-def route_path(request, native_loads, monkeypatch):
-    """Runs every vector distribution on one route path for the test."""
-    kernel = native_loads["native" if request.param == "native"
-                          else "fallback"]
-    if request.param == "native" and kernel is None:
-        pytest.skip("the native module cannot be built here")
-    monkeypatch.setattr(_native, "kernel", lambda: kernel)
-    return request.param
-
-
 def _route_copies(rng, m):
     """Routing arrays whose destinations follow no contract: live entries
     with g = 0, g past m, and g at or above 2^63, which only an unsigned
@@ -250,7 +239,7 @@ def test_route_kernel_matches_numpy_hops(m, trials, native, rng):
         v = tuple(arr.copy() for arr in c)
         native.route(*c, np.array(hops, np.int64))
         for j in hops:
-            primitives._route_hop_vector(*v, j)
+            _native._route_hop_vector(*v, j)
         for got, want in zip(c, v):
             assert np.array_equal(got, want)
         # a slot an entry moved out of is null, with g = 0
@@ -291,15 +280,14 @@ DISTRIBUTION_SIZES = ([(m, m) for m in range(1, 71)]
 
 
 @pytest.mark.parametrize("trials", [1, 3])
-def test_distribute_paths_agree(trials, native, native_loads, monkeypatch,
-                                rng):
+def test_distribute_paths_agree(trials, native, monkeypatch, rng):
     # injective maps with random nulls, trials inputs per size: the two
     # route paths fill every column of every slot, nulls included, alike,
     # and emit one trace
     for n, m in [size for size in DISTRIBUTION_SIZES for _ in range(trials)]:
         x = _distribution_input(rng, n, m)
         outs, digests = [], []
-        for kernel in (native, native_loads["fallback"]):
+        for kernel in (native, _native.NUMPY):
             # hashlib would take seconds on the 2^15 fallback trace
             sink = HashSink() if m <= 1000 else NullSink()
             outs.append(_distributed_on(kernel, monkeypatch, x, m, sink))
@@ -309,7 +297,7 @@ def test_distribute_paths_agree(trials, native, native_loads, monkeypatch,
             assert np.array_equal(outs[0][name], outs[1][name]), (n, m, name)
 
 
-def test_collisions_raise_on_both_route_paths(route_path):
+def test_collisions_raise_on_both_route_paths(kernels):
     # every bad map of the tripwire and of both collision contracts raises
     # on either path
     for f, m in [([2, 2], 2), ([2, 2, 3], 4), ([1, 1], 2), ([5], 4),
@@ -367,7 +355,7 @@ def test_gather_kernel_matches_numpy_gather(vacated, native, rng):
     for n in (*range(301), 5400, 1 << 15):
         cols, nul, perm = _gather_input(rng, n, vacated)
         want = [col.copy() for col in (*cols, nul)]
-        primitives._gather_vector(want[:-1], want[-1], perm.copy())
+        _native.NUMPY.gather(want[:-1], want[-1], perm.copy())
         native.gather(cols, nul, perm)
         for got, exp in zip((*cols, nul), want):
             assert np.array_equal(got, exp), n
@@ -436,16 +424,10 @@ def _counting_gather(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("path", ["native", "fallback"])
-def test_each_distribution_and_expansion_gathers_once(path, native_loads,
-                                                      monkeypatch):
+def test_each_distribution_and_expansion_gathers_once(kernels, monkeypatch):
     # a distribution moves its columns once, after routing, and an
     # expansion once, after its fill: neither the sort nor the routing
     # network gathers on its own
-    kernel = native_loads[path]
-    if path == "native" and kernel is None:
-        pytest.skip("the native module cannot be built here")
-    monkeypatch.setattr(_native, "kernel", lambda: kernel)
     calls = _counting_gather(monkeypatch)
     out = oblivious_distribute(make_distribute_input(NullSink(), [3, 1]), 4)
     assert placed(out) == [(1, 1), None, (3, 0), None]

@@ -38,7 +38,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from oblivjoin import _native, primitives
+from oblivjoin import _native
 from oblivjoin._schedule import sort_levels, sort_program
 from oblivjoin.baseline import sort_merge_join, sorted_pairs
 from oblivjoin.entries import KEY_J_TID, U64_FIELDS
@@ -178,15 +178,11 @@ def test_join_stream_golden(name):
     assert sink.hexdigest() == GOLDEN_JOIN_STREAMS[name]
 
 
-@pytest.mark.parametrize("path", ["native", "numpy"])
+@pytest.mark.parametrize("kernels", ["native", "numpy"], indirect=True)
 @pytest.mark.parametrize("name", sorted(JOINS))
-def test_join_pins_hold_on_both_paths(name, path, native_loads, monkeypatch):
+def test_join_pins_hold_on_both_paths(name, kernels):
     # the native kernels and their numpy fallbacks each give the pinned
     # output size, peak entries, pairs, trace digest and per-phase counts
-    kernel = native_loads["native" if path == "native" else "fallback"]
-    if path == "native" and kernel is None:
-        pytest.skip("the native module cannot be built here")
-    monkeypatch.setattr(_native, "kernel", lambda: kernel)
     t1, t2 = JOINS[name]()
     sink = HashSink()
     res = oblivious_join(t1, t2, sink)
@@ -287,7 +283,7 @@ def test_null_sink_join_builds_no_schedule(name, native, monkeypatch):
     def no_walk(n):
         raise AssertionError("sort_levels walked on the native path")
     monkeypatch.setattr(_native, "kernel", lambda: native)
-    monkeypatch.setattr(primitives, "sort_levels", no_walk)
+    monkeypatch.setattr(_native, "sort_levels", no_walk)
     t1, t2 = JOINS[name]()
     logged = _SortBlockBound()
     for sink in (NullSink(), HashSink(), logged):
@@ -298,8 +294,8 @@ def test_null_sink_join_builds_no_schedule(name, native, monkeypatch):
         if isinstance(sink, HashSink):
             assert sink.hexdigest() == GOLDEN_JOIN_STREAMS[name]
     # the events are those of the numpy fallback, which walks sort_levels
-    monkeypatch.setattr(_native, "kernel", lambda: None)
-    monkeypatch.setattr(primitives, "sort_levels", sort_levels)
+    monkeypatch.setattr(_native, "kernel", lambda: _native.NUMPY)
+    monkeypatch.setattr(_native, "sort_levels", sort_levels)
     fallback = LogSink()
     oblivious_join(t1, t2, fallback)
     assert Counter(logged.phase_labels()) == GOLDEN_COUNTS[name]
@@ -446,14 +442,10 @@ def _columns_digest(*arrays):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("path", ["native", "numpy"])
+@pytest.mark.parametrize("kernels", ["native", "numpy"], indirect=True)
 @pytest.mark.parametrize("name", sorted(PRIMITIVES))
-def test_primitive_output_golden(name, path, native_loads, monkeypatch):
+def test_primitive_output_golden(name, kernels):
     # the native kernels and their numpy fallbacks, each against the pin
-    kernel = native_loads["native" if path == "native" else "fallback"]
-    if path == "native" and kernel is None:
-        pytest.skip("the native module cannot be built here")
-    monkeypatch.setattr(_native, "kernel", lambda: kernel)
     outs = [run(HashSink()) for run in PRIMITIVES[name]]
     assert _columns_digest(*outs) == GOLDEN_OUTPUTS[name]
 

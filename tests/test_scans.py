@@ -1,10 +1,10 @@
 """The native linear scans (fill, prefix, fold, align) against their numpy
-bodies, their refusals, and which of the two each join phase runs."""
+bodies, their refusals, and the kernel call each join phase makes."""
 
 import numpy as np
 import pytest
 
-from oblivjoin import _native, pipeline, primitives
+from oblivjoin import _native
 from oblivjoin.harness import make_distribute_input
 from oblivjoin.pipeline import align_table, oblivious_join
 from oblivjoin.primitives import oblivious_expand
@@ -50,11 +50,8 @@ def test_fill_scan_matches_numpy_body(native):
         a1, a2 = _wild(rng, n), _wild(rng, n)
         cols = _copies(j, tid, a1, a2)
         m = native.fill_dimensions(*cols)
-        if n == 0:
-            assert m == 0
-            continue
         want = _copies(j, tid, a1, a2)
-        assert m == pipeline._fill_dimensions_vector(*want), (n, kind)
+        assert m == _native.NUMPY.fill_dimensions(*want), (n, kind)
         for got, exp in zip(cols, want):
             assert np.array_equal(got, exp), (n, kind)
 
@@ -69,7 +66,7 @@ def test_align_scan_matches_numpy_body(native):
         a2, ii = _wild(rng, n), _wild(rng, n)
         cols, want = _copies(j, a1, a2, ii), _copies(j, a1, a2, ii)
         assert native.align(*cols)
-        assert pipeline._align_pass_vector(*want)
+        assert _native.NUMPY.align(*want)
         for got, exp in zip(cols, want):
             assert np.array_equal(got, exp), (n, kind)
 
@@ -95,7 +92,7 @@ def test_prefix_scan_matches_numpy_body(native, alias):
         if alias:
             got[1], want[1] = got[0], want[0]
         m = native.prefix(*got)
-        assert m == primitives._expand_prefix_vector(*want), (n, kind)
+        assert m == _native.NUMPY.prefix(*want), (n, kind)
         assert m == int(g.sum(dtype=np.uint64))
         for a, b in zip(got, want):
             assert np.array_equal(a, b), (n, kind)
@@ -108,7 +105,7 @@ def test_fold_scan_matches_numpy_body(native):
         perm = rng.integers(-1, max(n, 1), n)
         got, want = _copies(g, perm), _copies(g, perm)
         native.fold(*got)
-        primitives._fold_fill_vector(*want)
+        _native.NUMPY.fold(*want)
         for a, b in zip(got, want):
             assert np.array_equal(a, b), (n, kind)
 
@@ -116,28 +113,23 @@ def test_fold_scan_matches_numpy_body(native):
 # -- refusals, each before any write -----------------------------------------
 
 @pytest.mark.parametrize("alias", [False, True], ids=["g", "g_is_f"])
-@pytest.mark.parametrize("path", ["native", "numpy"])
-def test_prefix_refuses_a_wrapping_sum_before_any_write(native, path, alias):
-    body = native.prefix if path == "native" else \
-        primitives._expand_prefix_vector
+def test_prefix_refuses_a_wrapping_sum_before_any_write(kernels, alias):
     for g in ([2**64 - 1, 1], [1, 2**64 - 1], [2**63, 0, 2**63, 5]):
         g = np.array(g, np.uint64)
         f = g if alias else np.arange(len(g), dtype=np.uint64)
         nul = np.full(len(g), 7, np.uint8)
         before = _copies(g, f, nul)
-        assert body(g, f, nul) is None
+        assert kernels.prefix(g, f, nul) is None
         for a, b in zip((g, f, nul), before):
             assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("path", ["native", "numpy"])
-def test_align_refuses_a_zero_alpha1_before_any_write(native, path):
-    body = native.align if path == "native" else pipeline._align_pass_vector
+def test_align_refuses_a_zero_alpha1_before_any_write(kernels):
     j = np.zeros(5, np.uint64)
     a1 = np.array([1, 2, 3, 0, 1], np.uint64)
     a2 = np.ones(5, np.uint64)
     ii = np.full(5, 9, np.uint64)
-    assert not body(j, a1, a2, ii)
+    assert not kernels.align(j, a1, a2, ii)
     assert ii.tolist() == [9] * 5
 
 
@@ -173,27 +165,17 @@ def test_scan_argument_refusals_write_nothing(native):
         assert nul.tolist() == [0] * 4 and perm.tolist() == [0, 1, 2, 3]
 
 
-# -- which body each join phase runs -----------------------------------------
+# -- the kernel call each join phase makes ------------------------------------
 
-# (module, numpy body, Kernels method, the phase it runs under)
-SCANS = [
-    (pipeline, "_fill_dimensions_vector", "fill_dimensions",
-     "fill_dimensions"),
-    (primitives, "_expand_prefix_vector", "prefix", "expand_prefix"),
-    (primitives, "_fold_fill_vector", "fold", "expand_fill"),
-    (pipeline, "_align_pass_vector", "align", "align_pass"),
-]
+# (kernel method, the phase it runs under), in the order a join calls them
+SCANS = [("fill_dimensions", "fill_dimensions"), ("prefix", "expand_prefix"),
+         ("fold", "expand_fill"), ("prefix", "expand_prefix"),
+         ("fold", "expand_fill"), ("align", "align_pass")]
 
 
-@pytest.mark.parametrize("path", ["native", "fallback"])
-def test_each_join_phase_runs_its_scan(path, native_loads, monkeypatch):
-    # under the native path every linear pass is one kernel call and no
-    # numpy body runs; on the fallback the numpy bodies run instead, in
-    # the same phases
-    kernel = native_loads[path]
-    if path == "native" and kernel is None:
-        pytest.skip("the native module cannot be built here")
-    monkeypatch.setattr(_native, "kernel", lambda: kernel)
+def test_each_join_phase_runs_its_scan(kernels, monkeypatch):
+    # on either path every linear pass is one call of the one kernel set,
+    # in the phase of its pass
     sink = HashSink()
     calls = []
 
@@ -202,30 +184,20 @@ def test_each_join_phase_runs_its_scan(path, native_loads, monkeypatch):
             calls.append((name, sink.phase))
             return fn(*args)
         return run
-    for module, body, method, _ in SCANS:
-        monkeypatch.setattr(module, body,
-                            recorder(body, getattr(module, body)))
-        if kernel is not None:
-            monkeypatch.setattr(kernel, method,
-                                recorder(method, getattr(kernel, method)))
+    for method in dict(SCANS):
+        monkeypatch.setattr(kernels, method,
+                            recorder(method, getattr(kernels, method)))
     t1 = np.array([(1, 10), (2, 11), (1, 12), (5, 13)], np.uint64)
     t2 = np.array([(1, 20), (2, 21), (2, 22), (7, 23)], np.uint64)
     res = oblivious_join(t1, t2, sink)
     assert sorted(res.rows()) == [(10, 20), (11, 21), (11, 22), (12, 20)]
-    col = 2 if path == "native" else 1
-    want = [(s[col], s[3]) for s in (SCANS[0], *SCANS[1:3], *SCANS[1:])]
-    assert calls == want
+    assert calls == SCANS
 
 
-@pytest.mark.parametrize("path", ["native", "fallback"])
-def test_phase_refusals_access_nothing(path, native_loads, monkeypatch):
+def test_phase_refusals_access_nothing(kernels):
     # align_table and oblivious_expand (with g_attr="f", g and f one
     # column) refuse with their messages on either path, having emitted,
     # allocated and written nothing
-    kernel = native_loads[path]
-    if path == "native" and kernel is None:
-        pytest.skip("the native module cannot be built here")
-    monkeypatch.setattr(_native, "kernel", lambda: kernel)
     sink = LogSink()
     s2 = alloc(3, sink)
     s2.col("alpha1")[:] = [2, 0, 2]

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from oblivjoin import _native, primitives
+from oblivjoin import _native
 from oblivjoin._schedule import (comparator_count, np2, route_hops,
                                  sort_levels, sort_program)
 from oblivjoin.entries import KEY_J_TID, KEY_NONNULL_F, U64_FIELDS
@@ -322,7 +322,7 @@ def test_sort_kernel_matches_numpy_levels(n, trials, nkeys, native, rng):
         nperm = cperm.copy()
         native.sort(ck, cperm, prog)
         for lo, hi, asc in sort_levels(n):
-            primitives._ce_level_vector(nk, nperm, lo, hi, asc)
+            _native._ce_level_vector(nk, nperm, lo, hi, asc)
         assert np.array_equal(cperm, nperm)
         for c, v in zip(ck, nk):
             assert np.array_equal(c, v)
@@ -343,8 +343,8 @@ def _program_levels(n):
 @pytest.mark.parametrize("n", [2, 3, 7, 64, 100, 257, 1024])
 def test_level_kernel_matches_numpy_level(n, trials, native, rng):
     # level by level, a one-level program leaves the same keys and
-    # permutation as the numpy level over that level of sort_levels, on
-    # each of trials inputs
+    # permutation in the kernel as in the numpy set, and both count that
+    # level of sort_levels's comparators, on each of trials inputs
     for _ in range(trials):
         keys = _kernel_keys(rng, n, 3)
         ck, nk = [col.copy() for col in keys], [col.copy() for col in keys]
@@ -353,8 +353,8 @@ def test_level_kernel_matches_numpy_level(n, trials, native, rng):
         for level, (lo, hi, asc) in zip(
                 _program_levels(n), sort_levels(n), strict=True):
             prog = np.array([1, *level], np.int64)
-            native.sort(ck, cperm, prog)
-            primitives._ce_level_vector(nk, nperm, lo, hi, asc)
+            assert native.sort(ck, cperm, prog) == len(lo)
+            assert _native.NUMPY.sort(nk, nperm, prog) == len(lo)
             assert np.array_equal(cperm, nperm)
             for c, v in zip(ck, nk):
                 assert np.array_equal(c, v)
@@ -417,7 +417,7 @@ def test_sort_kernel_fuses_only_whole_stages(n, native, rng):
                 nperm = cperm.copy()
                 native.sort(ck, cperm, np.array(prog, np.int64))
                 for lo, hi, asc in _expand_program(prog):
-                    primitives._ce_level_vector(nk, nperm, lo, hi, asc)
+                    _native._ce_level_vector(nk, nperm, lo, hi, asc)
                 assert np.array_equal(cperm, nperm), (first, window)
                 for c, v in zip(ck, nk):
                     assert np.array_equal(c, v), (first, window)
@@ -557,7 +557,7 @@ def test_pairs_kernel_splits_into_the_network_pairs(n, native, rng):
         for start, end in zip(bounds, bounds[1:]):
             lo, hi = np.full(end - start, -7, np.int64), \
                 np.full(end - start, -7, np.int64)
-            native.pairs(prog, n, start, end - start, lo, hi)
+            native._pairs(prog, n, start, end - start, lo, hi)
             got_lo[start:end], got_hi[start:end] = lo, hi
         assert np.array_equal(got_lo, want_lo), (n, name)
         assert np.array_equal(got_hi, want_hi), (n, name)
@@ -565,7 +565,7 @@ def test_pairs_kernel_splits_into_the_network_pairs(n, native, rng):
     # level and part boundary
     lo, hi = np.zeros(1, np.int64), np.zeros(1, np.int64)
     for at in {s + d for s in starts for d in (-1, 0, 1)} & set(range(ncomp)):
-        native.pairs(prog, n, at, 1, lo, hi)
+        native._pairs(prog, n, at, 1, lo, hi)
         assert (lo[0], hi[0]) == (want_lo[at], want_hi[at]), (n, at)
 
 
@@ -588,17 +588,17 @@ def test_pairs_kernel_refuses_bad_ranges_and_programs(native):
     }
     for name, (program, n, start, count) in bad.items():
         with pytest.raises(ValueError):
-            native.pairs(program, n, start, count, lo, hi)
+            native._pairs(program, n, start, count, lo, hi)
         assert (lo == -7).all() and (hi == -7).all(), name
     for name, (l, h) in {"int32 lo": (lo.astype(np.int32), hi),
                          "lo and hi lengths": (lo, hi[:-1]),
                          "2-d hi": (lo, hi[None])}.items():
         with pytest.raises(ValueError):
-            native.pairs(prog, 7, 0, 1, l, h)
+            native._pairs(prog, 7, 0, 1, l, h)
         assert (lo == -7).all() and (hi == -7).all(), name
     # an empty range at either end is a valid call that writes nothing
     for start in (0, ncomp):
-        native.pairs(prog, 7, start, 0, lo, hi)
+        native._pairs(prog, 7, start, 0, lo, hi)
     assert (lo == -7).all() and (hi == -7).all()
 
 
@@ -608,7 +608,7 @@ def _sorted_on(kernel, monkeypatch, n, vals, fill, key):
 
 
 @pytest.mark.parametrize("n", [100, 128, 257])
-def test_bitonic_sort_paths_agree(n, native, native_loads, monkeypatch, rng):
+def test_bitonic_sort_paths_agree(n, native, monkeypatch, rng):
     # the whole vector sort on each path, inputs that differ: ties on j,
     # the uint8 null flag under KEY_NONNULL_F, a second key on d
     cases = [([rng.integers(0, 6, n) for _ in range(3)], _fill_distinct,
@@ -621,8 +621,8 @@ def test_bitonic_sort_paths_agree(n, native, native_loads, monkeypatch, rng):
         for vals in inputs:
             c_cols, c_dig = _sorted_on(native, monkeypatch, n, vals, fill,
                                        key)
-            n_cols, n_dig = _sorted_on(native_loads["fallback"], monkeypatch,
-                                       n, vals, fill, key)
+            n_cols, n_dig = _sorted_on(_native.NUMPY, monkeypatch, n, vals,
+                                       fill, key)
             assert c_dig == n_dig
             for name in ALL_COLS:
                 assert np.array_equal(c_cols[name], n_cols[name]), (key, name)
@@ -641,17 +641,21 @@ class _BlockSizes(LogSink):
 
 
 @pytest.mark.parametrize("n", [5400, 8192])
-def test_native_sort_emits_chunks_of_the_network(n, native, native_loads,
-                                                 monkeypatch, rng):
+def test_native_sort_emits_chunks_of_the_network(n, native, monkeypatch,
+                                                 rng):
     # a consuming sink gets the native sort's events in blocks of 8,192
     # comparators (the last one shorter), never from a sort_levels walk,
     # and the events are the fallback's, which emits one block per level
+    # from its one walk of sort_levels
     vals = rng.integers(0, 6, n)
-    events, blocks = [], []
-    for kernel, walk in ((native, None),
-                         (native_loads["fallback"], sort_levels)):
+    events, blocks, walks = [], [], []
+
+    def counted(*args):
+        walks.append(args[0])
+        return sort_levels(*args)
+    for kernel, walk in ((native, None), (_native.NUMPY, counted)):
         monkeypatch.setattr(_native, "kernel", lambda: kernel)
-        monkeypatch.setattr(primitives, "sort_levels", walk)
+        monkeypatch.setattr(_native, "sort_levels", walk)
         sink = _BlockSizes()
         a = alloc(n, sink)
         _fill_distinct(a, vals)
@@ -661,5 +665,6 @@ def test_native_sort_emits_chunks_of_the_network(n, native, native_loads,
     full, last = divmod(comparator_count(n), 8192)
     assert blocks[0] == [4 * 8192] * full + [4 * last]
     assert len(blocks[1]) == sum(1 for _ in sort_levels(n))
+    assert walks == [n]
     for c, f in zip(*events):
         assert np.array_equal(c, f)

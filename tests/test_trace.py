@@ -4,6 +4,7 @@ public-array accounting."""
 import ctypes
 import functools
 import hashlib
+import inspect
 import os
 import platform
 import shutil
@@ -108,26 +109,61 @@ def test_hash_sink_digest_ignores_block_boundaries(rng):
 def test_unwritable_cache_falls_back(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("a file where the cache directory would go")
-    assert _native.load(cache_dir=blocker / "oblivjoin") is None
+    assert _native.load(cache_dir=blocker / "oblivjoin") is _native.NUMPY
+
+
+def test_default_cache_ignores_a_relative_xdg_cache_home(monkeypatch,
+                                                         tmp_path):
+    # the XDG spec says to ignore a relative path, which would name a
+    # different cache in every working directory
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert _native._default_cache() == tmp_path / "oblivjoin"
+    for relative in ("cache", "./cache", ""):
+        monkeypatch.setenv("XDG_CACHE_HOME", relative)
+        assert _native._default_cache() == \
+            Path.home() / ".cache" / "oblivjoin"
+
+
+def test_library_path_names_the_machine(monkeypatch, tmp_path):
+    # an object built for one architecture in a cache that another one
+    # shares, such as an NFS home, is never loaded on the other
+    here = _native._library_path("cc", tmp_path)
+    monkeypatch.setattr(_native.platform, "machine", lambda: "other-arch")
+    there = _native._library_path("cc", tmp_path)
+    assert here.parent == there.parent == tmp_path
+    assert here != there
 
 
 def _can_build_kernel() -> bool:
     return shutil.which("cc") is not None
 
 
+def _public_methods(cls) -> dict[str, list[str]]:
+    """name -> parameter names of each public method of cls."""
+    return {name: list(inspect.signature(fn).parameters)
+            for name, fn in vars(cls).items()
+            if callable(fn) and not name.startswith("_")}
+
+
+def test_both_kernel_sets_have_one_interface():
+    # a caller never asks which kernel set it got, so both take the same
+    # calls
+    methods = _public_methods(_native.Kernels)
+    assert methods == _public_methods(_native.NumpyKernels)
+    assert sorted(methods) == ["align", "fill_dimensions", "fold", "gather",
+                               "prefix", "route", "sort"]
+
+
 @pytest.mark.skipif(not _can_build_kernel(), reason="no cc")
 def test_native_module_loads_where_it_can_be_built(monkeypatch):
     # a broken build must not quietly hand every sort and every routing
     # network to the slow path
-    assert _native.kernel() is not None
+    assert isinstance(_native.kernel(), _native.Kernels)
 
     def numpy_fallback(*args):
         raise AssertionError("a numpy fallback ran beside a live kernel")
-    for name in ("_ce_level_vector", "_route_hop_vector", "_gather_vector",
-                 "_expand_prefix_vector", "_fold_fill_vector"):
-        monkeypatch.setattr(primitives, name, numpy_fallback)
-    for name in ("_fill_dimensions_vector", "_align_pass_vector"):
-        monkeypatch.setattr(pipeline, name, numpy_fallback)
+    for name in _public_methods(_native.NumpyKernels):
+        monkeypatch.setattr(_native.NumpyKernels, name, numpy_fallback)
     a = alloc(6, NullSink())
     a.col("j")[:] = [5, 0, 3, 2, 4, 1]
     a.col("is_null")[:] = 0
@@ -182,14 +218,14 @@ for n in (2, 3, 7, 100, 257, 1000, 5400):
     got_lo, got_hi = [], []
     for start in range(0, ncomp, 8192):
         count = min(8192, ncomp - start)
-        kernel.pairs(prog, n, start, count, lo, hi)
+        kernel._pairs(prog, n, start, count, lo, hi)
         got_lo += lo[:count].tolist()
         got_hi += hi[:count].tolist()
     levels = list(sort_levels(n))
     assert got_lo == np.concatenate([l for l, _, _ in levels]).tolist(), n
     assert got_hi == np.concatenate([h for _, h, _ in levels]).tolist(), n
 try:  # one pair past the end of the network
-    kernel.pairs(prog, n, ncomp - 1, 2, lo, hi)
+    kernel._pairs(prog, n, ncomp - 1, 2, lo, hi)
     raise AssertionError("a range past the network ran")
 except ValueError:
     pass
@@ -221,29 +257,28 @@ try:  # an entry past the end
     raise AssertionError("a gather past the end ran")
 except ValueError:
     pass
-from oblivjoin import pipeline, primitives
 for n in (1, 2, 7, 1000, 5400):
     j = top[rng.integers(0, 4, n)]
     tid = rng.integers(0, 4, n).astype(np.uint64)
     wild = [rng.integers(0, 2**64, n, dtype=np.uint64) for _ in range(4)]
     got, want = ([c.copy() for c in (j, tid, *wild[:2])] for _ in range(2))
     assert kernel.fill_dimensions(*got) == \
-        pipeline._fill_dimensions_vector(*want), n
+        _native.NUMPY.fill_dimensions(*want), n
     assert all(np.array_equal(a, b) for a, b in zip(got, want)), n
     a1 = wild[2] | np.uint64(1)
     got, want = ([c.copy() for c in (j, a1, *wild[2:])] for _ in range(2))
-    assert kernel.align(*got) and pipeline._align_pass_vector(*want), n
+    assert kernel.align(*got) and _native.NUMPY.align(*want), n
     assert all(np.array_equal(a, b) for a, b in zip(got, want)), n
     g = j % np.uint64(5)
     nul = rng.integers(0, 256, n).astype(np.uint8)
     got, want = ([c.copy() for c in (g, wild[0], nul)] for _ in range(2))
-    assert kernel.prefix(*got) == primitives._expand_prefix_vector(*want), n
+    assert kernel.prefix(*got) == _native.NUMPY.prefix(*want), n
     assert all(np.array_equal(a, b) for a, b in zip(got, want)), n
     assert kernel.prefix(got[0], got[0], got[2]) is not None  # g is f
     perm = rng.integers(-1, n, n)
     got, want = ([c.copy() for c in (g, perm)] for _ in range(2))
     kernel.fold(*got)
-    primitives._fold_fill_vector(*want)
+    _native.NUMPY.fold(*want)
     assert all(np.array_equal(a, b) for a, b in zip(got, want)), n
 assert kernel.prefix(top, wild[0][:4], nul[:4]) is None  # the sum wraps
 assert not kernel.align(j, j.copy(), j.copy(), wild[0])  # an alpha1 of 0
@@ -465,7 +500,7 @@ def test_default_clone_matches_numpy_levels(tmp_path):
             nk = [col.copy() for col in keys]
             nperm = np.arange(n, dtype=np.int64)
             for lo, hi, asc in sort_levels(n):
-                primitives._ce_level_vector(nk, nperm, lo, hi, asc)
+                _native._ce_level_vector(nk, nperm, lo, hi, asc)
             for kernel in kernels:
                 ck = [col.copy() for col in keys]
                 cperm = np.arange(n, dtype=np.int64)
@@ -482,7 +517,7 @@ def test_default_clone_matches_numpy_levels(tmp_path):
 def test_sort_kernel_is_dispatched_on_x86_64_glibc(tmp_path):
     # the built object holds both clones behind an ifunc: a compiler that
     # silently dropped the attribute would leave one plain body
-    assert _native.load(cache_dir=tmp_path) is not None
+    assert isinstance(_native.load(cache_dir=tmp_path), _native.Kernels)
     out = subprocess.run(["nm", str(_native._library_path("cc", tmp_path))],
                          capture_output=True, text=True, check=True).stdout
     symbols = {line.split()[-1]: line.split()[-2]
@@ -510,7 +545,7 @@ def test_cached_object_without_a_kernel_falls_back(symbol, tmp_path,
     subprocess.run([cc, "-shared", "-fPIC", "-o",
                     str(_native._library_path("cc", cache)), str(stub)],
                    check=True, capture_output=True)
-    assert _native.load(cache_dir=cache) is None
+    assert _native.load(cache_dir=cache) is _native.NUMPY
     monkeypatch.setattr(_native, "kernel", functools.cache(
         lambda: _native.load(cache_dir=cache)))
     for _ in range(2):
@@ -519,18 +554,18 @@ def test_cached_object_without_a_kernel_falls_back(symbol, tmp_path,
         a.col("is_null")[:] = 0
         primitives.bitonic_sort(a, KEY_J_TID)
         assert a.debug_col("j").tolist() == [0, 1, 2, 3, 4, 5]
-    assert _native.kernel() is None
+    assert _native.kernel() is _native.NUMPY
 
 
 def test_warm_cache_load_runs_no_compiler(tmp_path, monkeypatch):
-    if _native.load(cache_dir=tmp_path) is None:
+    if _native.load(cache_dir=tmp_path) is _native.NUMPY:
         pytest.skip("the native module cannot be built here")
 
     def no_compiler(*args, **kwargs):
         raise AssertionError("compiler invoked on a warm cache")
     monkeypatch.setattr(_native.subprocess, "run", no_compiler)
     kernel = _native.load(cache_dir=tmp_path)
-    assert kernel is not None
+    assert isinstance(kernel, _native.Kernels)
     keys = [np.array([2, 1], np.uint64)]
     perm = np.array([0, 1], np.int64)
     kernel.sort(keys, perm, sort_program(2)[0])
@@ -569,7 +604,8 @@ def test_kernel_is_built_on_first_sort_not_at_import(tmp_path):
             "assert not os.path.exists(os.path.join(sys.argv[1], 'oblivjoin'))",
             "objects = os.path.join(sys.argv[1], 'oblivjoin', 'native-*.so')",
             *first_use,
-            "print(len(glob.glob(objects)), _native.kernel() is not None)",
+            "print(len(glob.glob(objects)),",
+            "      isinstance(_native.kernel(), _native.Kernels))",
         ])
         env = dict(os.environ, XDG_CACHE_HOME=str(cache), PYTHONPATH=str(src))
         out = subprocess.run([sys.executable, "-c", script, str(cache)],
