@@ -76,10 +76,13 @@ read-only first pass, before any write.  oblivjoin_fold is the
 expansion's forward fill folded into the routed permutation: it carries
 the permutation entry of the last live slot.  oblivjoin_align is the
 align pass: it carries each slot's index q in its key run and writes
-q / alpha1 + (q % alpha1) * alpha2; it refuses an alpha1 of 0 before
-any write.  Each equals its numpy body on every input, valid join or
-not, empty included.  The hardware divide of the align scan may take a
-time that depends on its operands.
+ii = q / alpha1 + (q % alpha1) * alpha2 and the align sort's key
+i - q + ii; a read-only first pass refuses, before any write, an alpha1
+of 0, a key below the one before it and an ii not below its run's
+length, the columns that key would not order as (j, ii).  Each equals
+its numpy body on every input, valid join or not, empty included.  The
+hardware divide of the align scan may take a time that depends on its
+operands.
 
 The object is compiled on first use into the user's cache directory and
 loaded with ctypes; nothing is built at import.  It is built with -O3,
@@ -515,23 +518,27 @@ int oblivjoin_gather(uint64_t *const *cols, size_t ncols, uint8_t *nul,
 #define ONES(x) (-(uint64_t)((x) != 0))
 
 /* j, tid: the key and table id columns; a1, a2: the alpha1 and alpha2
-   columns; len slots each, no two overlapping.  The forward pass carries
-   each run of equal keys' running counts of tid 1 and tid 2 into a1 and
-   a2, and the sum m of each run's final a1 * a2; the backward pass
-   carries each run's final counts back over it.  Returns m, modulo
-   2^64. */
+   columns; key: the uint64 sort keys it writes; len slots each, no two
+   overlapping.  The forward pass carries each run of equal keys' running
+   counts of tid 1 and tid 2 into a1 and a2, the sum m of each run's final
+   a1 * a2, and the run's dense rank r, the number of runs before it, and
+   writes key = (tid - 1) << 63 | r; the backward pass carries each run's
+   final counts back over it.  Returns m, modulo 2^64. */
 uint64_t oblivjoin_fill(const uint64_t *restrict j,
                         const uint64_t *restrict tid, uint64_t *restrict a1,
-                        uint64_t *restrict a2, size_t len)
+                        uint64_t *restrict a2, uint64_t *restrict key,
+                        size_t len)
 {
-    uint64_t c1 = 0, c2 = 0, m = 0, pj = 0;
+    uint64_t c1 = 0, c2 = 0, m = 0, pj = 0, r = (uint64_t)-1;
     for (size_t i = 0; i < len; i++) {
         uint64_t same = ONES(i) & -(uint64_t)(j[i] == pj), t = tid[i];
         m += (c1 * c2) & ~same;
+        r += ~same & 1;
         c1 = (c1 & same) + (t == 1);
         c2 = (c2 & same) + (t == 2);
         a1[i] = c1;
         a2[i] = c2;
+        key[i] = (t - 1) << 63 | r;
         pj = j[i];
     }
     m += c1 * c2;
@@ -588,25 +595,39 @@ void oblivjoin_fold(const uint64_t *restrict g, int64_t *restrict perm,
     }
 }
 
-/* j: the keys; a1, a2: the alpha1 and alpha2 columns; ii: the uint64
-   slots it writes; len slots each, no two overlapping.  For the q-th
-   slot of each run of equal keys, from 0, writes
-   ii = q / a1 + (q % a1) * a2.  Returns -1, having written nothing, if
-   an a1 is 0. */
+/* j: the keys; a1, a2: the alpha1 and alpha2 columns; ii, key: the
+   uint64 slots and sort keys it writes; len slots each, no two
+   overlapping.  For the q-th slot of each run of equal keys, from 0,
+   writes ii = q / a1 + (q % a1) * a2 and key = i - q + ii, the run's
+   first slot plus ii.  Returns -1, having written nothing, if an a1 is 0,
+   a key is below the one before it, or an ii is not below its run's
+   length: key orders the slots it accepts as (j, ii) does.  The
+   read-only first pass that checks this carries the largest ii of the
+   run so far, top, and a run of q + 1 slots needs top <= q. */
 int oblivjoin_align(const uint64_t *restrict j, const uint64_t *restrict a1,
                     const uint64_t *restrict a2, uint64_t *restrict ii,
-                    size_t len)
+                    uint64_t *restrict key, size_t len)
 {
-    uint64_t bad = 0;
-    for (size_t i = 0; i < len; i++)
-        bad |= a1[i] == 0;
-    if (bad)
+    uint64_t bad = 0, q = 0, pj = 0, top = 0;
+    for (size_t i = 0; i < len; i++) {
+        uint64_t c = a1[i], same = ONES(i) & -(uint64_t)(j[i] == pj);
+        bad |= (c == 0) | (j[i] < pj) | (~same & (top > q));
+        q = (q + 1) & same;
+        c |= c == 0; /* a refused 0 divides by 1 */
+        uint64_t w = q / c + (q % c) * a2[i], t = top & same;
+        top = t ^ ((t ^ w) & -(uint64_t)(w > t));
+        pj = j[i];
+    }
+    if (bad | (top > q))
         return -1;
-    uint64_t q = 0, pj = 0;
+    q = 0;
+    pj = 0;
     for (size_t i = 0; i < len; i++) {
         uint64_t c = a1[i];
         q = (q + 1) & ONES(i) & -(uint64_t)(j[i] == pj);
-        ii[i] = q / c + (q % c) * a2[i];
+        uint64_t w = q / c + (q % c) * a2[i];
+        ii[i] = w;
+        key[i] = i - q + w;
         pj = j[i];
     }
     return 0;
@@ -621,6 +642,10 @@ _P, _N = ctypes.c_void_p, ctypes.c_size_t
 # is small beside hashing it, few enough that its index and record arrays
 # stay under 1 MiB
 _EMIT_CHUNK = 1 << 13
+
+# the most key copies a sort takes: the C sort kernel has one body per key
+# count, one to three
+_MAX_KEYS = 3
 
 # the permutation entry of a slot that becomes a null entry: one an entry
 # moved out of in routing, or one before the first live entry in the fold
@@ -656,6 +681,108 @@ def _row_addresses(arrays, dtypes, what: str) -> list[int]:
     return addrs
 
 
+# The argument checks of the kernels, one per kernel, which both kernel sets
+# make before any write, so that both refuse the same calls with the same
+# ValueError.  Each returns the addresses of the arrays it checks, in
+# argument order.  The values (the sort program, a route's hops, a gather's
+# permutation entries, a prefix's running sum, align's columns) are each
+# body's own check.
+
+def _sort_args(keys, perm: np.ndarray, prog: np.ndarray) -> list[int]:
+    if prog.ndim != 1:
+        raise ValueError("the sort program must be one-dimensional")
+    if not 1 <= len(keys) <= _MAX_KEYS:
+        raise ValueError(f"a sort takes 1 to {_MAX_KEYS} keys, got "
+                         f"{len(keys)}")
+    return [*_row_addresses([*keys, perm],
+                            [np.uint64] * len(keys) + [np.int64],
+                            "the keys and the permutation"),
+            _addr(prog, np.int64)]
+
+
+def _program_fits(length: int, prog: np.ndarray) -> bool:
+    """Whether oblivjoin_sort's check_program accepts the sort program
+    prog for length slots: the same checks, in Python."""
+    p = prog.tolist()
+
+    def pairs_fit(lo0, cnt, j):
+        if lo0 < 0 or cnt < 0:
+            return False
+        if cnt == 0:
+            return True
+        if lo0 >= length or cnt > length or j >= length:
+            return False
+        t = cnt - 1
+        return lo0 + t + (t & -j) + j < length
+    if not p or p[0] < 0:
+        return False
+    at, ncomp = 1, 0
+    for _ in range(p[0]):
+        if len(p) - at < 4:
+            return False
+        j, k, nfull, nparts = p[at:at + 4]
+        if (j < 1 or j & (j - 1) or k < 2 or k & (k - 1) or k // 2 < j
+                or nfull < 0 or nparts < 0 or nfull > length
+                or nparts > (len(p) - at - 4) // 3
+                or not pairs_fit(0, nfull >> 1, j)):
+            return False
+        ncomp += nfull >> 1
+        at += 4
+        for _ in range(nparts):
+            if not pairs_fit(p[at], p[at + 1], j):
+                return False
+            ncomp += p[at + 1]
+            at += 3
+    return ncomp < 2**63
+
+
+def _g_perm_args(g: np.ndarray, perm: np.ndarray) -> list[int]:
+    return _row_addresses([g, perm], [np.uint64, np.int64],
+                          "g and the permutation")
+
+
+def _route_args(g: np.ndarray, perm: np.ndarray,
+                hops: np.ndarray) -> list[int]:
+    if hops.ndim != 1:
+        raise ValueError("hops must be one-dimensional")
+    return [*_g_perm_args(g, perm), _addr(hops, np.int64)]
+
+
+def _gather_args(cols, nul: np.ndarray, perm: np.ndarray) -> list[int]:
+    return _row_addresses([*cols, nul, perm],
+                          [np.uint64] * len(cols) + [np.uint8, np.int64],
+                          "the columns and the permutation")
+
+
+def _fill_args(*cols) -> list[int]:
+    return _row_addresses(cols, [np.uint64] * 5,
+                          "the key, table id, alpha and sort key columns")
+
+
+def _prefix_args(g: np.ndarray, f: np.ndarray, nul: np.ndarray) -> list[int]:
+    pf, pn = _row_addresses([f, nul], [np.uint64, np.uint8],
+                            "f and the null flags")
+    if g.shape == f.shape and _addr(g, np.uint64) == pf:
+        return [pf, pf, pn]  # g is f itself
+    return _row_addresses([g, f, nul], [np.uint64, np.uint64, np.uint8],
+                          "g, f and the null flags")
+
+
+def _align_args(*cols) -> list[int]:
+    return _row_addresses(cols, [np.uint64] * 5,
+                          "the key, alpha, ii and sort key columns")
+
+
+_BAD_PROGRAM = "the sort program does not fit the sorted arrays"
+_BAD_HOP = "a hop lies outside the routed arrays"
+
+
+def _outside(length: int) -> ValueError:
+    """The refusal of a gather whose permutation has an entry outside
+    [-1, length)."""
+    return ValueError(f"a permutation entry lies outside [-1, {length})")
+
+
 # each exported kernel, oblivjoin_<name>: its return and argument types
 _SIGNATURES = {
     "sort": (ctypes.c_int64, (_P, _N, _P, _N, _P, _N)),
@@ -663,10 +790,10 @@ _SIGNATURES = {
                                   ctypes.c_int64)),
     "route": (ctypes.c_int, (_P, _P, _N, _P, _N)),
     "gather": (ctypes.c_int, (_P, _N, _P, _P, _N)),
-    "fill": (ctypes.c_uint64, (_P, _P, _P, _P, _N)),
+    "fill": (ctypes.c_uint64, (_P, _P, _P, _P, _P, _N)),
     "prefix": (ctypes.c_int, (_P, _P, _P, _N, _P)),
     "fold": (None, (_P, _P, _N)),
-    "align": (ctypes.c_int, (_P, _P, _P, _P, _N)),
+    "align": (ctypes.c_int, (_P, _P, _P, _P, _P, _N)),
 }
 
 
@@ -691,17 +818,12 @@ class Kernels:
         blocks of _EMIT_CHUNK comparators.  ValueError, before any write,
         if the arrays or the program do not fit, or two of the arrays
         share memory (the kernel takes them as restrict)."""
-        if prog.ndim != 1:
-            raise ValueError("the sort program must be one-dimensional")
-        *ptrs, pp = _row_addresses([*keys, perm],
-                                   [np.uint64] * len(keys) + [np.int64],
-                                   "the keys and the permutation")
+        *ptrs, pp, pprog = _sort_args(keys, perm, prog)
         ptrs = np.array(ptrs, np.uintp)
         ncomp = self._c["sort"](ptrs.ctypes.data, len(keys), pp, len(perm),
-                                _addr(prog, np.int64), len(prog))
+                                pprog, len(prog))
         if ncomp < 0:
-            raise ValueError("the sort program or its key count does not "
-                             "fit the sorted arrays")
+            raise ValueError(_BAD_PROGRAM)
         if emit is not None:
             lo = np.empty(min(ncomp, _EMIT_CHUNK), np.int64)
             hi = np.empty_like(lo)
@@ -738,14 +860,10 @@ class Kernels:
         null entry) and int64 permutation perm; a slot an entry moves out
         of gets g 0 and perm _VACATED.  ValueError, before any write, if
         the arrays do not fit or share memory, or a hop lies outside
-        them."""
-        if hops.ndim != 1:
-            raise ValueError("hops must be one-dimensional")
-        pg, pp = _row_addresses([g, perm], [np.uint64, np.int64],
-                                "g and the permutation")
-        if self._c["route"](pg, pp, len(perm), _addr(hops, np.int64),
-                            len(hops)):
-            raise ValueError("a hop lies outside the routed arrays")
+        [1, len(perm))."""
+        pg, pp, ph = _route_args(g, perm, hops)
+        if self._c["route"](pg, pp, len(perm), ph, len(hops)):
+            raise ValueError(_BAD_HOP)
 
     def gather(self, cols, nul: np.ndarray, perm: np.ndarray) -> None:
         """Move the C-contiguous one-dimensional uint64 columns cols and
@@ -754,27 +872,27 @@ class Kernels:
         _VACATED becomes a null entry (u64 fields 0, null flag 1).
         ValueError, before any write, if the arrays do not fit or share
         memory, or an entry of perm lies outside [-1, len(perm))."""
-        *ptrs, pn, pp = _row_addresses(
-            [*cols, nul, perm], [np.uint64] * len(cols) + [np.uint8, np.int64],
-            "the columns and the permutation")
+        *ptrs, pn, pp = _gather_args(cols, nul, perm)
         ptrs = np.array(ptrs, np.uintp)
         rc = self._c["gather"](ptrs.ctypes.data, len(cols), pn, pp, len(perm))
         if rc == -2:
             raise MemoryError("no memory for the gather's scratch column")
         if rc:
-            raise ValueError("a permutation entry lies outside "
-                             f"[-1, {len(perm)})")
+            raise _outside(len(perm))
 
     def fill_dimensions(self, j: np.ndarray, tid: np.ndarray,
-                        alpha1: np.ndarray, alpha2: np.ndarray) -> int:
+                        alpha1: np.ndarray, alpha2: np.ndarray,
+                        key: np.ndarray) -> int:
         """Write each slot's key run dimensions into the C-contiguous
         one-dimensional uint64 columns alpha1 and alpha2: the counts of
-        tid 1 and of tid 2 in its run of equal keys j.  Returns the sum,
-        modulo 2^64, of alpha1 * alpha2 over the runs.  ValueError, before
-        any write, if the arrays do not fit or share memory."""
-        addrs = _row_addresses([j, tid, alpha1, alpha2], [np.uint64] * 4,
-                               "the key, table id and alpha columns")
-        return self._c["fill"](*addrs, len(j))
+        tid 1 and of tid 2 in its run of equal keys j.  Write
+        key = (tid - 1) << 63 | r, r the run's dense rank (the number of
+        runs before it), which orders the slots of a j-sorted table as
+        (tid, j) does.  Returns the sum, modulo 2^64, of alpha1 * alpha2
+        over the runs.  ValueError, before any write, if the arrays do not
+        fit or share memory."""
+        return self._c["fill"](*_fill_args(j, tid, alpha1, alpha2, key),
+                               len(j))
 
     def prefix(self, g: np.ndarray, f: np.ndarray,
                nul: np.ndarray) -> int | None:
@@ -784,15 +902,9 @@ class Kernels:
         itself.  Returns the sum of g, or None, having written nothing,
         if a running sum wraps past 2^64 - 1.  ValueError, before any
         write, if the arrays do not fit or share memory otherwise."""
-        pf, pn = _row_addresses([f, nul], [np.uint64, np.uint8],
-                                "f and the null flags")
-        if g.shape == f.shape and _addr(g, np.uint64) == pf:
-            pg = pf  # g is f itself
-        else:
-            pg = _row_addresses([g, f, nul], [np.uint64, np.uint64, np.uint8],
-                                "g, f and the null flags")[0]
         total = ctypes.c_uint64()
-        if self._c["prefix"](pg, pf, pn, len(f), ctypes.addressof(total)):
+        if self._c["prefix"](*_prefix_args(g, f, nul), len(f),
+                             ctypes.addressof(total)):
             return None
         return total.value
 
@@ -802,19 +914,20 @@ class Kernels:
         before it whose uint64 g is not 0, or _VACATED where there is
         none.  ValueError, before any write, if the arrays do not fit or
         share memory."""
-        self._c["fold"](*_row_addresses([g, perm], [np.uint64, np.int64],
-                                        "g and the permutation"), len(g))
+        self._c["fold"](*_g_perm_args(g, perm), len(g))
 
     def align(self, j: np.ndarray, alpha1: np.ndarray, alpha2: np.ndarray,
-              ii: np.ndarray) -> bool:
-        """Write ii = q // alpha1 + (q % alpha1) * alpha2 into the
-        C-contiguous one-dimensional uint64 ii, for the q-th slot, from
-        0, of each run of equal keys j.  Returns False, having written
-        nothing, if an alpha1 is 0.  ValueError, before any write, if the
+              ii: np.ndarray, key: np.ndarray) -> bool:
+        """Write ii = q // alpha1 + (q % alpha1) * alpha2 and
+        key = (the run's first slot) + ii into the C-contiguous
+        one-dimensional uint64 ii and key, for the q-th slot, from 0, of
+        each run of equal keys j; key then orders the slots as (j, ii)
+        does.  Returns False, having written nothing, if an alpha1 is 0,
+        a key is below the one before it, or an ii is not below its run's
+        length (_align_slots).  ValueError, before any write, if the
         arrays do not fit or share memory."""
-        addrs = _row_addresses([j, alpha1, alpha2, ii], [np.uint64] * 4,
-                               "the key, alpha and ii columns")
-        return self._c["align"](*addrs, len(j)) == 0
+        return self._c["align"](*_align_args(j, alpha1, alpha2, ii, key),
+                                len(j)) == 0
 
 
 def _ce_level_vector(keys, perm: np.ndarray, lo, hi, asc) -> None:
@@ -865,13 +978,17 @@ def _route_hop_vector(g: np.ndarray, perm: np.ndarray, j: int) -> None:
 
 
 def _key_groups(j: np.ndarray):
-    """(new, start, arange(n)) for a key column of n slots: new marks the
-    first slot of each run of equal keys, start is the first slot of each
-    slot's run."""
-    new = np.ones(len(j), bool)
+    """(start, last, arange(n)) for a key column of n slots: the first
+    and the last slot of each slot's run of equal keys."""
+    n = len(j)
+    ar = np.arange(n, dtype=np.int64)
+    new = np.ones(n, bool)
     new[1:] = j[1:] != j[:-1]
-    ar = np.arange(len(j), dtype=np.int64)
-    return new, np.maximum.accumulate(np.where(new, ar, 0)), ar
+    is_last = np.ones(n, bool)
+    is_last[:-1] = new[1:]
+    start = np.maximum.accumulate(np.where(new, ar, 0))
+    last = np.minimum.accumulate(np.where(is_last, ar, n)[::-1])[::-1]
+    return start, last, ar
 
 
 def _sum_wraps(g: np.ndarray) -> bool:
@@ -880,15 +997,36 @@ def _sum_wraps(g: np.ndarray) -> bool:
     return bool((np.cumsum(g, dtype=np.uint64) < g).any())
 
 
+def _align_slots(j: np.ndarray, alpha1: np.ndarray, alpha2: np.ndarray):
+    """(start, ii) of the align pass on the uint64 keys j and alpha
+    columns, by an untraced read: each slot's run start, as uint64, and
+    the ii it gets; or None where the pass refuses the columns.  It
+    refuses an alpha1 of 0, a key below the one before it, and an ii not
+    below its run's length, so that start + ii, the sort key of align,
+    orders the slots it accepts as (j, ii) does."""
+    if not (alpha1 > 0).all() or (j[1:] < j[:-1]).any():
+        return None
+    start, last, ar = _key_groups(j)
+    q = (ar - start).astype(np.uint64)
+    ii = q // alpha1 + (q % alpha1) * alpha2
+    if (ii > (last - start).astype(np.uint64)).any():
+        return None
+    return start.astype(np.uint64), ii
+
+
 class NumpyKernels:
     """The numpy bodies of the kernels: Kernels' methods, with the same
-    results on every input they both accept.  Their reads and writes
-    follow the data where the C kernels' do not."""
+    results on every input they both accept, and the same argument
+    checks.  Their reads and writes follow the data where the C kernels'
+    do not."""
 
     def sort(self, keys, perm: np.ndarray, prog: np.ndarray,
              emit=None) -> int:
         """Kernels.sort, one level of sort_levels at a time; emit gets
         each level as one block, from the one walk that runs it."""
+        _sort_args(keys, perm, prog)
+        if not _program_fits(len(perm), prog):
+            raise ValueError(_BAD_PROGRAM)
         ncomp = 0
         for lo, hi, asc in sort_levels(len(perm), prog):
             _ce_level_vector(keys, perm, lo, hi, asc)
@@ -900,11 +1038,17 @@ class NumpyKernels:
     def route(self, g: np.ndarray, perm: np.ndarray,
               hops: np.ndarray) -> None:
         """Kernels.route, one hop at a time."""
+        _route_args(g, perm, hops)
+        if ((hops < 1) | (hops >= len(perm))).any():
+            raise ValueError(_BAD_HOP)
         for j in hops.tolist():
             _route_hop_vector(g, perm, j)
 
     def gather(self, cols, nul: np.ndarray, perm: np.ndarray) -> None:
         """Kernels.gather, one column at a time; perm is overwritten."""
+        _gather_args(cols, nul, perm)
+        if ((perm < _VACATED) | (perm >= len(perm))).any():
+            raise _outside(len(perm))
         # a vacated slot gathers slot 0 and is then masked, like ct_select
         keep = -(perm != _VACATED).astype(np.uint64)
         perm &= keep.view(np.int64)
@@ -917,28 +1061,28 @@ class NumpyKernels:
         nul[:] = vals
 
     def fill_dimensions(self, j: np.ndarray, tid: np.ndarray,
-                        alpha1: np.ndarray, alpha2: np.ndarray) -> int:
+                        alpha1: np.ndarray, alpha2: np.ndarray,
+                        key: np.ndarray) -> int:
         """Kernels.fill_dimensions, by running sums over each key run."""
-        n = len(j)
-        new, start, ar = _key_groups(j)
+        _fill_args(j, tid, alpha1, alpha2, key)
+        start, last, ar = _key_groups(j)
         is1 = (tid == 1).astype(np.uint64)
         is2 = (tid == 2).astype(np.uint64)
         c1 = np.cumsum(is1, dtype=np.uint64)
         c2 = np.cumsum(is2, dtype=np.uint64)
         g1 = c1 - (c1[start] - is1[start])  # running alpha1 in the group
         g2 = c2 - (c2[start] - is2[start])
-        is_last = np.ones_like(new)
-        is_last[:-1] = new[1:]
-        m = int((g1 * g2 * is_last.astype(np.uint64)).sum())
-        # index of each entry's group-final slot, for the backward pass
-        lidx = np.minimum.accumulate(np.where(is_last, ar, n)[::-1])[::-1]
-        alpha1[:] = g1[lidx]
-        alpha2[:] = g2[lidx]
+        m = int((g1 * g2 * (last == ar).astype(np.uint64)).sum())
+        rank = np.cumsum(start == ar, dtype=np.uint64) - np.uint64(1)
+        key[:] = (tid - np.uint64(1)) << np.uint64(63) | rank
+        alpha1[:] = g1[last]
+        alpha2[:] = g2[last]
         return m
 
     def prefix(self, g: np.ndarray, f: np.ndarray,
                nul: np.ndarray) -> int | None:
         """Kernels.prefix, by a cumulative sum."""
+        _prefix_args(g, f, nul)
         if _sum_wraps(g):
             return None
         # computed before the writes below, which overwrite g when it is f
@@ -951,19 +1095,22 @@ class NumpyKernels:
 
     def fold(self, g: np.ndarray, perm: np.ndarray) -> None:
         """Kernels.fold, by a running maximum of the live slots."""
+        _g_perm_args(g, perm)
         ar = np.arange(len(g), dtype=np.int64)
         src = np.maximum.accumulate(np.where(g != 0, ar, _VACATED))
         # a _VACATED src reads perm[-1], which the where discards
         perm[:] = np.where(src == _VACATED, _VACATED, perm[src])
 
     def align(self, j: np.ndarray, alpha1: np.ndarray, alpha2: np.ndarray,
-              ii: np.ndarray) -> bool:
+              ii: np.ndarray, key: np.ndarray) -> bool:
         """Kernels.align, by each slot's offset in its key run."""
-        if not (alpha1 > 0).all():
+        _align_args(j, alpha1, alpha2, ii, key)
+        slots = _align_slots(j, alpha1, alpha2)
+        if slots is None:
             return False
-        _, start, ar = _key_groups(j)
-        q = (ar - start).astype(np.uint64)
-        ii[:] = q // alpha1 + (q % alpha1) * alpha2
+        start, slot = slots
+        ii[:] = slot
+        np.add(start, slot, out=key)
         return True
 
 

@@ -3,7 +3,8 @@
 Stages, in trace order:
 
   load            write both input tables into one augmented array T_C
-  initial_sorts   sort T_C by (j, tid); later by (tid, j, d)
+  initial_sorts   sort T_C by (j, tid); later by (tid, j, d)  (the vector
+                  engine sorts by j alone, then by one packed key and d)
   fill_dimensions one forward and one backward linear pass computing each
                   key group's dimensions (alpha1 x alpha2) and the output
                   size m = sum over groups of alpha1*alpha2
@@ -21,7 +22,22 @@ Peak live public entries are exactly (n1+n2) + max(n1,m) + max(n2,m): the
 output is zipped into S1 rather than a separate table.
 
 The vector engine runs fill_dimensions' two passes and the align pass in
-one call each of the kernel set that _native.kernel() returns.
+one call each of the kernel set that _native.kernel() returns.  Its five
+sorts run on 1 + 2 + 1 + 1 + 1 key copies (primitives._sort_on) where the
+paper's tuple keys take 2 + 3 + 2 + 2 + 2; the scalar engine keeps the
+tuple keys as the reference, and both give the same events, tables and
+output:
+
+  first initial sort   j alone, not (j, tid).  The fill counts a run's
+                       tid 1 and tid 2 entries in any order, and entries
+                       that then tie on (tid, j, d) are equal in every
+                       column, so the second sort leaves the same table;
+                       this one sort's permutation is not the paper's.
+  second initial sort  (tid - 1) << 63 | r, then d, where r, the dense
+                       rank of j, is written by the fill's forward pass.
+  distribute sorts     is_null << 63 | f (primitives._distribute_vector).
+  align sort           the run's first slot + ii, the entry's final slot,
+                       written by the align pass.
 """
 
 from __future__ import annotations
@@ -35,7 +51,7 @@ from .entries import (AugEntry, KEY_J_II, KEY_J_TID, KEY_TID_J_D, ct_eq,
                       ct_select)
 from .trace import (NullSink, PublicArray, READ, TraceSink, WRITE, alloc,
                     emit_steps)
-from .primitives import _check_engine, bitonic_sort, oblivious_expand
+from .primitives import _check_engine, _sort_on, bitonic_sort, oblivious_expand
 from .tablefile import as_rows
 
 __all__ = ["JoinResult", "augment_tables", "fill_dimensions", "align_table",
@@ -80,24 +96,34 @@ def _load(tc: PublicArray, t1: np.ndarray, t2: np.ndarray, engine: str) -> None:
 def fill_dimensions(tc: PublicArray, engine: str = "vector") -> int:
     """Annotate every entry with its key group's (alpha1, alpha2).
 
-    Expects tc sorted by (j, tid).  One forward pass accumulates the
-    running per-group counts and the output size m; one backward pass
-    propagates each group's final dimensions to all its entries.  Both
-    passes read and write every slot unconditionally.  Returns m.  The
-    vector engine runs both passes in one kernel fill_dimensions call.
+    Expects tc sorted by j, in any order within a group.  One forward
+    pass accumulates the running per-group counts and the output size m;
+    one backward pass propagates each group's final dimensions to all its
+    entries.  Both passes read and write every slot unconditionally.
+    Returns m.  The vector engine runs both passes in one kernel
+    fill_dimensions call.
     """
+    return _fill_dimensions(tc, engine)[0]
+
+
+def _fill_dimensions(tc: PublicArray, engine: str):
+    """fill_dimensions, returning (m, keys): on the vector engine keys
+    is [(tid - 1) << 63 | r], r the dense rank of j, the first of the
+    second initial sort's key copies, which with d order the slots of tc
+    as KEY_TID_J_D does; None on the scalar engine."""
     _check_engine(engine)
     sink = tc.sink
     n = tc.length
     with sink.phase_scope("fill_dimensions"):
         if engine == "scalar":
-            return _fill_dimensions_scalar(tc, n)
+            return _fill_dimensions_scalar(tc, n), None
+        key = np.empty(n, np.uint64)
         m = _native.kernel().fill_dimensions(
-            *(tc.col(name) for name in ("j", "tid", "alpha1", "alpha2")))
+            *(tc.col(name) for name in ("j", "tid", "alpha1", "alpha2")), key)
         up, down = range(n), range(n - 1, -1, -1)
         emit_steps((tc, READ, up), (tc, WRITE, up))
         emit_steps((tc, READ, down), (tc, WRITE, down))
-        return m
+        return m, [key]
 
 
 def _fill_dimensions_scalar(tc: PublicArray, n: int) -> int:
@@ -150,16 +176,24 @@ def augment_tables(t1_rows, t2_rows, sink: TraceSink,
     with sink.phase_scope("load"):
         _load(tc, t1, t2, engine)
     with sink.phase_scope("initial_sorts"):
-        bitonic_sort(tc, KEY_J_TID, engine)
-    m = fill_dimensions(tc, engine)
+        bitonic_sort(tc, KEY_J_TID if engine == "scalar" else ("j",), engine)
+    m, keys = _fill_dimensions(tc, engine)
     with sink.phase_scope("initial_sorts"):
-        bitonic_sort(tc, KEY_TID_J_D, engine)
+        if engine == "scalar":
+            bitonic_sort(tc, KEY_TID_J_D, engine)
+        else:
+            keys.append(tc.col("d").copy())
+            _sort_on(tc, keys)
     return tc, tc.view(0, n1), tc.view(n1, n2), m
 
 
 # --------------------------------------------------------------------------
 # Stage 2: expansion and alignment
 # --------------------------------------------------------------------------
+
+_ALIGN_REFUSAL = ("align requires alpha1 >= 1 on every entry, j ascending "
+                  "and each ii inside its group")
+
 
 def align_table(s2: PublicArray, engine: str = "vector") -> None:
     """Reorder S2 in place so its row i partners S1's row i.
@@ -168,22 +202,32 @@ def align_table(s2: PublicArray, engine: str = "vector") -> None:
     is sent to slot floor(q/alpha1) + (q mod alpha1)*alpha2: S1 repeats
     each of its alpha1 rows alpha2 times in a row, so S2 must cycle
     through its alpha2 distinct rows alpha1 times.  The vector engine
-    computes every slot in one kernel align call.  ValueError, before any
-    access, if an alpha1 is 0.
+    computes every slot in one kernel align call, which also writes each
+    entry's final slot, the group's first slot plus ii, and sorts on that
+    one key where the scalar engine sorts by (j, ii).  ValueError, before
+    any access, if an alpha1 is 0, a j is below the one before it, or an
+    ii is not below its group's size: the final slot then orders S2 as
+    (j, ii) does.
     """
     _check_engine(engine)
     sink = s2.sink
     m = s2.length
+    cols = [s2.col(name) for name in ("j", "alpha1", "alpha2", "ii")]
     with sink.phase_scope("align_pass"):
         if engine == "scalar":
+            if _native._align_slots(*cols[:3]) is None:
+                raise ValueError(_ALIGN_REFUSAL)
             _align_pass_scalar(s2)
         else:
-            cols = (s2.col(name) for name in ("j", "alpha1", "alpha2", "ii"))
-            if not _native.kernel().align(*cols):
-                raise ValueError("align requires alpha1 >= 1 on every entry")
+            keys = [np.empty(m, np.uint64)]
+            if not _native.kernel().align(*cols, keys[0]):
+                raise ValueError(_ALIGN_REFUSAL)
             emit_steps((s2, READ, range(m)), (s2, WRITE, range(m)))
     with sink.phase_scope("align_sort"):
-        bitonic_sort(s2, KEY_J_II, engine)
+        if engine == "scalar":
+            bitonic_sort(s2, KEY_J_II, engine)
+        else:
+            _sort_on(s2, keys)
 
 
 def _align_pass_scalar(s2: PublicArray) -> None:

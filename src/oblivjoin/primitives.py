@@ -12,12 +12,13 @@ that.
 The vector engine runs its networks and its linear passes in the kernel
 set that _native.kernel() returns, the C kernels or their numpy bodies,
 which give the same arrays.  The vector sort runs its whole sorting
-network in one kernel sort call.  The vector distribution sorts its own
-copies of f and the null flag with a slot permutation, then routes
-g = f & (nul - 1) (0 on null entries) and that permutation through the
-whole routing network in one route call.  The expansion runs its prefix
-pass in one prefix call and folds its forward fill into the same
-permutation in one fold call.
+network in one kernel sort call, on key copies that a caller may pack
+(_sort_on).  The vector distribution sorts one packed key copy,
+is_null << 63 | f, with a slot permutation, then routes
+g = key & ((key >> 63) - 1) (0 on null entries) and that permutation
+through the whole routing network in one route call.  The expansion
+runs its prefix pass in one prefix call and folds its forward fill into
+the same permutation in one fold call.
 
 So a sort, a distribution and an expansion each end in one slot
 permutation, and _gather moves every column of the array through it
@@ -61,9 +62,10 @@ def _check_engine(engine: str) -> None:
         raise ValueError(f"unknown engine {engine!r}")
 
 
-# the most columns a sort key may have: the C sort kernel has one body per
-# key count, and every KeySpec in use has one to three
-_MAX_KEY_COLS = 3
+# the most columns a sort key may have, the most key copies a kernel sort
+# takes: the vector join sorts on one or two packed keys, and three-column
+# keys stay for KEY_TID_J_D, which the scalar join sorts by
+_MAX_KEY_COLS = _native._MAX_KEYS
 
 
 def _check_key(key) -> None:
@@ -111,14 +113,8 @@ def bitonic_sort(a: PublicArray, key, engine: str = "vector") -> None:
 
     The comparator sequence (and hence the trace) is a pure function of
     len(a); works for any length, in place.  The vector engine runs every
-    comparator on copies of the key columns and a slot permutation only
-    (a swap depends on nothing else), in _sort_network, which the vector
-    distribution shares, then gathers every column of a through the
-    permutation once with _gather (the permutation has no -1 entries).
-    The whole network is one kernel sort call on sort_program(len(a)).
-    The events are those of sort_levels's pairs in order, in the blocks
-    that the kernel set hands to emit; a plain NullSink only counts 4
-    events per comparator, and no pair array is built for it.
+    comparator on uint64 copies of the key columns and a slot
+    permutation only (a swap depends on nothing else), in _sort_on.
     """
     _check_engine(engine)
     _check_key(key)
@@ -128,17 +124,37 @@ def bitonic_sort(a: PublicArray, key, engine: str = "vector") -> None:
                 compare_exchange(a, int(lo[t]), int(hi[t]), key, bool(asc[t]))
         return
     # uint64 copies, so that the 8-byte XOR mask fits the uint8 null flag too
-    keys = [a.col(name).astype(np.uint64) for name in key]
+    _sort_on(a, [a.col(name).astype(np.uint64) for name in key])
+
+
+def _sort_on(a: PublicArray, keys: list) -> None:
+    """The vector bitonic_sort of a on keys, one to three uint64 key
+    copies of len(a) slots, compared in order.
+
+    A comparison's outcome is all that moves an entry, so keys that
+    order every pair of slots as a KeySpec does, ties included, give
+    that KeySpec's permutation, outputs and events: the vector join
+    sorts on such packed keys (pipeline).  The network runs in
+    _sort_network, which the vector distribution shares, then every
+    column of a moves through the permutation once with _gather (the
+    permutation has no -1 entries).  keys is emptied before the gather,
+    so that a caller that holds no other reference frees the copies
+    first, or the gather raises the join's peak memory.
+    """
     perm = np.arange(a.length, dtype=np.int64)
     _sort_network(a, keys, perm)
-    del keys  # freed first, or the gather raises the join's peak memory
+    keys.clear()
     _gather(a, perm)
 
 
 def _sort_network(a: PublicArray, keys, perm: np.ndarray) -> None:
     """Run the sorting network of len(a) slots on the uint64 key copies
     keys and the int64 slot permutation perm, in place, and emit its
-    events on a."""
+    events on a.  The whole network is one kernel sort call on
+    sort_program(len(a)).  The events are those of sort_levels's pairs in
+    order, in the blocks that the kernel set hands to emit; a plain
+    NullSink only counts 4 events per comparator, and no pair array is
+    built for it."""
     emit = (functools.partial(_emit_pairs, a) if consumes_events(a.sink)
             else None)
     ncomp = _native.kernel().sort(keys, perm, sort_program(a.length)[0], emit)
@@ -257,26 +273,35 @@ def _distribute_vector(x: PublicArray, m: int):
     a holds x in its first n of max(n, m) slots, unmoved.  Slot i of the
     distribution takes slot perm[i] of a, or is null where perm[i] is
     -1; g[i], for i < m, is its destination (0 on a null entry).
-    The network sorts uint64 copies of x's null flags and f with perm,
-    then routes g = f & (nul - 1), computed on those copies, with the
-    first m entries of perm, so no column moves until one _gather.  Slots
-    past n start null with f = 0, so their g is 0.
+    The network sorts one uint64 key per slot of x, key =
+    is_null << 63 | f, with perm, then routes g = key & ((key >> 63) - 1),
+    computed on the sorted keys, with the first m entries of perm, so no
+    column moves until one _gather.  Slots past n start null with f = 0,
+    so their g is 0.
+
+    The key orders x's slots as KEY_NONNULL_F does wherever f < 2^63, as
+    it is on every entry a join distributes (f <= m).  A live entry with
+    f >= 2^63 gets g = 0, so it reaches no slot and _check_placement
+    raises, as it does for any f past m.  Two null entries whose f differ
+    in bit 63 alone tie on the key where KEY_NONNULL_F orders them, so
+    only those may leave in another order than the scalar sort's.
     """
     n = x.length
     sink = x.sink
     a = _copied(x, m, "vector")
-    # uint64 copies of x's n slots, in KEY_NONNULL_F's order
-    nul, f = (x.col(name).astype(np.uint64) for name in KEY_NONNULL_F)
+    key = (x.col("is_null") != 0).astype(np.uint64)
+    key <<= np.uint64(63)
+    key |= x.col("f")
     perm = np.arange(a.length, dtype=np.int64)
     with sink.phase_scope("distribute_sort"):
-        _sort_network(a.view(0, n), [nul, f], perm[:n])
+        _sort_network(a.view(0, n), [key], perm[:n])
     with sink.phase_scope("distribute_route"):
         k = min(n, m)
-        nul = nul[:k]
-        nul -= 1  # all ones on a live entry, 0 on a null one
         g = np.zeros(m, np.uint64)
-        np.bitwise_and(f[:k], nul, out=g[:k])
-        del nul, f
+        np.right_shift(key[:k], np.uint64(63), out=g[:k])
+        g[:k] -= np.uint64(1)  # all ones on a live entry, 0 on a null one
+        g[:k] &= key[:k]
+        del key
         _route_vector(a.view(0, m), g, perm[:m])
         _check_placement(g, x)
     return a, g, perm

@@ -308,8 +308,8 @@ def test_collisions_raise_on_both_route_paths(kernels):
         _check_collision_rows(rows)
 
 
-def test_route_kernel_rejects_bad_arrays(native):
-    # every bad call is refused before the kernel writes anything
+def _check_route_refusals(kernels):
+    """Every bad call of a route is refused before it writes anything."""
     g = np.array([2, 0, 0], np.uint64)
     perm = np.array([0, 1, 2], np.int64)
     hops = np.array([2, 1], np.int64)
@@ -328,11 +328,20 @@ def test_route_kernel_rejects_bad_arrays(native):
                  (g, perm, np.array([-1], np.int64)),       # negative hop
                  (g, g.view(np.int64), hops)):              # shared memory
         with pytest.raises(ValueError):
-            native.route(*args)
+            kernels.route(*args)
     for arr, old in zip((g, perm), before):
         assert np.array_equal(arr, old)
-    native.route(g, perm, hops)
+    kernels.route(g, perm, hops)
     assert (g.tolist(), perm.tolist()) == ([0, 2, 0], [-1, 0, 2])
+
+
+def test_route_kernel_rejects_bad_arrays(native):
+    _check_route_refusals(native)
+
+
+def test_numpy_route_rejects_what_the_kernel_rejects():
+    # a hop of len(g) included, which the numpy hop would leave undone
+    _check_route_refusals(_native.NUMPY)
 
 
 # -- the native gather kernel against the numpy gather -----------------------
@@ -383,8 +392,8 @@ def test_gather_kernel_on_views_with_an_offset(native, rng):
         assert np.array_equal(col[25:], old[25:]), name
 
 
-def test_gather_kernel_rejects_bad_arrays(native, rng):
-    # every bad call is refused before the kernel writes anything
+def _check_gather_refusals(kernels, rng):
+    """Every bad call of a gather is refused before it writes anything."""
     cols, nul, perm = _gather_input(rng, 6, True)
     before = [arr.copy() for arr in (*cols, nul, perm)]
     wide = np.zeros(12, np.uint64)
@@ -406,10 +415,20 @@ def test_gather_kernel_rejects_bad_arrays(native, rng):
     }
     for name, (c, fl, p) in bad.items():
         with pytest.raises(ValueError):
-            native.gather(c, fl, p)
+            kernels.gather(c, fl, p)
             pytest.fail(name)
         for arr, old in zip((*cols, nul, perm), before):
             assert np.array_equal(arr, old), name
+
+
+def test_gather_kernel_rejects_bad_arrays(native, rng):
+    _check_gather_refusals(native, rng)
+
+
+def test_numpy_gather_rejects_what_the_kernel_rejects(rng):
+    # an entry past the end included, which numpy's indexing would refuse
+    # with its own IndexError
+    _check_gather_refusals(_native.NUMPY, rng)
 
 
 def _counting_gather(monkeypatch):

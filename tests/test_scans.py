@@ -41,34 +41,37 @@ def _cases(seed):
 
 
 def test_fill_scan_matches_numpy_body(native):
-    # tid outside {1, 2} and unsorted keys included; alpha1 and alpha2
-    # start as garbage, which both overwrite
+    # tid outside {1, 2} and unsorted keys included; alpha1, alpha2 and
+    # the sort key start as garbage, which both overwrite
     for rng, n, kind in _cases(1):
         j = _keys(rng, n, kind)
         tid = np.array([0, 1, 2, 3, 2**64 - 1], np.uint64)[
             rng.choice(5, n, p=[0.05, 0.45, 0.4, 0.05, 0.05])]
-        a1, a2 = _wild(rng, n), _wild(rng, n)
-        cols = _copies(j, tid, a1, a2)
+        a1, a2, key = _wild(rng, n), _wild(rng, n), _wild(rng, n)
+        cols = _copies(j, tid, a1, a2, key)
         m = native.fill_dimensions(*cols)
-        want = _copies(j, tid, a1, a2)
+        want = _copies(j, tid, a1, a2, key)
         assert m == _native.NUMPY.fill_dimensions(*want), (n, kind)
         for got, exp in zip(cols, want):
             assert np.array_equal(got, exp), (n, kind)
 
 
 def test_align_scan_matches_numpy_body(native):
-    # alpha1 varies within a key run, and alpha2 is wild, so the products
-    # wrap
+    # alpha1 varies within a key run; on sorted keys with alpha2 1, which
+    # align accepts (ii = q // alpha1 + q % alpha1 <= q), and on wild
+    # ones, which both refuse alike, writing nothing, or accept alike,
+    # the products wrapping
     for rng, n, kind in _cases(2):
+        ii, key = _wild(rng, n), _wild(rng, n)
         j = _keys(rng, n, kind)
         a1 = rng.integers(1, 5, n).astype(np.uint64)
         a1[rng.random(n) < 0.1] = _wild(rng, n)[:1] | np.uint64(1)
-        a2, ii = _wild(rng, n), _wild(rng, n)
-        cols, want = _copies(j, a1, a2, ii), _copies(j, a1, a2, ii)
-        assert native.align(*cols)
-        assert _native.NUMPY.align(*want)
-        for got, exp in zip(cols, want):
-            assert np.array_equal(got, exp), (n, kind)
+        for cols in ((np.sort(j), a1, np.ones(n, np.uint64)),
+                     (j, a1, _wild(rng, n))):
+            got, want = _copies(*cols, ii, key), _copies(*cols, ii, key)
+            assert native.align(*got) == _native.NUMPY.align(*want)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b), (n, kind)
 
 
 def _counts(rng, n, kind):
@@ -128,34 +131,63 @@ def test_align_refuses_a_zero_alpha1_before_any_write(kernels):
     j = np.zeros(5, np.uint64)
     a1 = np.array([1, 2, 3, 0, 1], np.uint64)
     a2 = np.ones(5, np.uint64)
-    ii = np.full(5, 9, np.uint64)
-    assert not kernels.align(j, a1, a2, ii)
-    assert ii.tolist() == [9] * 5
+    ii, key = np.full(5, 9, np.uint64), np.full(5, 9, np.uint64)
+    assert not kernels.align(j, a1, a2, ii, key)
+    assert ii.tolist() == key.tolist() == [9] * 5
 
 
-def test_scan_argument_refusals_write_nothing(native):
+def test_align_refuses_what_its_sort_key_cannot_order(kernels):
+    # a key below the one before it, or an ii not below its run's length,
+    # and nothing else: the run start plus ii orders the rest as (j, ii)
+    cases = {  # (j, alpha1, alpha2): accepted
+        ((0, 0, 0, 0), (2, 2, 2, 2), (2, 2, 2, 2)): True,  # ii 0, 2, 1, 3
+        ((0, 0, 0), (1, 1, 1), (5, 5, 5)): True,  # alpha1 1: ii = q
+        ((0, 0, 0), (2, 2, 2), (5, 5, 5)): False,  # q = 1 gets ii 5
+        ((0, 0, 1), (2, 2, 1), (2, 2, 1)): False,  # ii 2 in a run of 2
+        ((0, 0, 1, 1, 1, 1), (2, 2, 2, 2, 2, 2), (1, 1, 2, 2, 2, 2)): True,
+        ((3, 1, 1), (1, 1, 1), (1, 1, 1)): False,  # j falls at slot 1
+        ((1, 2, 1), (1, 1, 1), (0, 0, 0)): False,  # and at slot 2
+        ((2**64 - 1, 0), (1, 1), (0, 0)): False,
+        ((0, 2**64 - 1), (1, 1), (0, 0)): True,
+        ((0, 0), (3, 3), (2**63, 2**63)): False,  # q = 1 gets ii 2^63
+    }
+    for (j, a1, a2), accepted in cases.items():
+        ii, key = np.full(len(j), 9, np.uint64), np.full(len(j), 9, np.uint64)
+        cols = [np.array(c, np.uint64) for c in (j, a1, a2)]
+        assert kernels.align(*cols, ii, key) == accepted, (j, a1, a2)
+        if not accepted:
+            assert ii.tolist() == key.tolist() == [9] * len(j)
+
+
+def _check_scan_refusals(kernels):
+    """Every bad call of a scan raises ValueError before any write."""
     u = np.arange(4, dtype=np.uint64)
-    cols = [u + np.uint64(10 * k) for k in range(4)]
+    cols = [u + np.uint64(10 * k) for k in range(5)]
     before = _copies(*cols)
     nul = np.zeros(4, np.uint8)
     perm = np.arange(4, dtype=np.int64)
     bad = [
-        lambda: native.fill_dimensions(cols[0], cols[1], cols[2],
-                                       cols[2]),  # alpha1 is alpha2
-        lambda: native.fill_dimensions(cols[0], cols[1], cols[2][:3],
-                                       cols[3]),  # a short column
-        lambda: native.fill_dimensions(cols[0], cols[1].astype(np.int64),
-                                       cols[2], cols[3]),  # a wrong dtype
-        lambda: native.align(cols[0], cols[1], cols[2],
-                             cols[1]),  # ii is alpha1
-        lambda: native.align(cols[0], cols[1], cols[2],
-                             cols[3][::-1]),  # not C-contiguous
-        lambda: native.prefix(cols[0][1:], cols[0][:3],
-                              nul[:3]),  # g overlaps f, but is not f
-        lambda: native.prefix(cols[0], cols[1], nul.view(np.int8)),
-        lambda: native.prefix(cols[0], cols[1], cols[1].view(np.uint8)[:4]),
-        lambda: native.fold(cols[0], perm.astype(np.int32)),
-        lambda: native.fold(cols[0], cols[0].view(np.int64)),  # shared
+        lambda: kernels.fill_dimensions(cols[0], cols[1], cols[2], cols[2],
+                                        cols[4]),  # alpha1 is alpha2
+        lambda: kernels.fill_dimensions(cols[0], cols[1], cols[2], cols[3],
+                                        cols[0]),  # the sort key is j
+        lambda: kernels.fill_dimensions(cols[0], cols[1], cols[2][:3],
+                                        cols[3], cols[4]),  # a short column
+        lambda: kernels.fill_dimensions(cols[0], cols[1].astype(np.int64),
+                                        cols[2], cols[3],
+                                        cols[4]),  # a wrong dtype
+        lambda: kernels.align(cols[0], cols[1], cols[2], cols[1],
+                              cols[4]),  # ii is alpha1
+        lambda: kernels.align(cols[0], cols[1], cols[2], cols[3],
+                              cols[3]),  # the sort key is ii
+        lambda: kernels.align(cols[0], cols[1], cols[2], cols[3][::-1],
+                              cols[4]),  # not C-contiguous
+        lambda: kernels.prefix(cols[0][1:], cols[0][:3],
+                               nul[:3]),  # g overlaps f, but is not f
+        lambda: kernels.prefix(cols[0], cols[1], nul.view(np.int8)),
+        lambda: kernels.prefix(cols[0], cols[1], cols[1].view(np.uint8)[:4]),
+        lambda: kernels.fold(cols[0], perm.astype(np.int32)),
+        lambda: kernels.fold(cols[0], cols[0].view(np.int64)),  # shared
     ]
     for call in bad:
         with pytest.raises(ValueError):
@@ -163,6 +195,14 @@ def test_scan_argument_refusals_write_nothing(native):
         for a, b in zip(cols, before):
             assert np.array_equal(a, b)
         assert nul.tolist() == [0] * 4 and perm.tolist() == [0, 1, 2, 3]
+
+
+def test_scan_argument_refusals_write_nothing(native):
+    _check_scan_refusals(native)
+
+
+def test_numpy_scans_refuse_what_the_c_scans_refuse():
+    _check_scan_refusals(_native.NUMPY)
 
 
 # -- the kernel call each join phase makes ------------------------------------
@@ -195,16 +235,24 @@ def test_each_join_phase_runs_its_scan(kernels, monkeypatch):
 
 
 def test_phase_refusals_access_nothing(kernels):
-    # align_table and oblivious_expand (with g_attr="f", g and f one
-    # column) refuse with their messages on either path, having emitted,
-    # allocated and written nothing
+    # align_table (an alpha1 of 0, a falling j, an ii past its group) and
+    # oblivious_expand (with g_attr="f", g and f one column) refuse with
+    # their messages on either path, and align_table on either engine,
+    # having emitted, allocated and written nothing
     sink = LogSink()
     s2 = alloc(3, sink)
-    s2.col("alpha1")[:] = [2, 0, 2]
     s2.col("ii")[:] = 9
-    with pytest.raises(ValueError, match="alpha1 >= 1 on every entry"):
-        align_table(s2)
-    assert s2.col("ii").tolist() == [9] * 3
+    for j, alpha1, alpha2 in (([0, 0, 0], [2, 0, 2], [1, 1, 1]),
+                              ([3, 1, 1], [1, 1, 1], [0, 0, 0]),
+                              ([0, 0, 0], [2, 2, 2], [5, 5, 5])):
+        for name, col in (("j", j), ("alpha1", alpha1), ("alpha2", alpha2)):
+            s2.col(name)[:] = col
+        for engine in ("vector", "scalar"):
+            with pytest.raises(ValueError,
+                               match="alpha1 >= 1 on every entry, j "
+                                     "ascending and each ii inside"):
+                align_table(s2, engine)
+            assert s2.col("ii").tolist() == [9] * 3
     x = make_distribute_input(sink, [2**64 - 1, 1, 5])
     with pytest.raises(ValueError, match="sum of f over 3 entries does not "
                                          "fit in 64 bits"):

@@ -423,15 +423,15 @@ def test_sort_kernel_fuses_only_whole_stages(n, native, rng):
                     assert np.array_equal(c, v), (first, window)
 
 
-def test_sort_kernel_rejects_bad_programs(native):
-    # every bad call is refused before the kernel writes anything
+def _check_sort_refusals(kernels):
+    """Every bad call of a sort is refused before it writes anything."""
     def arrays():
         return [np.array([4, 3, 2, 1], np.uint64)], \
             np.array([0, 1, 2, 3], np.int64)
 
     keys, perm = arrays()
     prog = np.array([1, 2, 4, 4, 0], np.int64)  # j = 2 over 4 slots
-    native.sort(keys, perm, prog)
+    kernels.sort(keys, perm, prog)
     assert perm.tolist() == [2, 3, 0, 1]
 
     def level(j, nfull, *parts):
@@ -439,7 +439,7 @@ def test_sort_kernel_rejects_bad_programs(native):
                          *(v for p in parts for v in p)], np.int64)
 
     keys, perm = arrays()
-    native.sort(keys, perm, level(1, 0, (1, 1, 1)))  # one pair, (1, 2)
+    kernels.sort(keys, perm, level(1, 0, (1, 1, 1)))  # one pair, (1, 2)
     assert perm.tolist() == [0, 2, 1, 3]
     bad = {
         "no keys": ([], perm, prog),
@@ -474,16 +474,27 @@ def test_sort_kernel_rejects_bad_programs(native):
     for name, (k, p, program) in bad.items():
         before = [col.copy() for col in (*k, p)]
         with pytest.raises(ValueError):
-            native.sort(k, p, program)
+            kernels.sort(k, p, program)
         for col, old in zip((*k, p), before):
             assert np.array_equal(col, old), name
     assert perm.tolist() == [0, 2, 1, 3]
     assert keys[0].tolist() == [4, 2, 3, 1]
 
 
-def test_sort_kernel_refuses_arrays_that_share_memory(native):
-    # the kernel takes the keys and the permutation as restrict pointers,
-    # so two of them on one buffer are refused before any write
+def test_sort_kernel_rejects_bad_programs(native):
+    _check_sort_refusals(native)
+
+
+def test_numpy_sort_rejects_what_the_kernel_rejects():
+    # the numpy body checks the program as the C kernel's check_program
+    # does, and the arrays with the same check
+    _check_sort_refusals(_native.NUMPY)
+    _check_shared_memory_refusals(_native.NUMPY)
+
+
+def _check_shared_memory_refusals(kernels):
+    """Keys and a permutation that share a buffer are refused before any
+    write."""
     key = np.array([4, 3, 2, 1], np.uint64)
     perm = np.arange(4, dtype=np.int64)
     prog = sort_program(4)[0]
@@ -492,11 +503,17 @@ def test_sort_kernel_refuses_arrays_that_share_memory(native):
                     ([perm.view(np.uint64)], perm)):
         before = [col.copy() for col in (*keys, p)]
         with pytest.raises(ValueError, match="share memory"):
-            native.sort(keys, p, prog)
+            kernels.sort(keys, p, prog)
         for col, old in zip((*keys, p), before):
             assert np.array_equal(col, old)
-    native.sort([key, key.copy()], perm, prog)
+    kernels.sort([key, key.copy()], perm, prog)
     assert perm.tolist() == [3, 2, 1, 0]
+
+
+def test_sort_kernel_refuses_arrays_that_share_memory(native):
+    # the kernel takes the keys and the permutation as restrict pointers,
+    # so two of them on one buffer are refused before any write
+    _check_shared_memory_refusals(native)
 
 
 def test_sort_program_is_built_once_per_length():

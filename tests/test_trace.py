@@ -196,8 +196,9 @@ def test_native_source_compiles_without_warnings(tmp_path):
 # the pair expander over the same lengths in ranges of 8,192 (and one
 # refused range), two routes (one of a length that is not a power of
 # two), gathers with -1 entries (and one refused permutation), and the
-# four scans on wild columns against their numpy bodies (and a refused
-# prefix and align); any undefined behaviour aborts it.
+# four scans on wild columns against their numpy bodies (align on columns
+# it accepts and on ones it refuses, and a refused prefix); any undefined
+# behaviour aborts it.
 UBSAN_RUN = """
 import ctypes, sys
 import numpy as np
@@ -260,15 +261,17 @@ except ValueError:
 for n in (1, 2, 7, 1000, 5400):
     j = top[rng.integers(0, 4, n)]
     tid = rng.integers(0, 4, n).astype(np.uint64)
-    wild = [rng.integers(0, 2**64, n, dtype=np.uint64) for _ in range(4)]
-    got, want = ([c.copy() for c in (j, tid, *wild[:2])] for _ in range(2))
+    wild = [rng.integers(0, 2**64, n, dtype=np.uint64) for _ in range(5)]
+    got, want = ([c.copy() for c in (j, tid, *wild[:3])] for _ in range(2))
     assert kernel.fill_dimensions(*got) == \
         _native.NUMPY.fill_dimensions(*want), n
     assert all(np.array_equal(a, b) for a, b in zip(got, want)), n
     a1 = wild[2] | np.uint64(1)
-    got, want = ([c.copy() for c in (j, a1, *wild[2:])] for _ in range(2))
-    assert kernel.align(*got) and _native.NUMPY.align(*want), n
-    assert all(np.array_equal(a, b) for a, b in zip(got, want)), n
+    for cols in ((np.sort(j), a1, np.ones(n, np.uint64)),  # ii = q
+                 (j, a1, wild[2])):
+        got, want = ([c.copy() for c in (*cols, *wild[3:])] for _ in range(2))
+        assert kernel.align(*got) == _native.NUMPY.align(*want), n
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), n
     g = j % np.uint64(5)
     nul = rng.integers(0, 256, n).astype(np.uint8)
     got, want = ([c.copy() for c in (g, wild[0], nul)] for _ in range(2))
@@ -281,7 +284,7 @@ for n in (1, 2, 7, 1000, 5400):
     _native.NUMPY.fold(*want)
     assert all(np.array_equal(a, b) for a, b in zip(got, want)), n
 assert kernel.prefix(top, wild[0][:4], nul[:4]) is None  # the sum wraps
-assert not kernel.align(j, j.copy(), j.copy(), wild[0])  # an alpha1 of 0
+assert not kernel.align(j, j.copy(), j.copy(), wild[0], wild[1])  # alpha1 0
 """
 UBSAN_FLAGS = ("-O1", "-g", "-fsanitize=undefined",
                "-fno-sanitize-recover=all", "-shared", "-fPIC")
@@ -399,7 +402,8 @@ def _key_sets(rng, n):
 def _kernel_runs(kernel, n, keys):
     """name -> a call of each checked kernel on n slots built from the
     key column keys: the sort on two keys, the route, and the four
-    scans, each on the columns its phase gives it."""
+    scans, each on the columns its phase gives it, so that align accepts
+    them (with alpha2 1, ii = q // alpha1 + q % alpha1 <= q)."""
     j = np.sort(keys)
     tid = keys % np.uint64(4)
     g = keys % np.uint64(n + 2)
@@ -411,12 +415,13 @@ def _kernel_runs(kernel, n, keys):
         "sort": lambda: kernel.sort([keys.copy(), keys[::-1].copy()],
                                     np.arange(n), sort_program(n)[0]),
         "route": lambda: kernel.route(g.copy(), np.arange(n), hops),
-        "fill": lambda: kernel.fill_dimensions(j, tid, zeros(), zeros()),
+        "fill": lambda: kernel.fill_dimensions(j, tid, zeros(), zeros(),
+                                               zeros()),
         "prefix": lambda: kernel.prefix(counts, zeros(),
                                         np.zeros(n, np.uint8)),
         "fold": lambda: kernel.fold(counts, np.arange(n)),
-        "align": lambda: kernel.align(j, alpha1, keys >> np.uint64(3),
-                                      zeros()),
+        "align": lambda: kernel.align(j, alpha1, np.ones(n, np.uint64),
+                                      zeros(), zeros()),
     }
 
 
@@ -448,17 +453,24 @@ def test_kernels_run_one_block_sequence_per_length(tmp_path):
 
 
 # one `if` on a key in the sort's span loop, in the AVX2 body's fused
-# compare-exchange and in the fold: each keeps the kernel's output but
-# branches on the data
+# compare-exchange, in the fold, and around the sort key writes of the
+# fill and the align scans: each keeps the kernel's output on the checked
+# columns but branches on the data
 SPAN_MASK = "        uint64_t mask = -((up & gt) | ((up ^ 1) & lt));\n"
 LANE_MASK = "    v4 mask = (gt & -up) | (lt & (up - 1));\n"
 FOLD_CARRY = "        carry = (pr[i] & live) | (carry & ~live);\n"
+FILL_KEY = "        key[i] = (t - 1) << 63 | r;\n"
+ALIGN_KEY = "        key[i] = i - q + w;\n"
 COV_MUTANTS = {
     "sort": (SPAN_MASK, SPAN_MASK + "        if (gt)\n"
                                     "            mask = -up;\n"),
     "fused": (LANE_MASK, LANE_MASK + "    if (gt[0])\n"
                                      "        mask[0] = -up;\n"),
     "fold": (FOLD_CARRY, "        if (live)\n            carry = pr[i];\n"),
+    "fill": (FILL_KEY, "        key[i] = r;\n        if ((t - 1) & 1)\n"
+                       "            key[i] |= (uint64_t)1 << 63;\n"),
+    "align": (ALIGN_KEY, "        key[i] = i + w;\n        if (q)\n"
+                         "            key[i] -= q;\n"),
 }
 
 
