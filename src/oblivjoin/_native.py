@@ -4,7 +4,10 @@ one source compiled with `cc` alone (Kernels), or as their numpy bodies
 (NUMPY).  kernel() returns the C set where it can be built and loaded,
 else NUMPY, once per process; no caller asks which.  Both sets have the
 methods sort, route, gather, fill_dimensions, prefix, fold and align,
-with the same parameters and results.  A sort hands its pairs to an emit
+with the same parameters and results.  sort(keys, perm) runs the network
+sort_program(len(perm)), route(g, perm) the hops route_hops(len(perm)),
+and the tests hand the C kernels other programs and hops through
+Kernels._sort and Kernels._route.  A sort hands its pairs to an emit
 callback in network order: the C set in blocks of _EMIT_CHUNK
 comparators from the pair expander, NUMPY one level of sort_levels at a
 time from the walk that runs it.  NUMPY's reads and writes follow the
@@ -33,8 +36,9 @@ and {1,3,5,7} for hop 1, and shuffled back to be stored; the three
 levels' tail parts, past the complete blocks, then run as spans.  The
 baseline body and other targets run every level as spans.  The whole
 program is validated before the first write, by the check that
-oblivjoin_sort_pairs shares.  The keys and the permutation must not
-overlap (Kernels.sort refuses arrays that share memory).
+oblivjoin_sort_pairs shares, the one check of a sort program.  The keys
+and the permutation must not overlap (Kernels.sort refuses arrays that
+share memory).
 
 The sort stays data-oblivious: its loop bounds and addresses come from
 the program alone, a function of the public length; every select is a
@@ -71,8 +75,9 @@ value.  oblivjoin_fill is fill_dimensions: forward, it carries each run
 of equal keys' counts of tid 1 and tid 2 (alpha1, alpha2) and the sum m
 of the runs' final alpha1 * alpha2; backward, it carries each run's
 final counts over the run.  oblivjoin_prefix is the expansion's prefix
-pass, a running sum; it refuses a sum that wraps past 2^64 - 1 in a
-read-only first pass, before any write.  oblivjoin_fold is the
+pass, a running sum of the counts, a null entry's masked to 0; it
+refuses a sum that wraps past 2^64 - 1 in a read-only first pass, before
+any write.  oblivjoin_fold is the
 expansion's forward fill folded into the routed permutation: it carries
 the permutation entry of the last live slot.  oblivjoin_align is the
 align pass: it carries each slot's index q in its key run and writes
@@ -112,7 +117,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._schedule import sort_levels
+from ._schedule import route_hops, sort_levels, sort_program
 
 SOURCE = r"""
 #include <stddef.h>
@@ -555,26 +560,26 @@ uint64_t oblivjoin_fill(const uint64_t *restrict j,
 
 /* g: the uint64 counts; f: the uint64 destinations; nul: the uint8 null
    flags; len slots each.  g may be f itself (each slot is read before it
-   is written); nul overlaps neither.  Writes f = 1 + the sum of g before
-   the slot, or 0 where g is 0, and the null flag 1 where g is 0, and the
-   sum of g at *sum.  Returns -1, having written nothing, if a running
-   sum wraps past 2^64 - 1. */
+   is written); nul overlaps neither.  A slot's count is g, or 0 where its
+   null flag is set, by a mask.  Writes f = 1 + the sum of the counts
+   before the slot, or 0 where its count is 0, and the null flag 1 where
+   its count is 0, else 0, and the sum of the counts at *sum.  Returns -1,
+   having written nothing, if a running sum wraps past 2^64 - 1. */
 int oblivjoin_prefix(const uint64_t *g, uint64_t *f, uint8_t *restrict nul,
                      size_t len, uint64_t *restrict sum)
 {
     uint64_t s = 0, bad = 0;
-    for (size_t i = 0; i < len; i++) {
-        s += g[i];
-        bad |= s < g[i];
-    }
+    for (size_t i = 0; i < len; i++)
+        bad |= __builtin_add_overflow(s, g[i] & ~ONES(nul[i]), &s);
     if (bad)
         return -1;
     *sum = s;
     s = 0;
     for (size_t i = 0; i < len; i++) {
-        uint64_t gi = g[i], live = ONES(gi);
-        f[i] = (s + 1) & live;
-        nul[i] = (uint8_t)((nul[i] & live) | (~live & 1));
+        uint64_t gi = g[i] & ~ONES(nul[i]);
+        uint8_t dead = gi == 0;
+        f[i] = (s + 1) & ((uint64_t)dead - 1);
+        nul[i] = dead;
         s += gi;
     }
     return 0;
@@ -684,68 +689,21 @@ def _row_addresses(arrays, dtypes, what: str) -> list[int]:
 # The argument checks of the kernels, one per kernel, which both kernel sets
 # make before any write, so that both refuse the same calls with the same
 # ValueError.  Each returns the addresses of the arrays it checks, in
-# argument order.  The values (the sort program, a route's hops, a gather's
-# permutation entries, a prefix's running sum, align's columns) are each
-# body's own check.
+# argument order.  The values (a gather's permutation entries, a prefix's
+# running sum, align's columns) are each body's own check.
 
-def _sort_args(keys, perm: np.ndarray, prog: np.ndarray) -> list[int]:
-    if prog.ndim != 1:
-        raise ValueError("the sort program must be one-dimensional")
+def _sort_args(keys, perm: np.ndarray) -> list[int]:
     if not 1 <= len(keys) <= _MAX_KEYS:
         raise ValueError(f"a sort takes 1 to {_MAX_KEYS} keys, got "
                          f"{len(keys)}")
-    return [*_row_addresses([*keys, perm],
-                            [np.uint64] * len(keys) + [np.int64],
-                            "the keys and the permutation"),
-            _addr(prog, np.int64)]
-
-
-def _program_fits(length: int, prog: np.ndarray) -> bool:
-    """Whether oblivjoin_sort's check_program accepts the sort program
-    prog for length slots: the same checks, in Python."""
-    p = prog.tolist()
-
-    def pairs_fit(lo0, cnt, j):
-        if lo0 < 0 or cnt < 0:
-            return False
-        if cnt == 0:
-            return True
-        if lo0 >= length or cnt > length or j >= length:
-            return False
-        t = cnt - 1
-        return lo0 + t + (t & -j) + j < length
-    if not p or p[0] < 0:
-        return False
-    at, ncomp = 1, 0
-    for _ in range(p[0]):
-        if len(p) - at < 4:
-            return False
-        j, k, nfull, nparts = p[at:at + 4]
-        if (j < 1 or j & (j - 1) or k < 2 or k & (k - 1) or k // 2 < j
-                or nfull < 0 or nparts < 0 or nfull > length
-                or nparts > (len(p) - at - 4) // 3
-                or not pairs_fit(0, nfull >> 1, j)):
-            return False
-        ncomp += nfull >> 1
-        at += 4
-        for _ in range(nparts):
-            if not pairs_fit(p[at], p[at + 1], j):
-                return False
-            ncomp += p[at + 1]
-            at += 3
-    return ncomp < 2**63
+    return _row_addresses([*keys, perm],
+                          [np.uint64] * len(keys) + [np.int64],
+                          "the keys and the permutation")
 
 
 def _g_perm_args(g: np.ndarray, perm: np.ndarray) -> list[int]:
     return _row_addresses([g, perm], [np.uint64, np.int64],
                           "g and the permutation")
-
-
-def _route_args(g: np.ndarray, perm: np.ndarray,
-                hops: np.ndarray) -> list[int]:
-    if hops.ndim != 1:
-        raise ValueError("hops must be one-dimensional")
-    return [*_g_perm_args(g, perm), _addr(hops, np.int64)]
 
 
 def _gather_args(cols, nul: np.ndarray, perm: np.ndarray) -> list[int]:
@@ -807,23 +765,17 @@ class Kernels:
             fn = self._c[name] = getattr(lib, f"oblivjoin_{name}")
             fn.restype, fn.argtypes = restype, argtypes
 
-    def sort(self, keys, perm: np.ndarray, prog: np.ndarray,
-             emit=None) -> int:
-        """Run the sort program prog (_schedule.sort_program, an int64
-        array) in place on the C-contiguous one-dimensional uint64 key
-        copies keys, a list of one to three compared in order, each
-        ascending, and the int64 permutation perm, and return its
-        comparator count.  Where emit is given, hand it the pairs of the
-        network in order, as emit(lo, hi) with int64 index arrays, in
-        blocks of _EMIT_CHUNK comparators.  ValueError, before any write,
-        if the arrays or the program do not fit, or two of the arrays
-        share memory (the kernel takes them as restrict)."""
-        *ptrs, pp, pprog = _sort_args(keys, perm, prog)
-        ptrs = np.array(ptrs, np.uintp)
-        ncomp = self._c["sort"](ptrs.ctypes.data, len(keys), pp, len(perm),
-                                pprog, len(prog))
-        if ncomp < 0:
-            raise ValueError(_BAD_PROGRAM)
+    def sort(self, keys, perm: np.ndarray, *, emit=None) -> int:
+        """Run the sorting network of len(perm) slots in place on the
+        C-contiguous one-dimensional uint64 key copies keys, a list of one
+        to three compared in order, each ascending, and the int64
+        permutation perm, and return its comparator count.  Where emit is
+        given, hand it the pairs of the network in order, as emit(lo, hi)
+        with int64 index arrays, in blocks of _EMIT_CHUNK comparators.
+        ValueError, before any write, if the arrays do not fit, or two of
+        them share memory (the kernel takes them as restrict)."""
+        prog = sort_program(len(perm))[0]
+        ncomp = self._sort(keys, perm, prog)
         if emit is not None:
             lo = np.empty(min(ncomp, _EMIT_CHUNK), np.int64)
             hi = np.empty_like(lo)
@@ -831,6 +783,21 @@ class Kernels:
                 count = min(_EMIT_CHUNK, ncomp - start)
                 self._pairs(prog, len(perm), start, count, lo, hi)
                 emit(lo[:count], hi[:count])
+        return ncomp
+
+    def _sort(self, keys, perm: np.ndarray, prog: np.ndarray) -> int:
+        """sort without emit, on the sort program prog
+        (_schedule.sort_program, an int64 array) instead of the network
+        of len(perm).  ValueError, before any write, also if the program
+        does not fit the arrays."""
+        if prog.ndim != 1:
+            raise ValueError("the sort program must be one-dimensional")
+        *ptrs, pp = _sort_args(keys, perm)
+        ptrs = np.array(ptrs, np.uintp)
+        ncomp = self._c["sort"](ptrs.ctypes.data, len(keys), pp, len(perm),
+                                _addr(prog, np.int64), len(prog))
+        if ncomp < 0:
+            raise ValueError(_BAD_PROGRAM)
         return ncomp
 
     def _pairs(self, prog: np.ndarray, length: int, start: int, count: int,
@@ -853,16 +820,25 @@ class Kernels:
             raise ValueError("the sort program does not fit length slots, or "
                              "the pairs lie outside it")
 
-    def route(self, g: np.ndarray, perm: np.ndarray,
-              hops: np.ndarray) -> None:
-        """Run the routing hops, an int64 array, in order and in place on
-        the C-contiguous one-dimensional uint64 destinations g (0 on a
-        null entry) and int64 permutation perm; a slot an entry moves out
-        of gets g 0 and perm _VACATED.  ValueError, before any write, if
-        the arrays do not fit or share memory, or a hop lies outside
-        [1, len(perm))."""
-        pg, pp, ph = _route_args(g, perm, hops)
-        if self._c["route"](pg, pp, len(perm), ph, len(hops)):
+    def route(self, g: np.ndarray, perm: np.ndarray) -> None:
+        """Run the routing network of len(perm) slots, route_hops(len(perm))
+        in order, in place on the C-contiguous one-dimensional uint64
+        destinations g (0 on a null entry) and int64 permutation perm; a
+        slot an entry moves out of gets g 0 and perm _VACATED.
+        ValueError, before any write, if the arrays do not fit or share
+        memory."""
+        self._route(g, perm, np.array(route_hops(len(perm)), np.int64))
+
+    def _route(self, g: np.ndarray, perm: np.ndarray,
+               hops: np.ndarray) -> None:
+        """route on the routing hops, an int64 array, instead of the
+        network of len(perm).  ValueError, before any write, also if a hop
+        lies outside [1, len(perm))."""
+        if hops.ndim != 1:
+            raise ValueError("hops must be one-dimensional")
+        pg, pp = _g_perm_args(g, perm)
+        if self._c["route"](pg, pp, len(perm), _addr(hops, np.int64),
+                            len(hops)):
             raise ValueError(_BAD_HOP)
 
     def gather(self, cols, nul: np.ndarray, perm: np.ndarray) -> None:
@@ -896,12 +872,14 @@ class Kernels:
 
     def prefix(self, g: np.ndarray, f: np.ndarray,
                nul: np.ndarray) -> int | None:
-        """Write f = 1 + the sum of g before each slot, or 0 where g is 0,
-        and the null flag 1 where g is 0, into the C-contiguous
-        one-dimensional uint64 f and uint8 nul; g is uint64 and may be f
-        itself.  Returns the sum of g, or None, having written nothing,
-        if a running sum wraps past 2^64 - 1.  ValueError, before any
-        write, if the arrays do not fit or share memory otherwise."""
+        """Write f = 1 + the sum of the counts before each slot, or 0
+        where its count is 0, and the null flag 1 where its count is 0,
+        else 0, into the C-contiguous one-dimensional uint64 f and uint8
+        nul; a slot's count is g, or 0 where nul is set, and g is uint64
+        and may be f itself.  Returns the sum of the counts, or None,
+        having written nothing, if a running sum wraps past 2^64 - 1.
+        ValueError, before any write, if the arrays do not fit or share
+        memory otherwise."""
         total = ctypes.c_uint64()
         if self._c["prefix"](*_prefix_args(g, f, nul), len(f),
                              ctypes.addressof(total)):
@@ -991,6 +969,11 @@ def _key_groups(j: np.ndarray):
     return start, last, ar
 
 
+def _counts(g: np.ndarray, nul: np.ndarray) -> np.ndarray:
+    """The expansion's counts: g, or 0 on a null entry."""
+    return np.where(nul == 0, g, np.uint64(0))
+
+
 def _sum_wraps(g: np.ndarray) -> bool:
     """Whether a uint64 running sum of g wraps, by an untraced read: a sum
     that wraps drops below its term."""
@@ -1020,28 +1003,23 @@ class NumpyKernels:
     checks.  Their reads and writes follow the data where the C kernels'
     do not."""
 
-    def sort(self, keys, perm: np.ndarray, prog: np.ndarray,
-             emit=None) -> int:
-        """Kernels.sort, one level of sort_levels at a time; emit gets
-        each level as one block, from the one walk that runs it."""
-        _sort_args(keys, perm, prog)
-        if not _program_fits(len(perm), prog):
-            raise ValueError(_BAD_PROGRAM)
+    def sort(self, keys, perm: np.ndarray, *, emit=None) -> int:
+        """Kernels.sort, one level of sort_levels(len(perm)) at a time;
+        emit gets each level as one block, from the one walk that runs
+        it."""
+        _sort_args(keys, perm)
         ncomp = 0
-        for lo, hi, asc in sort_levels(len(perm), prog):
+        for lo, hi, asc in sort_levels(len(perm)):
             _ce_level_vector(keys, perm, lo, hi, asc)
             if emit is not None:
                 emit(lo, hi)
             ncomp += len(lo)
         return ncomp
 
-    def route(self, g: np.ndarray, perm: np.ndarray,
-              hops: np.ndarray) -> None:
-        """Kernels.route, one hop at a time."""
-        _route_args(g, perm, hops)
-        if ((hops < 1) | (hops >= len(perm))).any():
-            raise ValueError(_BAD_HOP)
-        for j in hops.tolist():
+    def route(self, g: np.ndarray, perm: np.ndarray) -> None:
+        """Kernels.route, one hop of route_hops(len(perm)) at a time."""
+        _g_perm_args(g, perm)
+        for j in route_hops(len(perm)):
             _route_hop_vector(g, perm, j)
 
     def gather(self, cols, nul: np.ndarray, perm: np.ndarray) -> None:
@@ -1083,14 +1061,14 @@ class NumpyKernels:
                nul: np.ndarray) -> int | None:
         """Kernels.prefix, by a cumulative sum."""
         _prefix_args(g, f, nul)
+        g = _counts(g, nul)  # a copy, so writing f leaves it as it is
         if _sum_wraps(g):
             return None
-        # computed before the writes below, which overwrite g when it is f
         m = int(g.sum(dtype=np.uint64))
         z = g == 0
         before = np.cumsum(g, dtype=np.uint64) - g
         f[:] = np.where(z, 0, np.uint64(1) + before)
-        nul[:] = np.where(z, 1, nul)
+        nul[:] = z
         return m
 
     def fold(self, g: np.ndarray, perm: np.ndarray) -> None:

@@ -98,17 +98,17 @@ def sort_program(n: int) -> tuple[np.ndarray, int]:
     return arr, ncomp
 
 
-def sort_levels(n: int, prog: np.ndarray | None = None
-                ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield the levels (lo, hi, asc) of prog, a program for n slots that
-    the native sort kernel accepts, by default sort_program(n), in order.
+def sort_levels(n: int) -> Iterator[tuple[np.ndarray, np.ndarray,
+                                          np.ndarray]]:
+    """Yield the levels (lo, hi, asc) of the length-n network,
+    sort_program(n), in order.
 
     lo/hi are int64 index arrays (pairwise disjoint within a level,
     ascending in lo); asc is the per-comparator direction: True orders the
     pair ascending, False descending.  All parts of a level slice one
     index vector t + (t & -j).
     """
-    prog = (sort_program(n)[0] if prog is None else prog).tolist()
+    prog = sort_program(n)[0].tolist()
     t = np.arange(n >> 1, dtype=np.int64)   # no level has more pairs
     at = 1
     for _ in range(prog[0]):

@@ -313,12 +313,12 @@ class CostBreakdown:
         return abs(self.ops(phase) / pred - 1) if pred else float("inf")
 
     def shares(self) -> dict:
+        """Each phase's share of the events, largest first, over the
+        phases that have events."""
         tot = self.total_events
-        if tot == 0:
-            return {}
         return {ph: ev / tot
                 for ph, ev in sorted(self.events_by_phase.items(),
-                                     key=lambda kv: -kv[1])}
+                                     key=lambda kv: -kv[1]) if ev}
 
     def summary_lines(self) -> list:
         lines = [f"n1={self.n1} n2={self.n2} m={self.m} "

@@ -37,7 +37,7 @@ from .entries import (U64_FIELDS, KEY_NONNULL_F, ct_eq, ct_select,
                       ct_select_entry, lex_compare, null_entry)
 from .trace import (READ, WRITE, PublicArray, alloc, consumes_events,
                     emit_steps)
-from ._schedule import route_hops, sort_levels, sort_program
+from ._schedule import route_hops, sort_levels
 
 __all__ = [
     "compare_exchange", "bitonic_sort",
@@ -51,8 +51,8 @@ _ALL_COLS = U64_FIELDS + ("is_null",)
 class DistributeCollisionError(RuntimeError):
     """The destinations f of a distribution are not injective into 1..m.
 
-    Every distribution checks this: a routing swap that hits a non-null
-    partner, or an entry that does not end at slot f-1, raises instead of
+    Every distribution checks this once its network has run: where fewer
+    entries end at their slot f-1 than are live, it raises instead of
     returning a wrong placement.  A valid map never trips it.
     """
 
@@ -150,14 +150,13 @@ def _sort_on(a: PublicArray, keys: list) -> None:
 def _sort_network(a: PublicArray, keys, perm: np.ndarray) -> None:
     """Run the sorting network of len(a) slots on the uint64 key copies
     keys and the int64 slot permutation perm, in place, and emit its
-    events on a.  The whole network is one kernel sort call on
-    sort_program(len(a)).  The events are those of sort_levels's pairs in
-    order, in the blocks that the kernel set hands to emit; a plain
-    NullSink only counts 4 events per comparator, and no pair array is
-    built for it."""
+    events on a.  The whole network is one kernel sort call.  The events
+    are those of sort_levels's pairs in order, in the blocks that the
+    kernel set hands to emit; a plain NullSink only counts 4 events per
+    comparator, and no pair array is built for it."""
     emit = (functools.partial(_emit_pairs, a) if consumes_events(a.sink)
             else None)
-    ncomp = _native.kernel().sort(keys, perm, sort_program(a.length)[0], emit)
+    ncomp = _native.kernel().sort(keys, perm, emit=emit)
     if emit is None:  # emit_steps reads only the length of the index
         _emit_pairs(a, range(ncomp), range(ncomp))
 
@@ -190,16 +189,15 @@ def _copy_into(x: PublicArray, a: PublicArray, n: int, engine: str) -> None:
 # Oblivious distribution (routing network)
 # --------------------------------------------------------------------------
 
-def _route_hop_scalar(a: PublicArray, m: int, j: int) -> None:
-    for i in range(m - j - 1, -1, -1):
+def _route_hop_scalar(a: PublicArray, j: int) -> None:
+    for i in range(a.length - j - 1, -1, -1):
         y = a.read(i)
         y2 = a.read(i + j)
         # y's 0-based destination is f-1; it still needs to advance past
-        # this hop iff f-1 >= i+j.  Null entries have f = 0.
+        # this hop iff f-1 >= i+j.  Null entries have f = 0.  Only a map
+        # that is not injective into 1..m moves y onto a live y2, and
+        # _check_placement refuses that map after the whole network.
         cond = int(y.f > i + j)
-        if cond and not y2.is_null:
-            raise DistributeCollisionError(
-                f"swap at ({i}, {i + j}) hit a non-null partner")
         a.write(i, ct_select_entry(cond, y2, y))
         a.write(i + j, ct_select_entry(cond, y, y2))
 
@@ -210,12 +208,11 @@ def _route_vector(a: PublicArray, g: np.ndarray, perm: np.ndarray) -> None:
     hop's steps on a: a slot an entry moves out of gets g 0 and perm
     -1."""
     m = a.length
-    hops = route_hops(m)
-    _native.kernel().route(g, perm, np.array(hops, np.int64))
+    _native.kernel().route(g, perm)
     # hop j steps (i, i+j) for i from m-j-1 down to 0: both index vectors
     # are slices of one descending range
     down = range(m - 1, -1, -1)
-    for j in hops:
+    for j in route_hops(m):
         _emit_pairs(a, down[j:], down[:m - j])
 
 
@@ -262,7 +259,7 @@ def _distribute_scalar(x: PublicArray, m: int) -> PublicArray:
     with sink.phase_scope("distribute_route"):
         region = a.view(0, m)
         for j in route_hops(m):
-            _route_hop_scalar(region, m, j)
+            _route_hop_scalar(region, j)
         _check_placement(_destinations(region), x)
     return a
 
@@ -342,17 +339,19 @@ def oblivious_distribute(x: PublicArray, m: int,
 # --------------------------------------------------------------------------
 
 def _expand_prefix(x: PublicArray, g_attr: str, engine: str) -> int:
-    """First expansion pass: f <- 1 + exclusive prefix sum of g, zero-g
-    entries become null with f = 0.  Returns m = sum of g.  ValueError,
-    before any access or write, if a running sum of g does not fit in 64
+    """First expansion pass: f <- 1 + exclusive prefix sum of g, where a
+    null entry's g counts as 0, and entries whose g counts 0 become null
+    with f = 0.  Returns m = the sum of the counts.  ValueError, before
+    any access or write, if a running sum of them does not fit in 64
     bits.  The vector engine runs the pass in one kernel prefix call,
     which refuses that sum itself."""
     n = x.length
-    g = x.col(g_attr)
+    g, nul = x.col(g_attr), x.col("is_null")
     if engine == "scalar":
-        m = None if _native._sum_wraps(g) else _expand_prefix_scalar(x, g_attr)
+        m = (None if _native._sum_wraps(_native._counts(g, nul))
+             else _expand_prefix_scalar(x, g_attr))
     else:
-        m = _native.kernel().prefix(g, x.col("f"), x.col("is_null"))
+        m = _native.kernel().prefix(g, x.col("f"), nul)
     if m is None:
         raise ValueError(f"the sum of {g_attr} over {n} entries does not "
                          f"fit in 64 bits")
@@ -365,7 +364,7 @@ def _expand_prefix_scalar(x: PublicArray, g_attr: str) -> int:
     s = 1
     for i in range(x.length):
         e = x.read(i)
-        g = getattr(e, g_attr)
+        g = ct_select(ct_eq(e.is_null, 0), getattr(e, g_attr), 0)
         z = ct_eq(g, 0)
         e.f = ct_select(z, 0, s)
         e.is_null = ct_select(z, 1, e.is_null)
@@ -389,7 +388,7 @@ def oblivious_expand(x: PublicArray, g_attr: str,
                      engine: str = "vector") -> PublicArray:
     """Replace each entry of x by g copies of itself (g = its g_attr
     value, one of U64_FIELDS), preserving order; entries with g = 0
-    vanish.
+    vanish, and so do null entries, whatever their g.
 
     Returns a fresh array of length m = sum of g.  x itself is consumed
     (its f and null flags are overwritten by the prefix pass).  The trace

@@ -121,12 +121,15 @@ def prp_distribute(x: PublicArray, m: int, seed: int) -> PublicArray:
     The trace's data-dependent part is the placement writes at pi(f-1),
     uniform in the seed; everything after placement is a fixed pattern
     of m.  ValueError, before any access, if the seed lies outside
-    [0, 2^64), also when m = 0 leaves no permutation to build.
+    [0, 2^64), also when m = 0 leaves no permutation to build, if n > m,
+    or if an entry is null.
     """
     _check_seed(seed)
     n = x.length
     if n > m:
         raise ValueError(f"distribute requires n <= m, got n={n} m={m}")
+    if x.col("is_null").any():
+        raise ValueError("prp_distribute takes no null entries")
     sink = x.sink
     if m == 0:
         return alloc(0, sink)  # no domain to permute, and nothing to place

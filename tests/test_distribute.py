@@ -62,22 +62,47 @@ def test_random_injective_destinations(engine, rng):
                 assert slot is None
 
 
+# maps that are not injective into 1..m: a swap collides in [2, 2] and
+# [2, 2, 3], the rest leave an entry short of its slot f-1
+TRIPWIRE_MAPS = [([2, 2], 2), ([2, 2, 3], 4), ([1, 1], 2), ([5], 4),
+                 ([0, 1], 2)]
+
+
 def test_collision_tripwire_fires():
     # always armed: a non-injective f raises on both engines, whether a
     # swap collides ([2, 2, 3] lost entry 1 on the vector engine and
     # misplaced it on the scalar one) or an entry cannot reach slot f-1
-    cases = [([2, 2], 2), ([2, 2, 3], 4), ([1, 1], 2), ([5], 4), ([0, 1], 2)]
     for engine in ("scalar", "vector"):
-        for f, m in cases:
+        for f, m in TRIPWIRE_MAPS:
             x = make_distribute_input(NullSink(), f)
             with pytest.raises(DistributeCollisionError):
                 oblivious_distribute(x, m, engine)
     # the randomized distribution runs the same placement check, and
     # raises the same error on f = 5 into 4 slots and on a live f = 0
-    for f, m in cases:
+    for f, m in TRIPWIRE_MAPS:
         x = make_distribute_input(NullSink(), f)
         with pytest.raises(DistributeCollisionError):
             prp_distribute(x, m, seed=1)
+
+
+def _trace_before_the_raise(f, m, engine):
+    """The events, with their phases, of a distribution of f into m slots
+    that raises DistributeCollisionError."""
+    s = LogSink()
+    with pytest.raises(DistributeCollisionError):
+        oblivious_distribute(make_distribute_input(s, f), m, engine)
+    return list(s.events_tagged())
+
+
+@pytest.mark.parametrize("f, m", TRIPWIRE_MAPS)
+def test_engines_trace_a_bad_map_alike_before_the_raise(f, m):
+    # the routing network raises on neither engine: both run all of it,
+    # a function of (n, m), and then the placement check refuses the map
+    scalar = _trace_before_the_raise(f, m, "scalar")
+    assert scalar == _trace_before_the_raise(f, m, "vector")
+    s = LogSink()
+    oblivious_distribute(make_distribute_input(s, range(1, len(f) + 1)), m)
+    assert scalar == list(s.events_tagged())
 
 
 # three maps into 4 slots per contract that oblivious_distribute covers:
@@ -237,7 +262,7 @@ def test_route_kernel_matches_numpy_hops(m, trials, native, rng):
     for _ in range(trials):
         c = _route_copies(rng, m)
         v = tuple(arr.copy() for arr in c)
-        native.route(*c, np.array(hops, np.int64))
+        native.route(*c)
         for j in hops:
             _native._route_hop_vector(*v, j)
         for got, want in zip(c, v):
@@ -300,47 +325,69 @@ def test_distribute_paths_agree(trials, native, monkeypatch, rng):
 def test_collisions_raise_on_both_route_paths(kernels):
     # every bad map of the tripwire and of both collision contracts raises
     # on either path
-    for f, m in [([2, 2], 2), ([2, 2, 3], 4), ([1, 1], 2), ([5], 4),
-                 ([0, 1], 2)]:
+    for f, m in TRIPWIRE_MAPS:
         with pytest.raises(DistributeCollisionError):
             oblivious_distribute(make_distribute_input(NullSink(), f), m)
     for rows in BATCH_COLLISIONS.values():
         _check_collision_rows(rows)
 
 
-def _check_route_refusals(kernels):
-    """Every bad call of a route is refused before it writes anything."""
-    g = np.array([2, 0, 0], np.uint64)
-    perm = np.array([0, 1, 2], np.int64)
-    hops = np.array([2, 1], np.int64)
-    before = [arr.copy() for arr in (g, perm)]
+def _route_arrays():
+    """A route's g and permutation on three slots: one live entry, at
+    slot 0 with g = 2."""
+    return np.array([2, 0, 0], np.uint64), np.array([0, 1, 2], np.int64)
+
+
+def _bad_route_arrays(g, perm):
+    """The (g, perm) that no route takes."""
     wide = np.zeros(6, np.uint64)
-    for args in ((g.astype(np.int64), perm, hops),          # g not uint64
-                 (g, perm.astype(np.uint64), hops),         # perm not int64
-                 (g, perm, hops.astype(np.int32)),          # hops not int64
-                 (wide[::2], perm, hops),                   # not contiguous
-                 (g, perm, np.array([2, 9, 1, 9])[::2]),    # strided
-                 (g, perm[:2], hops),                       # shapes differ
-                 (g[None], perm[None], hops),               # not 1-D
-                 (g, perm, hops[:, None]),                  # hops not 1-D
-                 (g, perm, np.array([3], np.int64)),        # hop past the end
-                 (g, perm, np.array([0], np.int64)),        # hop 0
-                 (g, perm, np.array([-1], np.int64)),       # negative hop
-                 (g, g.view(np.int64), hops)):              # shared memory
+    return [(g.astype(np.int64), perm),          # g not uint64
+            (g, perm.astype(np.uint64)),         # perm not int64
+            (wide[::2], perm),                   # not contiguous
+            (g, perm[:2]),                       # shapes differ
+            (g[None], perm[None]),               # not 1-D
+            (g, g.view(np.int64))]               # shared memory
+
+
+def _check_refused(route, bad, g, perm):
+    """Every route(*args) of bad is refused before g and perm change."""
+    before = [arr.copy() for arr in (g, perm)]
+    for args in bad:
         with pytest.raises(ValueError):
-            kernels.route(*args)
+            route(*args)
     for arr, old in zip((g, perm), before):
         assert np.array_equal(arr, old)
-    kernels.route(g, perm, hops)
+
+
+def _check_route_refusals(kernels):
+    """Every bad array of a route is refused before it writes anything."""
+    g, perm = _route_arrays()
+    _check_refused(kernels.route, _bad_route_arrays(g, perm), g, perm)
+    kernels.route(g, perm)
     assert (g.tolist(), perm.tolist()) == ([0, 2, 0], [-1, 0, 2])
 
 
 def test_route_kernel_rejects_bad_arrays(native):
+    # the bad arrays, through route and through _route on hops that fit,
+    # and the hops that the kernel refuses, through _route
     _check_route_refusals(native)
+    g, perm = _route_arrays()
+    hops = np.array([2, 1], np.int64)
+    bad = [(*args, hops) for args in _bad_route_arrays(g, perm)]
+    bad += [(g, perm, hops.astype(np.int32)),          # hops not int64
+            (g, perm, np.array([2, 9, 1, 9])[::2]),    # strided
+            (g, perm, hops[:, None]),                  # hops not 1-D
+            (g, perm, np.array([3], np.int64)),        # hop past the end
+            (g, perm, np.array([0], np.int64)),        # hop 0
+            (g, perm, np.array([-1], np.int64))]       # negative hop
+    _check_refused(native._route, bad, g, perm)
+    native._route(g, perm, hops)
+    assert (g.tolist(), perm.tolist()) == ([0, 2, 0], [-1, 0, 2])
 
 
 def test_numpy_route_rejects_what_the_kernel_rejects():
-    # a hop of len(g) included, which the numpy hop would leave undone
+    # the numpy body checks the arrays with the kernel's check; it takes
+    # no hops, so it has no hop to refuse
     _check_route_refusals(_native.NUMPY)
 
 

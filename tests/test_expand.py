@@ -35,6 +35,22 @@ def test_zero_count_entry_vanishes(engine):
 
 
 @pytest.mark.parametrize("engine", ["scalar", "vector"])
+def test_null_entry_vanishes_whatever_its_count(engine, kernels):
+    # a null entry counts 0: its count reserved slots once, which the fill
+    # gave copies of the entry before it, and a count of 2^64 - 1 tripped
+    # the refusal of a sum past 64 bits
+    for g in ([1, 2, 1], [1, 2**64 - 1, 1]):
+        x = make_distribute_input(NullSink(), [0, 0, 0])
+        x.col("d")[:] = [10, 20, 30]
+        x.col("alpha2")[:] = g
+        x.col("is_null")[:] = [0, 1, 0]
+        out = oblivious_expand(x, "alpha2", engine)
+        assert out.length == 2
+        assert expanded_payloads(out) == [10, 30]
+        assert all(e.is_null == 0 for e in out.debug_entries())
+
+
+@pytest.mark.parametrize("engine", ["scalar", "vector"])
 def test_matches_numpy_repeat_oracle(engine, rng):
     trials = 40 if engine == "vector" else 15
     for _ in range(trials):

@@ -168,6 +168,19 @@ def test_cost_shares_sum_to_one():
     assert abs(sum(cb.shares().values()) - 1.0) < 1e-9
 
 
+def test_cost_shares_list_only_phases_with_events():
+    # at n = 1 the distribution and align sorts have no comparators and
+    # the route no step, so no share names them
+    cb = cost_report(1)
+    assert cb.events_by_phase["distribute_sort"] == 0
+    shares = cb.shares()
+    assert shares == {ph: ev / cb.total_events
+                      for ph, ev in cb.events_by_phase.items() if ev}
+    assert not {"distribute_sort", "distribute_route",
+                "align_sort"} & set(shares)
+    assert abs(sum(shares.values()) - 1.0) < 1e-9
+
+
 # -- bench --------------------------------------------------------------------
 
 def test_bench_rows_and_csv():

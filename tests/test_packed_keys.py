@@ -12,7 +12,6 @@ entries whose f differ in bit 63 alone.
 import numpy as np
 import pytest
 
-from oblivjoin._schedule import sort_program
 from oblivjoin.harness import make_distribute_input
 from oblivjoin.pipeline import oblivious_join
 from oblivjoin.primitives import DistributeCollisionError, oblivious_distribute
@@ -45,8 +44,7 @@ def _sorted_perm(kernels, keys):
     """The slot permutation that the kernel set's sort leaves on copies
     of keys."""
     perm = np.arange(len(keys[0]), dtype=np.int64)
-    kernels.sort([col.copy() for col in keys], perm,
-                 sort_program(len(perm))[0])
+    kernels.sort([col.copy() for col in keys], perm)
     return perm
 
 
@@ -183,9 +181,9 @@ def test_vector_join_sorts_on_packed_keys(kernels, monkeypatch, sink_cls):
     widths = []
     sort = kernels.sort
 
-    def recorded(keys, perm, prog, emit=None):
+    def recorded(keys, perm, *, emit=None):
         widths.append(len(keys))
-        return sort(keys, perm, prog, emit)
+        return sort(keys, perm, emit=emit)
     monkeypatch.setattr(kernels, "sort", recorded)
     t1 = np.array([(1, 10), (2, 11), (1, 12), (5, 13)], np.uint64)
     t2 = np.array([(1, 20), (2, 21), (2, 22), (7, 23)], np.uint64)

@@ -114,3 +114,14 @@ def test_rejects_more_entries_than_slots():
     x = make_distribute_input(NullSink(), [1, 2, 3])
     with pytest.raises(ValueError, match="n <= m"):
         prp_distribute(x, 2, seed=0)
+
+
+def test_rejects_a_null_entry_before_any_access():
+    # oblivious_distribute skips a null entry, leaving its slot clean;
+    # prp_distribute would place it, so it takes none
+    s = LogSink()
+    x = make_distribute_input(s, [3, 1, 2])
+    x.col("is_null")[1] = 1
+    with pytest.raises(ValueError, match="null"):
+        prp_distribute(x, 3, seed=0)
+    assert len(s) == 0

@@ -84,11 +84,13 @@ def _counts(rng, n, kind):
 
 @pytest.mark.parametrize("alias", [False, True], ids=["g", "g_is_f"])
 def test_prefix_scan_matches_numpy_body(native, alias):
-    # the null flags are wild bytes; with alias, g is the f column itself
-    # (g_attr="f"), so each slot is read before it is written
+    # the null flags are 0 or wild bytes, and a null entry counts 0; with
+    # alias, g is the f column itself (g_attr="f"), so each slot is read
+    # before it is written
     for rng, n, kind in _cases(3):
         g, f = _counts(rng, n, kind), _wild(rng, n)
         nul = rng.integers(0, 256, n).astype(np.uint8)
+        nul[rng.random(n) < 0.5] = 0
         if alias:
             f = g
         got, want = _copies(g, f, nul), _copies(g, f, nul)
@@ -96,7 +98,7 @@ def test_prefix_scan_matches_numpy_body(native, alias):
             got[1], want[1] = got[0], want[0]
         m = native.prefix(*got)
         assert m == _native.NUMPY.prefix(*want), (n, kind)
-        assert m == int(g.sum(dtype=np.uint64))
+        assert m == int(g[nul == 0].sum(dtype=np.uint64))
         for a, b in zip(got, want):
             assert np.array_equal(a, b), (n, kind)
 
@@ -120,11 +122,22 @@ def test_prefix_refuses_a_wrapping_sum_before_any_write(kernels, alias):
     for g in ([2**64 - 1, 1], [1, 2**64 - 1], [2**63, 0, 2**63, 5]):
         g = np.array(g, np.uint64)
         f = g if alias else np.arange(len(g), dtype=np.uint64)
-        nul = np.full(len(g), 7, np.uint8)
+        nul = np.zeros(len(g), np.uint8)  # live entries, whose g counts
         before = _copies(g, f, nul)
         assert kernels.prefix(g, f, nul) is None
         for a, b in zip((g, f, nul), before):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("alias", [False, True], ids=["g", "g_is_f"])
+def test_prefix_counts_a_null_entry_as_zero(kernels, alias):
+    # a null entry's g, 2^64 - 1 here, neither reserves slots nor wraps
+    # the sum, and the entry stays null with f 0
+    g = np.array([5, 2**64 - 1, 2, 0], np.uint64)
+    f = g if alias else np.full(4, 9, np.uint64)
+    nul = np.array([0, 3, 0, 0], np.uint8)
+    assert kernels.prefix(g, f, nul) == 7
+    assert (f.tolist(), nul.tolist()) == ([1, 0, 6, 0], [0, 1, 0, 1])
 
 
 def test_align_refuses_a_zero_alpha1_before_any_write(kernels):

@@ -313,14 +313,12 @@ def _sorts_by_keys(perm, keys):
 def test_sort_kernel_matches_numpy_levels(n, trials, nkeys, native, rng):
     # one kernel call leaves the keys and permutation that the numpy level
     # leaves after every level of sort_levels, on each of trials inputs
-    prog, ncomp = sort_program(n)
-    assert ncomp == comparator_count(n)
     for _ in range(trials):
         keys = _kernel_keys(rng, n, nkeys)
         ck, nk = [col.copy() for col in keys], [col.copy() for col in keys]
         cperm = np.arange(n, dtype=np.int64)
         nperm = cperm.copy()
-        native.sort(ck, cperm, prog)
+        assert native.sort(ck, cperm) == comparator_count(n)
         for lo, hi, asc in sort_levels(n):
             _native._ce_level_vector(nk, nperm, lo, hi, asc)
         assert np.array_equal(cperm, nperm)
@@ -343,8 +341,9 @@ def _program_levels(n):
 @pytest.mark.parametrize("n", [2, 3, 7, 64, 100, 257, 1024])
 def test_level_kernel_matches_numpy_level(n, trials, native, rng):
     # level by level, a one-level program leaves the same keys and
-    # permutation in the kernel as in the numpy set, and both count that
-    # level of sort_levels's comparators, on each of trials inputs
+    # permutation in the kernel as the numpy level does, and the kernel
+    # counts that level of sort_levels's comparators, on each of trials
+    # inputs
     for _ in range(trials):
         keys = _kernel_keys(rng, n, 3)
         ck, nk = [col.copy() for col in keys], [col.copy() for col in keys]
@@ -353,8 +352,8 @@ def test_level_kernel_matches_numpy_level(n, trials, native, rng):
         for level, (lo, hi, asc) in zip(
                 _program_levels(n), sort_levels(n), strict=True):
             prog = np.array([1, *level], np.int64)
-            assert native.sort(ck, cperm, prog) == len(lo)
-            assert _native.NUMPY.sort(nk, nperm, prog) == len(lo)
+            assert native._sort(ck, cperm, prog) == len(lo)
+            _native._ce_level_vector(nk, nperm, lo, hi, asc)
             assert np.array_equal(cperm, nperm)
             for c, v in zip(ck, nk):
                 assert np.array_equal(c, v)
@@ -415,7 +414,7 @@ def test_sort_kernel_fuses_only_whole_stages(n, native, rng):
                 ck, nk = ([col.copy() for col in keys] for _ in range(2))
                 cperm = np.arange(n, dtype=np.int64)
                 nperm = cperm.copy()
-                native.sort(ck, cperm, np.array(prog, np.int64))
+                native._sort(ck, cperm, np.array(prog, np.int64))
                 for lo, hi, asc in _expand_program(prog):
                     _native._ce_level_vector(nk, nperm, lo, hi, asc)
                 assert np.array_equal(cperm, nperm), (first, window)
@@ -423,27 +422,64 @@ def test_sort_kernel_fuses_only_whole_stages(n, native, rng):
                     assert np.array_equal(c, v), (first, window)
 
 
-def _check_sort_refusals(kernels):
-    """Every bad call of a sort is refused before it writes anything."""
-    def arrays():
-        return [np.array([4, 3, 2, 1], np.uint64)], \
-            np.array([0, 1, 2, 3], np.int64)
+def _sort_arrays():
+    """A sort's keys and permutation on four slots, keys descending."""
+    return [np.array([4, 3, 2, 1], np.uint64)], \
+        np.array([0, 1, 2, 3], np.int64)
 
-    keys, perm = arrays()
+
+def _check_refusals(call, bad):
+    """Every call(*args) of the args in bad, whose first two are the keys
+    and the permutation, is refused before it writes anything."""
+    for name, args in bad.items():
+        arrays = [*args[0], args[1]]
+        before = [col.copy() for col in arrays]
+        with pytest.raises(ValueError):
+            call(*args)
+        for col, old in zip(arrays, before):
+            assert np.array_equal(col, old), name
+
+
+def _bad_sort_arrays(keys, perm):
+    """name -> (keys, perm) that no sort takes, from four-slot arrays."""
+    return {
+        "no keys": ([], perm),
+        "four keys": ([keys[0].copy() for _ in range(4)], perm),
+        "int64 key": ([keys[0].astype(np.int64)], perm),
+        "int32 permutation": (keys, perm.astype(np.int32)),
+        "key shape": ([np.zeros(3, np.uint64)], perm),
+        "2-d arrays": ([keys[0][None]], perm[None]),
+        "non-contiguous key": ([np.zeros(8, np.uint64)[::2]], perm),
+    }
+
+
+def _check_sort_refusals(kernels):
+    """Every bad array of a sort is refused before it writes anything."""
+    keys, perm = _sort_arrays()
+    _check_refusals(kernels.sort, _bad_sort_arrays(keys, perm))
+    assert kernels.sort(keys, perm) == comparator_count(4)
+    assert perm.tolist() == [3, 2, 1, 0]
+
+
+def test_sort_kernel_rejects_bad_programs(native):
+    # the bad arrays, through sort and through _sort on a program that
+    # fits, and the programs that check_program refuses, through _sort
+    _check_sort_refusals(native)
+    keys, perm = _sort_arrays()
     prog = np.array([1, 2, 4, 4, 0], np.int64)  # j = 2 over 4 slots
-    kernels.sort(keys, perm, prog)
+    native._sort(keys, perm, prog)
     assert perm.tolist() == [2, 3, 0, 1]
 
     def level(j, nfull, *parts):
         return np.array([1, j, 2 * j, nfull, len(parts),
                          *(v for p in parts for v in p)], np.int64)
 
-    keys, perm = arrays()
-    kernels.sort(keys, perm, level(1, 0, (1, 1, 1)))  # one pair, (1, 2)
+    keys, perm = _sort_arrays()
+    native._sort(keys, perm, level(1, 0, (1, 1, 1)))  # one pair, (1, 2)
     assert perm.tolist() == [0, 2, 1, 3]
-    bad = {
-        "no keys": ([], perm, prog),
-        "four keys": ([keys[0].copy() for _ in range(4)], perm, prog),
+    bad = {name: (*arrays, prog)
+           for name, arrays in _bad_sort_arrays(keys, perm).items()}
+    bad.update({
         "part past the end": (keys, perm, level(1, 0, (2, 2, 1))),
         # nfull fits the 6 slots, but not as blocks of 2j = 8
         "blocks past the end": ([np.arange(6, 0, -1, dtype=np.uint64)],
@@ -465,29 +501,15 @@ def _check_sort_refusals(kernels):
         "empty program": (keys, perm, prog[:0]),
         "int32 program": (keys, perm, prog.astype(np.int32)),
         "2-d program": (keys, perm, prog[None]),
-        "int64 key": ([keys[0].astype(np.int64)], perm, prog),
-        "int32 permutation": (keys, perm.astype(np.int32), prog),
-        "key shape": ([np.zeros(3, np.uint64)], perm, prog),
-        "2-d arrays": ([keys[0][None]], perm[None], prog),
-        "non-contiguous key": ([np.zeros(8, np.uint64)[::2]], perm, prog),
-    }
-    for name, (k, p, program) in bad.items():
-        before = [col.copy() for col in (*k, p)]
-        with pytest.raises(ValueError):
-            kernels.sort(k, p, program)
-        for col, old in zip((*k, p), before):
-            assert np.array_equal(col, old), name
+    })
+    _check_refusals(native._sort, bad)
     assert perm.tolist() == [0, 2, 1, 3]
     assert keys[0].tolist() == [4, 2, 3, 1]
 
 
-def test_sort_kernel_rejects_bad_programs(native):
-    _check_sort_refusals(native)
-
-
 def test_numpy_sort_rejects_what_the_kernel_rejects():
-    # the numpy body checks the program as the C kernel's check_program
-    # does, and the arrays with the same check
+    # the numpy body checks the arrays with the kernel's check; it takes
+    # no program, so it has no program to refuse
     _check_sort_refusals(_native.NUMPY)
     _check_shared_memory_refusals(_native.NUMPY)
 
@@ -497,16 +519,15 @@ def _check_shared_memory_refusals(kernels):
     write."""
     key = np.array([4, 3, 2, 1], np.uint64)
     perm = np.arange(4, dtype=np.int64)
-    prog = sort_program(4)[0]
     for keys, p in (([key, key], perm),
                     ([key, key[:]], perm),
                     ([perm.view(np.uint64)], perm)):
         before = [col.copy() for col in (*keys, p)]
         with pytest.raises(ValueError, match="share memory"):
-            kernels.sort(keys, p, prog)
+            kernels.sort(keys, p)
         for col, old in zip((*keys, p), before):
             assert np.array_equal(col, old)
-    kernels.sort([key, key.copy()], perm, prog)
+    kernels.sort([key, key.copy()], perm)
     assert perm.tolist() == [3, 2, 1, 0]
 
 

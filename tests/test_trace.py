@@ -17,7 +17,7 @@ import pytest
 
 import oblivjoin
 from oblivjoin import _native, pipeline, primitives
-from oblivjoin._schedule import route_hops, sort_levels, sort_program
+from oblivjoin._schedule import sort_levels
 from oblivjoin.entries import KEY_J_TID, U64_FIELDS, AugEntry
 from oblivjoin.harness import make_distribute_input
 from oblivjoin.trace import (
@@ -152,6 +152,20 @@ def test_both_kernel_sets_have_one_interface():
     assert methods == _public_methods(_native.NumpyKernels)
     assert sorted(methods) == ["align", "fill_dimensions", "fold", "gather",
                                "prefix", "route", "sort"]
+    # each network is the one of its length: neither set takes a schedule,
+    # and a sort's emit is keyword-only
+    for cls in (_native.Kernels, _native.NumpyKernels):
+        assert _parameters(cls.sort) == "(self, keys, perm, *, emit=None)"
+        assert _parameters(cls.route) == "(self, g, perm)"
+
+
+def _parameters(fn) -> str:
+    """fn's signature without its annotations."""
+    sig = inspect.signature(fn)
+    return str(sig.replace(
+        parameters=[p.replace(annotation=p.empty)
+                    for p in sig.parameters.values()],
+        return_annotation=sig.empty))
 
 
 @pytest.mark.skipif(not _can_build_kernel(), reason="no cc")
@@ -203,7 +217,7 @@ UBSAN_RUN = """
 import ctypes, sys
 import numpy as np
 from oblivjoin import _native
-from oblivjoin._schedule import route_hops, sort_levels, sort_program
+from oblivjoin._schedule import sort_levels, sort_program
 kernel = _native.Kernels(ctypes.CDLL(sys.argv[1]))
 rng = np.random.default_rng(5)
 top = np.array([0, 1, 2**63, 2**64 - 1], np.uint64)
@@ -211,7 +225,7 @@ for n in (2, 3, 7, 100, 257, 1000, 5400):
     for nkeys in (1, 2, 3):
         keys = [top[rng.integers(0, 4, n)] for _ in range(nkeys)]
         perm = np.arange(n, dtype=np.int64)
-        kernel.sort([col.copy() for col in keys], perm, sort_program(n)[0])
+        kernel.sort([col.copy() for col in keys], perm)
         rows = list(zip(*(col[perm].tolist() for col in keys)))
         assert rows == sorted(rows), (n, nkeys)
     prog, ncomp = sort_program(n)
@@ -231,17 +245,17 @@ try:  # one pair past the end of the network
 except ValueError:
     pass
 try:  # j = 3 is no power of two, and lo0 = -1
-    kernel.sort(keys, perm, np.array([1, 3, 6, 0, 1, -1, 1, 1], np.int64))
+    kernel._sort(keys, perm, np.array([1, 3, 6, 0, 1, -1, 1, 1], np.int64))
     raise AssertionError("a bad program ran")
 except ValueError:
     pass
 g = np.array([1, 3, 0, 0], np.uint64)
 perm = np.arange(4, dtype=np.int64)
-kernel.route(g, perm, np.array(route_hops(4), np.int64))
+kernel.route(g, perm)
 assert (g.tolist(), perm.tolist()) == ([1, 0, 3, 0], [0, -1, 1, 3])
 g = np.array([2, 4, 7, 0, 0, 0, 0], np.uint64)
 perm = np.arange(7, dtype=np.int64)
-kernel.route(g, perm, np.array(route_hops(7), np.int64))
+kernel.route(g, perm)
 assert (g.tolist(), perm.tolist()) == ([0, 2, 0, 4, 0, 0, 7],
                                        [-1, 0, -1, 1, 4, 5, 2])
 for n in (0, 1, 7, 1000):
@@ -283,7 +297,7 @@ for n in (1, 2, 7, 1000, 5400):
     kernel.fold(*got)
     _native.NUMPY.fold(*want)
     assert all(np.array_equal(a, b) for a, b in zip(got, want)), n
-assert kernel.prefix(top, wild[0][:4], nul[:4]) is None  # the sum wraps
+assert kernel.prefix(top, wild[0][:4], np.zeros(4, np.uint8)) is None  # wraps
 assert not kernel.align(j, j.copy(), j.copy(), wild[0], wild[1])  # alpha1 0
 """
 UBSAN_FLAGS = ("-O1", "-g", "-fsanitize=undefined",
@@ -409,12 +423,11 @@ def _kernel_runs(kernel, n, keys):
     g = keys % np.uint64(n + 2)
     counts = keys % np.uint64(5)
     alpha1 = keys % np.uint64(7) + np.uint64(1)
-    hops = np.array(route_hops(n), np.int64)
     zeros = functools.partial(np.zeros, n, np.uint64)
     return {
         "sort": lambda: kernel.sort([keys.copy(), keys[::-1].copy()],
-                                    np.arange(n), sort_program(n)[0]),
-        "route": lambda: kernel.route(g.copy(), np.arange(n), hops),
+                                    np.arange(n)),
+        "route": lambda: kernel.route(g.copy(), np.arange(n)),
         "fill": lambda: kernel.fill_dimensions(j, tid, zeros(), zeros(),
                                                zeros()),
         "prefix": lambda: kernel.prefix(counts, zeros(),
@@ -506,7 +519,6 @@ def test_default_clone_matches_numpy_levels(tmp_path):
     rng = np.random.default_rng(11)
     top = np.array([0, 1, 2**63, 2**64 - 1], np.uint64)
     for n in (*range(2, 301), 5400, 6000, 8193):
-        prog = sort_program(n)[0]
         for nkeys in (1, 2, 3):
             keys = [top[rng.integers(0, 4, n)] for _ in range(nkeys)]
             nk = [col.copy() for col in keys]
@@ -516,7 +528,7 @@ def test_default_clone_matches_numpy_levels(tmp_path):
             for kernel in kernels:
                 ck = [col.copy() for col in keys]
                 cperm = np.arange(n, dtype=np.int64)
-                kernel.sort(ck, cperm, prog)
+                kernel.sort(ck, cperm)
                 assert np.array_equal(cperm, nperm), (n, nkeys)
                 for c, v in zip(ck, nk):
                     assert np.array_equal(c, v), (n, nkeys)
@@ -580,10 +592,10 @@ def test_warm_cache_load_runs_no_compiler(tmp_path, monkeypatch):
     assert isinstance(kernel, _native.Kernels)
     keys = [np.array([2, 1], np.uint64)]
     perm = np.array([0, 1], np.int64)
-    kernel.sort(keys, perm, sort_program(2)[0])
+    kernel.sort(keys, perm)
     assert perm.tolist() == [1, 0]
     g = np.array([2, 0], np.uint64)
-    kernel.route(g, perm, np.array([1]))
+    kernel.route(g, perm)
     assert (g.tolist(), perm.tolist()) == ([0, 2], [-1, 1])
 
 
