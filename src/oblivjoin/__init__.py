@@ -10,7 +10,8 @@ from .entries import (AugEntry, null_entry, ct_select, ct_eq,
                       ct_select_entry, lex_compare, KEY_J_TID,
                       KEY_TID_J_D, KEY_F, KEY_NONNULL_F, KEY_J_II)
 from .trace import (READ, WRITE, TraceEvent, TraceSink, NullSink, LogSink,
-                    HashSink, PublicArray, alloc, OutOfBoundsError)
+                    HashSink, PublicArray, alloc, OutOfBoundsError,
+                    ReleasedArrayError)
 from .primitives import (compare_exchange, bitonic_sort,
                          oblivious_distribute, oblivious_expand,
                          DistributeCollisionError)

@@ -117,8 +117,8 @@ def prp_distribute(x: PublicArray, m: int, seed: int) -> PublicArray:
     unlike oblivious_distribute) and f injective into 1..m.  On that
     case it gives the same output as oblivious_distribute(x, m) and,
     like it, raises DistributeCollisionError when f is not injective
-    into 1..m; an f outside 1..m raises it before that entry is placed.
-    The trace's data-dependent part is the placement writes at pi(f-1),
+    into 1..m; an f outside 1..m raises it before any access.  The
+    trace's data-dependent part is the placement writes at pi(f-1),
     uniform in the seed; everything after placement is a fixed pattern
     of m.  ValueError, before any access, if the seed lies outside
     [0, 2^64), also when m = 0 leaves no permutation to build, if n > m,
@@ -130,6 +130,11 @@ def prp_distribute(x: PublicArray, m: int, seed: int) -> PublicArray:
         raise ValueError(f"distribute requires n <= m, got n={n} m={m}")
     if x.col("is_null").any():
         raise ValueError("prp_distribute takes no null entries")
+    f = x.col("f")
+    outside = f[(f < 1) | (f > m)]
+    if len(outside):
+        raise DistributeCollisionError(
+            f"destination f = {outside[0]} outside 1..{m}")
     sink = x.sink
     if m == 0:
         return alloc(0, sink)  # no domain to permute, and nothing to place
@@ -140,9 +145,6 @@ def prp_distribute(x: PublicArray, m: int, seed: int) -> PublicArray:
     with sink.phase_scope("prp_place"):
         for i in range(n):
             e = x.read(i)
-            if not 1 <= e.f <= m:
-                raise DistributeCollisionError(
-                    f"destination f = {e.f} outside 1..{m}")
             a.write(prp.forward(e.f - 1), e)
     with sink.phase_scope("prp_key"):
         # Slot p gets sort key pi^-1(p)*(m+1) + f: keys are distinct and

@@ -16,11 +16,20 @@ digests mean equal traces under SHA-256's collision resistance.
 Every access, a scalar read or write or an engine's bulk access pattern,
 reaches the sink through emit_steps, the one place that counts events and
 knows how a block of them is laid out.
+
+alloc and release are the only places public storage is made and freed.
+release keeps the columns of the last SPARE_SETS root arrays, refilled
+with null entries, and alloc takes the most recently released set of its
+exact length before it allocates fresh columns: a join's m-sized arrays
+stay resident for the next join of the same shape, where freed columns
+would go back to the kernel and fault in again.  Neither emits an event,
+so the trace and the accounting do not depend on which storage is reused.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -34,6 +43,7 @@ __all__ = [
     "READ", "WRITE", "TraceEvent", "REC_DTYPE",
     "TraceSink", "NullSink", "LogSink", "HashSink",
     "PublicArray", "alloc", "emit_steps", "OutOfBoundsError",
+    "ReleasedArrayError",
 ]
 
 READ = 0
@@ -205,6 +215,10 @@ class OutOfBoundsError(IndexError):
     """Access outside an array's bounds: the engine aborts, never clamps."""
 
 
+class ReleasedArrayError(ValueError):
+    """Access to a released array, whose storage a later alloc may hold."""
+
+
 class PublicArray:
     """Fixed-length array of entry slots in traced public memory.
 
@@ -214,11 +228,11 @@ class PublicArray:
     A PublicArray is either a root allocation or a view produced by
     view(): views share storage and array id and translate indices by
     their offset, which is how subrange sorts and region handles are
-    expressed without copying.
+    expressed without copying.  After release(), the root and all its
+    views raise ReleasedArrayError on every access.
     """
 
-    __slots__ = ("sink", "array_id", "offset", "length", "_cols", "_root",
-                 "_released")
+    __slots__ = ("sink", "array_id", "offset", "length", "_cols", "_root")
 
     def __init__(self, sink, array_id, cols, offset, length, root):
         self.sink = sink
@@ -229,12 +243,20 @@ class PublicArray:
         # None on a root allocation: a reference to itself would be a
         # cycle, leaving the columns to the cyclic GC instead of refcounting
         self._root = root
-        self._released = False
+
+    def _storage(self) -> dict[str, np.ndarray]:
+        """The columns; ReleasedArrayError once the root is released, when
+        release() has emptied the dict the root and its views share."""
+        if not self._cols:
+            raise ReleasedArrayError(
+                f"array {self.array_id} was released")
+        return self._cols
 
     # -- traced scalar access ------------------------------------------
 
     def _emit(self, op: int, i: int) -> int:
         """Check and emit one scalar access; returns its slot."""
+        self._storage()
         if not 0 <= i < self.length:
             raise OutOfBoundsError(
                 f"index {i} out of bounds for array {self.array_id} "
@@ -268,6 +290,7 @@ class PublicArray:
 
     def view(self, offset: int, length: int) -> "PublicArray":
         """Subrange handle sharing storage, id and trace with this array."""
+        self._storage()
         if offset < 0 or length < 0 or offset + length > self.length:
             raise OutOfBoundsError(
                 f"view [{offset}, {offset + length}) out of bounds for "
@@ -277,14 +300,20 @@ class PublicArray:
                            self._root if self._root is not None else self)
 
     def release(self) -> None:
-        """Return this allocation's slots to the sink's live counter.
+        """Return this allocation's slots to the sink's live counter and
+        its storage to alloc.
 
-        Accounting only — releasing a view releases its root allocation.
+        Releasing a view releases its root allocation, and releasing again
+        does nothing.  The columns are refilled with null entries and kept
+        for the next alloc of the same length.
         """
         root = self._root if self._root is not None else self
-        if not root._released:
-            root._released = True
+        with _spare_lock:
+            cols = dict(root._cols)
+            root._cols.clear()
+        if cols:
             root.sink.unregister_array(root.length)
+            _keep(cols, root.length)
 
     def __len__(self) -> int:
         return self.length
@@ -297,7 +326,7 @@ class PublicArray:
         Engines pair every column access with an explicit emit; this
         accessor does not emit by itself.
         """
-        return self._cols[name][self.offset:self.offset + self.length]
+        return self._storage()[name][self.offset:self.offset + self.length]
 
     # -- diagnostics (untraced, never used by the algorithms) ------------
 
@@ -307,7 +336,7 @@ class PublicArray:
         Bypasses the trace deliberately; the algorithms never call it.
         """
         lo, hi = self.offset, self.offset + self.length
-        c = self._cols
+        c = self._storage()
         return [AugEntry(*(int(c[name][p]) for name in U64_FIELDS),
                          int(c["is_null"][p]))
                 for p in range(lo, hi)]
@@ -354,16 +383,50 @@ def emit_steps(*accesses) -> None:
     sink.emit_block(aid, ops, idxs)
 
 
+# The column sets of the last SPARE_SETS released root arrays, oldest
+# first.  Three are the ones oblivious_join releases (T_C, S1 and S2), so
+# after a join exactly its peak entries stay allocated.
+SPARE_SETS = 3
+_spare: list[dict[str, np.ndarray]] = []
+_spare_lock = threading.Lock()
+
+
+def _keep(cols: dict[str, np.ndarray], length: int) -> None:
+    """Refill a released column set with null entries and keep it, freeing
+    the oldest kept set past SPARE_SETS."""
+    if not length:
+        return
+    for name in U64_FIELDS:
+        cols[name].fill(0)
+    cols["is_null"].fill(1)
+    with _spare_lock:
+        _spare.append(cols)
+        if len(_spare) > SPARE_SETS:
+            del _spare[0]
+
+
+def _take(length: int) -> dict[str, np.ndarray] | None:
+    """The most recently kept column set of this length, or None."""
+    with _spare_lock:
+        for k in range(len(_spare) - 1, -1, -1):
+            if len(_spare[k]["is_null"]) == length:
+                return _spare.pop(k)
+    return None
+
+
 def alloc(length: int, sink: TraceSink) -> PublicArray:
     """Allocate a public array of null entries.
 
     Assigns the sink's next array id and accounts length slots against its
     live/peak counters.  Allocation emits no events; only accesses do.
+    The columns are a released array's of the same length where one is
+    kept, else fresh.
     """
     if length < 0:
         raise ValueError("negative length")
     aid = sink.register_array(length)
-    cols: dict[str, np.ndarray] = {
-        name: np.zeros(length, np.uint64) for name in U64_FIELDS}
-    cols["is_null"] = np.ones(length, np.uint8)
+    cols = _take(length)
+    if cols is None:
+        cols = {name: np.zeros(length, np.uint64) for name in U64_FIELDS}
+        cols["is_null"] = np.ones(length, np.uint8)
     return PublicArray(sink, aid, cols, 0, length, None)

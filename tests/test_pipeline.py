@@ -2,12 +2,16 @@
 
 import gc
 import runpy
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oblivjoin.baseline import nested_loop_join, sort_merge_join, sorted_pairs
+from oblivjoin import trace
 from oblivjoin.entries import KEY_J_TID
 from oblivjoin.pipeline import (
     align_table,
@@ -367,3 +371,104 @@ def test_output_phase_is_m_reads():
     assert res.m == 6
     assert len(ops) == 6
     assert (ops == 0).all()
+
+
+# -- storage reuse ------------------------------------------------------------
+
+def fanout_tables(rng, n, keys):
+    """n rows per side, each of `keys` keys on n/keys rows of both."""
+    js = np.repeat(np.arange(keys), n // keys)
+    return (table(rng.permutation(js), rng.integers(0, 2**32, n)),
+            table(rng.permutation(js), rng.integers(0, 2**32, n)))
+
+
+@pytest.fixture
+def roots(monkeypatch):
+    """Every root array allocated during the test, with the address of
+    each of its columns, in order; fails the test if a root is allocated
+    on a column buffer another live root holds."""
+    made = []
+    clashes = []
+    lock = threading.Lock()
+    init = trace.PublicArray.__init__
+
+    def record(self, sink, array_id, cols, offset, length, root):
+        init(self, sink, array_id, cols, offset, length, root)
+        if root is None:
+            addrs = {c.ctypes.data for c in cols.values() if len(c)}
+            with lock:
+                clashes.extend(other for other, theirs in made
+                               if other._cols and addrs & theirs)
+                made.append((self, addrs))
+
+    monkeypatch.setattr(trace.PublicArray, "__init__", record)
+    yield made
+    assert not clashes, "two live arrays shared a column buffer"
+
+
+def test_warm_join_reuses_the_last_joins_storage(rng, roots):
+    # fanout's shape: 512 x 512 rows on 8 keys, m = 8 * 64 * 64 = 2^15
+    t1, t2 = fanout_tables(rng, 512, 8)
+    want = sorted_pairs(sort_merge_join(t1, t2))
+    for _ in range(2):
+        res = oblivious_join(t1, t2)
+        assert res.m == 2**15
+        assert np.array_equal(sorted_pairs(res.pairs), want)
+    (_, tc1), (_, s11), (_, s21), (_, tc2), (_, s12), (_, s22) = roots
+    # S1 and S2 are both 2^15 slots, so each takes one of the first
+    # join's two, and T_C takes the first join's T_C
+    assert tc2 == tc1
+    assert {frozenset(s12), frozenset(s22)} == {frozenset(s11),
+                                                 frozenset(s21)}
+    # a join of another shape finds no set of its lengths and allocates
+    # fresh columns (the kept ones are still held, so none can recur)
+    t1, t2 = fanout_tables(rng, 256, 8)
+    res = oblivious_join(t1, t2)
+    assert np.array_equal(sorted_pairs(res.pairs),
+                          sorted_pairs(sort_merge_join(t1, t2)))
+    kept = tc2 | s12 | s22
+    assert all(not addrs & kept for _, addrs in roots[6:])
+    assert len(roots) == 9
+
+
+class _YieldingList(list):
+    """A list that gives up the interpreter lock on every index, so that a
+    scan of it and a pop by the index found interleave across threads."""
+
+    def __getitem__(self, k):
+        time.sleep(1e-4)
+        return super().__getitem__(k)
+
+
+def test_concurrent_joins_share_no_live_storage(rng, roots, monkeypatch):
+    # every thread runs same-shape joins, so each allocation may take a
+    # set another thread just released
+    monkeypatch.setattr(trace, "_spare", _YieldingList(trace._spare))
+    t1, t2 = fanout_tables(rng, 128, 8)
+    want = sorted_pairs(sort_merge_join(t1, t2))
+    wrong = []
+    errors = []
+
+    def joins():
+        try:
+            for _ in range(10):
+                res = oblivious_join(t1, t2)
+                if not np.array_equal(sorted_pairs(res.pairs), want):
+                    wrong.append(res)
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    # more threads than the host has cores, switching often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=joins) for _ in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors and not wrong
+    assert len(roots) == 4 * 10 * 3

@@ -5,7 +5,7 @@ import pytest
 
 from oblivjoin.harness import make_distribute_input
 from oblivjoin.prp import SmallDomainPrp, prp_distribute
-from oblivjoin.primitives import oblivious_distribute
+from oblivjoin.primitives import DistributeCollisionError, oblivious_distribute
 from oblivjoin.trace import HashSink, LogSink, NullSink
 
 
@@ -124,4 +124,13 @@ def test_rejects_a_null_entry_before_any_access():
     x.col("is_null")[1] = 1
     with pytest.raises(ValueError, match="null"):
         prp_distribute(x, 3, seed=0)
+    assert len(s) == 0
+
+
+@pytest.mark.parametrize("f", [[5, 1, 2], [1, 5, 2], [1, 2, 5]])
+def test_rejects_a_destination_outside_the_slots_before_any_access(f):
+    # the refusal point does not depend on where the bad f sits
+    s = LogSink()
+    with pytest.raises(DistributeCollisionError, match="f = 5 outside 1..4"):
+        prp_distribute(make_distribute_input(s, f), 4, seed=0)
     assert len(s) == 0

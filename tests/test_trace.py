@@ -29,6 +29,7 @@ from oblivjoin.trace import (
     NullSink,
     OutOfBoundsError,
     PublicArray,
+    ReleasedArrayError,
     TraceEvent,
     alloc,
     emit_steps,
@@ -780,6 +781,32 @@ def test_release_is_idempotent_across_views():
     assert s.live_entries == 0
 
 
+ACCESSORS = {
+    "read": lambda a: a.read(0),
+    "write": lambda a: a.write(0, AugEntry(j=1, is_null=0)),
+    "col": lambda a: a.col("j"),
+    "view": lambda a: a.view(0, 1),
+}
+
+
+@pytest.mark.parametrize("access", ACCESSORS)
+def test_released_array_refuses_access(access):
+    # a released array's storage may back the next allocation of its
+    # length, so the root and every view of it refuse each accessor, and
+    # no event is emitted for the refused access
+    s = LogSink()
+    a = alloc(4, s)
+    v = a.view(1, 2)
+    w = alloc(4, s)  # a live array beside the released one is unaffected
+    v.release()
+    for arr in (a, v):
+        with pytest.raises(ReleasedArrayError,
+                           match=f"array {a.array_id} was released"):
+            ACCESSORS[access](arr)
+    assert len(s) == 0
+    ACCESSORS[access](w)
+
+
 def test_fresh_allocation_is_null():
     s = NullSink()
     a = alloc(3, s)
@@ -787,6 +814,16 @@ def test_fresh_allocation_is_null():
     # one row of slots per column
     assert all(a.debug_col(name).shape == (3,)
                for name in U64_FIELDS + ("is_null",))
+    # a reused allocation is null too: release refills the columns
+    for i in range(3):
+        a.write(i, AugEntry(j=7, d=6, tid=2, alpha1=5, alpha2=4, f=3, ii=2,
+                            is_null=0))
+    addrs = {name: a.col(name).ctypes.data
+             for name in U64_FIELDS + ("is_null",)}
+    a.release()
+    b = alloc(3, s)
+    assert {name: b.col(name).ctypes.data for name in addrs} == addrs
+    assert b.debug_entries() == [AugEntry(is_null=1)] * 3
 
 
 def test_allocation_needs_a_length():
